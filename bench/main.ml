@@ -5,7 +5,8 @@
      dune exec bench/main.exe              (all experiments, then microbenches)
      dune exec bench/main.exe EXP [...]    (a subset: table2 fig3a fig3b sec61
                                             table3 fig4 fig5 table4 fig6
-                                            opttime costcheck validate micro)
+                                            opttime costcheck validate gemm
+                                            micro)
      dune exec bench/main.exe fig6-fast    (fig6 with the subset size capped)
 
    Absolute numbers come from the machine model calibrated on the paper's
@@ -1325,6 +1326,114 @@ let iolap () =
 
 let iolap_smoke () = iolap_run ~variant:"smoke" ~scale:50 ~reps:1 ~gate:false
 
+(* --- gemm: in-core kernel throughput against the CPU cost model ---------------
+
+   Dense.gemm GFLOP/s at the block shapes the source-to-bytes benchmark's
+   workloads execute (perfbench/workloads.ml: Table 3 Config A and Table 4
+   with block contents shrunk 50x), next to Machine.paper's modeled
+   gemm_flops — the CPU half of the cost model checked the way Fig. 3(b)
+   checks the I/O half.  Throughput is reported, never gated: a wall-clock
+   figure depends on the host.  The full run appends one row to
+   BENCH_gemm.json; the smoke run uses tiny shapes and checks only that
+   results are finite and deterministic. *)
+
+let gemm_json_file = "BENCH_gemm.json"
+
+(* (label, m, n, k, ta, tb) *)
+let gemm_shapes =
+  [ ("twomm C+=A*B", 160, 60, 140, false, false);
+    ("linreg U+=X'X", 80, 80, 1200, true, false);
+    ("linreg V+=X'Y", 80, 8, 1200, true, false);
+    ("linreg Bh+=W*V", 80, 8, 80, false, false);
+    ("linreg Yh+=X*Bh", 1200, 8, 80, false, false) ]
+
+let gemm_smoke_shapes =
+  List.map
+    (fun (ta, tb) -> (Printf.sprintf "smoke ta=%b tb=%b" ta tb, 7, 9, 5, ta, tb))
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
+let git_commit () =
+  try
+    let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, id when id <> "" -> id
+    | _ -> "unknown"
+  with Unix.Unix_error _ | Sys_error _ -> "unknown"
+
+let gemm_run ~variant ~shapes ~min_seconds ~trials =
+  section (Printf.sprintf "Dense.gemm throughput (%s)" variant);
+  let st = Random.State.make [| 2012 |] in
+  let model = machine.Machine.gemm_flops in
+  Printf.printf "%-24s %-16s %-6s %-10s %-10s %s\n" "shape" "m x n x k" "op"
+    "GFLOP/s" "model" "ratio";
+  let rows =
+    List.map
+      (fun (label, m, n, k, ta, tb) ->
+        let a = Array.init (m * k) (fun _ -> Random.State.float st 2. -. 1.)
+        and b = Array.init (k * n) (fun _ -> Random.State.float st 2. -. 1.) in
+        let once () =
+          let c = Array.make (m * n) 0. in
+          Dense.gemm ~accumulate:false ~ta ~tb ~m ~n ~k ~a ~b ~c;
+          c
+        in
+        let c1 = once () in
+        let bits c = Array.map Int64.bits_of_float c in
+        if not (Array.for_all Float.is_finite c1) then
+          failwith (Printf.sprintf "gemm: non-finite result on %s" label);
+        if bits (once ()) <> bits c1 then
+          failwith (Printf.sprintf "gemm: nondeterministic result on %s" label);
+        (* Median over trials; each trial repeats the call until it has run
+           [min_seconds]. *)
+        let c = Array.make (m * n) 0. in
+        let trial () =
+          let t0 = Unix.gettimeofday () and reps = ref 0 in
+          while Unix.gettimeofday () -. t0 < min_seconds || !reps = 0 do
+            Dense.gemm ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
+            incr reps
+          done;
+          2. *. float_of_int (m * n * k * !reps) /. (Unix.gettimeofday () -. t0)
+        in
+        let rates = List.sort compare (List.init trials (fun _ -> trial ())) in
+        let flops = List.nth rates (trials / 2) in
+        let op = (if ta then "A'" else "A") ^ (if tb then "B'" else "B") in
+        Printf.printf "%-24s %-16s %-6s %-10.2f %-10.1f %.4f\n" label
+          (Printf.sprintf "%dx%dx%d" m n k)
+          op (flops /. 1e9) (model /. 1e9) (flops /. model);
+        Printf.sprintf
+          "{\"shape\": %S, \"m\": %d, \"n\": %d, \"k\": %d, \"ta\": %b, \
+           \"tb\": %b, \"gflops\": %.3f, \"model_gflops\": %.1f, \
+           \"model_ratio\": %.4f}"
+          label m n k ta tb (flops /. 1e9) (model /. 1e9) (flops /. model))
+      shapes
+  in
+  let row =
+    Printf.sprintf
+      "{\"bench\": \"gemm\", \"variant\": %S, \"commit\": %S, \"nproc\": %d, \
+       \"ocaml\": %S, \"timestamp\": %.0f, \"trials\": %d, \
+       \"min_seconds\": %g, \"rows\": [%s]}"
+      variant (git_commit ())
+      (Domain.recommended_domain_count ())
+      Sys.ocaml_version (Unix.time ()) trials min_seconds
+      (String.concat ", " rows)
+  in
+  print_endline row;
+  row
+
+let gemm () =
+  let row =
+    gemm_run ~variant:"full" ~shapes:gemm_shapes ~min_seconds:0.2 ~trials:5
+  in
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 gemm_json_file in
+  output_string oc (row ^ "\n");
+  close_out oc;
+  Printf.printf "(appended to %s)\n" gemm_json_file
+
+let gemm_smoke () =
+  ignore
+    (gemm_run ~variant:"smoke" ~shapes:gemm_smoke_shapes ~min_seconds:0.01
+       ~trials:1)
+
 (* --- Driver ------------------------------------------------------------------------ *)
 
 let experiments =
@@ -1356,6 +1465,8 @@ let experiments =
     ("checkverify-smoke", checkverify_smoke);
     ("iolap", iolap);
     ("iolap-smoke", iolap_smoke);
+    ("gemm", gemm);
+    ("gemm-smoke", gemm_smoke);
     ("micro", micro) ]
 
 let () =
@@ -1393,7 +1504,7 @@ let () =
         (fun n ->
           n <> "opttime-smoke" && n <> "polyfuzz-smoke" && n <> "faultfuzz-smoke"
           && n <> "cpubound-smoke" && n <> "checkverify-smoke"
-          && n <> "iolap-smoke")
+          && n <> "iolap-smoke" && n <> "gemm-smoke")
         (List.map fst experiments)
     else args
   in

@@ -1,19 +1,104 @@
+(* Register-tiled gemm; the contract and the tile design are in dense.mli.
+   Tiling changes only which elements of c are in flight together, never an
+   element's operation sequence, so the result is bit-identical to the plain
+   i-l-j triple loop.  The unchecked accesses are sound because [gemm_check]
+   runs first, and it runs before c is touched, so a shape error leaves c
+   intact. *)
+
+let gemm_check ~m ~n ~k ~a ~b ~c =
+  if m < 0 || n < 0 || k < 0 then
+    invalid_arg
+      (Printf.sprintf "Dense.gemm: negative dimension (m=%d n=%d k=%d)" m n k);
+  (* [rows * cols <= len], without overflowing the product. *)
+  let fits len rows cols = rows = 0 || cols <= len / rows in
+  List.iter
+    (fun (name, len, rows, cols) ->
+      if not (fits len rows cols) then
+        invalid_arg
+          (Printf.sprintf
+             "Dense.gemm: %s has %d elements, needs %d x %d (m=%d n=%d k=%d)"
+             name len rows cols m n k))
+    [ ("a", Array.length a, m, k);
+      ("b", Array.length b, k, n);
+      ("c", Array.length c, m, n) ]
+
 let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
+  gemm_check ~m ~n ~k ~a ~b ~c;
   if not accumulate then Array.fill c 0 (m * n) 0.;
-  (* a: m x k (or k x m when ta); b: k x n (or n x k when tb). *)
-  let ai i l = if ta then (l * m) + i else (i * k) + l in
-  let bi l j = if tb then (j * k) + l else (l * n) + j in
-  for i = 0 to m - 1 do
+  (* a(i,l) = a.(i*ars + l*als); b(l,j) = b.(l*bls + j*bcs). *)
+  let ars, als = if ta then (1, m) else (k, 1) in
+  let bls, bcs = if tb then (1, k) else (n, 1) in
+  (* One element of c by the scalar loop: the edges outside the tiles. *)
+  let scalar i j =
+    let ar = i * ars and bc = j * bcs in
+    let acc = ref (Array.unsafe_get c ((i * n) + j)) in
     for l = 0 to k - 1 do
-      let av = a.(ai i l) in
-      if av <> 0. then begin
-        let crow = i * n and brow_f = bi l in
-        for j = 0 to n - 1 do
-          c.(crow + j) <- c.(crow + j) +. (av *. b.(brow_f j))
-        done
-      end
+      let av = Array.unsafe_get a (ar + (l * als)) in
+      if av <> 0. then
+        acc := !acc +. (av *. Array.unsafe_get b ((l * bls) + bc))
+    done;
+    Array.unsafe_set c ((i * n) + j) !acc
+  in
+  let m2 = m land lnot 1 and n4 = n land lnot 3 in
+  let i = ref 0 in
+  while !i < m2 do
+    let i0 = !i in
+    let ar0 = i0 * ars in
+    let ar1 = ar0 + ars and cr0 = i0 * n in
+    let cr1 = cr0 + n in
+    let j = ref 0 in
+    while !j < n4 do
+      let j0 = !j in
+      let bc0 = j0 * bcs in
+      let bc1 = bc0 + bcs in
+      let bc2 = bc1 + bcs in
+      let bc3 = bc2 + bcs in
+      let ld o = Array.unsafe_get c o in
+      let c00 = ref (ld (cr0 + j0)) and c01 = ref (ld (cr0 + j0 + 1))
+      and c02 = ref (ld (cr0 + j0 + 2)) and c03 = ref (ld (cr0 + j0 + 3))
+      and c10 = ref (ld (cr1 + j0)) and c11 = ref (ld (cr1 + j0 + 1))
+      and c12 = ref (ld (cr1 + j0 + 2)) and c13 = ref (ld (cr1 + j0 + 3)) in
+      for l = 0 to k - 1 do
+        let al = l * als and bl = l * bls in
+        let a0 = Array.unsafe_get a (ar0 + al)
+        and a1 = Array.unsafe_get a (ar1 + al) in
+        let b0 = Array.unsafe_get b (bl + bc0)
+        and b1 = Array.unsafe_get b (bl + bc1)
+        and b2 = Array.unsafe_get b (bl + bc2)
+        and b3 = Array.unsafe_get b (bl + bc3) in
+        if a0 <> 0. then begin
+          c00 := !c00 +. (a0 *. b0);
+          c01 := !c01 +. (a0 *. b1);
+          c02 := !c02 +. (a0 *. b2);
+          c03 := !c03 +. (a0 *. b3)
+        end;
+        if a1 <> 0. then begin
+          c10 := !c10 +. (a1 *. b0);
+          c11 := !c11 +. (a1 *. b1);
+          c12 := !c12 +. (a1 *. b2);
+          c13 := !c13 +. (a1 *. b3)
+        end
+      done;
+      Array.unsafe_set c (cr0 + j0) !c00;
+      Array.unsafe_set c (cr0 + j0 + 1) !c01;
+      Array.unsafe_set c (cr0 + j0 + 2) !c02;
+      Array.unsafe_set c (cr0 + j0 + 3) !c03;
+      Array.unsafe_set c (cr1 + j0) !c10;
+      Array.unsafe_set c (cr1 + j0 + 1) !c11;
+      Array.unsafe_set c (cr1 + j0 + 2) !c12;
+      Array.unsafe_set c (cr1 + j0 + 3) !c13;
+      j := j0 + 4
+    done;
+    for j = n4 to n - 1 do
+      scalar i0 j;
+      scalar (i0 + 1) j
+    done;
+    i := i0 + 2
+  done;
+  if m2 < m then
+    for j = 0 to n - 1 do
+      scalar m2 j
     done
-  done
 
 let add a b c =
   for i = 0 to Array.length c - 1 do

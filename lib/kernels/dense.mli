@@ -1,10 +1,11 @@
 (** In-core dense kernels on row-major [float array] blocks.
 
-    This is the execution engine's substitute for GotoBLAS2: functionally
-    complete (gemm with transposition, element-wise ops, Gauss-Jordan
-    inversion, residual sums of squares), tuned only enough for the
-    reduced-scale correctness runs.  The cost model accounts for full-scale
-    CPU time separately ({!Riot_plan.Machine}). *)
+    This is the execution engine's substitute for GotoBLAS2: gemm with
+    transposition, element-wise ops, Gauss-Jordan inversion and residual
+    sums of squares.  Only {!gemm} is register-tiled; the rest are plain
+    loops.  The cost model accounts for full-scale CPU time separately
+    ({!Riot_plan.Machine}), at the paper's modeled gemm rate rather than
+    this kernel's. *)
 
 val gemm :
   accumulate:bool ->
@@ -19,7 +20,30 @@ val gemm :
   unit
 (** [c (m x n) += op(a) * op(b)] with [op] transposing when the flag is set;
     [a] is [m x k] ([k x m] when [ta]), [b] is [k x n] ([n x k] when [tb]).
-    With [accumulate = false] [c] is overwritten. *)
+    With [accumulate = false] [c] is first set to [+0.].  Only the leading
+    [m*k], [k*n] and [m*n] elements of [a], [b] and [c] are used; [c] must
+    not share storage with [a] or [b].
+
+    Summation order (the contract): each [c.(i,j)] starts from its prior
+    value and adds [a(i,l) *. b(l,j)] for [l] ascending, one rounding per
+    multiply and per add.  A term whose [a(i,l)] is zero ([+0.] or [-0.])
+    is skipped, as in reference BLAS, so [0 * inf] and [0 * nan] never
+    reach [c]; a NaN [a(i,l)] is not skipped.  The result is therefore
+    bit-identical (NaN, infinities and signed zeros included) to the plain
+    [i]-[l]-[j] triple loop, and to every revision of this kernel.
+
+    Design: one code path serves all four transpose cases through four
+    integer strides (the row and [l] strides of [a], the [l] and column
+    strides of [b]).  A 2-row x 4-column tile of [c] is held in unboxed
+    float registers across the whole [l] loop, so each loaded [a] value
+    feeds four multiply-adds and each [b] value two; scalar loops finish
+    the [m mod 2] rows and [n mod 4] columns.  The inner loops use unchecked
+    array accesses, made sound by the shape check below.
+
+    @raise Invalid_argument if [m], [n] or [k] is negative or [a], [b] or
+    [c] is shorter than its shape needs.  The message names the short
+    operand and the dimensions.  The check runs before anything is written,
+    so [c] is unchanged on the raise. *)
 
 val add : float array -> float array -> float array -> unit
 (** [c.(i) = a.(i) + b.(i)]. *)

@@ -242,6 +242,126 @@ let test_chain_rss_terminal () =
   Dense.rss_acc ~rows ~cols ~e:(stepwise stages ~len ~bufs) ~acc:acc_ref;
   check_bool "rss terminal bit-identical" true (bits_equal acc_fused acc_ref)
 
+(* --- gemm bit-identity -------------------------------------------------------
+
+   Dense.gemm's contract is a per-element summation order: c.(i,j) starts
+   from its prior value and adds a(i,l) * b(l,j) for l ascending, skipping
+   the terms whose a(i,l) is zero.  [seq_gemm] is a frozen copy of the plain
+   triple loop that contract was first written against (zero-skip included);
+   any kernel revision must match it bit for bit, NaN payloads, infinities
+   and signed zeros included. *)
+
+let seq_gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
+  if not accumulate then Array.fill c 0 (m * n) 0.;
+  let ai i l = if ta then (l * m) + i else (i * k) + l in
+  let bi l j = if tb then (j * k) + l else (l * n) + j in
+  for i = 0 to m - 1 do
+    for l = 0 to k - 1 do
+      let av = a.(ai i l) in
+      if av <> 0. then begin
+        let crow = i * n and brow_f = bi l in
+        for j = 0 to n - 1 do
+          c.(crow + j) <- c.(crow + j) +. (av *. b.(brow_f j))
+        done
+      end
+    done
+  done
+
+(* Finite values with a [p_special] share of NaN, +-inf, +-0 and friends. *)
+let gemm_operand st ~p_special len =
+  Array.init len (fun _ ->
+      if Random.State.float st 1. < p_special then
+        specials.(Random.State.int st (Array.length specials))
+      else Random.State.float st 4. -. 2.)
+
+let transposes = [ (false, false); (true, false); (false, true); (true, true) ]
+
+let gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k =
+  let p_special = [| 0.; 0.1; 0.5 |].(Random.State.int st 3) in
+  let a = gemm_operand st ~p_special (m * k)
+  and b = gemm_operand st ~p_special (k * n)
+  and c0 = gemm_operand st ~p_special (m * n) in
+  let c = Array.copy c0 and c_ref = Array.copy c0 in
+  Dense.gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c;
+  seq_gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
+  bits_equal c c_ref
+
+let test_gemm_bit_identity () =
+  let st = Random.State.make [| 1414 |] in
+  List.iter
+    (fun (ta, tb) ->
+      List.iter
+        (fun accumulate ->
+          let case m n k =
+            if not (gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k) then
+              Alcotest.failf
+                "gemm differs from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b \
+                 accumulate=%b"
+                m n k ta tb accumulate
+          in
+          for m = 0 to 9 do
+            for n = 0 to 11 do
+              for k = 0 to 7 do
+                case m n k
+              done
+            done
+          done;
+          (* The twomm and linreg U += X'X block shapes of the benchmark
+             workloads (run under every transpose pair here). *)
+          case 160 60 140;
+          case 80 80 1200)
+        [ false; true ])
+    transposes
+
+(* A shape error must leave c exactly as it was: the check runs before the
+   accumulate:false zero-fill. *)
+let test_gemm_shape_error () =
+  let m = 3 and n = 5 and k = 4 in
+  let sized (da, db, dc) =
+    ( Array.make ((m * k) - da) 1.,
+      Array.make ((k * n) - db) 1.,
+      Array.init ((m * n) - dc) float_of_int )
+  in
+  List.iter
+    (fun (name, short) ->
+      List.iter
+        (fun (ta, tb) ->
+          let a, b, c = sized short in
+          let before = Array.copy c in
+          let raised =
+            try
+              Dense.gemm ~accumulate:false ~ta ~tb ~m ~n ~k ~a ~b ~c;
+              false
+            with Invalid_argument msg ->
+              check_bool
+                (Printf.sprintf "message names %s: %s" name msg)
+                true
+                (String.starts_with ~prefix:("Dense.gemm: " ^ name) msg);
+              true
+          in
+          check_bool (Printf.sprintf "short %s raises" name) true raised;
+          check_bool (Printf.sprintf "short %s leaves c unchanged" name) true
+            (bits_equal c before))
+        transposes)
+    [ ("a", (1, 0, 0)); ("b", (0, 1, 0)); ("c", (0, 0, 1)) ];
+  List.iter
+    (fun (m, n, k) ->
+      check_bool
+        (Printf.sprintf "negative dimension m=%d n=%d k=%d raises" m n k)
+        true
+        (try
+           Dense.gemm ~accumulate:true ~ta:false ~tb:false ~m ~n ~k ~a:[||]
+             ~b:[||] ~c:[||];
+           false
+         with Invalid_argument _ -> true))
+    [ (-1, 0, 0); (0, -1, 0); (0, 0, -1) ];
+  (* Oversized operands are fine: only the leading elements are used. *)
+  let a = Array.make 20 1. and b = Array.make 30 1. and c = Array.make 20 0. in
+  Dense.gemm ~accumulate:false ~ta:false ~tb:false ~m ~n ~k ~a ~b ~c;
+  check_bool "oversized operands" true
+    (bits_equal c
+       (Array.init 20 (fun i -> if i < m * n then float_of_int k else 0.)))
+
 let qcheck_kernels =
   let open QCheck in
   let dims = Gen.(triple (int_range 1 5) (int_range 1 5) (int_range 1 5)) in
@@ -318,5 +438,9 @@ let suite =
       Alcotest.test_case "chain zero-length tile" `Quick test_chain_zero_len;
       Alcotest.test_case "chain ragged boundaries" `Quick test_chain_ragged;
       Alcotest.test_case "chain aliased dst" `Quick test_chain_aliased_dst;
-      Alcotest.test_case "chain rss terminal" `Quick test_chain_rss_terminal ]
+      Alcotest.test_case "chain rss terminal" `Quick test_chain_rss_terminal;
+      Alcotest.test_case "gemm bit-identical to seq_gemm" `Quick
+        test_gemm_bit_identity;
+      Alcotest.test_case "gemm shape error leaves c" `Quick
+        test_gemm_shape_error ]
     @ List.map QCheck_alcotest.to_alcotest qcheck_kernels )
