@@ -106,25 +106,36 @@ let analyze (plan : Cplan.t) =
   in
   (* Restart point for watermark [i]: pull back to the first touch of any
      block whose memory-serviced read depends on an elided (memory-only)
-     value produced before the restart point.  Monotone decreasing, so the
-     fixpoint terminates. *)
+     value produced before the restart point, i.e. whose (producer, read]
+     window contains it.  Monotone decreasing, so the fixpoint terminates.
+     Only elided memory reads can pull, and a restart point no window
+     contains is final at once, so the pass over them runs only there. *)
+  let elided =
+    List.filter_map
+      (fun (key, s, src) ->
+        if src <> Cplan.From_memory then None
+        else
+          match producer key s with
+          | Some (t, Cplan.Elided) -> Some (t, s, first_touch key)
+          | _ -> None)
+      all_reads
+  in
+  let pulled =
+    Riot_base.Cover.min_cover ~n:(n + 1)
+      (List.map (fun (t, s, _) -> (t + 1, s, 0)) elided)
+  in
   let restart_of i =
     let r = ref (i + 1) in
-    let changed = ref true in
+    let changed = ref (pulled.(i + 1) = 0) in
     while !changed do
       changed := false;
       List.iter
-        (fun (key, s, src) ->
-          if s >= !r && src = Cplan.From_memory then
-            match producer key s with
-            | Some (t, Cplan.Elided) when t < !r ->
-                let ft = first_touch key in
-                if ft < !r then begin
-                  r := ft;
-                  changed := true
-                end
-            | _ -> ())
-        all_reads
+        (fun (t, s, ft) ->
+          if s >= !r && t < !r && ft < !r then begin
+            r := ft;
+            changed := true
+          end)
+        elided
     done;
     !r
   in
@@ -140,25 +151,38 @@ let analyze (plan : Cplan.t) =
      Before-image records (below) repair exactly these anti-dependences on
      resume, so every watermark remains recoverable even when no boundary
      below the crash point is safe; the [safe] gating still limits journal
-     records and sync barriers to boundaries that need no repair. *)
+     records and sync barriers to boundaries that need no repair.
+
+     A read at [s] takes a disk value for every restart point from just past
+     its producer (from 0 if it has none or reads the disk) up to [s], and is
+     poisoned iff its block's first To_disk write at or after [s] is within
+     [tmax]; so boundary [i] is dangerous iff the least such first write over
+     the reads whose window contains [r] is at most [tmax]. *)
+  let first_disk_write =
+    Riot_base.Cover.min_cover ~n:(n + 1)
+      (List.filter_map
+         (fun (key, s, src) ->
+           match
+             List.find_opt
+               (fun (t, dst) -> dst = Cplan.To_disk && t >= s)
+               (writes_of key)
+           with
+           | None -> None
+           | Some (w, _) ->
+               let from =
+                 match (src, producer key s) with
+                 | Cplan.From_memory, Some (t, _) -> t + 1
+                 | _ -> 0
+               in
+               Some (from, s, w))
+         all_reads)
+  in
   let safe = Array.make n false and restart = Array.make n 0 in
   let ns = ref None in
   for i = n - 1 downto 0 do
     let r = restart_of i in
     let tmax = match !ns with Some j -> j | None -> n - 1 in
-    let danger =
-      List.exists
-        (fun (key, s, src) ->
-          s >= r
-          && (match src with
-             | Cplan.From_disk -> true
-             | Cplan.From_memory -> (
-                 match producer key s with Some (t, _) -> t < r | None -> true))
-          && List.exists
-               (fun (t, dst) -> dst = Cplan.To_disk && s <= t && t <= tmax)
-               (writes_of key))
-        all_reads
-    in
+    let danger = first_disk_write.(r) <= tmax in
     safe.(i) <- not danger;
     restart.(i) <- r;
     if not danger then ns := Some i

@@ -30,10 +30,15 @@ module Coaccess = Riot_analysis.Coaccess
    W(b) writes, of which at most W(b) - 1 are saved, and only when some
    opportunity in S has a W->W pair on the block.  An intermediate block
    (footnote 8) elides every write whose segment-to-next-write contains no
-   disk-serviced read; segments with no reads at all elide unconditionally,
-   so the schedule-free floor is a single write when R(b) > 0 (the write
-   feeding the first read survives unless that read is memory-serviced,
-   which again requires the block pinned under S) and zero otherwise.
+   disk-serviced read; segments with no reads at all elide unconditionally.
+   Which reads fall into which write's segment does not depend on the
+   schedule: every write is ordered against every other access of its block
+   by a dependence, which each legal schedule keeps.  So K(b), the writes
+   Plan 0 keeps (a lone write of its instance followed by a read before the
+   block's next write), is the cost of every plan that leaves the block
+   unpinned, and pinning it under S can save at most all K(b).  (Reads in
+   the writing instance itself precede the write, so a block that is only
+   read there keeps none of its writes.)
 
    Each per-block saving is counted once across the union of S's pinned/W->W
    block sets, so [eval] is monotone non-increasing in S and subadditive
@@ -100,43 +105,80 @@ let make ?cache machine (prog : Program.t) ~config ~coaccesses =
   let intermediate name =
     Array_info.is_intermediate (Program.find_array prog name)
   in
-  (* Event counts per block: R = instance-merged reads, W = raw writes. *)
+  (* Event counts per block: R = instance-merged reads, W = raw writes, and
+     for intermediate blocks K = the writes Plan 0 keeps (below).  Instances
+     are walked in the original schedule's order, ties broken by statement
+     order, exactly as [Cplan.build] orders Plan 0's steps. *)
   let reads : (blk, int) Hashtbl.t = Hashtbl.create 256 in
   let writes : (blk, int) Hashtbl.t = Hashtbl.create 256 in
+  let kept : (blk, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Intermediate blocks whose latest write still awaits its first read. *)
+  let pending : (blk, unit) Hashtbl.t = Hashtbl.create 64 in
   let bump tbl b = Hashtbl.replace tbl b (1 + Option.value ~default:0 (Hashtbl.find_opt tbl b)) in
+  let events =
+    List.stable_sort
+      (fun (_, _, t1) (_, _, t2) -> Riot_ir.Sched.lex_compare t1 t2)
+      (List.concat_map
+         (fun (s : Stmt.t) ->
+           let rows = Riot_ir.Sched.find prog.Program.original s.Stmt.name in
+           List.map
+             (fun inst ->
+               (s, inst, Riot_ir.Sched.time_of rows (lookup_in inst params)))
+             (List.assoc s.Stmt.name (Cplan.cache_instances c)))
+         prog.Program.stmts)
+  in
   List.iter
-    (fun (s : Stmt.t) ->
-      let insts = List.assoc s.Stmt.name (Cplan.cache_instances c) in
-      List.iter
-        (fun inst ->
-          let seen = Hashtbl.create 8 in
-          List.iter
-            (fun (a : Access.t) ->
-              let act =
-                match a.Access.restrict_to with
-                | None -> true
-                | Some r -> Poly.mem r (lookup_in inst params)
-              in
-              if act then begin
-                let b =
+    (fun ((s : Stmt.t), inst, _) ->
+      let active =
+        List.filter_map
+          (fun (a : Access.t) ->
+            let act =
+              match a.Access.restrict_to with
+              | None -> true
+              | Some r -> Poly.mem r (lookup_in inst params)
+            in
+            if act then
+              Some
+                ( a,
                   (a.Access.array,
-                   Array.to_list (Access.block_of a (lookup_in inst params)))
-                in
-                if Access.is_read a && not (Hashtbl.mem seen b) then begin
-                  Hashtbl.add seen b ();
-                  bump reads b
-                end;
-                if Access.is_write a then bump writes b
-              end)
-            s.Stmt.accesses)
-        insts)
-    prog.Program.stmts;
+                   Array.to_list (Access.block_of a (lookup_in inst params))) )
+            else None)
+          s.Stmt.accesses
+      in
+      let seen = Hashtbl.create 8 in
+      List.iter
+        (fun ((a : Access.t), b) ->
+          if Access.is_read a && not (Hashtbl.mem seen b) then begin
+            Hashtbl.add seen b ();
+            bump reads b;
+            if Hashtbl.mem pending b then begin
+              Hashtbl.remove pending b;
+              bump kept b
+            end
+          end)
+        active;
+      let written = Hashtbl.create 4 in
+      List.iter
+        (fun ((a : Access.t), b) -> if Access.is_write a then bump written b)
+        active;
+      Hashtbl.iter
+        (fun ((name, _) as b) k ->
+          Hashtbl.replace writes b (k + Option.value ~default:0 (Hashtbl.find_opt writes b));
+          (* An instance's reads precede its writes, so a write's segment
+             runs from the next instance to the block's next write.  Two
+             writes in one instance elide together (the first one's segment
+             is empty), so only a lone write can be kept. *)
+          if intermediate name then
+            if k = 1 then Hashtbl.replace pending b () else Hashtbl.remove pending b)
+        written)
+    events;
   let r_of b = Option.value ~default:0 (Hashtbl.find_opt reads b) in
   let w_of b = Option.value ~default:0 (Hashtbl.find_opt writes b) in
+  let k_of b = Option.value ~default:0 (Hashtbl.find_opt kept b) in
   (* Base (sharing-free) volume. *)
   let base_read = Hashtbl.fold (fun (a, _) n acc -> acc + (n * bytes_of a)) reads 0 in
   let base_write =
-    let keep (a, _ as b) n = if intermediate a then (if r_of b > 0 then 1 else 0) else n in
+    let keep (a, _ as b) n = if intermediate a then k_of b else n in
     Hashtbl.fold (fun (a, _ as b) n acc -> acc + (keep b n * bytes_of a)) writes 0
   in
   (* Per-block saving potentials. *)
@@ -146,7 +188,7 @@ let make ?cache machine (prog : Program.t) ~config ~coaccesses =
   in
   let pin_write_save b =
     let (a, _) = b in
-    if intermediate a && r_of b > 0 then bytes_of a else 0
+    if intermediate a then k_of b * bytes_of a else 0
   in
   let ww_save b =
     let (a, _) = b in

@@ -6,7 +6,8 @@
     [s]'s pinned blocks all hit the disk, a pinned never-written block still
     pays one cold read, non-intermediate blocks keep their last write and
     elide earlier ones only under a W->W source in [s], and intermediate
-    blocks pay one write per read block unless pinned (footnote 8 elision).
+    blocks pay the writes Plan 0 keeps — those whose value some later read
+    takes from the disk — unless pinned (footnote 8 elision).
     Savings are counted once per block across the union, so [eval] is
     monotone non-increasing in [s] and subadditive against the standalone
     per-opportunity {!saving} — the properties the search's subtree bound

@@ -331,6 +331,37 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
     let disk_writes key =
       List.filter (fun (_, dst) -> dst = Cplan.To_disk) (all_of ch.writes_of key)
     in
+    (* Per restart point, the earliest disk write a replay from there can
+       observe (JR001: a read's window of disk-valued restart points runs
+       from just past its producer, or from 0, up to the read itself), and
+       whether an elided value crosses it (JR002).  A boundary both leave
+       clean has nothing to report; the others are scanned read by read. *)
+    let observed_write =
+      Riot_base.Cover.min_cover ~n:(n + 1)
+        (List.filter_map
+           (fun (key, s, src) ->
+             match List.find_opt (fun (t, _) -> t >= s) (disk_writes key) with
+             | None -> None
+             | Some (w, _) ->
+                 let from =
+                   match src with
+                   | Cplan.From_disk -> 0
+                   | Cplan.From_memory -> (
+                       match producer ch key s with
+                       | Some (t, _) -> t + 1
+                       | None -> 0)
+                 in
+                 Some (from, s, w))
+           all_reads)
+    and stranded =
+      Riot_base.Cover.min_cover ~n:(n + 1)
+        (List.filter_map
+           (fun (key, s, src) ->
+             match (src, producer ch key s) with
+             | Cplan.From_memory, Some (t, Cplan.Elided) -> Some (t + 1, s, 0)
+             | _ -> None)
+           all_reads)
+    in
     for i = 0 to n - 1 do
       if wm.wm_safe.(i) then begin
         let r = wm.wm_restart.(i) in
@@ -346,7 +377,7 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
         if r > i + 1 then
           emit acc ~step:i ~sev:Error "JR002"
             "restart point %d skips steps the watermark never completed" r
-        else begin
+        else if r < 0 || observed_write.(r) <= !tmax || stranded.(r) = 0 then begin
           (* JR001: a replayed read taking its value from the disk must not
              observe a To_disk write the crashed incarnation may have done. *)
           List.iter

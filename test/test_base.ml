@@ -88,10 +88,35 @@ let qcheck_q =
         && C.cdiv a b = int_of_float (Float.ceil (float_of_int a /. float_of_int b)))
   ]
 
+(* Cover.min_cover against the per-position brute force, over random
+   intervals that are empty, clipped at either end or nested. *)
+let test_min_cover () =
+  let st = Random.State.make [| 2012 |] in
+  for _ = 1 to 300 do
+    let n = Random.State.int st 40 in
+    let ivs =
+      List.init (Random.State.int st 12) (fun _ ->
+          let lo = Random.State.int st (n + 6) - 3 in
+          ( lo,
+            lo + Random.State.int st 15 - 3,
+            Random.State.int st 20 ))
+    in
+    let brute p =
+      List.fold_left
+        (fun m (lo, hi, w) -> if lo <= p && p <= hi then min m w else m)
+        max_int ivs
+    in
+    Alcotest.(check (array int))
+      (Printf.sprintf "n=%d, %d intervals" n (List.length ivs))
+      (Array.init n brute)
+      (Riot_base.Cover.min_cover ~n ivs)
+  done
+
 let suite =
   ( "base",
     [ Alcotest.test_case "checked basic" `Quick test_checked_basic;
       Alcotest.test_case "checked overflow" `Quick test_checked_overflow;
       Alcotest.test_case "q basic" `Quick test_q_basic;
       Alcotest.test_case "q exceptions" `Quick test_q_exceptions ]
-    @ List.map QCheck_alcotest.to_alcotest qcheck_q )
+    @ List.map QCheck_alcotest.to_alcotest qcheck_q
+    @ [ Alcotest.test_case "cover min vs brute force" `Quick test_min_cover ] )

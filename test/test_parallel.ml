@@ -139,6 +139,54 @@ let test_budget_interrupted_valid () =
     (b.Api.predicted_io_seconds
     <= (Api.original o).Api.predicted_io_seconds)
 
+(* The I/O lower bound must never exceed the cost of a plan it bounds, and
+   must equal Plan 0's cost exactly.  The pinned seeds generate programs
+   whose intermediate blocks are read only inside their own writing
+   instance: Plan 0 elides those writes, and a bound that charged one write
+   per read block pruned the true best plan. *)
+let test_bound_admissible () =
+  let open Test_random_programs in
+  List.iter
+    (fun seed ->
+      with_program seed (fun prog ->
+          let config = config_for prog in
+          let ex = Api.optimize ~max_size:2 ~jobs:1 prog ~config in
+          let sharing = ex.Api.analysis.Deps.sharing in
+          let bound =
+            Riot_plan.Cost_bound.make Riot_plan.Machine.paper prog ~config
+              ~coaccesses:sharing
+          in
+          let index ca =
+            let rec go i = function
+              | [] -> Alcotest.fail "realized opportunity not in the sharing list"
+              | c :: rest -> if c = ca then i else go (i + 1) rest
+            in
+            go 0 sharing
+          in
+          List.iter
+            (fun (p : Api.costed_plan) ->
+              let b =
+                Riot_plan.Cost_bound.eval bound
+                  (List.map index p.Api.plan.Search.q)
+              in
+              check_bool
+                (Printf.sprintf "seed %d plan %d: bound %g <= io %g" seed
+                   p.Api.plan.Search.index b p.Api.predicted_io_seconds)
+                true
+                (b <= p.Api.predicted_io_seconds))
+            ex.Api.plans;
+          check_bool
+            (Printf.sprintf "seed %d: bound of {} = Plan 0's io" seed)
+            true
+            (Riot_plan.Cost_bound.base bound
+            = (Api.original ex).Api.predicted_io_seconds);
+          let bb = Api.optimize ~prune:true ~max_size:2 ~jobs:1 prog ~config in
+          check_bool
+            (Printf.sprintf "seed %d: b&b best = exhaustive best" seed)
+            true
+            (best_signature bb = best_signature ex)))
+    [ 26; 67; 145; 155; 190; 197; 65853 ]
+
 let qcheck_bb =
   let open Test_random_programs in
   [ QCheck.Test.make
@@ -179,4 +227,6 @@ let suite =
       Alcotest.test_case "budget monotonicity" `Quick test_budget_monotone;
       Alcotest.test_case "interrupted budget returns valid plan" `Quick
         test_budget_interrupted_valid ]
-    @ List.map QCheck_alcotest.to_alcotest (qcheck_parallel @ qcheck_bb) )
+    @ List.map QCheck_alcotest.to_alcotest (qcheck_parallel @ qcheck_bb)
+    @ [ Alcotest.test_case "bound admissible on pinned random programs" `Quick
+          test_bound_admissible ] )

@@ -159,18 +159,21 @@ let statically_clean ~ew prog =
 
 let prop_plans_statically_verify =
   QCheck.Test.make ~name:"random programs: plans are statically diagnostic-free"
-    ~count:30 seed_gen (fun seed ->
+    ~count:40 seed_gen (fun seed ->
       with_program seed (statically_clean ~ew:false))
 
 let prop_ew_plans_statically_verify =
   QCheck.Test.make
-    ~name:"random ew programs: plans are statically spotless" ~count:30
+    ~name:"random ew programs: plans are statically spotless" ~count:40
     seed_gen (fun seed ->
       Rand_prog.with_ew_program seed (statically_clean ~ew:true))
 
 (* Registered after the two properties above (Alcotest runs a suite in
    order), so by the time it runs the counter reflects them; [`Slow] like
-   the properties themselves, so a `-q` run skips both consistently. *)
+   the properties themselves, so a `-q` run skips both consistently.  The
+   two properties draw 40 programs each: a program has about 9 (opaque) or
+   12 (element-wise) plans at max_size 2 with a wide spread, and at 30 draws
+   each the total fell below 500 on about 9% of QCheck seeds. *)
 let static_coverage_floor =
   Alcotest.test_case "static verification covered >= 500 plans" `Slow
     (fun () ->
