@@ -413,9 +413,11 @@ let run_cmd =
                   "$(b,simulate) (default): phantom run, I/O and memory only. \
                    $(b,interpret) / $(b,vector): run the kernels on a \
                    data-retaining simulated disk (inputs read as zeroes unless \
-                   loaded) through the interpreting or the tile-vectorized \
-                   executor.  The two executors are differentially equivalent: \
-                   byte-identical outputs and identical physical I/O.")
+                   loaded) through the compiled plan, one step at a time \
+                   ($(b,interpret)) or with element-wise runs fused into \
+                   single passes over the tile ($(b,vector)).  The two modes \
+                   are differentially equivalent: byte-identical outputs and \
+                   identical physical I/O.")
         $ Arg.(
             value
             & opt string "sync"

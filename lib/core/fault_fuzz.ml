@@ -100,7 +100,7 @@ let campaign ?(seed = 0) ?(min_crash_cases = 200) ?(plans_per_program = 2)
     incr programs;
     (* Alternate the two distributions: opaque nests (even seeds) keep the
        historical coverage, element-wise chains (odd seeds) push crash
-       points inside fused steps of the vectorized executor. *)
+       points inside fused steps. *)
     let with_prog =
       if case_seed mod 2 = 0 then Rand_prog.with_program
       else Rand_prog.with_ew_program
@@ -143,8 +143,8 @@ let campaign ?(seed = 0) ?(min_crash_cases = 200) ?(plans_per_program = 2)
                    ~backend ~format ~mem_cap);
               stores
             in
-            (* Clean reference, computed by the interpreting executor: every
-               vectorized run below is also a differential check against it. *)
+            (* Clean reference, computed by an unfused run: every fused run
+               below is also a differential check against it. *)
             Failpoint.reset ();
             let clean = mk_backend () in
             load_inputs prog config (Engine.stores_for clean ~format ~config);
@@ -153,7 +153,7 @@ let campaign ?(seed = 0) ?(min_crash_cases = 200) ?(plans_per_program = 2)
             let reference = snapshot clean cstores in
             let clean_counts = counts clean.Backend.stats in
             (* Probe the operation count with a crash point beyond reach;
-               doubles as a journalled interpret-vs-vector equivalence
+               doubles as a journalled unfused-vs-fused equivalence
                check. *)
             let probe = mk_backend () in
             load_inputs prog config (Engine.stores_for probe ~format ~config);
@@ -164,13 +164,13 @@ let campaign ?(seed = 0) ?(min_crash_cases = 200) ?(plans_per_program = 2)
             Failpoint.reset ();
             incr vector_cases;
             if snapshot probe pstores <> reference then
-              fail "%s: journalled vectorized run diverged" (where 0);
+              fail "%s: journalled fused run diverged" (where 0);
             (* Crash sweep: kill at operation k, restart, compare.  The
-               crashing incarnation alternates executors with k, and the
+               crashing incarnation alternates modes with k, and the
                restart runs the OTHER one: a journal written under either
                mode must resume correctly under either (watermark records
-               are plan-based, and the vectorized executor only journals
-               boundaries the interpreter would too). *)
+               are plan-based, and a fused run only journals boundaries an
+               unfused run would too). *)
             let ks =
               List.sort_uniq compare
                 (List.init crash_points (fun c ->

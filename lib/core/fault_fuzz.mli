@@ -4,32 +4,32 @@
     For each randomly generated program (even seeds draw from
     {!Riot_ops.Rand_prog.gen}'s opaque-nest distribution, odd seeds from
     {!Riot_ops.Rand_prog.gen_ew}'s element-wise chains, whose fusable runs
-    put crash points inside fused steps of the tile-vectorized executor)
+    put crash points inside fused steps)
     and a handful of its distinct legal plans, the campaign:
 
     - statically verifies the plan ({!Riot_exec.Engine.verify}) before any
       execution — an [Error]-severity diagnostic is a planner or verifier
       bug, either way a find, and lands in [mismatches];
-    - runs the plan cleanly under the interpreting executor and snapshots
-      every array stream (the reference) - every vectorized run below is
-      thereby also a standing interpret-vs-vector differential check;
+    - runs the plan cleanly and unfused ([Interpret]) and snapshots every
+      array stream (the reference) - every fused run below is thereby also
+      a standing unfused-vs-fused differential check;
     - probes the run's backend-operation count with a never-firing crash
-      failpoint, checking along the way that a journalled vectorized run is
-      byte-identical to the interpreted one;
+      failpoint, checking along the way that a journalled fused run is
+      byte-identical to the unfused one;
     - for crash points spread across the whole operation schedule: arms
       ["backend.crash"] at the n-th operation, runs until the simulated
       process dies (possibly mid-write, leaving a torn block, or
       mid-journal-append, leaving a torn record), then restarts with
       [Engine.run ~resume:true] on the surviving "disk" and asserts the
       final array streams are byte-identical to the reference.  The
-      crashing incarnation alternates executors with the crash point and
+      crashing incarnation alternates modes with the crash point and
       the restart always runs the other one, so a journal written under
       either mode is proven to resume under either;
-    - runs once more (vectorized) with transient read/write faults and a
+    - runs once more (fused) with transient read/write faults and a
       short read armed under the retry wrapper, asserting the output is
       still byte-identical, that every injected fault was absorbed by
       exactly one retry, and that the read/write/byte counters equal the
-      interpreted clean run's (no double counting - and physical I/O is
+      unfused clean run's (no double counting - and physical I/O is
       mode-invariant);
     - repeats the transient run and a thinned crash sweep through the
       asynchronous storage tier ({!Riot_storage.Backend.with_async}):
@@ -79,7 +79,7 @@ type result = {
   transient_cases : int;
   vector_cases : int;
       (** runs executed in [Vector] mode and compared byte-for-byte against
-          the interpreted reference (journalled probes, cross-mode resumes,
+          the unfused reference (journalled probes, cross-mode resumes,
           transient runs) *)
   async_cases : int;
       (** runs routed through {!Riot_storage.Backend.with_async}: a

@@ -3,9 +3,6 @@ module Cost_check = Riot_plan.Cost_check
 module Prefetch = Riot_plan.Prefetch
 module Config = Riot_ir.Config
 module Access = Riot_ir.Access
-module Stmt = Riot_ir.Stmt
-module Program = Riot_ir.Program
-module Kernel = Riot_ir.Kernel
 module Backend = Riot_storage.Backend
 module Block_store = Riot_storage.Block_store
 module Buffer_pool = Riot_storage.Buffer_pool
@@ -155,10 +152,18 @@ let verify_exn ?cap_bytes plan =
 let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     ?(mode = Vector) ?(verify = false) ?(prefetch = 2) (plan : Cplan.t)
     ~backend ~format ~mem_cap =
+  (* A caller-supplied store list must cover the plan before anything runs:
+     a gap would otherwise surface as [Not_found] at that array's first
+     access, after earlier steps had already written. *)
+  Option.iter
+    (fun stores ->
+      List.iter
+        (fun (name, _) ->
+          if not (List.mem_assoc name stores) then
+            invalid_arg ("Engine.run: no store for array " ^ name))
+        plan.Cplan.config.Config.layouts)
+    stores;
   if verify then verify_exn ~cap_bytes:mem_cap plan;
-  (* Phantom (compute-less) runs have no buffers for the compiled closures to
-     chew on; they always take the interpreted path. *)
-  let mode = if compute then mode else Interpret in
   let t0 = Unix.gettimeofday () in
   let vt0 = backend.Backend.stats.Io_stats.virtual_time in
   let r0 = backend.Backend.stats.Io_stats.reads
@@ -188,7 +193,6 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     Buffer_pool.create ~phantom:(not compute) ~stats:backend.Backend.stats ?on_evict
       ~cap_bytes:mem_cap ()
   in
-  let n = Array.length plan.Cplan.steps in
   (* Crash-restart bookkeeping.  With [resume], recover the journalled
      watermark and restart from the analysis' restart point (elided values
      are regenerated by re-executing their producing chain); with [journal],
@@ -206,53 +210,23 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
         rp.Journal.restart.(watermark)
     | _ -> 0
   in
-  (* Tile-vectorized execution compiles the plan once up front.  The link
-     blocks of a fused group never materialize in the pool, so their pins are
-     filtered out of the pin bookkeeping - unless a resume restart point
-     bisects the group (the journal analysis never produces one, but degrade
-     defensively to per-step execution with its pins intact). *)
+  (* Every run executes a compiled plan; only a computing [Vector] run fuses
+     (phantom runs have no buffers for a chain to work on).  A fused group
+     never materializes its link blocks, so a restart point strictly inside
+     one would find them missing.  The journal analysis never produces such
+     a point, but should one arise, run unfused: every step then has the
+     plan's own pins and drops. *)
   let compiled =
-    match mode with
-    | Vector -> Some (Vexec.compiled_for plan)
-    | Interpret -> None
-  in
-  let degraded (f : Vexec.fused) =
-    start_step > f.Vexec.f_lo && start_step <= f.Vexec.f_hi
-  in
-  (* Pin bookkeeping per step index.  The compiled plan carries the filtered
-     arrays precomputed; rebuild them only when a restart point bisects a
-     fused group (that group degrades to per-step execution, so its link
-     pins come back into force). *)
-  let pin_start, pin_stop =
-    match compiled with
-    | Some cp
-      when not
-             (Array.exists
-                (function Vexec.Fused f -> degraded f | _ -> false)
-                cp.Vexec.ops) ->
-        (cp.Vexec.pin_start, cp.Vexec.pin_stop)
-    | _ ->
-        let skipped_pins : (Cplan.block, unit) Hashtbl.t = Hashtbl.create 16 in
-        (match compiled with
-        | Some cp ->
-            Array.iter
-              (function
-                | Vexec.Fused f when not (degraded f) ->
-                    Array.iter
-                      (fun blk -> Hashtbl.replace skipped_pins blk ())
-                      f.Vexec.f_links
-                | _ -> ())
-              cp.Vexec.ops
-        | None -> ());
-        let pin_start = Array.make n [] and pin_stop = Array.make n [] in
-        List.iter
-          (fun ((blk : Cplan.block), a, b) ->
-            if not (Hashtbl.mem skipped_pins blk) then begin
-              if a >= 0 && a < n then pin_start.(a) <- blk :: pin_start.(a);
-              if b >= 0 && b < n then pin_stop.(b) <- blk :: pin_stop.(b)
-            end)
-          plan.Cplan.pins;
-        (pin_start, pin_stop)
+    let fuse = compute && mode = Vector in
+    let cp = Vexec.compiled_for ~fuse plan in
+    if
+      Array.exists
+        (function
+          | Vexec.Fused f -> start_step > f.Vexec.f_lo && start_step <= f.Vexec.f_hi
+          | Vexec.Single _ -> false)
+        cp.Vexec.ops
+    then Vexec.compiled_for ~fuse:false plan
+    else cp
   in
   (* Read-ahead hints.  Phantom runs are excluded: they account reads via
      [touch_read] without materialising bytes, so a real prefetched pread
@@ -331,7 +305,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
             sk.Trace.emit
               (Trace.Pin_open { step = i; array = blk.Cplan.array; index = blk.Cplan.index })
         | None -> ())
-      pin_start.(i)
+      compiled.Vexec.pin_start.(i)
   in
   (* Close pins ending at a step; a dead unpinned buffer is released (and its
      data discarded if its write was elided - every consumer has been
@@ -346,206 +320,13 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
               (Trace.Pin_close { step = i; array = blk.Cplan.array; index = blk.Cplan.index })
         | None -> ());
         drop_dead i blk)
-      pin_stop.(i)
+      compiled.Vexec.pin_stop.(i)
   in
-  let exec_interpret i (st : Cplan.step) =
-      cur_step := i;
-      let s = Program.find_stmt plan.Cplan.prog st.Cplan.stmt in
-      step_begin i st.Cplan.stmt st.Cplan.instance;
-      (* 1. Bring read blocks in. *)
-      let read_buffers =
-        List.map
-          (fun ((a : Access.t), blk, src) ->
-            let bs = store blk.Cplan.array in
-            (match src with
-            | Cplan.From_memory ->
-                if not (Buffer_pool.contains pool (key_of blk)) then
-                  raise
-                    (Error
-                       (Missing_block
-                          { step = i;
-                            stmt = st.Cplan.stmt;
-                            array = blk.Cplan.array;
-                            index = blk.Cplan.index;
-                            phase = `Read }))
-            | Cplan.From_disk -> ());
-            (match trace with
-            | Some sk ->
-                sk.Trace.emit
-                  (Trace.Read
-                     { step = i;
-                       array = blk.Cplan.array;
-                       index = blk.Cplan.index;
-                       src =
-                         (match src with
-                         | Cplan.From_disk -> Trace.Disk
-                         | Cplan.From_memory -> Trace.Memory) })
-            | None -> ());
-            let data = Buffer_pool.get pool bs blk.Cplan.index in
-            (* A later step overwrites this block on disk: journal what the
-               read observed, so a restart below this step can restore it.
-               Serialized now - the kernel may mutate the buffer in place. *)
-            (match (writer, rplan) with
-            | Some w, Some rp when List.mem (key_of blk) rp.Journal.undo.(i) ->
-                Journal.append_image w ~step:i ~array:blk.Cplan.array
-                  ~index:blk.Cplan.index ~data
-            | _ -> ());
-            (a, blk, data))
-          st.Cplan.reads
-      in
-      (* 2. Resolve the write buffer and initialise the accumulator when this
-         is the first accumulating instance for the block (the self-read
-         access exists but is inactive here). *)
-      let write_buf =
-        match st.Cplan.writes with
-        | [] -> None
-        | ((wa : Access.t), blk, dst) :: _ ->
-            let bs = store blk.Cplan.array in
-            let self_read_active =
-              List.exists
-                (fun ((a : Access.t), b, _) -> Access.same_map wa a && b = blk)
-                read_buffers
-            in
-            let buf = Buffer_pool.get_for_write pool bs blk.Cplan.index in
-            if
-              compute
-              && Kernel.is_accumulating s.Stmt.kernel
-              && not self_read_active
-            then Dense.fill buf 0.;
-            Some (wa, blk, dst, buf, bs)
-      in
-      (* 3. Open pins that start at this step. *)
-      open_pins i;
-      (* 4. Compute. *)
-      if compute then begin
-        (* Operands are resolved by the block they touch: duplicate-block
-           reads are merged in the plan, so two operands may share one
-           buffer (X'X reads X[k,0] twice). All operand blocks were brought
-           in by step 1. *)
-        let lookup n =
-          match List.assoc_opt n st.Cplan.instance with
-          | Some v -> v
-          | None -> List.assoc n plan.Cplan.config.Config.params
-        in
-        let operand_data =
-          List.map
-            (fun (oa : Access.t) ->
-              let idx = Array.to_list (Access.block_of oa lookup) in
-              if not (Buffer_pool.contains pool (oa.Access.array, idx)) then
-                raise
-                  (Error
-                     (Missing_block
-                        { step = i;
-                          stmt = st.Cplan.stmt;
-                          array = oa.Access.array;
-                          index = idx;
-                          phase = `Operand }));
-              Buffer_pool.get pool (store oa.Access.array) idx)
-            (Stmt.operand_reads s)
-        in
-        match (s.Stmt.kernel, write_buf, operand_data) with
-        | Kernel.Gemm_acc { ta; tb }, Some (_, blk, _, c, _), [ a; b ] ->
-            let wl = Config.layout plan.Cplan.config blk.Cplan.array in
-            let m = wl.Config.block_elems.(0) and nn = wl.Config.block_elems.(1) in
-            let k = Array.length a / m in
-            Dense.gemm ~accumulate:true ~ta ~tb ~m ~n:nn ~k ~a ~b ~c
-        | Kernel.Assign_add, Some (_, _, _, c, _), [ a; b ] -> Dense.add a b c
-        | Kernel.Assign_sub, Some (_, _, _, c, _), [ a; b ] -> Dense.sub a b c
-        | Kernel.Copy, Some (_, _, _, c, _), [ a ] -> Dense.copy ~src:a ~dst:c
-        | Kernel.Invert, Some (_, blk, _, c, _), [ a ] ->
-            let wl = Config.layout plan.Cplan.config blk.Cplan.array in
-            Dense.invert ~n:wl.Config.block_elems.(0) a c
-        | Kernel.Rss_acc, Some (_, _, _, c, _), [ e ] ->
-            let fst_read =
-              match Stmt.operand_reads s with
-              | (a : Access.t) :: _ -> a.Access.array
-              | [] -> assert false
-            in
-            let el = Config.layout plan.Cplan.config fst_read in
-            Dense.rss_acc ~rows:el.Config.block_elems.(0) ~cols:el.Config.block_elems.(1)
-              ~e ~acc:c
-        | Kernel.Filter, Some (_, _, _, c, _), [ a ] -> Dense.filter_pos ~src:a ~dst:c
-        | Kernel.Foreach, Some (_, _, _, c, _), [ a ] ->
-            Dense.foreach_affine ~src:a ~dst:c
-        | Kernel.Join_nl, Some (_, blk, _, c, _), [ l; r ] ->
-            let wl = Config.layout plan.Cplan.config blk.Cplan.array in
-            Dense.join_scores ~rows:wl.Config.block_elems.(0)
-              ~cols:wl.Config.block_elems.(1) ~l ~r ~out:c
-        | Kernel.Opaque tag, Some (_, _, _, c, _), ops ->
-            (* Surrogate computation for opaque kernels: a deterministic
-               element-wise mix of the operand values.  It reads only the
-               declared operands - never the prior contents of [c], whose
-               buffer may be fresh or stale depending on residency - and
-               writes every element, so the bytes produced depend only on
-               the declared dataflow.  That makes differential harnesses
-               (plan-output equivalence, crash-resume) compare real data
-               even for programs with no named kernel. *)
-            let th = (Hashtbl.hash tag land 0xFFFF) + 1 in
-            for e = 0 to Array.length c - 1 do
-              let acc = ref ((th * 1000003) + e) in
-              List.iter
-                (fun (op : float array) ->
-                  if op != c && Array.length op > 0 then
-                    acc :=
-                      (!acc * 1000003)
-                      lxor Hashtbl.hash (Int64.bits_of_float op.(e mod Array.length op)))
-                ops;
-              c.(e) <- float_of_int (!acc land 0xFFFFF)
-            done
-        | Kernel.Opaque _, None, _ -> ()
-        | k, _, ops ->
-            raise
-              (Error
-                 (Kernel_arity
-                    { step = i;
-                      stmt = st.Cplan.stmt;
-                      kernel = Kernel.name k;
-                      operands = List.length ops }))
-      end;
-      (* 5. Writes: through to disk or memory-only. *)
-      (match write_buf with
-      | None -> ()
-      | Some (_, blk, dst, _, bs) ->
-          Buffer_pool.mark_dirty pool (key_of blk);
-          (match trace with
-          | Some sk ->
-              sk.Trace.emit
-                (Trace.Write
-                   { step = i;
-                     array = blk.Cplan.array;
-                     index = blk.Cplan.index;
-                     elided = (dst = Cplan.Elided) })
-          | None -> ());
-          (match dst with
-          | Cplan.To_disk -> Buffer_pool.write_through pool bs blk.Cplan.index
-          | Cplan.Elided -> ()));
-      (* 6. Close pins ending here. *)
-      close_pins i;
-      (* An elided write with no pin at all is dead immediately. *)
-      (match write_buf with
-      | Some (_, blk, Cplan.Elided, _, _) -> drop_dead i blk
-      | _ -> ());
-      (* Residency follows the plan exactly: unpinned blocks touched by this
-         step are released now (write-through already persisted them), so
-         physical I/O matches the costed plan rather than depending on
-         opportunistic caching. *)
-      List.iter (fun (_, blk, _) -> drop_dead i blk) st.Cplan.reads;
-      List.iter (fun (_, blk, _) -> drop_dead i blk) st.Cplan.writes;
-      (* 7. Journal the completed step when its boundary is safe: first make
-         the step's write-through traffic durable, then append-and-sync the
-         watermark record. *)
-      (match (writer, rplan) with
-      | Some w, Some rp when rp.Journal.safe.(i) ->
-          backend.Backend.sync ();
-          Journal.append w ~step:i
-      | _ -> ());
-      step_end i
-  in
-  (* --- Tile-vectorized execution over the compiled plan.  Same pool
-     operations in the same order as the interpreter, phase for phase, except
-     that fused groups neither allocate nor touch their link blocks (no
-     get/get_for_write/pin on them) and journal a single watermark at the
-     latest safe boundary in their range. *)
+  (* --- The step protocol: read, resolve the write buffer, open pins,
+     compute, write, close pins, drop, journal.  [exec_single] runs it for
+     one step; [exec_fused] runs it over a fused group, whose link blocks are
+     never allocated or touched (no get/get_for_write/pin on them) and which
+     journals a single watermark at the latest safe boundary in its range. *)
   (* Replay a step's planned reads from compiled metadata, capturing each
      buffer.  [skip] is the index of a fused group's incoming link read: it
      exists only as the chain's scratch tile, so only its trace event is
@@ -639,28 +420,32 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
           let buf =
             Buffer_pool.get_for_write pool (store blk.Cplan.array) blk.Cplan.index
           in
-          if s.Vexec.s_fill then Dense.fill buf 0.;
+          if compute && s.Vexec.s_fill then Dense.fill buf 0.;
           buf
     in
     open_pins i;
-    let opbufs =
-      Array.map
-        (function
-          | Vexec.Rd r -> captured.(r)
-          | Vexec.Pool blk ->
-              if not (Buffer_pool.contains pool (key_of blk)) then
-                raise
-                  (Error
-                     (Missing_block
-                        { step = i;
-                          stmt = s.Vexec.s_stmt;
-                          array = blk.Cplan.array;
-                          index = blk.Cplan.index;
-                          phase = `Operand }));
-              Buffer_pool.get pool (store blk.Cplan.array) blk.Cplan.index)
-        s.Vexec.s_ops
-    in
-    s.Vexec.s_kernel opbufs wbuf;
+    (* A phantom run moves blocks but resolves no operands and runs no
+       kernel. *)
+    if compute then begin
+      let opbufs =
+        Array.map
+          (function
+            | Vexec.Rd r -> captured.(r)
+            | Vexec.Pool blk ->
+                if not (Buffer_pool.contains pool (key_of blk)) then
+                  raise
+                    (Error
+                       (Missing_block
+                          { step = i;
+                            stmt = s.Vexec.s_stmt;
+                            array = blk.Cplan.array;
+                            index = blk.Cplan.index;
+                            phase = `Operand }));
+                Buffer_pool.get pool (store blk.Cplan.array) blk.Cplan.index)
+          s.Vexec.s_ops
+      in
+      s.Vexec.s_kernel opbufs wbuf
+    end;
     write_events s;
     close_pins i;
     drop_phase s;
@@ -745,43 +530,22 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
      in flight while the current unit's kernels run.  A hint whose earliest
      safe step falls strictly inside a fused run is skipped by the
      [h_earliest <= now] gate and falls back to a demand read. *)
-  (match compiled with
-  | None ->
-      Array.iteri
-        (fun i st ->
-          if i >= start_step then begin
-            issue_hints ~now:i ~horizon:(i + prefetch);
-            exec_interpret i st
-          end)
-        plan.Cplan.steps
-  | Some cp -> (
-      try
-        Array.iter
-          (function
-            | Vexec.Single s ->
-                if s.Vexec.s_step >= start_step then begin
-                  issue_hints ~now:s.Vexec.s_step
-                    ~horizon:(s.Vexec.s_step + prefetch);
-                  exec_single s
-                end
-            | Vexec.Fused f ->
-                if f.Vexec.f_hi < start_step then ()
-                else if degraded f then
-                  Array.iter
-                    (fun (s : Vexec.single) ->
-                      if s.Vexec.s_step >= start_step then begin
-                        issue_hints ~now:s.Vexec.s_step
-                          ~horizon:(s.Vexec.s_step + prefetch);
-                        exec_single s
-                      end)
-                    f.Vexec.f_steps
-                else begin
-                  issue_hints ~now:f.Vexec.f_lo ~horizon:(f.Vexec.f_hi + prefetch);
-                  exec_fused f
-                end)
-          cp.Vexec.ops
-      with Vexec.Arity { step; stmt; kernel; operands } ->
-        raise (Error (Kernel_arity { step; stmt; kernel; operands }))));
+  (try
+     Array.iter
+       (function
+         | Vexec.Single s ->
+             if s.Vexec.s_step >= start_step then begin
+               issue_hints ~now:s.Vexec.s_step ~horizon:(s.Vexec.s_step + prefetch);
+               exec_single s
+             end
+         | Vexec.Fused f ->
+             if f.Vexec.f_lo >= start_step then begin
+               issue_hints ~now:f.Vexec.f_lo ~horizon:(f.Vexec.f_hi + prefetch);
+               exec_fused f
+             end)
+       compiled.Vexec.ops
+   with Vexec.Arity { step; stmt; kernel; operands } ->
+     raise (Error (Kernel_arity { step; stmt; kernel; operands })));
   backend.Backend.sync ();
   let stats = backend.Backend.stats in
   { wall_seconds = Unix.gettimeofday () -. t0;

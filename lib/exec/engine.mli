@@ -1,12 +1,13 @@
-(** The execution engine: interpret a concrete plan against the storage
-    engine.
+(** The execution engine: run a concrete plan against the storage engine.
 
     This plays the role of the paper's generated C code plus the injected
     I/O and buffer-management actions: the plan's lexicographic instance
     order is followed exactly; memory-serviced reads are satisfied from
     pinned pool buffers; writes go through the pool (write-through for
     materialised writes, memory-only for elided ones); pin intervals open
-    and close at the plan's step boundaries. *)
+    and close at the plan's step boundaries.  Every run executes the plan as
+    compiled by {!Vexec}, one step protocol and one kernel table for every
+    mode. *)
 
 type error =
   | Missing_block of {
@@ -38,12 +39,12 @@ val pp_error : Format.formatter -> error -> unit
 
 type mode =
   | Interpret
-      (** reference executor: re-walk the plan's IR at every step, resolving
-          statements, kernels, operand accesses and layouts on the fly *)
+      (** unfused: run the compiled plan one step at a time, every step with
+          the plan's own pins and drops *)
   | Vector
-      (** tile-vectorized executor: compile the plan once into per-step
-          closures ({!Vexec}), fusing runs of element-wise steps into single
-          passes over the tile so link blocks never materialize *)
+      (** fused: like [Interpret], but runs of element-wise steps collapse
+          into single passes over the tile ({!Vexec}), so their link blocks
+          never materialize *)
 
 type result = {
   wall_seconds : float;
@@ -94,6 +95,8 @@ val run :
     Pass [stores] when the arrays were loaded through existing store handles
     (the LAB-tree keeps its meta page cached, so every writer/reader must
     share one handle per array).
+    @raise Invalid_argument, before any storage is touched, if [stores]
+    lacks an array of the plan's configuration.
 
     Buffer residency follows the plan exactly: blocks not pinned by a
     realized sharing opportunity are dropped when their step ends, so
@@ -121,21 +124,23 @@ val run :
     produces byte-identical output.  See {!Journal} for the format and the
     safety argument.  Both default off and then cost nothing.
 
-    [mode] (default {!Vector}) selects the executor.  A [compute = false]
-    run always interprets (there are no buffers for compiled closures to
-    work on).  The two modes are differentially equivalent by contract:
-    byte-identical array contents, identical physical I/O (request and byte
-    counts, virtual time, per-array breakdown) and identical journal images,
-    whenever [mem_cap] is at least the plan's [peak_memory] (so neither mode
-    evicts).  They intentionally differ in pool-internal accounting: the
-    vectorized executor services fused-chain intermediates from a scratch
-    tile instead of pool buffers, so pool hit/miss counters, [pool_peak_bytes]
-    and the pin/drop trace events of skipped link blocks are lower, and it
-    journals one watermark per fused run (at the latest safe boundary in the
-    range) instead of one per safe step.  Resume composes across modes: a
-    journal written under either executor restarts correctly under either,
-    because watermark records are plan-based and every vectorized watermark
-    is also an interpreter watermark.
+    [mode] (default {!Vector}) selects whether the compiled plan fuses.  A
+    [compute = false] run never fuses (there are no buffers for a chain to
+    work on); it runs the unfused plan without resolving operands or calling
+    kernels.  A resume whose restart point falls strictly inside a fused
+    group also runs unfused.  The two modes are differentially equivalent
+    by contract: byte-identical array contents, identical physical I/O
+    (request and byte counts, virtual time, per-array breakdown) and
+    identical journal images, whenever [mem_cap] is at least the plan's
+    [peak_memory] (so neither mode evicts).  They intentionally differ in
+    pool-internal accounting: a fused run services chain intermediates from
+    a scratch tile instead of pool buffers, so pool hit/miss counters,
+    [pool_peak_bytes] and the pin/drop trace events of skipped link blocks
+    are lower, and it journals one watermark per fused run (at the latest
+    safe boundary in the range) instead of one per safe step.  Resume
+    composes across modes: a journal written under either mode restarts
+    correctly under either, because watermark records are plan-based and
+    every fused watermark is also an unfused one.
 
     [verify] (default false) runs {!verify_exn} with [cap_bytes = mem_cap]
     before touching storage, rejecting a malformed plan statically instead

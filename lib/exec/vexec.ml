@@ -18,7 +18,6 @@ type single = {
   s_instance : (string * int) list;
   s_reads : (Cplan.block * Cplan.read_src) array;
   s_write : (Cplan.block * Cplan.write_dst) option;
-  s_all_writes : Cplan.block array;
   s_fill : bool;
   s_ops : op_src array;
   s_drops : Cplan.block array;
@@ -63,9 +62,6 @@ let compile_single ?kcache (plan : Cplan.t) i =
     match st.Cplan.writes with
     | [] -> None
     | (_, blk, dst) :: _ -> Some (blk, dst)
-  in
-  let all_writes =
-    Array.of_list (List.map (fun (_, blk, _) -> blk) st.Cplan.writes)
   in
   let fill =
     match st.Cplan.writes with
@@ -147,9 +143,14 @@ let compile_single ?kcache (plan : Cplan.t) i =
           (fun bufs c ->
             Dense.join_scores ~rows ~cols ~l:bufs.(0) ~r:bufs.(1) ~out:c)
     | Kernel.Opaque tag, Some _ ->
-        (* Same surrogate mix as the interpreter, bit for bit: it reads only
-           the declared operands (never [c], whose buffer identity the
-           [op != c] guard tests) and writes every element. *)
+        (* Surrogate computation for opaque kernels: a deterministic
+           element-wise mix of the operand values.  It reads only the
+           declared operands - never the prior contents of [c], whose buffer
+           may be fresh or stale depending on residency (the [op != c] guard
+           tests buffer identity) - and writes every element, so the bytes
+           produced depend only on the declared dataflow.  That makes
+           differential harnesses (plan-output equivalence, crash-resume)
+           compare real data even for programs with no named kernel. *)
         let th = (Hashtbl.hash tag land 0xFFFF) + 1 in
         Some
           (fun bufs c ->
@@ -169,17 +170,14 @@ let compile_single ?kcache (plan : Cplan.t) i =
     | _ -> None
   in
   let kern =
-    let fresh () =
-      match build_kern () with Some k -> Some k | None -> None
-    in
     match kcache with
     | None -> (
-        match fresh () with Some k -> k | None -> arity_raiser ())
+        match build_kern () with Some k -> k | None -> arity_raiser ())
     | Some tbl -> (
         match Hashtbl.find_opt tbl st.Cplan.stmt with
         | Some k -> k
         | None -> (
-            match fresh () with
+            match build_kern () with
             | Some k ->
                 Hashtbl.add tbl st.Cplan.stmt k;
                 k
@@ -187,10 +185,10 @@ let compile_single ?kcache (plan : Cplan.t) i =
                closure never shared across instances. *)
             | None -> arity_raiser ()))
   in
-  (* The end-of-step dead-block sweep, in the interpreter's exact order:
-     the elided write (dead immediately when unpinned), then every read,
-     then every write.  Probing residency is a hash lookup per block, so
-     the engine iterates this precomputed list instead of re-deriving it. *)
+  (* The end-of-step dead-block sweep, in the plan's order: the elided write
+     (dead immediately when unpinned), then every read, then every write.
+     Probing residency is a hash lookup per block, so the engine iterates
+     this precomputed list instead of re-deriving it. *)
   let drops =
     Array.of_list
       ((match write with Some (blk, Cplan.Elided) -> [ blk ] | _ -> [])
@@ -202,7 +200,6 @@ let compile_single ?kcache (plan : Cplan.t) i =
     s_instance = st.Cplan.instance;
     s_reads = reads;
     s_write = write;
-    s_all_writes = all_writes;
     s_fill = fill;
     s_ops = ops;
     s_drops = drops;
@@ -254,17 +251,20 @@ let compile_fused ?kcache (plan : Cplan.t) (g : Fuse.group) =
         end
     | Pool _ -> assert false (* Fuse requires operands in the step's reads *)
   in
+  (* Fuse admits only kernels with a chain arity, and checked that every
+     operand is among the step's reads. *)
   let stage_of o =
     let kernel =
       (Program.find_stmt plan.Cplan.prog plan.Cplan.steps.(g.Fuse.lo + o).Cplan.stmt)
         .Stmt.kernel
     in
-    match kernel with
-    | Kernel.Assign_add -> Dense.Fadd (src o 0, src o 1)
-    | Kernel.Assign_sub -> Dense.Fsub (src o 0, src o 1)
-    | Kernel.Copy -> Dense.Fcopy (src o 0)
-    | Kernel.Filter -> Dense.Ffilter (src o 0)
-    | Kernel.Foreach -> Dense.Fforeach (src o 0)
+    let srcs = List.init (Option.get (Kernel.chain_arity kernel)) (src o) in
+    match (kernel, srcs) with
+    | Kernel.Assign_add, [ a; b ] -> Dense.Fadd (a, b)
+    | Kernel.Assign_sub, [ a; b ] -> Dense.Fsub (a, b)
+    | Kernel.Copy, [ a ] -> Dense.Fcopy a
+    | Kernel.Filter, [ a ] -> Dense.Ffilter a
+    | Kernel.Foreach, [ a ] -> Dense.Fforeach a
     | _ -> assert false
   in
   let term_kernel =
@@ -298,8 +298,13 @@ let compile_fused ?kcache (plan : Cplan.t) (g : Fuse.group) =
         steps;
     f_terminal = terminal }
 
-let compile (plan : Cplan.t) =
-  let groups = Fuse.analyze plan in
+let compile ?(fuse = true) (plan : Cplan.t) =
+  let groups =
+    if fuse then Fuse.analyze plan
+    else
+      List.init (Array.length plan.Cplan.steps) (fun i ->
+          { Fuse.lo = i; hi = i; links = [] })
+  in
   let kcache = Hashtbl.create 16 in
   let ops =
     Array.of_list
@@ -311,11 +316,10 @@ let compile (plan : Cplan.t) =
          groups)
   in
   (* Per-step pin bookkeeping with every link pin filtered out (link blocks
-     never materialize, so their pins are unopenable).  Precomputed here
-     because rebuilding it per run re-hashes every pin of the plan — on
-     fine-grained plans that setup rivals the execution itself.  Valid
-     whenever no fused group runs degraded; the engine rebuilds the arrays
-     itself in that (resume-bisects-a-group) case. *)
+     never materialize, so their pins are unopenable); unfused, these are
+     the plan's own pins.  Precomputed here because rebuilding it per run
+     re-hashes every pin of the plan — on fine-grained plans that setup
+     rivals the execution itself. *)
   let n = Array.length plan.Cplan.steps in
   let linked = Hashtbl.create 64 in
   Array.iter
@@ -333,29 +337,30 @@ let compile (plan : Cplan.t) =
     plan.Cplan.pins;
   { ops; n_fused = Fuse.fused_groups groups; pin_start; pin_stop }
 
-(* Compilation costs about as much as interpreting the plan once, so callers
+(* Compilation costs about as much as executing the plan once, so callers
    that run the same plan repeatedly (benchmarks, crash/restart recovery,
    differential reruns) must not pay it per run.  The cache is domain-local
    because a compiled plan owns mutable scratch (each fused chain's tile);
    two domains sharing one [compiled] would race on it, while sequential
    reuse within a domain is safe — every chain stage writes its tile before
-   any read of it.  Keyed on physical identity: plans are built once and
-   passed around, and [==] avoids hashing the whole plan structure. *)
+   any read of it.  Keyed on the plan's physical identity (plans are built
+   once and passed around, and [==] avoids hashing the whole plan
+   structure) and on [fuse]. *)
 let cache_cap = 4
 
-let compiled_cache : (Cplan.t * compiled) list ref Domain.DLS.key =
+let compiled_cache : ((Cplan.t * bool) * compiled) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let compiled_for (plan : Cplan.t) =
+let compiled_for ?(fuse = true) (plan : Cplan.t) =
   let cache = Domain.DLS.get compiled_cache in
-  match List.find_opt (fun (p, _) -> p == plan) !cache with
+  match List.find_opt (fun ((p, f), _) -> p == plan && f = fuse) !cache with
   | Some (_, c) -> c
   | None ->
-      let c = compile plan in
+      let c = compile ~fuse plan in
       let keep =
         if List.length !cache >= cache_cap then
           List.filteri (fun k _ -> k < cache_cap - 1) !cache
         else !cache
       in
-      cache := (plan, c) :: keep;
+      cache := ((plan, fuse), c) :: keep;
       c

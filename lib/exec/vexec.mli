@@ -1,31 +1,31 @@
-(** Plan compilation for the tile-vectorized executor.
+(** Plan compilation: the one executor behind every {!Engine.run}.
 
-    The interpreter in {!Engine} re-walks the plan's IR for every step: it
-    re-resolves the statement, its kernel, its operand accesses and the block
-    layouts on every block it touches.  This module does that resolution once
-    per (program, plan) pair and leaves behind closures the engine calls with
-    raw float buffers.  On top of the per-step compilation it consumes
+    Each step's statement, kernel, operand accesses and block layouts are
+    resolved once per (program, plan) pair, leaving closures the engine calls
+    with raw float buffers.  This module holds the engine's only kernel
+    dispatch table.  With [fuse] (the default) it also consumes
     {!Riot_plan.Fuse.analyze}'s legality verdict and collapses each fusable
     run of element-wise steps into a single {!Riot_kernels.Dense.chain} that
     makes one pass over the tile, so the run's intermediate (link) blocks
-    never materialize in the buffer pool at all.
+    never materialize in the buffer pool at all.  Without it every step
+    compiles to a {!Single} carrying the plan's own pins and drops.
 
     Compilation never raises on a malformed step: arity mismatches compile to
-    closures that raise {!Arity} when invoked, preserving the interpreter's
-    behaviour of failing at the offending step mid-run (after the preceding
-    steps' effects), not at compile time. *)
+    closures that raise {!Arity} when invoked, so a run fails at the
+    offending step (after the preceding steps' effects), not at compile
+    time. *)
 
 exception
   Arity of { step : int; stmt : string; kernel : string; operands : int }
 (** Raised (lazily, from a compiled kernel closure) when a statement's
-    operand count does not match its kernel, mirroring the interpreter's
-    [Kernel_arity] error.  The engine rewraps it. *)
+    operand count does not match its kernel.  The engine rewraps it as
+    [Engine.Kernel_arity]. *)
 
 type op_src =
   | Rd of int  (** operand aliases the step's i-th read buffer *)
   | Pool of Riot_plan.Cplan.block
       (** operand is a block the step does not read; resolved from the pool
-          at call time (with the interpreter's residency check) *)
+          at call time (with a residency check) *)
 
 type single = {
   s_step : int;
@@ -35,16 +35,14 @@ type single = {
   s_write : (Riot_plan.Cplan.block * Riot_plan.Cplan.write_dst) option;
       (** first write, the one the kernel produces (at most one by the IR's
           single-write assumption) *)
-  s_all_writes : Riot_plan.Cplan.block array;
-      (** every written block, for the step's dead-block drop phase *)
   s_fill : bool;
       (** accumulating kernel with no self-read at this instance: the write
           buffer must be zeroed before the kernel runs *)
   s_ops : op_src array;
   s_drops : Riot_plan.Cplan.block array;
-      (** end-of-step dead-block sweep, in the interpreter's order (elided
-          write, reads, writes); fused groups filter their link blocks out,
-          which are never resident *)
+      (** end-of-step dead-block sweep, in the plan's order (elided write,
+          reads, writes); fused groups filter their link blocks out, which
+          are never resident *)
   s_kernel : float array array -> float array -> unit;
       (** [kernel operands write_buf]; [write_buf] is [[||]] when the step
           has no write *)
@@ -61,9 +59,8 @@ type fused = {
   f_lo : int;
   f_hi : int;  (** plan step range [lo, hi], inclusive *)
   f_steps : single array;
-      (** per-step compilation of every step in the range; used to replay the
-          per-step events, and as a fallback when a resume restart point
-          bisects the group *)
+      (** per-step compilation of every step in the range, used to replay
+          the per-step events *)
   f_prev_read : int array;
       (** per step offset, the index in that step's [s_reads] of the incoming
           link block (the one the chain keeps in the scratch tile), or -1 *)
@@ -86,17 +83,20 @@ type compiled = {
   ops : op array;  (** in plan-step order; ranges partition the steps *)
   n_fused : int;  (** number of multi-step groups (diagnostics) *)
   pin_start : Riot_plan.Cplan.block list array;
-      (** pins opening at each step, with link pins filtered out; usable
-          whenever no fused group is degraded by a mid-group restart *)
+      (** pins opening at each step, with the fused groups' link pins
+          filtered out *)
   pin_stop : Riot_plan.Cplan.block list array;  (** likewise, pins closing *)
 }
 
-val compile : Riot_plan.Cplan.t -> compiled
+val compile : ?fuse:bool -> Riot_plan.Cplan.t -> compiled
+(** [fuse] (default true) collapses fusable runs into {!Fused} groups; with
+    [fuse = false] every step is a {!Single} and [n_fused = 0]. *)
 
-val compiled_for : Riot_plan.Cplan.t -> compiled
-(** [compiled_for plan] is [compile plan] memoized on the plan's physical
-    identity in a small domain-local cache.  Compiling costs about as much
-    as interpreting the plan once, so repeated runs of one plan value —
+val compiled_for : ?fuse:bool -> Riot_plan.Cplan.t -> compiled
+(** [compiled_for ~fuse plan] is [compile ~fuse plan] memoized on the plan's
+    physical identity and [fuse] in a small domain-local cache.  Compiling
+    costs about as much as executing the plan once, so repeated runs of one
+    plan value —
     best-of-N benchmarking, crash/restart recovery, differential testing —
     should use this entry point.  The cache is domain-local because a
     [compiled] owns mutable scratch (each fused chain's tile) and must not

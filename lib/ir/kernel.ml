@@ -15,6 +15,15 @@ let is_accumulating = function
   | Assign_add | Assign_sub | Invert | Copy | Filter | Foreach | Join_nl | Opaque _ ->
       false
 
+let is_elementwise = function
+  | Assign_add | Assign_sub | Copy | Filter | Foreach -> true
+  | Gemm_acc _ | Invert | Rss_acc | Join_nl | Opaque _ -> false
+
+let chain_arity = function
+  | Assign_add | Assign_sub -> Some 2
+  | Copy | Filter | Foreach | Rss_acc -> Some 1
+  | Gemm_acc _ | Invert | Join_nl | Opaque _ -> None
+
 let name = function
   | Assign_add -> "add"
   | Assign_sub -> "sub"

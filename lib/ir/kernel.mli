@@ -26,5 +26,15 @@ type t =
   | Opaque of string  (** I/O pattern only; no computation *)
 
 val is_accumulating : t -> bool
+
+val is_elementwise : t -> bool
+(** The kernels a fused chain interior may run: add, sub, copy, filter,
+    foreach.  Each is pointwise over the tile. *)
+
+val chain_arity : t -> int option
+(** The operand count of a kernel that may take part in a fused chain (the
+    element-wise kernels, plus [Rss_acc] as a chain terminal); [None] for
+    every other kernel. *)
+
 val name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -149,8 +149,8 @@ let gen_ew rng =
   in
   let chains = List.init n_chains chain in
   (* Occasionally mix in an opaque nest over the shared inputs, so the
-     differential harness also crosses fused and interpreted-style steps in
-     one plan. *)
+     differential harness also crosses fused and single steps in one
+     plan. *)
   let opaque =
     if Random.State.int rng 3 = 0 then begin
       chain_arrays :=

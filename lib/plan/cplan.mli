@@ -93,8 +93,8 @@ val actual_io_seconds : Machine.t -> t -> float
 
 val cpu_seconds : ?vectorized:bool -> Machine.t -> t -> float
 (** Kernel time (flops and moved bytes) plus per-step dispatch overhead:
-    [steps * dispatch_vector] by default (the engine's default executor),
-    [steps * dispatch_interp] with [~vectorized:false]. *)
+    [steps * dispatch_vector] by default (the engine's default, fused
+    mode), [steps * dispatch_interp] with [~vectorized:false] (unfused). *)
 
 val total_predicted_seconds : Machine.t -> t -> float
 (** I/O + CPU (the program is executed phase by phase, as in the paper's

@@ -6,19 +6,6 @@ module Kernel = Riot_ir.Kernel
 
 type group = { lo : int; hi : int; links : Cplan.block list }
 
-let is_elementwise = function
-  | Kernel.Assign_add | Kernel.Assign_sub | Kernel.Copy | Kernel.Filter
-  | Kernel.Foreach ->
-      true
-  | Kernel.Gemm_acc _ | Kernel.Invert | Kernel.Rss_acc | Kernel.Join_nl
-  | Kernel.Opaque _ ->
-      false
-
-let arity = function
-  | Kernel.Assign_add | Kernel.Assign_sub -> 2
-  | Kernel.Copy | Kernel.Filter | Kernel.Foreach | Kernel.Rss_acc -> 1
-  | Kernel.Gemm_acc _ | Kernel.Invert | Kernel.Join_nl | Kernel.Opaque _ -> -1
-
 let analyze (plan : Cplan.t) =
   let steps = plan.Cplan.steps in
   let n = Array.length steps in
@@ -70,13 +57,13 @@ let analyze (plan : Cplan.t) =
   (* A step can take part in a chain (as producer or consumer) only when the
      executor's view of it is fully static: exactly one write, and every
      kernel operand resolvable from the step's own read list (a [restrict_to]
-     may deactivate a read an operand still names; such steps stay
-     interpreted one at a time). *)
+     may deactivate a read an operand still names; such steps run one at a
+     time). *)
   let step_ok =
     Array.init n (fun i ->
         let st = steps.(i) in
         List.length st.Cplan.writes = 1
-        && arity (kernel_of i) = List.length (operand_blocks i)
+        && Kernel.chain_arity (kernel_of i) = Some (List.length (operand_blocks i))
         && List.for_all
              (fun ob -> List.exists (fun (_, rb, _) -> rb = ob) st.Cplan.reads)
              (operand_blocks i))
@@ -89,7 +76,7 @@ let analyze (plan : Cplan.t) =
      to disk, journal and every other step. *)
   let link i =
     if i + 1 >= n then None
-    else if not (is_elementwise (kernel_of i) && step_ok i) then None
+    else if not (Kernel.is_elementwise (kernel_of i) && step_ok i) then None
     else
       match steps.(i).Cplan.writes with
       | [ (_, blk, Cplan.Elided) ]
@@ -98,7 +85,7 @@ let analyze (plan : Cplan.t) =
              && List.for_all
                   (fun (a0, b0) -> a0 >= i && b0 <= i + 1)
                   (all pins_tbl blk)
-             && (is_elementwise (kernel_of (i + 1))
+             && (Kernel.is_elementwise (kernel_of (i + 1))
                 || kernel_of (i + 1) = Kernel.Rss_acc)
              && step_ok (i + 1)
              && List.mem blk (operand_blocks (i + 1)) ->
@@ -118,7 +105,7 @@ let analyze (plan : Cplan.t) =
         let j = ref (!i + 1) in
         let extending = ref true in
         while !extending do
-          if is_elementwise (kernel_of !j) then
+          if Kernel.is_elementwise (kernel_of !j) then
             match link !j with
             | Some blk' when block_total blk' = tile ->
                 links := blk' :: !links;

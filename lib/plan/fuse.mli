@@ -41,6 +41,3 @@ val analyze : Cplan.t -> group list
 
 val fused_groups : group list -> int
 (** Number of multi-step groups (convenience for benchmarks and tests). *)
-
-val is_elementwise : Riot_ir.Kernel.t -> bool
-(** The kernels a chain interior may run: add, sub, copy, filter, foreach. *)

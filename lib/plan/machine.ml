@@ -17,8 +17,9 @@ let paper =
     gemm_flops = 45e9;
     elementwise_bw = 3e9;
     (* Per-step dispatch, calibrated against the cpubound benchmark on the
-       reference build (see EXPERIMENTS.md): the interpreter re-walks the IR
-       for every block, the vectorized executor runs precompiled closures. *)
+       reference build (see EXPERIMENTS.md).  [dispatch_interp] was fitted
+       to an IR-walking interpreter since replaced by unfused compiled
+       execution; it has not been re-fitted. *)
     dispatch_interp = 2.8e-6;
     dispatch_vector = 3.5e-7 }
 

@@ -14,11 +14,14 @@ type t = {
   gemm_flops : float;  (** sustained flop/s for matrix multiplication *)
   elementwise_bw : float;  (** bytes/second for element-wise kernels *)
   dispatch_interp : float;
-      (** seconds of per-step overhead when the engine interprets the plan
-          (IR re-walk, operand lookup) — dominates dispatch-bound runs *)
+      (** seconds of per-step overhead when the engine runs the compiled
+          plan unfused ([Interpret] mode: one closure call and one pool
+          round trip per step).  Still the value fitted against the
+          IR-walking interpreter that unfused execution replaced, so it
+          overestimates. *)
   dispatch_vector : float;
-      (** seconds of per-step overhead under the tile-vectorized executor
-          (precompiled closures) *)
+      (** seconds of per-step overhead when the compiled plan runs fused
+          ([Vector] mode, the default) *)
 }
 
 val paper : t

@@ -437,21 +437,9 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
 
 (* --- Fusion legality cross-check (FU) ------------------------------------- *)
 
-(* Re-derived here from first principles (not by calling [Fuse]); the fused
-   groups the vectorized executor consumes are then diffed against it. *)
-let fusable_interior = function
-  | Kernel.Assign_add | Kernel.Assign_sub | Kernel.Copy | Kernel.Filter
-  | Kernel.Foreach ->
-      true
-  | Kernel.Gemm_acc _ | Kernel.Invert | Kernel.Rss_acc | Kernel.Join_nl
-  | Kernel.Opaque _ ->
-      false
-
-let kernel_arity = function
-  | Kernel.Assign_add | Kernel.Assign_sub -> 2
-  | Kernel.Copy | Kernel.Filter | Kernel.Foreach | Kernel.Rss_acc -> 1
-  | Kernel.Gemm_acc _ | Kernel.Invert | Kernel.Join_nl | Kernel.Opaque _ -> -1
-
+(* Re-derived here from first principles (not by calling [Fuse]; only the
+   kernel facts in [Kernel] are shared); the fused groups the vectorized
+   executor consumes are then diffed against it. *)
 let check_fusion (plan : Cplan.t) ch groups acc =
   let steps = plan.Cplan.steps in
   let n = Array.length steps in
@@ -475,7 +463,7 @@ let check_fusion (plan : Cplan.t) ch groups acc =
     let st = steps.(i) in
     let obs = operand_blocks i in
     List.length st.Cplan.writes = 1
-    && kernel_arity (kernel_of i) = List.length obs
+    && Kernel.chain_arity (kernel_of i) = Some (List.length obs)
     && List.for_all
          (fun ob -> List.exists (fun (_, rb, _) -> rb = ob) st.Cplan.reads)
          obs
@@ -488,10 +476,10 @@ let check_fusion (plan : Cplan.t) ch groups acc =
   (* Why boundary [k] -> [k + 1] may not be fused over [blk]; [None] = legal. *)
   let illegal k (blk : Cplan.block) =
     if k + 1 >= n then Some "boundary past the last step"
-    else if not (fusable_interior (kernel_of k)) then
+    else if not (Kernel.is_elementwise (kernel_of k)) then
       Some "producer kernel is not element-wise"
     else if
-      not (fusable_interior (kernel_of (k + 1)) || kernel_of (k + 1) = Kernel.Rss_acc)
+      not (Kernel.is_elementwise (kernel_of (k + 1)) || kernel_of (k + 1) = Kernel.Rss_acc)
     then Some "consumer kernel is neither element-wise nor an RSS accumulation"
     else if not (static_shape k && static_shape (k + 1)) then
       Some "a step's kernel operands are not statically resolvable"

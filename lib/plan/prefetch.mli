@@ -16,8 +16,8 @@ type t
 val make : Cplan.t -> t
 (** Extract the hint schedule: one hint per distinct block read
     [From_disk] at each step, annotated with its target and earliest safe
-    issue step.  Executor-independent — fused and interpreted execution
-    perform the same physical reads. *)
+    issue step.  Mode-independent — fused and unfused execution perform the
+    same physical reads. *)
 
 val issue : t -> now:int -> horizon:int -> (Cplan.block -> unit) -> unit
 (** [issue t ~now ~horizon f] calls [f] on every not-yet-issued hint whose

@@ -309,6 +309,36 @@ let test_engine_missing_block_error () =
          in
          String.length msg > 0)
 
+(* A store list that lacks one of the plan's arrays is rejected up front:
+   the output E is first touched at the last statement, so without the
+   check the run would already have read inputs and written C. *)
+let test_engine_missing_store_error () =
+  let ctx = Lazy.force e1_ctx in
+  let plan = plan_with ctx best_labels in
+  let backend = sim () in
+  let format = Block_store.Daf_format in
+  let stores = Engine.stores_for backend ~format ~config:ctx.config in
+  let layout name = Config.layout ctx.config name in
+  let st = Random.State.make [| 123 |] in
+  List.iter
+    (fun a -> scatter (List.assoc a stores) (layout a) (rand_full st (layout a)))
+    [ "A"; "B"; "D" ];
+  Riot_storage.Io_stats.reset backend.Backend.stats;
+  let cplan =
+    Cplan.build ctx.prog ~config:ctx.config ~sched:plan.Search.sched
+      ~realized:plan.Search.q
+  in
+  let stores = List.remove_assoc "E" stores in
+  (match
+     Engine.run cplan ~stores ~backend ~format ~mem_cap:cplan.Cplan.peak_memory
+   with
+  | _ -> Alcotest.fail "run with a missing store completed"
+  | exception Invalid_argument msg ->
+      check_bool "message names the array" true
+        (String.ends_with ~suffix:" E" msg));
+  check_int "no reads" 0 backend.Backend.stats.Riot_storage.Io_stats.reads;
+  check_int "no writes" 0 backend.Backend.stats.Riot_storage.Io_stats.writes
+
 let suite =
   ( "exec",
     [ Alcotest.test_case "naive plan computes" `Quick test_naive_plan_computes_correctly;
@@ -319,4 +349,6 @@ let suite =
       Alcotest.test_case "lab format executes" `Quick test_lab_format_executes;
       Alcotest.test_case "phantom matches compute" `Quick test_phantom_matches_compute_io;
       Alcotest.test_case "linear regression end to end" `Slow test_linreg_end_to_end;
-      Alcotest.test_case "missing block typed error" `Quick test_engine_missing_block_error ] )
+      Alcotest.test_case "missing block typed error" `Quick test_engine_missing_block_error;
+      Alcotest.test_case "missing store rejected up front" `Quick
+        test_engine_missing_store_error ] )

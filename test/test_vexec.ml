@@ -1,10 +1,13 @@
-(* Differential tests for the tile-vectorized executor.
+(* Differential tests for fused execution.
 
    The contract under test (see Engine.mode): for any program and any legal
-   plan, the interpreting and the vectorized executor produce byte-identical
-   array streams, identical physical I/O (request and byte counts, virtual
-   disk time, per-array breakdown) and interchangeable journals, whenever
-   the memory cap admits the plan's peak (so neither mode evicts).
+   plan, the unfused ([Interpret]) and fused ([Vector]) runs of the compiled
+   plan produce byte-identical array streams, identical physical I/O
+   (request and byte counts, virtual disk time, per-array breakdown) and
+   interchangeable journals, whenever the memory cap admits the plan's peak
+   (so neither mode evicts).  Both modes share one kernel table, so this
+   checks fusion, not the kernels; test_exec's and test_kernels' dense
+   references check those.
 
    Programs draw from both Rand_prog distributions: gen_ew's element-wise
    chains make the fusion pass fire (and its singles path run on plans that
@@ -136,10 +139,12 @@ let prop_differential_search =
             (fun p -> differential prog config (build prog config p))
             (plans_for ~take:2 prog)))
 
-(* A journalled vectorized run must (a) leave the same bytes as the plain
-   interpreted run, and (b) leave a recoverable journal whose watermark the
-   static analysis marked safe (the vectorized executor journals only the
-   latest safe boundary of each fused range). *)
+(* A journalled fused run must (a) leave the same bytes as the plain
+   unfused run, (b) leave a recoverable journal whose watermark the static
+   analysis marked safe (a fused run journals only the latest safe boundary
+   of each fused range), and (c) never meet a restart point strictly inside
+   a fused group at any safe boundary - the engine's unfused fallback for
+   such a point is never needed. *)
 let prop_journal_watermarks =
   QCheck.Test.make ~name:"vexec: journalled run leaves safe watermarks"
     ~count:250 seed_gen (fun seed ->
@@ -165,7 +170,18 @@ let prop_journal_watermarks =
                     && watermark < Array.length cplan.Cplan.steps
                     && rp.Journal.safe.(watermark)
               in
-              wm_ok && sv = reference)
+              let groups = Fuse.analyze cplan in
+              let restarts_ok =
+                Array.for_all2
+                  (fun safe r ->
+                    (not safe)
+                    || not
+                         (List.exists
+                            (fun (g : Fuse.group) -> r > g.Fuse.lo && r <= g.Fuse.hi)
+                            groups))
+                  rp.Journal.safe rp.Journal.restart
+              in
+              wm_ok && restarts_ok && sv = reference)
             (direct_cplans prog config)))
 
 (* Structural invariants of the fusion analysis itself: an ordered partition
@@ -283,8 +299,12 @@ let test_fusion_fires () =
   Alcotest.(check bool)
     "a multi-step fused group exists" true
     (Fuse.fused_groups groups > 0);
-  let compiled = Vexec.compile cplan in
+  let compiled = Vexec.compiled_for cplan in
   Alcotest.(check bool) "compile sees the fusion" true (compiled.Vexec.n_fused > 0);
+  (* The cache keys on fuse as well as the plan: the unfused request on the
+     same physical plan must not be handed the fused compile. *)
+  Alcotest.(check int) "unfused compile has no fused groups" 0
+    (Vexec.compiled_for ~fuse:false cplan).Vexec.n_fused;
   let full_chain =
     Array.exists
       (function
