@@ -24,6 +24,7 @@ type t = {
   analysis : Deps.result;
   plans : costed_plan list;
   search_stats : Search.stats;
+  verified : (Cplan.t * int) option;
 }
 
 let cost_plan ?cache machine program config (plan : Search.plan) =
@@ -50,8 +51,12 @@ let best ?mem_cap_bytes t =
   | [] -> raise Not_found
   | p :: _ ->
       (* Reject a statically malformed winner here, at selection time, so no
-         caller ever hands the engine an illegal plan. *)
-      Engine.verify_exn ~cap_bytes:p.memory_bytes p.cplan;
+         caller ever hands the engine an illegal plan.  The verdict is a
+         function of the physical plan and the cap, so the pair [optimize]
+         already verified is not checked again. *)
+      (match t.verified with
+      | Some (cplan, cap) when cplan == p.cplan && cap = p.memory_bytes -> ()
+      | _ -> Engine.verify_exn ~cap_bytes:p.memory_bytes p.cplan);
       p
 
 let optimize ?(machine = Machine.paper) ?max_size ?verify ?jobs ?(prune = false)
@@ -100,16 +105,18 @@ let optimize ?(machine = Machine.paper) ?max_size ?verify ?jobs ?(prune = false)
         search_stats )
     end
   in
-  let t = { program; config; machine; analysis; plans; search_stats } in
+  let t = { program; config; machine; analysis; plans; search_stats; verified = None } in
   (* Statically verify the presumptive winner (hard error on Error-severity
      diagnostics): a planner bug dies here, not in the buffer pool. *)
-  (try ignore (best t : costed_plan) with Not_found -> ());
-  t
+  match best t with
+  | p -> { t with verified = Some (p.cplan, p.memory_bytes) }
+  | exception Not_found -> t
 
 let recost ?jobs t ~config =
   let cache = Cplan.cache ~coaccesses:t.analysis.Deps.sharing t.program ~config in
   { t with
     config;
+    verified = None;
     plans =
       Riot_base.Pool.parallel_map ?jobs
         (fun p -> cost_plan ~cache t.machine t.program config p.plan)

@@ -33,6 +33,9 @@ type t = {
   analysis : Riot_analysis.Deps.result;
   plans : costed_plan list;
   search_stats : Riot_optimizer.Search.stats;
+  verified : (Riot_plan.Cplan.t * int) option;
+      (** The physical plan and cap {!optimize} statically verified (its
+          presumptive winner), which {!best} does not verify again. *)
 }
 
 val optimize :
@@ -72,7 +75,9 @@ val optimize :
     The presumptive winner ({!best} with no cap) is statically verified
     before returning: a plan with [Error]-severity diagnostics raises
     {!Riot_plan.Plan_verify.Rejected} — a planner bug dies at plan time, not
-    in the buffer pool. *)
+    in the buffer pool.  The result records that verification in
+    [verified], so a following {!best} that selects the same plan skips
+    it. *)
 
 val recost : ?jobs:int -> t -> config:Riot_ir.Config.t -> t
 (** Re-evaluate every plan under different sizes without repeating the
@@ -86,7 +91,8 @@ val best : ?mem_cap_bytes:int -> t -> costed_plan
 (** The plan with the least predicted I/O among those whose peak memory fits
     the cap (default: unlimited).  Ties break toward less memory.  The
     selected plan is statically verified ({!Riot_exec.Engine.verify_exn}
-    with [cap_bytes] = its own peak) before being returned.
+    with [cap_bytes] = its own peak) before being returned, unless it is
+    physically the plan recorded in [verified] at that same cap.
     @raise Not_found if no plan fits.
     @raise Riot_plan.Plan_verify.Rejected if the winner is malformed. *)
 

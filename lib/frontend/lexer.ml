@@ -97,7 +97,9 @@ let next t =
       while (match peek_char t with Some c -> is_digit c | None -> false) do
         advance t
       done;
-      Int (int_of_string (String.sub t.src start (t.pos - start)))
+      (match int_of_string_opt (String.sub t.src start (t.pos - start)) with
+      | Some n -> Int n
+      | None -> error t "integer literal out of range")
   | Some '(' -> advance t; Lparen
   | Some ')' -> advance t; Rparen
   | Some '[' -> advance t; Lbracket

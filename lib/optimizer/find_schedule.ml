@@ -38,62 +38,29 @@ let budgeted_sample ~fuel ~range p =
   else Poly.sample ~range ~prefer ~fm_budget:2000 p
 
 (* The unknown space couples statements only through shared constraints;
-   decomposing into connected components keeps the recursive bound descent
-   tractable. *)
+   sampling each connected component on its own keeps the recursive bound
+   descent tractable.  Dimensions in no constraint default to zero without
+   spending fuel. *)
 let sample_decomposed ~fuel ~range p =
   let p = Poly.simplify p in
   if Poly.is_obviously_empty p then None
-  else begin
-    let space = Poly.space p in
-    let n = Space.dim space in
-    let parent = Array.init n Fun.id in
-    let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); find parent.(i)) in
-    let union i j = let ri = find i and rj = find j in if ri <> rj then parent.(ri) <- rj in
-    let touch (a : Aff.t) =
-      let dims = ref [] in
-      Array.iteri (fun i c -> if c <> 0 then dims := i :: !dims) a.Aff.coeffs;
-      (match !dims with
-      | [] | [ _ ] -> ()
-      | d0 :: rest -> List.iter (union d0) rest)
-    in
-    List.iter touch (Poly.eqs p);
-    List.iter touch (Poly.ges p);
-    let comps = Hashtbl.create 8 in
-    for i = 0 to n - 1 do
-      let r = find i in
-      Hashtbl.replace comps r (i :: Option.value ~default:[] (Hashtbl.find_opt comps r))
-    done;
-    let involves a dims = List.exists (fun i -> a.Aff.coeffs.(i) <> 0) dims in
+  else
     let exception Fail in
     try
-      let assignment = ref [] in
-      Hashtbl.iter
-        (fun _ dims ->
-          let names = List.map (Space.name space) dims in
-          let sub = Space.of_names names in
-          let keep l = List.filter (fun a -> involves a dims) l in
-          let cast (a : Aff.t) = Aff.cast sub a in
-          let subp =
-            Poly.of_constraints sub
-              ~eqs:(List.map cast (keep (Poly.eqs p)))
-              ~ges:(List.map cast (keep (Poly.ges p)))
-          in
-          (* Constant-only constraints fall outside every component; check
-             them through the full-space membership test at the end. *)
-          match budgeted_sample ~fuel ~range subp with
-          | Some pt -> assignment := pt @ !assignment
+      let assignment = Hashtbl.create 16 in
+      List.iter
+        (fun c ->
+          match budgeted_sample ~fuel ~range c with
+          | Some pt -> List.iter (fun (nm, v) -> Hashtbl.replace assignment nm v) pt
           | None -> raise Fail)
-        comps;
-      (* Dimensions in no constraint at all default to zero. *)
+        (Poly.split_components p);
       let full =
         List.map
-          (fun nm ->
-            (nm, match List.assoc_opt nm !assignment with Some v -> v | None -> 0))
-          (Space.names space)
+          (fun nm -> (nm, Option.value ~default:0 (Hashtbl.find_opt assignment nm)))
+          (Space.names (Poly.space p))
       in
       if Poly.mem p (fun nm -> List.assoc nm full) then Some full else None
     with Fail -> None
-  end
 
 let sample_with_retries ~fuel p =
   match sample_decomposed ~fuel ~range:3 p with
@@ -103,7 +70,7 @@ let sample_with_retries ~fuel p =
 (* Sample a point such that, for each name-set in [nonzero], at least one of
    the names is non-zero (needed for rows that must be linearly
    independent). *)
-let sample_nonzero ~fuel p ~nonzero =
+let sample_nonzero ~fuel ~memo p ~nonzero =
   let ok pt =
     List.for_all
       (fun names -> List.exists (fun nm -> List.assoc nm pt <> 0) names)
@@ -128,7 +95,7 @@ let sample_nonzero ~fuel p ~nonzero =
         | names :: rest ->
             List.find_map
               (fun p2 ->
-                if Poly.is_rationally_empty p2 then None else force p2 rest)
+                if Poly.is_rationally_empty ~memo p2 then None else force p2 rest)
               (candidates cur names)
       in
       match nonzero with
@@ -153,6 +120,10 @@ let classify (ca : Coaccess.t) =
 
 let find ss ~prog ~q ~deps =
   let fuel = ref sample_fuel in
+  (* Emptiness verdicts repeat heavily across the depths, statements and
+     sign combinations of one search; the memo lives exactly as long as this
+     call, so it is never shared between domains. *)
+  let memo = Poly.memo () in
   let dtil = Program.max_depth prog in
   let stmts = prog.Program.stmts in
   let u = Sched_space.space ss in
@@ -190,7 +161,7 @@ let find ss ~prog ~q ~deps =
           (fun x ca sign -> Poly.intersect x (Sched_space.equal_const ss ~delta:sign ca))
           x qsr qsr_signs
     in
-    if Poly.is_rationally_empty x then begin
+    if Poly.is_rationally_empty ~memo x then begin
       Log.debug (fun m -> m "depth %d: constraint system empty" d);
       None
     end
@@ -235,7 +206,7 @@ let find ss ~prog ~q ~deps =
             let try_l l =
               let eqs = constraint_for l in
               let x' = List.fold_left Poly.add_eq !x eqs in
-              if Poly.is_rationally_empty x' then None else Some (x', l)
+              if Poly.is_rationally_empty ~memo x' then None else Some (x', l)
             in
             match List.find_map try_l options with
             | Some (x', l) ->
@@ -251,7 +222,7 @@ let find ss ~prog ~q ~deps =
           List.filter
             (fun dep ->
               let x' = Poly.intersect !x (Sched_space.strong ss dep) in
-              if Poly.is_rationally_empty x' then true
+              if Poly.is_rationally_empty ~memo x' then true
               else begin
                 x := x';
                 false
@@ -266,7 +237,7 @@ let find ss ~prog ~q ~deps =
               if l = 1 then Some (Sched_space.loop_coeff_names ss ~stmt:nm) else None)
             !choices
         in
-        match sample_nonzero ~fuel !x ~nonzero with
+        match sample_nonzero ~fuel ~memo !x ~nonzero with
         | None ->
             Log.debug (fun m -> m "depth %d: sampling failed for %a with nonzero=[%s]" d Poly.pp !x (String.concat "; " (List.map (String.concat ",") nonzero)));
             None

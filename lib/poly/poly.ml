@@ -81,44 +81,76 @@ let norm_ge ~tighten aff =
         { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
                    Aff.const = aff.Aff.const / g }
 
-let key aff = (Array.to_list aff.Aff.coeffs, aff.Aff.const)
-let coeff_key aff = Array.to_list aff.Aff.coeffs
+(* Constraint tables key on coefficient rows and hash every coefficient:
+   the polymorphic [Hashtbl.hash] reads only about ten words, so the wide,
+   mostly-zero rows of a schedule-coefficient space would share leading
+   zeros and pile into one bucket. *)
+let hash_row coeffs const =
+  Array.fold_left (fun h c -> (h * 31) + c) const coeffs land max_int
 
-let simplify_exn ?(tighten = true) t =
-  let eqs = List.filter_map (norm_eq ~tighten) t.eqs in
-  let ges = List.filter_map (norm_ge ~tighten) t.ges in
-  (* Dedup equalities. *)
-  let tbl = Hashtbl.create 16 in
-  let eqs =
-    List.filter
-      (fun a ->
-        let k = key a in
-        if Hashtbl.mem tbl k then false else (Hashtbl.add tbl k (); true))
-      eqs
-  in
-  (* For inequalities sharing a coefficient vector keep only the strongest
-     (smallest constant); detect opposite pairs that form an equality. *)
-  let best : (int list, int) Hashtbl.t = Hashtbl.create 16 in
+let equal_row (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+  go 0
+
+(* Keys are coefficient rows: [key] (with the constant) identifies a
+   constraint, [coeff_key] the direction its inequality bounds. *)
+module Rows = Hashtbl.Make (struct
+  type t = int array * int
+
+  let equal ((a, k) : t) (b, l) = k = l && equal_row a b
+  let hash ((a, k) : t) = hash_row a k
+end)
+
+let key aff = (aff.Aff.coeffs, aff.Aff.const)
+let coeff_key aff = (aff.Aff.coeffs, 0)
+
+(* Drop repeated equalities, keeping first occurrences in order. *)
+let dedup_eqs eqs =
+  let seen = Rows.create 16 in
+  List.filter
+    (fun a ->
+      let k = key a in
+      if Rows.mem seen k then false
+      else begin
+        Rows.add seen k ();
+        true
+      end)
+    eqs
+
+(* The strongest (smallest) constant per inequality direction. *)
+let strongest ges =
+  let best = Rows.create 16 in
   List.iter
     (fun a ->
       let k = coeff_key a in
-      match Hashtbl.find_opt best k with
+      match Rows.find_opt best k with
       | Some c when c <= a.Aff.const -> ()
-      | _ -> Hashtbl.replace best k a.Aff.const)
+      | _ -> Rows.replace best k a.Aff.const)
     ges;
+  best
+
+let simplify_exn ?(tighten = true) t =
+  let eqs = dedup_eqs (List.filter_map (norm_eq ~tighten) t.eqs) in
+  let ges = List.filter_map (norm_ge ~tighten) t.ges in
+  (* For inequalities sharing a coefficient vector keep only the strongest
+     (smallest constant); detect opposite pairs that form an equality. *)
+  let best = strongest ges in
   let promoted = ref [] in
   let ges =
     List.filter_map
       (fun a ->
         let k = coeff_key a in
-        match Hashtbl.find_opt best k with
+        match Rows.find_opt best k with
         | Some c when c = a.Aff.const ->
-            Hashtbl.remove best k;
+            Rows.remove best k;
             (* Opposite direction present with exactly opposite constant? *)
             let nk = coeff_key (Aff.neg a) in
-            (match Hashtbl.find_opt best nk with
+            (match Rows.find_opt best nk with
             | Some nc when nc = -a.Aff.const ->
-                Hashtbl.remove best nk;
+                Rows.remove best nk;
                 promoted := a :: !promoted;
                 None
             | _ -> Some a)
@@ -143,38 +175,19 @@ let is_obviously_empty t =
    so it is cheap enough to run after every projection step; repeated
    eliminations otherwise multiply near-identical rows. *)
 let compact t =
-  let seen = Hashtbl.create 16 in
-  let eqs =
-    List.filter
-      (fun a ->
-        let k = key a in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      t.eqs
-  in
-  let best : (int list, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      let k = coeff_key a in
-      match Hashtbl.find_opt best k with
-      | Some c when c <= a.Aff.const -> ()
-      | _ -> Hashtbl.replace best k a.Aff.const)
-    t.ges;
+  let best = strongest t.ges in
   let ges =
     List.filter
       (fun a ->
         let k = coeff_key a in
-        match Hashtbl.find_opt best k with
+        match Rows.find_opt best k with
         | Some c when c = a.Aff.const ->
-            Hashtbl.remove best k;
+            Rows.remove best k;
             true
         | _ -> false)
       t.ges
   in
-  { t with eqs; ges }
+  { t with eqs = dedup_eqs t.eqs; ges }
 
 exception Fm_budget_exceeded
 
@@ -275,59 +288,82 @@ let rename t mapping =
 (* Connected components of the constraint graph: dimensions coupled by a
    common constraint. Emptiness factorises over components, which keeps
    Fourier-Motzkin elimination local (the schedule-coefficient spaces of the
-   optimizer couple statements only pairwise). *)
+   optimizer couple statements only pairwise).  Index-based: every
+   constraint is assigned to the component of its first non-zero
+   coefficient and its coefficients are remapped by position.  Components
+   come in order of their smallest dimension; each lists its dimensions in
+   decreasing space order, the order the optimizer's sampled schedules
+   were always drawn in. *)
 let split_components t =
   let n = Space.dim t.space in
-  if n = 0 then [ t ]
-  else begin
-    let parent = Array.init n Fun.id in
-    let rec find i =
-      if parent.(i) = i then i
-      else begin
-        parent.(i) <- find parent.(i);
-        parent.(i)
-      end
-    in
-    let union i j =
-      let ri = find i and rj = find j in
-      if ri <> rj then parent.(ri) <- rj
-    in
-    let touch (a : Aff.t) =
-      let first = ref (-1) in
-      Array.iteri
-        (fun i c ->
-          if c <> 0 then
-            if !first < 0 then first := i else union !first i)
-        a.Aff.coeffs
-    in
-    List.iter touch t.eqs;
-    List.iter touch t.ges;
-    let groups = Hashtbl.create 8 in
-    for i = 0 to n - 1 do
+  let parent = Array.init n Fun.id in
+  let rec find i =
+    if parent.(i) = i then i
+    else begin
+      parent.(i) <- find parent.(i);
+      parent.(i)
+    end
+  in
+  let constrained = Array.make n false in
+  let touch (a : Aff.t) =
+    let first = ref (-1) in
+    Array.iteri
+      (fun i c ->
+        if c <> 0 then begin
+          constrained.(i) <- true;
+          if !first < 0 then first := i
+          else
+            let ri = find !first and rj = find i in
+            if ri <> rj then parent.(ri) <- rj
+        end)
+      a.Aff.coeffs
+  in
+  List.iter touch t.eqs;
+  List.iter touch t.ges;
+  (* [comp.(root)] numbers the components; [pos.(i)] is dimension [i]'s
+     index inside its component. *)
+  let comp = Array.make n (-1) and size = Array.make n 0 in
+  let ncomp = ref 0 in
+  for i = 0 to n - 1 do
+    if constrained.(i) then begin
       let r = find i in
-      Hashtbl.replace groups r (i :: Option.value ~default:[] (Hashtbl.find_opt groups r))
-    done;
-    let involves (a : Aff.t) dims = List.exists (fun i -> a.Aff.coeffs.(i) <> 0) dims in
-    let comps =
-      Hashtbl.fold
-        (fun _ dims acc ->
-          let names = List.map (Space.name t.space) dims in
-          let sub = Space.of_names names in
-          let keep l = List.filter (fun a -> involves a dims) l in
-          { space = sub;
-            eqs = List.map (Aff.cast sub) (keep t.eqs);
-            ges = List.map (Aff.cast sub) (keep t.ges) }
-          :: acc)
-        groups []
-    in
-    (* Constant-only constraints belong to no component; give them a home. *)
-    let consts =
-      { space = Space.of_names [];
-        eqs = List.filter Aff.is_constant t.eqs |> List.map (Aff.cast (Space.of_names []));
-        ges = List.filter Aff.is_constant t.ges |> List.map (Aff.cast (Space.of_names [])) }
-    in
-    if consts.eqs = [] && consts.ges = [] then comps else consts :: comps
-  end
+      if comp.(r) < 0 then begin
+        comp.(r) <- !ncomp;
+        incr ncomp
+      end;
+      size.(comp.(r)) <- size.(comp.(r)) + 1
+    end
+  done;
+  let names = Array.make !ncomp [] and seen = Array.make !ncomp 0 in
+  let pos = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    if constrained.(i) then begin
+      let c = comp.(find i) in
+      names.(c) <- Space.name t.space i :: names.(c);
+      pos.(i) <- size.(c) - 1 - seen.(c);
+      seen.(c) <- seen.(c) + 1
+    end
+  done;
+  let spaces = Array.map Space.of_names names in
+  let none = Space.of_names [] in
+  (* Slot [!ncomp] collects constraints that mention no dimension. *)
+  let eqs = Array.make (!ncomp + 1) [] and ges = Array.make (!ncomp + 1) [] in
+  let place bucket (a : Aff.t) =
+    let first = ref (-1) in
+    Array.iteri (fun i c -> if c <> 0 && !first < 0 then first := i) a.Aff.coeffs;
+    if !first < 0 then bucket.(!ncomp) <- { a with Aff.space = none; coeffs = [||] } :: bucket.(!ncomp)
+    else begin
+      let c = comp.(find !first) in
+      let coeffs = Array.make size.(c) 0 in
+      Array.iteri (fun i v -> if v <> 0 then coeffs.(pos.(i)) <- v) a.Aff.coeffs;
+      bucket.(c) <- { a with Aff.space = spaces.(c); coeffs } :: bucket.(c)
+    end
+  in
+  List.iter (place eqs) t.eqs;
+  List.iter (place ges) t.ges;
+  let part space c = { space; eqs = List.rev eqs.(c); ges = List.rev ges.(c) } in
+  let comps = List.init !ncomp (fun c -> part spaces.(c) c) in
+  if eqs.(!ncomp) = [] && ges.(!ncomp) = [] then comps else part none !ncomp :: comps
 
 (* Fourier-Motzkin emptiness is double-exponential in the worst case: each
    elimination can square the inequality count.  Past this many inequalities
@@ -337,52 +373,89 @@ let split_components t =
    whatever sampling or verification follows). *)
 let fm_inequality_budget = 4000
 
-let is_rationally_empty t =
-  let t = simplify ~tighten:false t in
-  if is_obviously_empty t then true
-  else
-    (* Greedy elimination order: always the dimension whose pos*neg
-       inequality product is smallest, which delays the blow-up FM is prone
-       to under a fixed order. *)
-    let eliminate_all c =
-      let rec go c names =
-        if is_obviously_empty c then true
-        else
-          match names with
-          | [] -> false
-          | _ ->
-              let cost nm =
-                let i = Space.index c.space nm in
-                let pos = ref 0 and neg = ref 0 and eq = ref false in
-                List.iter
-                  (fun (a : Aff.t) -> if a.Aff.coeffs.(i) <> 0 then eq := true)
-                  c.eqs;
-                List.iter
-                  (fun (a : Aff.t) ->
-                    if a.Aff.coeffs.(i) > 0 then incr pos
-                    else if a.Aff.coeffs.(i) < 0 then incr neg)
-                  c.ges;
-                if !eq then -1 else !pos * !neg
-              in
-              let best =
-                List.fold_left
-                  (fun (bn, bc) nm ->
-                    let cn = cost nm in
-                    if cn < bc then (nm, cn) else (bn, bc))
-                  (List.hd names, cost (List.hd names))
-                  (List.tl names)
-                |> fst
-              in
-              go
-                (eliminate_one ~combo_budget:fm_inequality_budget ~tighten:false
-                   c best)
-                (List.filter (fun nm -> nm <> best) names)
-      in
-      go c (Space.names c.space)
+(* Rational emptiness of one component: simplification, then
+   Fourier-Motzkin elimination of every dimension. Greedy order: always the
+   dimension whose pos*neg inequality product is smallest (ties to the first
+   in space order), which delays the blow-up FM is prone to under a fixed
+   order. *)
+let component_empty c =
+  let rec go c names =
+    if is_obviously_empty c then true
+    else
+      match names with
+      | [] -> false
+      | _ ->
+          let cost nm =
+            let i = Space.index c.space nm in
+            let pos = ref 0 and neg = ref 0 and eq = ref false in
+            List.iter (fun (a : Aff.t) -> if a.Aff.coeffs.(i) <> 0 then eq := true) c.eqs;
+            List.iter
+              (fun (a : Aff.t) ->
+                if a.Aff.coeffs.(i) > 0 then incr pos
+                else if a.Aff.coeffs.(i) < 0 then incr neg)
+              c.ges;
+            if !eq then -1 else !pos * !neg
+          in
+          let best =
+            List.fold_left
+              (fun (bn, bc) nm ->
+                let cn = cost nm in
+                if cn < bc then (nm, cn) else (bn, bc))
+              (List.hd names, cost (List.hd names))
+              (List.tl names)
+            |> fst
+          in
+          go
+            (eliminate_one ~combo_budget:fm_inequality_budget ~tighten:false c best)
+            (List.filter (fun nm -> nm <> best) names)
+  in
+  try go (simplify ~tighten:false c) (Space.names c.space) with Fm_budget_exceeded -> false
+
+(* Verdicts keyed on components exactly as they arrive: dimension names
+   plus every coefficient of every constraint, in order.  Order is part of
+   the key because the verdict can depend on it: which unit equality
+   substitutes a dimension is the first in the list, and that shapes the
+   later pos*neg counts the budget give-up compares.  Keyed this way a hit
+   returns exactly what recomputation would. *)
+module Memo = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let rec equal_rows l m =
+    match (l, m) with
+    | [], [] -> true
+    | (a : Aff.t) :: l, (b : Aff.t) :: m ->
+        a.Aff.const = b.Aff.const && equal_row a.Aff.coeffs b.Aff.coeffs && equal_rows l m
+    | _ -> false
+
+  let equal a b = Space.equal a.space b.space && equal_rows a.eqs b.eqs && equal_rows a.ges b.ges
+
+  let hash c =
+    let rows h l =
+      List.fold_left (fun h (a : Aff.t) -> (h * 65599) + hash_row a.Aff.coeffs a.Aff.const) h l
     in
-    List.exists
-      (fun c -> try eliminate_all c with Fm_budget_exceeded -> false)
-      (split_components t)
+    rows (rows (Hashtbl.hash c.space) c.eqs + 1) c.ges land max_int
+end)
+
+type memo = bool Memo.t
+
+let memo () = Memo.create 256
+
+(* Normalisation acts row by row and never changes a row's support, so it
+   commutes with the split: each component is simplified on its own, and a
+   memo hit skips that work as well as the elimination. *)
+let is_rationally_empty ?memo t =
+  let decide c =
+    match memo with
+    | None -> component_empty c
+    | Some m -> (
+        match Memo.find_opt m c with
+        | Some v -> v
+        | None ->
+            let v = component_empty c in
+            Memo.add m c v;
+            v)
+  in
+  List.exists decide (split_components t)
 
 (* Levels for bound descent: [levels.(k)] only constrains dims 0..k.
    [fm_budget], when given, caps the pos*neg combination count of every

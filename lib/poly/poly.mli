@@ -73,12 +73,27 @@ val renamed_names : who:string -> Space.t -> (string * string) list -> string li
 val split_components : t -> t list
 (** Split into independent sub-polyhedra over the connected components of the
     constraint graph (dimensions linked by a common constraint); constraints
-    mentioning no dimension form their own component over the empty space.
-    Emptiness and sampling factorise over the result. *)
+    mentioning no dimension form their own component over the empty space,
+    listed first.  Dimensions in no constraint belong to no component: they
+    are unconstrained, so any value (e.g. 0) extends a point of the
+    components.  Components are ordered by their smallest dimension index
+    and list their dimensions in decreasing space order.  Emptiness and
+    sampling factorise over the result. *)
 
-val is_rationally_empty : t -> bool
+type memo
+(** Emptiness verdicts of connected components, keyed on the component's
+    dimension names and its normalised constraints in order.  A verdict
+    depends on that key alone, so sharing a memo never changes an answer;
+    it only saves repeating Fourier–Motzkin on a component seen before. *)
+
+val memo : unit -> memo
+(** A fresh, empty memo.  Not thread-safe: use one per domain. *)
+
+val is_rationally_empty : ?memo:memo -> t -> bool
 (** No rational points (exact over the rationals; checked per connected
-    component). *)
+    component, consulting and filling [memo] when given).  A component whose
+    elimination would pass an internal inequality budget counts as
+    non-empty. *)
 
 val is_integrally_empty :
   ?range:int -> ?on_truncate:(string -> unit) -> t -> bool

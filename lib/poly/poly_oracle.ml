@@ -191,6 +191,48 @@ module Check = struct
           else None);
       ]
 
+  (* The memo is an optimisation of the production kernel itself, so its
+     reference is the memo-less call: through one shared memo, every system
+     queried as given, with its constraints shuffled and nudged, must get
+     exactly the memo-less verdict of that same query. *)
+  let emptiness_memo st polys =
+    let shuffle l =
+      let a = Array.of_list l in
+      for i = Array.length a - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x
+      done;
+      Array.to_list a
+    in
+    let shuffled p =
+      Poly.of_constraints (Poly.space p) ~eqs:(shuffle (Poly.eqs p)) ~ges:(shuffle (Poly.ges p))
+    in
+    (* A near-duplicate: one inequality's constant tightened, so a key that
+       dropped any number would hand it the original's verdict. *)
+    let nudged p =
+      match Poly.ges p with
+      | [] -> p
+      | ges ->
+          let k = Random.State.int st (List.length ges) and d = 1 + Random.State.int st 6 in
+          Poly.of_constraints (Poly.space p) ~eqs:(Poly.eqs p)
+            ~ges:(List.mapi (fun i a -> if i = k then Aff.add_const a (-d) else a) ges)
+    in
+    let memo = Poly.memo () in
+    let queries =
+      List.concat_map (fun p -> [ p; shuffled p; nudged p ]) (polys @ List.rev polys)
+    in
+    List.find_map
+      (fun q ->
+        let want = Poly.is_rationally_empty q and got = Poly.is_rationally_empty ~memo q in
+        if want = got then None
+        else
+          Some
+            (Printf.sprintf "memoised is_rationally_empty says %b, memo-less %b, for %s" got want
+               (show_poly q)))
+      queries
+
   let union_ops box a b =
     let pointwise what u pred () =
       List.find_map
@@ -517,6 +559,8 @@ let campaign ~seed ~count =
         fun st ->
           let b, p = gen3 st in
           Check.search b p );
+      ( "emptiness-memo",
+        fun st -> Check.emptiness_memo st (List.init (Gen.int_in st 1 4) (fun _ -> snd (gen3 st))) );
       ( "union",
         fun st ->
           let b = Gen.box st names2 ~side:4 in

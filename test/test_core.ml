@@ -108,6 +108,45 @@ let test_recost_matches_fresh_optimize () =
   check_bool "config updated" true
     (recosted.Api.config.Config.layouts = small.Config.layouts)
 
+let test_best_verifies_optimized_winner_once () =
+  let o = Api.optimize (Programs.add_mul ()) ~config:(Programs.scale_down ~factor:10 Programs.table2) in
+  let w = Api.best o in
+  let rejected o =
+    match Api.best o with
+    | _ -> false
+    | exception Riot_plan.Plan_verify.Rejected _ -> true
+  in
+  (* Corrupt the winner in place: its first disk read now claims the block
+     is already in memory, which verification rejects. *)
+  let steps = w.Api.cplan.Riot_plan.Cplan.steps in
+  let k =
+    let rec first k =
+      if List.exists (fun (_, _, src) -> src = Riot_plan.Cplan.From_disk) steps.(k).Riot_plan.Cplan.reads
+      then k
+      else first (k + 1)
+    in
+    first 0
+  in
+  let saved = steps.(k) in
+  steps.(k) <-
+    { saved with
+      Riot_plan.Cplan.reads =
+        List.map (fun (a, b, _) -> (a, b, Riot_plan.Cplan.From_memory)) saved.Riot_plan.Cplan.reads };
+  Fun.protect ~finally:(fun () -> steps.(k) <- saved) @@ fun () ->
+  check_bool "the corrupted winner fails verification" false
+    (Riot_plan.Plan_verify.ok (Engine.verify ~cap_bytes:w.Api.memory_bytes w.Api.cplan));
+  (* Same physical plan at the same cap: optimize's verdict stands. *)
+  check_bool "best does not re-verify the optimized winner" false (rejected o);
+  (* A physically different plan, or the same plan at another cap, is
+     verified afresh. *)
+  let with_winner f = { o with Api.plans = List.map (fun p -> if p == w then f p else p) o.Api.plans } in
+  check_bool "a copied plan is verified" true
+    (rejected
+       (with_winner (fun p ->
+            { p with Api.cplan = { p.Api.cplan with Riot_plan.Cplan.steps = Array.copy steps } })));
+  check_bool "another cap is verified" true
+    (rejected (with_winner (fun p -> { p with Api.memory_bytes = p.Api.memory_bytes - 1 })))
+
 (* --- Opportunistic LRU ablation ------------------------------------------- *)
 
 let test_opportunistic_between_bounds () =
@@ -134,4 +173,6 @@ let suite =
       Alcotest.test_case "refine divisibility" `Quick test_refine_divisibility;
       Alcotest.test_case "joint optimization tradeoff" `Slow test_joint_optimization_tradeoff;
       Alcotest.test_case "recost matches fresh optimize" `Quick test_recost_matches_fresh_optimize;
+      Alcotest.test_case "best verifies the optimized winner once" `Quick
+        test_best_verifies_optimized_winner_once;
       Alcotest.test_case "opportunistic LRU bounds" `Quick test_opportunistic_between_bounds ] )

@@ -191,7 +191,18 @@ let test_errors () =
   check_bool "bad for condition" true
     (expect_error {| param n; input A[n]; output B[n];
                      for (i = 0; j < n; i++) B[i] = A[i]; |});
-  check_bool "unterminated comment" true (expect_error {| param n; /* oops |})
+  check_bool "unterminated comment" true (expect_error {| param n; /* oops |});
+  (* A literal past max_int is a positioned parse error, not a stray
+     [Failure "int_of_string"]. *)
+  Alcotest.(check string) "integer literal out of range"
+    "line 2: integer literal out of range"
+    (try
+       ignore
+         (Parse.program ~name:"bad"
+            "param n; input A[n]; output B[n];\n\
+             for (i = 0; i < 99999999999999999999; i++) B[i] = A[i];");
+       "no error"
+     with Parse.Error msg -> msg)
 
 let test_optimizes_like_ops_version () =
   (* End-to-end: the parsed Example 1 yields the same best plan cost. *)

@@ -467,6 +467,59 @@ let test_norm_eq_sign_dedup () =
   check_int "deduped equalities" 1
     (List.length (Poly.eqs (Poly.simplify ~tighten:false p)))
 
+(* Wide spaces: every row below is zero in its first 12 of 40 coefficients,
+   so the constraint tables must tell rows apart by their tails. *)
+let test_wide_simplify_compact () =
+  let d k = Printf.sprintf "c%d" k in
+  let s = sp (List.init 40 d) in
+  let tail = List.init 28 (fun k -> k + 12) in
+  (* Per tail dim: a weak bound, its duplicate and the strongest one. *)
+  let ges =
+    List.concat_map
+      (fun k -> [ aff s ~c:5 [ (d k, 1) ]; aff s ~c:5 [ (d k, 1) ]; aff s ~c:2 [ (d k, 1) ] ])
+      tail
+  in
+  (* An opposite pair: c38 - c39 >= 0 and c39 - c38 >= 0. *)
+  let pair = [ aff s [ (d 38, 1); (d 39, -1) ]; aff s [ (d 39, 1); (d 38, -1) ] ] in
+  let e = aff s ~c:1 [ (d 30, 1); (d 31, 2) ] in
+  let p = Poly.of_constraints s ~eqs:[ e; e ] ~ges:(ges @ pair) in
+  let c = Poly.compact p in
+  check_int "compact: one equality" 1 (List.length (Poly.eqs c));
+  check_int "compact: one inequality per direction" (28 + 2) (List.length (Poly.ges c));
+  check_bool "compact: strongest kept" true
+    (List.for_all (fun (a : Aff.t) -> a.Aff.const = 2 || List.memq a pair) (Poly.ges c));
+  let q = Poly.simplify p in
+  check_int "simplify: one inequality per tail dim" 28 (List.length (Poly.ges q));
+  check_bool "simplify: strongest kept" true
+    (List.for_all (fun (a : Aff.t) -> a.Aff.const = 2) (Poly.ges q));
+  check_int "simplify: opposite pair promoted to an equality" 2 (List.length (Poly.eqs q));
+  check_bool "simplify: promoted equality is c38 = c39" true
+    (List.exists
+       (fun (a : Aff.t) -> Aff.equal a (aff s [ (d 38, 1); (d 39, -1) ]))
+       (Poly.eqs q))
+
+(* Components are remapped by position; unconstrained dimensions belong to
+   none and constant rows come first. *)
+let test_split_components () =
+  let s = sp [ "a"; "b"; "c"; "d"; "e" ] in
+  let p =
+    Poly.of_constraints s ~eqs:[]
+      ~ges:[ aff s ~c:1 [ ("a", 1); ("c", -2) ]; aff s ~c:(-1) [ ("d", 3) ]; aff s ~c:4 [] ]
+  in
+  match Poly.split_components p with
+  | [ k; ac; dd ] ->
+      check_int "constants over the empty space" 0 (Space.dim (Poly.space k));
+      Alcotest.(check (list string)) "a-c component" [ "c"; "a" ] (Space.names (Poly.space ac));
+      Alcotest.(check (list string)) "d component" [ "d" ] (Space.names (Poly.space dd));
+      (match Poly.ges ac with
+      | [ r ] ->
+          check_int "a" 1 (Aff.coeff r "a");
+          check_int "c" (-2) (Aff.coeff r "c");
+          check_int "const" 1 r.Aff.const
+      | _ -> Alcotest.fail "one row in the a-c component");
+      check_bool "not empty" false (Poly.is_rationally_empty p)
+  | l -> Alcotest.failf "expected 3 components, got %d" (List.length l)
+
 (* enumerate silently truncated a one-side-bounded dimension to a 129-value
    window instead of failing per its spec. *)
 let test_enumerate_one_sided_raises () =
@@ -539,6 +592,8 @@ let suite =
       Alcotest.test_case "count matches enumeration" `Quick test_count_matches_enumeration;
       Alcotest.test_case "rename collision" `Quick test_rename_collision;
       Alcotest.test_case "norm_eq sign dedup" `Quick test_norm_eq_sign_dedup;
+      Alcotest.test_case "wide simplify and compact" `Quick test_wide_simplify_compact;
+      Alcotest.test_case "split components" `Quick test_split_components;
       Alcotest.test_case "enumerate one-sided raises" `Quick test_enumerate_one_sided_raises;
       Alcotest.test_case "truncation hook" `Quick test_truncation_hook;
       Alcotest.test_case "count rationally empty" `Quick test_count_rationally_empty ]

@@ -102,6 +102,13 @@ let search_agrees =
   qtest "mem/sample/enumerate/emptiness agree with brute force"
     (arb_case3 ()) (fun case -> check (Oracle.Check.search box3 (poly3 case)))
 
+let emptiness_memo =
+  qtest "memoised emptiness equals memo-less emptiness"
+    (QCheck.pair (sized 1 4 (arb_case3 ())) QCheck.int)
+    (fun (cases, seed) ->
+      check
+        (Oracle.Check.emptiness_memo (Random.State.make [| seed |]) (List.map poly3 cases)))
+
 let union_algebra =
   qtest "union/intersect/subtract/enumerate match oracle set algebra"
     (QCheck.pair (sized 1 2 arb_case2) (sized 1 2 arb_case2))
@@ -160,6 +167,7 @@ let suite =
       eliminate_exact_unit;
       subtract_partitions;
       search_agrees;
+      emptiness_memo;
       union_algebra;
       farkas_sound;
       count_matches;
