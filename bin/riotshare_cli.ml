@@ -23,7 +23,10 @@ module Programs = Riot_ops.Programs
 module Parse = Riot_frontend.Parse
 module Config = Riot_ir.Config
 module Engine = Riot_exec.Engine
-module Trace = Riot_exec.Trace
+module Cplan = Riot_plan.Cplan
+module Cost_check = Riot_plan.Cost_check
+module Fuse = Riot_plan.Fuse
+module Trace = Riot_plan.Trace
 module Block_store = Riot_storage.Block_store
 module Backend = Riot_storage.Backend
 module Io_stats = Riot_storage.Io_stats
@@ -289,11 +292,11 @@ let optimize program source config params blocks max_size mem_cap jobs budget
         Format.printf "%-8s %-11s %-11s %-8s %-8s@." "array" "disk reads" "mem reads"
           "writes" "elided";
         List.iter
-          (fun (r : Riot_plan.Cplan.array_io) ->
-            Format.printf "%-8s %-11d %-11d %-8d %-8d@." r.Riot_plan.Cplan.io_array
-              r.Riot_plan.Cplan.io_disk_reads r.Riot_plan.Cplan.io_mem_reads
-              r.Riot_plan.Cplan.io_writes r.Riot_plan.Cplan.io_elided)
-          (Riot_plan.Cplan.explain best.Api.cplan)
+          (fun (e : Cost_check.expected) ->
+            Format.printf "%-8s %-11d %-11d %-8d %-8d@." e.Cost_check.e_array
+              e.Cost_check.e_reads e.Cost_check.e_mem_reads e.Cost_check.e_writes
+              e.Cost_check.e_elided)
+          (Cost_check.predict best.Api.cplan)
       end)
 
 let optimize_cmd =
@@ -336,6 +339,15 @@ let run program source config params blocks max_size jobs budget scale format mo
         | Some "text" -> Some (Trace.text Format.err_formatter)
         | Some "jsonl" -> Some (Trace.jsonl prerr_endline)
         | Some t -> failwith ("unknown trace format " ^ t ^ " (text or jsonl)")
+      in
+      (* The cost check also diffs the run's whole trace against the plan's
+         predicted stream. *)
+      let measured = if check_cost then Some (Trace.collector ()) else None in
+      let trace =
+        match (trace, measured) with
+        | Some t, Some (c, _) -> Some (Trace.tee t c)
+        | None, Some (c, _) -> Some c
+        | t, None -> t
       in
       let backend =
         Api.simulated_backend ~retain_data:(exec_mode <> None) opt.Api.machine
@@ -389,12 +401,30 @@ let run program source config params blocks max_size jobs budget scale format mo
           )
           result.Engine.per_array
       end;
-      if check_cost then begin
-        let report = Api.check_cost best result in
-        Format.printf "@.%a" Riot_plan.Cost_check.pp_report report;
-        if not report.Riot_plan.Cost_check.ok then
-          failwith "cost check failed: executed I/O diverges from the plan's prediction"
-      end)
+      Option.iter
+        (fun (_, collected) ->
+          let report = Api.check_cost best result in
+          Format.printf "@.%a" Cost_check.pp_report report;
+          (* A fused run never materializes its link blocks. *)
+          let links =
+            if exec_mode = Some Engine.Vector then
+              List.concat_map
+                (fun (g : Fuse.group) -> g.Fuse.links)
+                (Fuse.analyze best.Api.cplan)
+            else []
+          in
+          let events = collected () in
+          let divergence =
+            Cplan.diff_trace ~links best.Api.cplan (List.to_seq events)
+          in
+          (match divergence with
+          | None -> Format.printf "trace check: OK (%d events)@." (List.length events)
+          | Some d -> Format.printf "trace check: %a@." Cplan.pp_divergence d);
+          if not report.Cost_check.ok then
+            failwith "cost check failed: executed I/O diverges from the plan's prediction";
+          if divergence <> None then
+            failwith "cost check failed: executed trace diverges from the plan's predicted stream")
+        measured)
 
 let run_cmd =
   Cmd.v
@@ -439,8 +469,10 @@ let run_cmd =
             value & flag
             & info [ "check-cost" ]
                 ~doc:
-                  "Cross-validate measured I/O against the plan's prediction; non-zero \
-                   exit on divergence.")
+                  "Cross-validate the run against the plan's prediction: per-array \
+                   physical I/O, and the whole event trace against the predicted \
+                   stream (first diverging step named); non-zero exit on either \
+                   divergence.")
         $ Arg.(
             value
             & opt (some string) None

@@ -106,14 +106,14 @@ val distinct_cost_points : t -> costed_plan list
 val execute :
   ?compute:bool ->
   ?stores:(string * Riot_storage.Block_store.t) list ->
-  ?trace:Riot_exec.Trace.sink ->
+  ?trace:Riot_plan.Trace.sink ->
   ?mode:Riot_exec.Engine.mode ->
   costed_plan ->
   backend:Riot_storage.Backend.t ->
   format:Riot_storage.Block_store.format ->
   Riot_exec.Engine.result
 (** Run the plan with a memory cap equal to its computed requirement.
-    [trace] streams execution events (see {!Riot_exec.Trace}); [mode]
+    [trace] streams execution events (see {!Riot_plan.Trace}); [mode]
     selects the executor (default tile-vectorized, see
     {!Riot_exec.Engine.mode} for the differential contract). *)
 

@@ -1,6 +1,7 @@
 module Cplan = Riot_plan.Cplan
 module Cost_check = Riot_plan.Cost_check
 module Prefetch = Riot_plan.Prefetch
+module Trace = Riot_plan.Trace
 module Config = Riot_ir.Config
 module Access = Riot_ir.Access
 module Backend = Riot_storage.Backend
@@ -177,17 +178,19 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     | None -> stores_for backend ~format ~config:plan.Cplan.config
   in
   let store name = List.assoc name stores in
-  (* Eviction events surface through the pool's hook; every other event is
-     emitted at its engine action.  [cur_step] names the step whose demand
-     caused an eviction. *)
+  (* Every event is emitted as [if tracing then emit (...)], so with no sink
+     none is constructed.  Eviction events surface through the pool's hook;
+     every other event is emitted at its engine action.  [cur_step] names
+     the step whose demand caused an eviction. *)
+  let tracing = Option.is_some trace in
+  let emit ev = match trace with Some sk -> sk.Trace.emit ev | None -> () in
   let cur_step = ref (-1) in
   let on_evict =
-    match trace with
-    | None -> None
-    | Some s ->
-        Some
-          (fun (array, index) ~dirty ->
-            s.Trace.emit (Trace.Evict { step = !cur_step; array; index; flushed = dirty }))
+    if tracing then
+      Some
+        (fun (array, index) ~dirty ->
+          emit (Trace.Evict { step = !cur_step; array; index; flushed = dirty }))
+    else None
   in
   let pool =
     Buffer_pool.create ~phantom:(not compute) ~stats:backend.Backend.stats ?on_evict
@@ -278,34 +281,22 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     let k = key_of blk in
     if Buffer_pool.pin_count pool k = 0 && Buffer_pool.contains pool k then begin
       Buffer_pool.drop_if_dead pool k;
-      match trace with
-      | Some s ->
-          s.Trace.emit
-            (Trace.Drop { step = i; array = blk.Cplan.array; index = blk.Cplan.index })
-      | None -> ()
+      if tracing then
+        emit (Trace.Drop { step = i; array = blk.Cplan.array; index = blk.Cplan.index })
     end
   in
   let step_begin i stmt instance =
-    match trace with
-    | Some sk -> sk.Trace.emit (Trace.Step_begin { step = i; stmt; instance })
-    | None -> ()
+    if tracing then emit (Trace.Step_begin { step = i; stmt; instance })
   in
-  let step_end i =
-    match trace with
-    | Some sk -> sk.Trace.emit (Trace.Step_end { step = i })
-    | None -> ()
-  in
+  let step_end i = if tracing then emit (Trace.Step_end { step = i }) in
   (* Open pins that start at a step (blocks are resident then). *)
   let open_pins i =
     List.iter
       (fun (blk : Cplan.block) ->
         Buffer_pool.pin pool (key_of blk);
-        match trace with
-        | Some sk ->
-            sk.Trace.emit
-              (Trace.Pin_open { step = i; array = blk.Cplan.array; index = blk.Cplan.index })
-        | None -> ())
-      compiled.Vexec.pin_start.(i)
+        if tracing then
+          emit (Trace.Pin_open { step = i; array = blk.Cplan.array; index = blk.Cplan.index }))
+      compiled.Vexec.pins.Cplan.pin_start.(i)
   in
   (* Close pins ending at a step; a dead unpinned buffer is released (and its
      data discarded if its write was elided - every consumer has been
@@ -314,13 +305,10 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     List.iter
       (fun (blk : Cplan.block) ->
         Buffer_pool.unpin pool (key_of blk);
-        (match trace with
-        | Some sk ->
-            sk.Trace.emit
-              (Trace.Pin_close { step = i; array = blk.Cplan.array; index = blk.Cplan.index })
-        | None -> ());
+        if tracing then
+          emit (Trace.Pin_close { step = i; array = blk.Cplan.array; index = blk.Cplan.index });
         drop_dead i blk)
-      compiled.Vexec.pin_stop.(i)
+      compiled.Vexec.pins.Cplan.pin_stop.(i)
   in
   (* --- The step protocol: read, resolve the write buffer, open pins,
      compute, write, close pins, drop, journal.  [exec_single] runs it for
@@ -337,42 +325,29 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     let i = s.Vexec.s_step in
     Array.iteri
       (fun r ((blk : Cplan.block), src) ->
-        if r = skip then begin
-          match trace with
-          | Some sk ->
-              sk.Trace.emit
-                (Trace.Read
-                   { step = i;
-                     array = blk.Cplan.array;
-                     index = blk.Cplan.index;
-                     src = Trace.Memory })
-          | None -> ()
-        end
-        else begin
-          (match src with
-          | Cplan.From_memory ->
-              if not (Buffer_pool.contains pool (key_of blk)) then
-                raise
-                  (Error
-                     (Missing_block
-                        { step = i;
-                          stmt = s.Vexec.s_stmt;
-                          array = blk.Cplan.array;
-                          index = blk.Cplan.index;
-                          phase = `Read }))
-          | Cplan.From_disk -> ());
-          (match trace with
-          | Some sk ->
-              sk.Trace.emit
-                (Trace.Read
-                   { step = i;
-                     array = blk.Cplan.array;
-                     index = blk.Cplan.index;
-                     src =
-                       (match src with
-                       | Cplan.From_disk -> Trace.Disk
-                       | Cplan.From_memory -> Trace.Memory) })
-          | None -> ());
+        (* A link read is always memory-serviced (Fuse's legality). *)
+        if r <> skip && src = Cplan.From_memory
+           && not (Buffer_pool.contains pool (key_of blk))
+        then
+          raise
+            (Error
+               (Missing_block
+                  { step = i;
+                    stmt = s.Vexec.s_stmt;
+                    array = blk.Cplan.array;
+                    index = blk.Cplan.index;
+                    phase = `Read }));
+        if tracing then
+          emit
+            (Trace.Read
+               { step = i;
+                 array = blk.Cplan.array;
+                 index = blk.Cplan.index;
+                 src =
+                   (match src with
+                   | Cplan.From_disk -> Trace.Disk
+                   | Cplan.From_memory -> Trace.Memory) });
+        if r <> skip then begin
           let data = Buffer_pool.get pool (store blk.Cplan.array) blk.Cplan.index in
           (match (writer, rplan) with
           | Some w, Some rp when List.mem (key_of blk) rp.Journal.undo.(i) ->
@@ -389,15 +364,13 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     | None -> ()
     | Some (blk, dst) ->
         Buffer_pool.mark_dirty pool (key_of blk);
-        (match trace with
-        | Some sk ->
-            sk.Trace.emit
-              (Trace.Write
-                 { step = i;
-                   array = blk.Cplan.array;
-                   index = blk.Cplan.index;
-                   elided = (dst = Cplan.Elided) })
-        | None -> ());
+        if tracing then
+          emit
+            (Trace.Write
+               { step = i;
+                 array = blk.Cplan.array;
+                 index = blk.Cplan.index;
+                 elided = (dst = Cplan.Elided) });
         (match dst with
         | Cplan.To_disk ->
             Buffer_pool.write_through pool (store blk.Cplan.array) blk.Cplan.index
@@ -492,16 +465,11 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
         (* The interior write exists only in the trace replay: its block is
            the chain's scratch tile. *)
         match s.Vexec.s_write with
-        | Some (blk, _) -> (
-            match trace with
-            | Some sk ->
-                sk.Trace.emit
-                  (Trace.Write
-                     { step = i;
-                       array = blk.Cplan.array;
-                       index = blk.Cplan.index;
-                       elided = true })
-            | None -> ())
+        | Some (blk, _) ->
+            if tracing then
+              emit
+                (Trace.Write
+                   { step = i; array = blk.Cplan.array; index = blk.Cplan.index; elided = true })
         | None -> assert false
       end;
       close_pins i;

@@ -75,7 +75,7 @@ val verify_exn : ?cap_bytes:int -> Riot_plan.Cplan.t -> unit
 val run :
   ?compute:bool ->
   ?stores:(string * Riot_storage.Block_store.t) list ->
-  ?trace:Trace.sink ->
+  ?trace:Riot_plan.Trace.sink ->
   ?journal:bool ->
   ?resume:bool ->
   ?mode:mode ->
@@ -109,9 +109,12 @@ val run :
     missing, or a kernel receives an operand list of the wrong shape (either
     would indicate an optimizer bug).
 
-    With [trace], every engine action emits a {!Trace.event} into the sink
-    (step boundaries, block reads/writes, pin opens/closes, drops and
-    evictions); without it no event is constructed.
+    With [trace], every engine action emits a {!Riot_plan.Trace.event} into
+    the sink (step boundaries, block reads/writes, pin opens/closes, drops
+    and evictions); without it no event is constructed.  An unfused run on
+    DAF storage within the plan's [peak_memory] narrates exactly
+    [Riot_plan.Cplan.events]; a fused run narrates it minus its link blocks'
+    pins and drops.
 
     [journal] (default false) persists a completed-step watermark into the
     backend stream {!Journal.stream}, with [sync] barriers after each

@@ -43,8 +43,7 @@ type op = Single of single | Fused of fused
 type compiled = {
   ops : op array;
   n_fused : int;
-  pin_start : Cplan.block list array;
-  pin_stop : Cplan.block list array;
+  pins : Cplan.pin_index;
 }
 
 let compile_single ?kcache (plan : Cplan.t) i =
@@ -185,16 +184,9 @@ let compile_single ?kcache (plan : Cplan.t) i =
                closure never shared across instances. *)
             | None -> arity_raiser ()))
   in
-  (* The end-of-step dead-block sweep, in the plan's order: the elided write
-     (dead immediately when unpinned), then every read, then every write.
-     Probing residency is a hash lookup per block, so the engine iterates
-     this precomputed list instead of re-deriving it. *)
-  let drops =
-    Array.of_list
-      ((match write with Some (blk, Cplan.Elided) -> [ blk ] | _ -> [])
-      @ List.map (fun (_, blk, _) -> blk) st.Cplan.reads
-      @ List.map (fun (_, blk, _) -> blk) st.Cplan.writes)
-  in
+  (* The end-of-step dead-block sweep, precomputed so the engine iterates
+     a list instead of re-deriving it per run. *)
+  let drops = Array.of_list (Cplan.sweep st) in
   { s_step = i;
     s_stmt = st.Cplan.stmt;
     s_instance = st.Cplan.instance;
@@ -315,27 +307,22 @@ let compile ?(fuse = true) (plan : Cplan.t) =
            else Fused (compile_fused ~kcache plan g))
          groups)
   in
-  (* Per-step pin bookkeeping with every link pin filtered out (link blocks
-     never materialize, so their pins are unopenable); unfused, these are
-     the plan's own pins.  Precomputed here because rebuilding it per run
-     re-hashes every pin of the plan — on fine-grained plans that setup
-     rivals the execution itself. *)
-  let n = Array.length plan.Cplan.steps in
+  (* The plan's pin index with every link pin filtered out (link blocks
+     never materialize, so their pins are unopenable); unfused, it is the
+     plan's own.  Precomputed here because rebuilding it per run re-hashes
+     every pin of the plan — on fine-grained plans that setup rivals the
+     execution itself. *)
   let linked = Hashtbl.create 64 in
   Array.iter
     (function
       | Fused f -> Array.iter (fun blk -> Hashtbl.replace linked blk ()) f.f_links
       | Single _ -> ())
     ops;
-  let pin_start = Array.make n [] and pin_stop = Array.make n [] in
-  List.iter
-    (fun ((blk : Cplan.block), a, b) ->
-      if not (Hashtbl.mem linked blk) then begin
-        if a >= 0 && a < n then pin_start.(a) <- blk :: pin_start.(a);
-        if b >= 0 && b < n then pin_stop.(b) <- blk :: pin_stop.(b)
-      end)
-    plan.Cplan.pins;
-  { ops; n_fused = Fuse.fused_groups groups; pin_start; pin_stop }
+  let { Cplan.pin_start; pin_stop } = Cplan.pin_index plan in
+  let unlinked = Array.map (List.filter (fun blk -> not (Hashtbl.mem linked blk))) in
+  { ops;
+    n_fused = Fuse.fused_groups groups;
+    pins = { Cplan.pin_start = unlinked pin_start; pin_stop = unlinked pin_stop } }
 
 (* Compilation costs about as much as executing the plan once, so callers
    that run the same plan repeatedly (benchmarks, crash/restart recovery,

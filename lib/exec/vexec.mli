@@ -40,9 +40,8 @@ type single = {
           buffer must be zeroed before the kernel runs *)
   s_ops : op_src array;
   s_drops : Riot_plan.Cplan.block array;
-      (** end-of-step dead-block sweep, in the plan's order (elided write,
-          reads, writes); fused groups filter their link blocks out, which
-          are never resident *)
+      (** [Cplan.sweep] of the step; fused groups filter their link blocks
+          out, which are never resident *)
   s_kernel : float array array -> float array -> unit;
       (** [kernel operands write_buf]; [write_buf] is [[||]] when the step
           has no write *)
@@ -82,10 +81,8 @@ type op = Single of single | Fused of fused
 type compiled = {
   ops : op array;  (** in plan-step order; ranges partition the steps *)
   n_fused : int;  (** number of multi-step groups (diagnostics) *)
-  pin_start : Riot_plan.Cplan.block list array;
-      (** pins opening at each step, with the fused groups' link pins
-          filtered out *)
-  pin_stop : Riot_plan.Cplan.block list array;  (** likewise, pins closing *)
+  pins : Riot_plan.Cplan.pin_index;
+      (** [Cplan.pin_index] with the fused groups' link pins filtered out *)
 }
 
 val compile : ?fuse:bool -> Riot_plan.Cplan.t -> compiled

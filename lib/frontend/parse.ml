@@ -8,7 +8,10 @@ exception Error of string
 type state = { lx : Lexer.t; mutable tok : Lexer.token }
 
 let fail st msg =
-  raise (Error (Printf.sprintf "parse error: %s (found %s)" msg (Lexer.token_name st.tok)))
+  raise
+    (Error
+       (Printf.sprintf "line %d: parse error: %s (found %s)" st.lx.Lexer.line msg
+          (Lexer.token_name st.tok)))
 
 let advance st = st.tok <- Lexer.next st.lx
 

@@ -42,45 +42,33 @@ let zero_actual name =
   { a_array = name; a_reads = 0; a_read_bytes = 0; a_writes = 0; a_write_bytes = 0 }
 
 let predict (t : Cplan.t) =
-  let tbl : (string, expected ref) Hashtbl.t = Hashtbl.create 8 in
-  let get name =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r
-    | None ->
-        let r = ref (zero_expected name) in
-        Hashtbl.add tbl name r;
-        r
-  in
-  Array.iter
-    (fun (st : Cplan.step) ->
-      List.iter
-        (fun ((_ : Riot_ir.Access.t), (blk : Cplan.block), src) ->
-          let r = get blk.Cplan.array in
-          match src with
-          | Cplan.From_disk ->
-              r :=
-                { !r with
-                  e_reads = !r.e_reads + 1;
-                  e_read_bytes = !r.e_read_bytes + Cplan.block_bytes t blk }
-          | Cplan.From_memory -> r := { !r with e_mem_reads = !r.e_mem_reads + 1 })
-        st.Cplan.reads;
-      List.iter
-        (fun ((_ : Riot_ir.Access.t), (blk : Cplan.block), dst) ->
-          let r = get blk.Cplan.array in
-          match dst with
-          | Cplan.To_disk ->
-              r :=
-                { !r with
-                  e_writes = !r.e_writes + 1;
-                  e_write_bytes = !r.e_write_bytes + Cplan.block_bytes t blk }
-          | Cplan.Elided -> r := { !r with e_elided = !r.e_elided + 1 })
-        st.Cplan.writes)
-    t.Cplan.steps;
   (* Every configured array appears, even if the plan never touches it. *)
+  let tbl = Hashtbl.create 8 in
   List.iter
-    (fun ((name, _) : string * Riot_ir.Config.layout) -> ignore (get name))
+    (fun ((name, _) : string * Riot_ir.Config.layout) ->
+      Hashtbl.replace tbl name (zero_expected name))
     t.Cplan.config.Riot_ir.Config.layouts;
-  Hashtbl.fold (fun _ r acc -> !r :: acc) tbl []
+  let add array f = Hashtbl.replace tbl array (f (Hashtbl.find tbl array)) in
+  let bytes array index = Cplan.block_bytes t { Cplan.array; index } in
+  Seq.iter
+    (function
+      | Trace.Read { array; index; src = Trace.Disk; _ } ->
+          add array (fun e ->
+              { e with
+                e_reads = e.e_reads + 1;
+                e_read_bytes = e.e_read_bytes + bytes array index })
+      | Trace.Read { array; src = Trace.Memory; _ } ->
+          add array (fun e -> { e with e_mem_reads = e.e_mem_reads + 1 })
+      | Trace.Write { array; index; elided = false; _ } ->
+          add array (fun e ->
+              { e with
+                e_writes = e.e_writes + 1;
+                e_write_bytes = e.e_write_bytes + bytes array index })
+      | Trace.Write { array; elided = true; _ } ->
+          add array (fun e -> { e with e_elided = e.e_elided + 1 })
+      | _ -> ())
+    (Cplan.events t);
+  Hashtbl.fold (fun _ e acc -> e :: acc) tbl []
   |> List.sort (fun a b -> compare a.e_array b.e_array)
 
 let check (t : Cplan.t) ~(actual : actual list) =

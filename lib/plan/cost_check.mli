@@ -1,9 +1,10 @@
 (** Cost-model cross-validation: predicted vs actual physical I/O, per array.
 
     The paper's Figure 3(b) claim is that the executed plan's physical I/O
-    equals the optimizer's prediction.  {!predict} walks a concrete plan and
-    derives, for every array, the plan's predicted physical reads and writes
-    (block counts and bytes), i.e. the per-array decomposition of
+    equals the optimizer's prediction.  {!predict} folds the plan's
+    predicted event stream ({!Cplan.events}) into, for every array, the
+    plan's predicted physical reads and writes (block counts and bytes),
+    i.e. the per-array decomposition of
     [Cplan.read_ops]/[read_bytes]/[write_ops]/[write_bytes]; {!check} diffs
     that prediction against the per-array counters measured by a run
     ([Riot_exec.Engine.result.per_array], fed from the backend's per-stream
@@ -14,7 +15,8 @@
     Exact equality is the contract on block-addressed storage (the DAF
     format, any backend).  On the LAB-tree format the stream also carries
     index-page I/O, so divergences there quantify the format's metadata
-    overhead instead of indicating a bug. *)
+    overhead instead of indicating a bug.  [Cplan.diff_trace] holds a run
+    to the prediction event for event, which totals cannot. *)
 
 type expected = {
   e_array : string;
@@ -49,8 +51,10 @@ type report = {
 }
 
 val predict : Cplan.t -> expected list
-(** Per-array predicted I/O of the plan, sorted by array name.  Arrays the
-    configuration declares but the plan never touches appear with zeros. *)
+(** Per-array predicted I/O of the plan, sorted by array name: a fold over
+    {!Cplan.events}.  Arrays the configuration declares but the plan never
+    touches appear with zeros.  [riotshare optimize --explain] prints these
+    rows. *)
 
 val check : Cplan.t -> actual:actual list -> report
 (** Diff prediction against measurement.  Arrays missing on either side

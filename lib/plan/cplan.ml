@@ -73,6 +73,85 @@ let cache_pairs c (ca : Coaccess.t) =
   | Some p -> p
   | None -> Coaccess.pairs_at ca ~params:c.cparams
 
+(* --- The predicted protocol stream ------------------------------------------ *)
+
+type pin_index = { pin_start : block list array; pin_stop : block list array }
+
+let index_pins ~n pins =
+  let pin_start = Array.make n [] and pin_stop = Array.make n [] in
+  List.iter
+    (fun (blk, a, b) ->
+      if 0 <= a && a <= b && b < n then begin
+        pin_start.(a) <- blk :: pin_start.(a);
+        pin_stop.(b) <- blk :: pin_stop.(b)
+      end)
+    pins;
+  { pin_start; pin_stop }
+
+let sweep (st : step) =
+  (match st.writes with (_, blk, Elided) :: _ -> [ blk ] | _ -> [])
+  @ List.map (fun (_, blk, _) -> blk) st.reads
+  @ List.map (fun (_, blk, _) -> blk) st.writes
+
+(* The engine's unfused step protocol, simulated from [steps] and [pins]
+   alone: [step i emit] narrates step [i] into [emit] and advances the
+   resident set, so steps must be stepped in order, each once; [peak] is
+   the resident high-water mark in bytes.  Like the engine, the step's
+   write buffer is acquired before its pins open, and a block is dropped
+   only while resident and unpinned. *)
+let simulate ~config ~steps ~pins =
+  let { pin_start; pin_stop } = index_pins ~n:(Array.length steps) pins in
+  let resident = Hashtbl.create 64 and depth = Hashtbl.create 64 in
+  let bytes = ref 0 and peak = ref 0 in
+  let bytes_of blk = Config.block_bytes (Config.layout config blk.array) in
+  let pins_on blk = Option.value ~default:0 (Hashtbl.find_opt depth blk) in
+  let bring blk =
+    if not (Hashtbl.mem resident blk) then begin
+      Hashtbl.add resident blk ();
+      bytes := !bytes + bytes_of blk;
+      peak := max !peak !bytes
+    end
+  in
+  let step i emit =
+    let st = steps.(i) in
+    let drop blk =
+      if pins_on blk = 0 && Hashtbl.mem resident blk then begin
+        Hashtbl.remove resident blk;
+        bytes := !bytes - bytes_of blk;
+        emit (Trace.Drop { step = i; array = blk.array; index = blk.index })
+      end
+    in
+    emit (Trace.Step_begin { step = i; stmt = st.stmt; instance = st.instance });
+    List.iter
+      (fun (_, blk, src) ->
+        let src = match src with From_disk -> Trace.Disk | From_memory -> Trace.Memory in
+        emit (Trace.Read { step = i; array = blk.array; index = blk.index; src });
+        bring blk)
+      st.reads;
+    let write = match st.writes with w :: _ -> Some w | [] -> None in
+    Option.iter (fun (_, blk, _) -> bring blk) write;
+    List.iter
+      (fun blk ->
+        Hashtbl.replace depth blk (pins_on blk + 1);
+        emit (Trace.Pin_open { step = i; array = blk.array; index = blk.index }))
+      pin_start.(i);
+    Option.iter
+      (fun (_, blk, dst) ->
+        emit
+          (Trace.Write
+             { step = i; array = blk.array; index = blk.index; elided = dst = Elided }))
+      write;
+    List.iter
+      (fun blk ->
+        Hashtbl.replace depth blk (max 0 (pins_on blk - 1));
+        emit (Trace.Pin_close { step = i; array = blk.array; index = blk.index });
+        drop blk)
+      pin_stop.(i);
+    List.iter drop (sweep st);
+    emit (Trace.Step_end { step = i })
+  in
+  (step, peak)
+
 (* --- Construction -------------------------------------------------------- *)
 
 let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
@@ -317,42 +396,27 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
               st.writes })
       steps
   in
-  (* 5. Totals. *)
+  (* 5. Totals and peak memory: one pass of the predicted protocol stream,
+     never materialised.  The peak is its resident high-water mark: the
+     running step's blocks plus every block pinned across the step. *)
   let block_bytes blk = Config.block_bytes (layout blk.array) in
+  let pins = !pins in
   let read_bytes = ref 0 and write_bytes = ref 0 in
   let read_ops = ref 0 and write_ops = ref 0 in
-  Array.iter
-    (fun st ->
-      List.iter
-        (fun (_, blk, src) ->
-          if src = From_disk then begin
-            read_bytes := !read_bytes + block_bytes blk;
-            incr read_ops
-          end)
-        st.reads;
-      List.iter
-        (fun (_, blk, dst) ->
-          if dst = To_disk then begin
-            write_bytes := !write_bytes + block_bytes blk;
-            incr write_ops
-          end)
-        st.writes)
-    steps;
-  (* 6. Peak memory: blocks touched by the running step plus pinned blocks. *)
-  let pins = !pins in
-  let peak = ref 0 in
-  Array.iteri
-    (fun i st ->
-      let resident = Hashtbl.create 16 in
-      List.iter (fun (_, blk, _) -> Hashtbl.replace resident blk ()) st.reads;
-      List.iter (fun (_, blk, _) -> Hashtbl.replace resident blk ()) st.writes;
-      List.iter
-        (fun (blk, a, b) -> if a <= i && i <= b then Hashtbl.replace resident blk ())
-        pins;
-      let m = Hashtbl.fold (fun blk () acc -> acc + block_bytes blk) resident 0 in
-      if m > !peak then peak := m)
-    steps;
-  (* 7. CPU model inputs. *)
+  let step, peak = simulate ~config ~steps ~pins in
+  let count = function
+    | Trace.Read { array; src = Trace.Disk; _ } ->
+        read_bytes := !read_bytes + Config.block_bytes (layout array);
+        incr read_ops
+    | Trace.Write { array; elided = false; _ } ->
+        write_bytes := !write_bytes + Config.block_bytes (layout array);
+        incr write_ops
+    | _ -> ()
+  in
+  for i = 0 to n - 1 do
+    step i count
+  done;
+  (* 6. CPU model inputs. *)
   let flops = ref 0. and moved = ref 0. in
   Array.iter
     (fun st ->
@@ -429,52 +493,55 @@ let cpu_seconds ?(vectorized = true) (m : Machine.t) t =
 
 let total_predicted_seconds m t = predicted_io_seconds m t +. cpu_seconds m t
 
-type array_io = {
-  io_array : string;
-  io_disk_reads : int;
-  io_mem_reads : int;
-  io_writes : int;
-  io_elided : int;
+let pin_index t = index_pins ~n:(Array.length t.steps) t.pins
+
+let events t =
+  Seq.memoize (fun () ->
+      let step, _ = simulate ~config:t.config ~steps:t.steps ~pins:t.pins in
+      Seq.concat_map
+        (fun i ->
+          let evs = ref [] in
+          step i (fun e -> evs := e :: !evs);
+          List.to_seq (List.rev !evs))
+        (Seq.init (Array.length t.steps) Fun.id)
+        ())
+
+type divergence = {
+  d_step : int;
+  d_predicted : Trace.event option;
+  d_measured : Trace.event option;
 }
 
-let explain t =
-  let tbl = Hashtbl.create 8 in
-  let get name =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r
-    | None ->
-        let r = ref (0, 0, 0, 0) in
-        Hashtbl.add tbl name r;
-        r
+let diff_trace ?(links = []) t measured =
+  let linked = Hashtbl.create 16 in
+  List.iter (fun blk -> Hashtbl.replace linked blk ()) links;
+  let link_event = function
+    | Trace.Pin_open { array; index; _ }
+    | Trace.Pin_close { array; index; _ }
+    | Trace.Drop { array; index; _ } ->
+        Hashtbl.mem linked { array; index }
+    | _ -> false
   in
-  Array.iter
-    (fun st ->
-      List.iter
-        (fun (_, blk, src) ->
-          let r = get blk.array in
-          let a, b, c, d = !r in
-          r := (match src with From_disk -> (a + 1, b, c, d) | From_memory -> (a, b + 1, c, d)))
-        st.reads;
-      List.iter
-        (fun (_, blk, dst) ->
-          let r = get blk.array in
-          let a, b, c, d = !r in
-          r := (match dst with To_disk -> (a, b, c + 1, d) | Elided -> (a, b, c, d + 1)))
-        st.writes)
-    t.steps;
-  List.filter_map
-    (fun (ar : Array_info.t) ->
-      match Hashtbl.find_opt tbl ar.Array_info.name with
-      | None -> None
-      | Some r ->
-          let disk_reads, mem_reads, writes, elided_writes = !r in
-          Some
-            { io_array = ar.Array_info.name;
-              io_disk_reads = disk_reads;
-              io_mem_reads = mem_reads;
-              io_writes = writes;
-              io_elided = elided_writes })
-    t.prog.Program.arrays
+  let keep = Seq.filter (fun e -> not (link_event e)) in
+  let head = function Seq.Cons (e, _) -> Some e | Seq.Nil -> None in
+  let rec go p m =
+    match (p (), m ()) with
+    | Seq.Nil, Seq.Nil -> None
+    | Seq.Cons (e, p'), Seq.Cons (e', m') when e = e' -> go p' m'
+    | p, m ->
+        let d_predicted = head p and d_measured = head m in
+        let first = match d_predicted with Some e -> e | None -> Option.get d_measured in
+        Some { d_step = Trace.step_of first; d_predicted; d_measured }
+  in
+  go (keep (events t)) (keep measured)
+
+let pp_divergence ppf d =
+  let pp_opt ppf = function
+    | Some e -> Trace.pp_event ppf e
+    | None -> Format.pp_print_string ppf "end of trace"
+  in
+  Format.fprintf ppf "trace diverges at step %d: predicted %a, measured %a" d.d_step
+    pp_opt d.d_predicted pp_opt d.d_measured
 
 let summary t =
   Printf.sprintf

@@ -10,7 +10,8 @@
 
     The same structure drives the cost model (Section 5.4) and the execution
     engine, so predicted and actual I/O agree by construction up to the disk
-    model - exactly the property the paper demonstrates. *)
+    model - exactly the property the paper demonstrates.  {!events} spells
+    that agreement out as the predicted event stream a run must narrate. *)
 
 type block = { array : string; index : int list }
 
@@ -37,7 +38,7 @@ type t = {
   write_bytes : int;
   read_ops : int;
   write_ops : int;
-  peak_memory : int;  (** bytes *)
+  peak_memory : int;  (** bytes: the resident high-water mark of {!events} *)
   flops : float;
   moved_bytes : float;  (** element-wise kernel traffic *)
 }
@@ -100,16 +101,45 @@ val total_predicted_seconds : Machine.t -> t -> float
 (** I/O + CPU (the program is executed phase by phase, as in the paper's
     breakdown). *)
 
-type array_io = {
-  io_array : string;
-  io_disk_reads : int;
-  io_mem_reads : int;
-  io_writes : int;
-  io_elided : int;
+(** {2 The predicted protocol stream} *)
+
+type pin_index = {
+  pin_start : block list array;  (** pins opening at each step *)
+  pin_stop : block list array;  (** pins closing at each step *)
 }
 
-val explain : t -> array_io list
-(** Per-array breakdown of the plan's block accesses (for `riotshare
-    optimize --explain` and debugging). *)
+val pin_index : t -> pin_index
+(** [pins] indexed by step, the one index {!events}, the compiled executor
+    and the prefetch schedule read.  Derived from [pins] on each call, so a
+    plan rebuilt with other pins stays consistent.  Malformed intervals are
+    left out ([Plan_verify] reports them as RS005). *)
+
+val sweep : step -> block list
+(** The end-of-step dead-block sweep, in order: the elided write's block,
+    the reads, the writes; each is dropped if still resident and unpinned. *)
+
+val events : t -> Trace.event Seq.t
+(** The predicted trace (persistent, computed as it is traversed): the
+    engine's unfused step protocol simulated from [steps] and [pins] alone.
+    Per step: [Step_begin]; each [Read]; the [Pin_open]s starting there;
+    the [Write]; each [Pin_close], then its [Drop] if the block is now
+    unpinned; the {!sweep}'s [Drop]s; [Step_end].  As in the engine, the
+    write buffer is resident before the pins open.  [peak_memory] is the
+    stream's resident high-water mark and [read_*]/[write_*] its totals. *)
+
+type divergence = {
+  d_step : int;  (** step of the first differing event *)
+  d_predicted : Trace.event option;  (** [None]: the prediction ended *)
+  d_measured : Trace.event option;  (** [None]: the run's trace ended *)
+}
+
+val diff_trace : ?links:block list -> t -> Trace.event Seq.t -> divergence option
+(** The first point where a run's trace departs from {!events}, or [None].
+    On DAF storage, with the pool capped at [peak_memory], an unfused run
+    must narrate {!events} exactly.  A fused run never materializes its
+    [links] ([Fuse.group.links]), so their [Pin_open], [Pin_close] and
+    [Drop] events are removed from both sides first. *)
+
+val pp_divergence : Format.formatter -> divergence -> unit
 
 val summary : t -> string

@@ -221,85 +221,71 @@ let check_dataflow (plan : Cplan.t) ch acc =
 
 (* --- Residency safety (RS) ------------------------------------------------ *)
 
-(* Symbolic replay of the engine's pool protocol, phase for phase: reads are
-   brought in, the write buffer is acquired, pins starting at the step open,
-   pins ending at the step close, and every unpinned block the step touched
-   is dropped (the engine executes the costed plan, not an opportunistic
-   cache).  A legal plan's simulated peak equals [peak_memory] exactly. *)
+(* A fold over the predicted protocol stream ([Cplan.events]), tracking
+   residency from the stream's own events: a Read or Write brings a block
+   in, a Drop releases it, Pin_open/Pin_close move its pin depth.  The
+   engine acquires a step's write buffer before opening the step's pins,
+   while the stream narrates the Write after them, so a pin on the step's
+   own write block is backed.  Malformed pin intervals are reported up
+   front; the stream leaves them out. *)
 let check_residency (plan : Cplan.t) cap_bytes acc =
-  let steps = plan.Cplan.steps in
-  let n = Array.length steps in
-  let pin_start = Array.make (max n 1) [] and pin_stop = Array.make (max n 1) [] in
+  let n = Array.length plan.Cplan.steps in
   List.iter
     (fun ((blk : Cplan.block), a, b) ->
       if a < 0 || b >= n || a > b then
         emit acc ~step:a ~block:blk ~sev:Error "RS005"
-          "malformed pin interval [%d, %d] (plan has %d steps)" a b n
-      else begin
-        pin_start.(a) <- blk :: pin_start.(a);
-        pin_stop.(b) <- blk :: pin_stop.(b)
-      end)
+          "malformed pin interval [%d, %d] (plan has %d steps)" a b n)
     plan.Cplan.pins;
-  (* Resident blocks with their pin counts; bytes tracked incrementally. *)
-  let resident : (string * int list, int ref) Hashtbl.t = Hashtbl.create 64 in
+  let resident = Hashtbl.create 64 and depth = Hashtbl.create 64 in
   let bytes = ref 0 and peak = ref 0 in
-  let insert blk =
-    let key = key_of blk in
-    if not (Hashtbl.mem resident key) then begin
-      Hashtbl.add resident key (ref 0);
-      bytes := !bytes + Cplan.block_bytes plan blk
-    end
-  in
-  let drop blk =
-    let key = key_of blk in
-    match Hashtbl.find_opt resident key with
-    | Some { contents = 0 } ->
-        Hashtbl.remove resident key;
-        bytes := !bytes - Cplan.block_bytes plan blk
-    | _ -> ()
-  in
-  Array.iteri
-    (fun i (st : Cplan.step) ->
-      List.iter
-        (fun ((_ : Access.t), blk, src) ->
-          if src = Cplan.From_memory && not (Hashtbl.mem resident (key_of blk))
-          then
-            emit acc ~step:i ~stmt:st.Cplan.stmt ~block:blk ~sev:Error "RS001"
-              "memory-serviced read of a non-resident block (use after drop, \
-               or never brought in)";
-          insert blk)
-        st.Cplan.reads;
-      List.iter (fun (_, blk, _) -> insert blk) st.Cplan.writes;
-      List.iter
-        (fun blk ->
-          if not (Hashtbl.mem resident (key_of blk)) then begin
-            emit acc ~step:i ~stmt:st.Cplan.stmt ~block:blk ~sev:Error "RS002"
-              "pin opened on a block this step never made resident";
-            insert blk
-          end;
-          incr (Hashtbl.find resident (key_of blk)))
-        pin_start.(i);
-      if !bytes > !peak then peak := !bytes;
-      List.iter
-        (fun blk ->
-          (match Hashtbl.find_opt resident (key_of blk) with
-          | Some ({ contents = c } as r) when c > 0 -> decr r
+  let pins_on blk = Option.value ~default:0 (Hashtbl.find_opt depth blk) in
+  let stmt i = plan.Cplan.steps.(i).Cplan.stmt in
+  Seq.iter
+    (function
+      | (Trace.Read { array; index; _ } | Trace.Write { array; index; _ }) as ev ->
+          let blk = { Cplan.array; index } in
+          (match ev with
+          | Trace.Read { step; src = Trace.Memory; _ }
+            when not (Hashtbl.mem resident blk) ->
+              emit acc ~step ~stmt:(stmt step) ~block:blk ~sev:Error "RS001"
+                "memory-serviced read of a non-resident block (use after drop, \
+                 or never brought in)"
           | _ -> ());
-          drop blk)
-        pin_stop.(i);
-      List.iter (fun (_, blk, _) -> drop blk) st.Cplan.reads;
-      List.iter (fun (_, blk, _) -> drop blk) st.Cplan.writes)
-    steps;
+          if not (Hashtbl.mem resident blk) then begin
+            Hashtbl.add resident blk ();
+            bytes := !bytes + Cplan.block_bytes plan blk;
+            peak := max !peak !bytes
+          end
+      | Trace.Pin_open { step; array; index } ->
+          let blk = { Cplan.array; index } in
+          let written =
+            List.exists (fun (_, b, _) -> b = blk) plan.Cplan.steps.(step).Cplan.writes
+          in
+          if not (Hashtbl.mem resident blk || written) then
+            emit acc ~step ~stmt:(stmt step) ~block:blk ~sev:Error "RS002"
+              "pin opened on a block this step never made resident";
+          Hashtbl.replace depth blk (pins_on blk + 1)
+      | Trace.Pin_close { array; index; _ } ->
+          let blk = { Cplan.array; index } in
+          Hashtbl.replace depth blk (max 0 (pins_on blk - 1))
+      | Trace.Drop { array; index; _ } ->
+          let blk = { Cplan.array; index } in
+          if Hashtbl.mem resident blk then begin
+            Hashtbl.remove resident blk;
+            bytes := !bytes - Cplan.block_bytes plan blk
+          end
+      | Trace.Step_begin _ | Trace.Step_end _ | Trace.Evict _ -> ())
+    (Cplan.events plan);
   Hashtbl.iter
-    (fun (array, index) { contents = pins } ->
+    (fun blk pins ->
       if pins > 0 then
-        emit acc ~block:{ Cplan.array; index } ~sev:Error "RS004"
-          "%d pin(s) still open at plan end (leak)" pins)
-    resident;
+        emit acc ~block:blk ~sev:Error "RS004" "%d pin(s) still open at plan end (leak)"
+          pins)
+    depth;
   if !peak > cap_bytes then
     emit acc ~sev:Error "RS003"
-      "simulated peak resident set (%d bytes) exceeds the buffer-pool \
-       capacity (%d bytes)"
+      "peak resident set of the predicted stream (%d bytes) exceeds the \
+       buffer-pool capacity (%d bytes)"
       !peak cap_bytes
 
 (* --- Journal safety (JR) -------------------------------------------------- *)

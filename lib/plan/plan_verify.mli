@@ -16,12 +16,13 @@
     ([DF004]); no disk read observes a block whose dominating write was
     elided — the bytes were never materialised ([DF005]).
 
-    {b Residency safety} (RS...): a symbolic simulation of the engine's
-    pin/drop protocol, phase for phase (reads, write acquisition, pin opens,
-    pin closes, dead-block drops), proving no use-after-drop ([RS001]), no
-    pin of a non-resident block ([RS002]), peak resident bytes within the
-    buffer-pool capacity ([RS003]), no pin leaked past the plan end
-    ([RS004]) and no malformed pin interval ([RS005]).
+    {b Residency safety} (RS...): a fold over the plan's predicted protocol
+    stream ({!Cplan.events}), tracking residency from its own [Read],
+    [Write] and [Drop] events, proving no memory-serviced read of a
+    non-resident block ([RS001]), no pin of a non-resident block ([RS002]),
+    the stream's peak resident bytes within the buffer-pool capacity
+    ([RS003]) and no pin still open at the plan end ([RS004]); a pre-check
+    rejects malformed pin intervals ([RS005]).
 
     {b Journal safety} (JR...): an independent re-derivation of the
     crash-restart analysis, diffed against the watermark data the engine
@@ -79,7 +80,7 @@ val check :
   Cplan.t ->
   report
 (** Statically verify the plan.  [cap_bytes] is the buffer-pool capacity the
-    residency simulation checks against (default: the plan's own
+    residency family checks against (default: the plan's own
     [peak_memory], so a plan that under-states its requirement is caught).
     [watermarks] enables the journal family (omitted: skipped — the journal
     analysis lives above this library).  [groups] is the fusion partition to

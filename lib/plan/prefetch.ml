@@ -34,11 +34,7 @@ let make (plan : Cplan.t) =
   (* [floor] maps a block to the earliest safe issue step implied by
      everything at steps processed so far. *)
   let floor : (Cplan.block, int) Hashtbl.t = Hashtbl.create 64 in
-  let stops = Array.make (max n 1) [] in
-  List.iter
-    (fun (blk, _start, stop) ->
-      if stop >= 0 && stop < n then stops.(stop) <- blk :: stops.(stop))
-    plan.Cplan.pins;
+  let stops = (Cplan.pin_index plan).Cplan.pin_stop in
   let by_target = Array.make n [] in
   for t = 0 to n - 1 do
     let st = plan.Cplan.steps.(t) in

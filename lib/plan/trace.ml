@@ -10,6 +10,11 @@ type event =
   | Drop of { step : int; array : string; index : int list }
   | Evict of { step : int; array : string; index : int list; flushed : bool }
 
+let step_of = function
+  | Step_begin { step; _ } | Step_end { step } | Read { step; _ } | Write { step; _ }
+  | Pin_open { step; _ } | Pin_close { step; _ } | Drop { step; _ } | Evict { step; _ } ->
+      step
+
 type sink = { emit : event -> unit }
 
 let null = { emit = (fun _ -> ()) }
@@ -125,8 +130,9 @@ let of_json line =
     let start = !pos in
     if peek () = '-' then advance ();
     while peek () >= '0' && peek () <= '9' do advance () done;
-    if !pos = start then fail "expected integer";
-    int_of_string (String.sub line start (!pos - start))
+    match int_of_string_opt (String.sub line start (!pos - start)) with
+    | Some i -> i
+    | None -> fail "expected integer"
   in
   let rec parse_value () =
     skip_ws ();

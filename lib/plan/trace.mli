@@ -6,9 +6,14 @@
     evictions.  Events flow into a {!sink}; when the engine is given no sink
     it constructs no events at all, so tracing is free when off.
 
-    Two serialisations ship with the engine: a human-oriented text form and
-    a line-per-event JSON form ({!to_json}/{!of_json} round-trip, so traces
-    can be post-processed by external tools and re-read by tests). *)
+    The same vocabulary describes the run before it happens:
+    [Cplan.events] derives the predicted stream from the plan alone, and on
+    block-addressed storage a run whose plan fits the pool must narrate it
+    event for event ([Cplan.diff_trace]).
+
+    Two serialisations ship with this module: a human-oriented text form
+    and a line-per-event JSON form ({!to_json}/{!of_json} round-trip, so
+    traces can be post-processed by external tools and re-read by tests). *)
 
 type src = Disk | Memory
 
@@ -23,6 +28,9 @@ type event =
       (** the buffer left the pool at the plan's direction (dead block) *)
   | Evict of { step : int; array : string; index : int list; flushed : bool }
       (** the pool evicted the buffer under memory pressure *)
+
+val step_of : event -> int
+(** The step an event belongs to. *)
 
 type sink = { emit : event -> unit }
 

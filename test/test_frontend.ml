@@ -202,6 +202,18 @@ let test_errors () =
             "param n; input A[n]; output B[n];\n\
              for (i = 0; i < 99999999999999999999; i++) B[i] = A[i];");
        "no error"
+     with Parse.Error msg -> msg);
+  (* Parse errors carry the line of the offending token. *)
+  Alcotest.(check string) "parse error is positioned"
+    "line 4: parse error: expected identifier (found ;)"
+    (try
+       ignore
+         (Parse.program ~name:"bad"
+            "param n; input A[n][n]; output B[n][n];\n\
+             for (i = 0; i < n; i++)\n\
+             for (j = 0; j < n; j++)\n\
+             B[i,j] = A[i,j] + ;");
+       "no error"
      with Parse.Error msg -> msg)
 
 let test_optimizes_like_ops_version () =

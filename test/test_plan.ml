@@ -1,5 +1,6 @@
 module Cplan = Riot_plan.Cplan
 module Machine = Riot_plan.Machine
+module Cost_check = Riot_plan.Cost_check
 module Deps = Riot_analysis.Deps
 module Coaccess = Riot_analysis.Coaccess
 module Search = Riot_optimizer.Search
@@ -198,22 +199,22 @@ let test_symbolic_read_volume () =
 
 let test_explain_breakdown () =
   let c = build_plan (find_plan_with best_labels) in
-  let rows = Cplan.explain c in
-  let find a = List.find (fun r -> r.Cplan.io_array = a) rows in
+  let rows = Cost_check.predict c in
+  let find a = List.find (fun (r : Cost_check.expected) -> r.e_array = a) rows in
   (* C is fully pipelined: never read from disk, every write elided. *)
-  check_int "C disk reads" 0 (find "C").Cplan.io_disk_reads;
-  check_int "C writes" 0 (find "C").Cplan.io_writes;
-  check_int "C elided" 144 (find "C").Cplan.io_elided;
+  check_int "C disk reads" 0 (find "C").e_reads;
+  check_int "C writes" 0 (find "C").e_writes;
+  check_int "C elided" 144 (find "C").e_elided;
   (* E accumulates in memory: 12 final writes only. *)
-  check_int "E writes" 12 (find "E").Cplan.io_writes;
-  check_int "E mem reads" 132 (find "E").Cplan.io_mem_reads;
+  check_int "E writes" 12 (find "E").e_writes;
+  check_int "E mem reads" 132 (find "E").e_mem_reads;
   (* Totals agree with the plan counters. *)
   check_int "total disk reads"
     c.Cplan.read_ops
-    (List.fold_left (fun a r -> a + r.Cplan.io_disk_reads) 0 rows);
+    (List.fold_left (fun a (r : Cost_check.expected) -> a + r.e_reads) 0 rows);
   check_int "total writes"
     c.Cplan.write_ops
-    (List.fold_left (fun a r -> a + r.Cplan.io_writes) 0 rows)
+    (List.fold_left (fun a (r : Cost_check.expected) -> a + r.e_writes) 0 rows)
 
 let suite =
   ( "plan",

@@ -1,16 +1,20 @@
 (* Execution-trace tests: the two-matmuls plan yields a stable, well-formed
    event stream (balanced step boundaries and pins, no read-after-drop, event
-   counts equal to the plan's aggregate I/O), and every event survives a
-   JSONL round-trip through the parser. *)
+   counts equal to the plan's aggregate I/O), every event survives a JSONL
+   round-trip through the parser, and a run narrates exactly the plan's
+   predicted stream ([Cplan.events]). *)
 
 module Api = Riotshare.Api
 module Programs = Riot_ops.Programs
 module Cplan = Riot_plan.Cplan
 module Search = Riot_optimizer.Search
 module Engine = Riot_exec.Engine
-module Trace = Riot_exec.Trace
+module Trace = Riot_plan.Trace
 module Backend = Riot_storage.Backend
 module Block_store = Riot_storage.Block_store
+module Fuse = Riot_plan.Fuse
+module Rand_prog = Riot_ops.Rand_prog
+module Fault_fuzz = Riotshare.Fault_fuzz
 
 let sim_backend () =
   Backend.sim ~retain_data:false ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:1e-3 ()
@@ -140,12 +144,16 @@ let test_golden_prefix () =
       Trace.Drop { step = 0; array = "B"; index = [ 0; 0 ] };
       Trace.Step_end { step = 0 } ]
   in
-  List.iteri
-    (fun i (exp, got) ->
-      Alcotest.(check string)
-        (Printf.sprintf "event %d" i)
-        (Trace.to_json exp) (Trace.to_json got))
-    (List.combine expected (prefix (List.length expected) (collected ())))
+  let check_prefix what events =
+    List.iteri
+      (fun i (exp, got) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s event %d" what i)
+          (Trace.to_json exp) (Trace.to_json got))
+      (List.combine expected (prefix (List.length expected) events))
+  in
+  check_prefix "measured" (collected ());
+  check_prefix "predicted" (List.of_seq (Cplan.events best.Api.cplan))
 
 (* --- JSONL round-trip --------------------------------------------------------- *)
 
@@ -183,7 +191,94 @@ let test_jsonl_rejects_malformed () =
       "{\"ev\":\"bogus\",\"step\":0}";
       "{\"ev\":\"read\",\"step\":0}";
       "{\"ev\":\"step_end\",\"step\":1} trailing";
-      "{\"ev\":\"read\",\"step\":0,\"array\":\"A\",\"index\":[0,0],\"src\":\"warp\"}" ]
+      "{\"ev\":\"read\",\"step\":0,\"array\":\"A\",\"index\":[0,0],\"src\":\"warp\"}";
+      "{\"ev\":\"step_end\",\"step\":-}";
+      "{\"ev\":\"step_end\",\"step\":99999999999999999999}";
+      "{\"ev\":\"read\",\"step\":0,\"array\":\"A\",\"index\":[0,-],\"src\":\"disk\"}" ]
+
+(* --- Predicted trace = measured trace ------------------------------------------ *)
+
+(* Run [cplan] on a fresh simulated DAF disk with the pool capped at the
+   plan's [peak_memory], in each of the engine's three ways (phantom,
+   unfused, fused), and diff the trace against [Cplan.events].  A fused run
+   never materializes its link blocks, so their pins and drops are left out
+   of the comparison.  Raises [Failure] naming the first diverging step.
+   [fused_runs] counts the runs that really fused. *)
+let fused_runs = ref 0
+
+let check_trace_equals_prediction prog config (cplan : Cplan.t) =
+  List.iter
+    (fun (name, compute, mode) ->
+      let backend = Backend.sim ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:0. () in
+      let format = Block_store.Daf_format in
+      let stores = Engine.stores_for backend ~format ~config in
+      if compute then Fault_fuzz.load_inputs prog config stores;
+      let sink, collected = Trace.collector () in
+      let r =
+        Engine.run ~compute ~stores ~trace:sink ~mode cplan ~backend ~format
+          ~mem_cap:cplan.Cplan.peak_memory
+      in
+      let events = collected () in
+      let fused = compute && mode = Engine.Vector in
+      let links =
+        if fused then
+          List.concat_map (fun (g : Fuse.group) -> g.Fuse.links) (Fuse.analyze cplan)
+        else []
+      in
+      if links <> [] then incr fused_runs;
+      (match Cplan.diff_trace ~links cplan (List.to_seq events) with
+      | None -> ()
+      | Some d -> failwith (Format.asprintf "%s run: %a" name Cplan.pp_divergence d));
+      if List.exists (function Trace.Evict _ -> true | _ -> false) events then
+        failwith (name ^ " run evicted within the plan's peak_memory");
+      if (not fused) && r.Engine.pool_peak_bytes <> cplan.Cplan.peak_memory then
+        failwith
+          (Printf.sprintf "%s run: pool peak %d bytes, plan peak_memory %d" name
+             r.Engine.pool_peak_bytes cplan.Cplan.peak_memory))
+    [ ("phantom", false, Engine.Interpret);
+      ("interpret", true, Engine.Interpret);
+      ("vector", true, Engine.Vector) ]
+
+(* Random programs (opaque nests on even seeds, element-wise chains on odd
+   ones) under their direct plans - the original schedule with subsets of
+   the sharing realized - plus, on every tenth seed, optimizer-found plans
+   with reordered schedules (the search dwarfs the runs). *)
+let check_seed seed =
+  let with_prog =
+    if seed mod 2 = 0 then Rand_prog.with_program else Rand_prog.with_ew_program
+  in
+  with_prog seed (fun prog ->
+      let config = Rand_prog.config_for prog in
+      let searched =
+        if seed mod 10 = 0 then
+          List.map (Test_vexec.build prog config) (Test_vexec.plans_for ~take:2 prog)
+        else []
+      in
+      List.iter
+        (check_trace_equals_prediction prog config)
+        (Test_vexec.direct_cplans prog config @ searched))
+
+let prop_trace_equals_prediction =
+  QCheck.Test.make ~name:"random programs: measured trace = Cplan.events" ~count:400
+    Test_vexec.seed_gen (fun seed ->
+      match check_seed seed with
+      | () -> true
+      | exception Failure msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
+
+let test_trace_equals_prediction_pinned () =
+  fused_runs := 0;
+  List.iter check_seed [ 0; 7; 10; 31; 40 ];
+  Alcotest.(check bool) "pinned seeds include fused runs" true (!fused_runs > 0);
+  (* The paper programs' best plans, too. *)
+  List.iter
+    (fun (prog, config, max_size) ->
+      let config = Programs.scale_down ~factor:1000 config in
+      let best = Api.best (Api.optimize ?max_size prog ~config) in
+      check_trace_equals_prediction prog config best.Api.cplan)
+    [ (Programs.add_mul (), Programs.table2, None);
+      (Programs.two_matmuls (), Programs.table3_config_a, None);
+      (Programs.linear_regression (), Programs.table4, Some 2);
+      (Programs.pig_pipeline (), Programs.pig_config, None) ]
 
 let suite =
   ( "trace",
@@ -194,4 +289,7 @@ let suite =
       Alcotest.test_case "counts match plan" `Quick test_counts_match_plan;
       Alcotest.test_case "golden prefix (add_mul)" `Quick test_golden_prefix;
       Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
-      Alcotest.test_case "jsonl rejects malformed" `Quick test_jsonl_rejects_malformed ] )
+      Alcotest.test_case "jsonl rejects malformed" `Quick test_jsonl_rejects_malformed;
+      Alcotest.test_case "measured trace = Cplan.events (pinned seeds)" `Quick
+        test_trace_equals_prediction_pinned;
+      QCheck_alcotest.to_alcotest prop_trace_equals_prediction ] )

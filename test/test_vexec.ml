@@ -26,7 +26,7 @@ module Fuse = Riot_plan.Fuse
 module Engine = Riot_exec.Engine
 module Vexec = Riot_exec.Vexec
 module Journal = Riot_exec.Journal
-module Trace = Riot_exec.Trace
+module Trace = Riot_plan.Trace
 module Backend = Riot_storage.Backend
 module Block_store = Riot_storage.Block_store
 module Rand_prog = Riot_ops.Rand_prog
