@@ -909,32 +909,42 @@ let polyfuzz () =
 
 let polyfuzz_smoke () = polyfuzz_run ~seed:2012 ~count:150
 
-(* --- Crash-consistency and fault-injection campaign -------------------------------- *)
+(* --- Differential campaign: crash, transient-fault and every other engine contract - *)
 
-module Fault_fuzz = Riotshare.Fault_fuzz
+module Differential = Riotshare.Differential
 
 let faultfuzz_json_file = "BENCH_faultfuzz.json"
 
 let faultfuzz_run ~seed ~min_crash_cases =
   let t0 = Unix.gettimeofday () in
-  let r = Fault_fuzz.campaign ~seed ~min_crash_cases () in
+  let r = Differential.campaign ~seed ~min_crash_cases () in
   let dt = Unix.gettimeofday () -. t0 in
+  (* Runs whose point name has [v] as its [i]-th component. *)
+  let runs i v =
+    List.fold_left
+      (fun n (p, k) -> if List.nth_opt (String.split_on_char '/' p) i = Some v then n + k else n)
+      0 r.Differential.runs
+  in
+  let vector_cases = runs 0 "fused" and async_cases = runs 1 "async" in
+  let transient_cases = runs 4 "transient" in
+  let complete_cases = runs 4 "crash" - r.Differential.crash_cases in
   Printf.printf
     "\n=== faultfuzz: %d programs, %d plans, seed %d in %.1f s ===\n"
-    r.Fault_fuzz.programs r.Fault_fuzz.plans seed dt;
-  Printf.printf "  verified plans     %6d (static Plan_verify before crash-testing)\n"
-    r.Fault_fuzz.verified_plans;
+    r.Differential.programs r.Differential.plans seed dt;
+  Printf.printf "  verified plans     %6d (static Plan_verify before running)\n"
+    r.Differential.verified_plans;
   Printf.printf "  crash cases        %6d (crash points past the end: %d ran clean)\n"
-    r.Fault_fuzz.crash_cases r.Fault_fuzz.complete_cases;
+    r.Differential.crash_cases complete_cases;
   Printf.printf "  recoveries         %6d (resumed output byte-identical)\n"
-    r.Fault_fuzz.recoveries;
-  Printf.printf "  transient runs     %6d\n" r.Fault_fuzz.transient_cases;
-  Printf.printf "  vectorized runs    %6d (compared against interpreted reference)\n"
-    r.Fault_fuzz.vector_cases;
-  Printf.printf "  async runs         %6d (through Backend.with_async: transient + crash)\n"
-    r.Fault_fuzz.async_cases;
-  Printf.printf "  faults injected    %6d\n" r.Fault_fuzz.faults_injected;
-  Printf.printf "  retries            %6d\n" r.Fault_fuzz.retries;
+    r.Differential.recoveries;
+  Printf.printf "  transient runs     %6d\n" transient_cases;
+  Printf.printf "  vectorized runs    %6d (compared against the unfused reference)\n"
+    vector_cases;
+  Printf.printf "  async runs         %6d (through Backend.with_async)\n"
+    async_cases;
+  Printf.printf "  faults injected    %6d\n" r.Differential.faults_injected;
+  Printf.printf "  retries            %6d\n" r.Differential.retries;
+  List.iter (fun (p, n) -> Printf.printf "  %-30s %6d runs\n" p n) r.Differential.runs;
   let oc = open_out faultfuzz_json_file in
   Printf.fprintf oc
     "{\"seed\": %d, \"programs\": %d, \"plans\": %d, \"verified_plans\": %d, \
@@ -942,27 +952,29 @@ let faultfuzz_run ~seed ~min_crash_cases =
      \"recoveries\": %d, \"complete_cases\": %d, \"transient_cases\": %d, \
      \"vector_cases\": %d, \"async_cases\": %d, \"faults_injected\": %d, \
      \"retries\": %d, \
-     \"mismatches\": %d, \"seconds\": %.1f}\n"
-    seed r.Fault_fuzz.programs r.Fault_fuzz.plans r.Fault_fuzz.verified_plans
-    r.Fault_fuzz.crash_cases
-    r.Fault_fuzz.recoveries r.Fault_fuzz.complete_cases r.Fault_fuzz.transient_cases
-    r.Fault_fuzz.vector_cases r.Fault_fuzz.async_cases r.Fault_fuzz.faults_injected
-    r.Fault_fuzz.retries
-    (List.length r.Fault_fuzz.mismatches) dt;
+     \"mismatches\": %d, \"seconds\": %.1f, \"runs\": {%s}}\n"
+    seed r.Differential.programs r.Differential.plans r.Differential.verified_plans
+    r.Differential.crash_cases
+    r.Differential.recoveries complete_cases transient_cases
+    vector_cases async_cases r.Differential.faults_injected
+    r.Differential.retries
+    (List.length r.Differential.mismatches) dt
+    (String.concat ", "
+       (List.map (fun (p, n) -> Printf.sprintf "\"%s\": %d" p n) r.Differential.runs));
   close_out oc;
   Printf.printf "  (wrote %s)\n" faultfuzz_json_file;
-  (match r.Fault_fuzz.mismatches with
+  (match r.Differential.mismatches with
   | [] -> Printf.printf "  zero mismatches\n"
   | ms ->
       List.iter (fun m -> Printf.printf "  MISMATCH %s\n" m) ms;
       failwith
         (Printf.sprintf "faultfuzz: %d mismatches survived" (List.length ms)));
-  if r.Fault_fuzz.recoveries <> r.Fault_fuzz.crash_cases then
+  if r.Differential.recoveries <> r.Differential.crash_cases then
     failwith "faultfuzz: some crash cases did not recover";
-  if r.Fault_fuzz.retries = 0 then failwith "faultfuzz: no retries exercised";
-  if r.Fault_fuzz.async_cases = 0 then
+  if r.Differential.retries = 0 then failwith "faultfuzz: no retries exercised";
+  if async_cases = 0 then
     failwith "faultfuzz: no async-tier cases exercised";
-  if r.Fault_fuzz.verified_plans <> r.Fault_fuzz.plans then
+  if r.Differential.verified_plans <> r.Differential.plans then
     failwith "faultfuzz: some plans failed static verification"
 
 let faultfuzz () =
@@ -1085,14 +1097,14 @@ let cpubound_run ~variant ~grid ~block ~reps ~gate =
       let stores =
         Engine.stores_for backend ~format:Block_store.Daf_format ~config
       in
-      Fault_fuzz.load_inputs prog config stores;
+      Differential.load_inputs prog config stores;
       let t0 = Unix.gettimeofday () in
       ignore
         (Engine.run ~compute:true ~stores ~mode cplan ~backend
            ~format:Block_store.Daf_format ~mem_cap:cplan.Cplan.peak_memory);
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !best then best := dt;
-      snap := Some (Fault_fuzz.snapshot backend stores)
+      snap := Some (Differential.snapshot stores)
     done;
     (!best, Option.get !snap)
   in
@@ -1235,7 +1247,7 @@ let iolap_run ~variant ~scale ~reps ~gate =
     in
     let exec b =
       let stores = Engine.stores_for b ~format:Block_store.Daf_format ~config in
-      Fault_fuzz.load_inputs prog config stores;
+      Differential.load_inputs prog config stores;
       b.Backend.sync ();
       let t0 = Unix.gettimeofday () in
       let r =
@@ -1251,7 +1263,7 @@ let iolap_run ~variant ~scale ~reps ~gate =
     let stores =
       Engine.stores_for inner ~format:Block_store.Daf_format ~config
     in
-    (wall, r, Fault_fuzz.snapshot inner stores)
+    (wall, r, Differential.snapshot stores)
   in
   let repeat ~sleep_factor ~async =
     let best_wall = ref infinity and out = ref None in

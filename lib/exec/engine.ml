@@ -150,9 +150,13 @@ let verify_exn ?cap_bytes plan =
   if not (Riot_plan.Plan_verify.ok r) then
     raise (Riot_plan.Plan_verify.Rejected r)
 
+let prefetch = 2 (* read-ahead depth, in plan steps *)
+
 let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
-    ?(mode = Vector) ?(verify = false) ?(prefetch = 2) (plan : Cplan.t)
-    ~backend ~format ~mem_cap =
+    ?(mode = Vector) (plan : Cplan.t) ~backend ~format ~mem_cap =
+  (* A LAB-tree insert is three writes: a crash between them breaks its index. *)
+  if (journal || resume) && format = Block_store.Lab_format then
+    invalid_arg "Engine.run: journal and resume need the DAF format";
   (* A caller-supplied store list must cover the plan before anything runs:
      a gap would otherwise surface as [Not_found] at that array's first
      access, after earlier steps had already written. *)
@@ -164,7 +168,6 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
             invalid_arg ("Engine.run: no store for array " ^ name))
         plan.Cplan.config.Config.layouts)
     stores;
-  if verify then verify_exn ~cap_bytes:mem_cap plan;
   let t0 = Unix.gettimeofday () in
   let vt0 = backend.Backend.stats.Io_stats.virtual_time in
   let r0 = backend.Backend.stats.Io_stats.reads
@@ -234,9 +237,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
   (* Read-ahead hints.  Phantom runs are excluded: they account reads via
      [touch_read] without materialising bytes, so a real prefetched pread
      would double-count the traffic. *)
-  let hints =
-    if compute && prefetch > 0 then Some (Prefetch.make plan) else None
-  in
+  let hints = if compute then Some (Prefetch.make plan) else None in
   let issue_hints ~now ~horizon =
     match hints with
     | None -> ()

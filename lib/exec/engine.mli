@@ -79,8 +79,6 @@ val run :
   ?journal:bool ->
   ?resume:bool ->
   ?mode:mode ->
-  ?verify:bool ->
-  ?prefetch:int ->
   Riot_plan.Cplan.t ->
   backend:Riot_storage.Backend.t ->
   format:Riot_storage.Block_store.format ->
@@ -125,7 +123,10 @@ val run :
     reloaded and re-pinned, and execution continues to completion - a run
     killed at any point (mid-step included) re-run with [~resume:true]
     produces byte-identical output.  See {!Journal} for the format and the
-    safety argument.  Both default off and then cost nothing.
+    safety argument.  Both default off and then cost nothing.  Both need
+    the DAF format: a LAB-tree insert is three writes (payload, leaf page,
+    meta page), and a crash between them breaks its index.
+    @raise Invalid_argument, before any storage is touched, on [Lab_format].
 
     [mode] (default {!Vector}) selects whether the compiled plan fuses.  A
     [compute = false] run never fuses (there are no buffers for a chain to
@@ -145,19 +146,12 @@ val run :
     correctly under either, because watermark records are plan-based and
     every fused watermark is also an unfused one.
 
-    [verify] (default false) runs {!verify_exn} with [cap_bytes = mem_cap]
-    before touching storage, rejecting a malformed plan statically instead
-    of corrupting state at run time.
-
-    [prefetch] (default 2) is the read-ahead depth in plan steps: at each
-    dispatch boundary the engine issues {!Riot_storage.Block_store.prefetch}
-    hints for the [From_disk] reads of the next [prefetch] steps, as
-    scheduled by {!Riot_plan.Prefetch} (hints are only issued at steps where
-    they are provably ordered after any pending write-back of the same
-    block).  Hints are no-ops on synchronous backends and overlap reads with
-    computation under {!Riot_storage.Backend.async}; they never change the
-    set of physical requests.  [prefetch = 0] disables hinting; phantom runs
-    ([compute = false]) never hint. *)
+    At each dispatch boundary a computing run issues
+    {!Riot_storage.Block_store.prefetch} hints for the [From_disk] reads of
+    the next two steps, where {!Riot_plan.Prefetch} proves them ordered
+    after any pending write-back of the block.  They overlap reads with
+    computation under {!Riot_storage.Backend.async}, are no-ops on
+    synchronous backends, and never change the physical requests. *)
 
 val run_opportunistic :
   Riot_plan.Cplan.t ->

@@ -13,6 +13,9 @@ let fail st msg =
        (Printf.sprintf "line %d: parse error: %s (found %s)" st.lx.Lexer.line msg
           (Lexer.token_name st.tok)))
 
+let fail_at line fmt =
+  Printf.ksprintf (fun m -> raise (Error (Printf.sprintf "line %d: %s" line m))) fmt
+
 let advance st = st.tok <- Lexer.next st.lx
 
 let expect st tok msg =
@@ -106,7 +109,9 @@ let declaration st decls =
   | Lexer.Kw_param ->
       advance st;
       let rec names () =
-        decls.params <- decls.params @ [ ident st ];
+        let p = ident st in
+        if List.mem p decls.params then fail_at st.lx.Lexer.line "duplicate parameter %s" p;
+        decls.params <- decls.params @ [ p ];
         if st.tok = Lexer.Comma then begin
           advance st;
           names ()
@@ -146,14 +151,15 @@ let declaration st decls =
 
 let vars_of_aexps l = List.concat_map B.aexp_vars l
 
-type env = (string * B.aexp) list (* loop var -> lower bound, outer first *)
+type loop = { var : string; lo : B.aexp; hi : B.aexp; line : int }
 
 let counter = ref 0
 
 (* Conditions from enclosing [if]s, each an aexp required >= 0; they narrow
    every access of the statements below (the paper's static-control
    conditionals). *)
-let statement st (env : env) (conds : B.aexp list) =
+let statement st decls (env : loop list) (conds : B.aexp list) =
+  let line = st.lx.Lexer.line in
   let lhs = paccess st in
   let op =
     match st.tok with
@@ -207,6 +213,24 @@ let statement st (env : env) (conds : B.aexp list) =
     | `Assign, (`Mul | `Rss), _ -> fail st "products and rss() accumulate: use '+='"
     | _ -> fail st "unsupported statement shape"
   in
+  (* What Build would reject, positioned at the statement or loop. *)
+  let scope = decls.params @ List.map (fun l -> l.var) env in
+  let check_vars line what es =
+    List.iter
+      (fun v -> if not (List.mem v scope) then fail_at line "unknown variable %s in %s" v what)
+      (vars_of_aexps es)
+  in
+  List.iter (fun l -> check_vars l.line "a loop bound" [ l.lo; l.hi ]) env;
+  check_vars line "a condition" conds;
+  List.iter
+    (fun (a : pacc) ->
+      match List.find_opt (fun (d : Array_info.t) -> d.name = a.parray) decls.arrays with
+      | None -> fail_at line "undeclared array %s" a.parray
+      | Some d when List.length a.subs <> d.ndims ->
+          fail_at line "access to %s has %d subscripts, array has %d dims" a.parray
+            (List.length a.subs) d.ndims
+      | Some _ -> check_vars line ("a subscript of " ^ a.parray) a.subs)
+    (lhs :: operands);
   incr counter;
   let name = Printf.sprintf "s%d" !counter in
   (* Accumulating statements read their own target except at the first
@@ -215,14 +239,12 @@ let statement st (env : env) (conds : B.aexp list) =
   let self_read =
     if Kernel.is_accumulating kernel then begin
       let lhs_vars = vars_of_aexps lhs.subs in
-      let reduction =
-        List.filter (fun (v, _) -> not (List.mem v lhs_vars)) env
-      in
+      let reduction = List.filter (fun l -> not (List.mem l.var lhs_vars)) env in
       if reduction = [] then []
       else
         let cond =
           List.fold_left
-            (fun acc (v, lo) -> B.(acc + var v - lo))
+            (fun acc l -> B.(acc + var l.var - l.lo))
             (B.cst (-1)) reduction
         in
         [ B.read_if [ cond ] lhs.parray lhs.subs ]
@@ -238,7 +260,7 @@ let statement st (env : env) (conds : B.aexp list) =
   in
   B.stmt name ~kernel ~accs
 
-let rec item st (env : env) (conds : B.aexp list) =
+let rec item st decls (env : loop list) (conds : B.aexp list) =
   match st.tok with
   | Lexer.Kw_if ->
       advance st;
@@ -247,14 +269,16 @@ let rec item st (env : env) (conds : B.aexp list) =
       expect st Lexer.Ge_op "expected '>=' in if condition";
       let rhs = aexp st in
       expect st Lexer.Rparen "expected ')'";
-      let body = body st env B.(lhs - rhs :: conds) in
+      let body = body st decls env B.(lhs - rhs :: conds) in
       (match body with
       | [ one ] -> one
       | _ -> fail st "an if body must hold exactly one statement or loop (wrap in one loop)")
   | Lexer.Kw_for ->
+      let line = st.lx.Lexer.line in
       advance st;
       expect st Lexer.Lparen "expected '(' after for";
       let v = ident st in
+      if List.exists (fun l -> l.var = v) env then fail_at line "shadowed loop variable %s" v;
       expect st Lexer.Assign "expected '=' in for initialiser";
       let lo = aexp st in
       expect st Lexer.Semi "expected ';' in for";
@@ -275,21 +299,21 @@ let rec item st (env : env) (conds : B.aexp list) =
       if v3 <> v then fail st "for increment must use the loop variable";
       expect st Lexer.Plus_plus "expected '++'";
       expect st Lexer.Rparen "expected ')'";
-      let body = body st ((v, lo) :: env) conds in
+      let body = body st decls ({ var = v; lo; hi; line } :: env) conds in
       B.for_ v ~lo ~hi body
-  | _ -> statement st env conds
+  | _ -> statement st decls env conds
 
-and body st env conds =
+and body st decls env conds =
   if st.tok = Lexer.Lbrace then begin
     advance st;
     let items = ref [] in
     while st.tok <> Lexer.Rbrace do
-      items := !items @ [ item st env conds ]
+      items := !items @ [ item st decls env conds ]
     done;
     advance st;
     !items
   end
-  else [ item st env conds ]
+  else [ item st decls env conds ]
 
 let program ~name src =
   counter := 0;
@@ -302,7 +326,7 @@ let program ~name src =
     done;
     let items = ref [] in
     while st.tok <> Lexer.Eof do
-      items := !items @ [ item st [] [] ]
+      items := !items @ [ item st decls [] [] ]
     done;
     B.program ~name ~params:decls.params ~arrays:decls.arrays !items
   with

@@ -32,7 +32,11 @@
     Subscripts accept both [X[i][j]] and [X[i,j]]; bounds and subscripts are
     affine in loop variables and parameters.
 
-    @raise Error with a message and position on malformed input. *)
+    @raise Error on malformed input, with a message that starts
+    ["line N: "]: the line of the offending token for syntax errors, and the
+    line of the statement or loop for validation errors (an unknown
+    variable, a shadowed loop variable, an undeclared array, a subscript
+    count that does not match the declaration, a duplicate parameter). *)
 
 exception Error of string
 

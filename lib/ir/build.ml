@@ -62,7 +62,7 @@ let program ~name ~params ?context ~arrays items =
             in
             let to_aff (a : aexp) =
               Aff.of_assoc space ~const:a.aconst
-                (List.map (fun (v, c) -> (qual v, c)) a.terms)
+                (List.filter_map (fun (v, c) -> if c = 0 then None else Some (qual v, c)) a.terms)
             in
             let domain =
               List.fold_left

@@ -1,11 +1,8 @@
 (* The asynchronous storage tier: Io_queue semantics, the Backend.async
-   wrapper, and the sync-vs-async differential contract.
-
-   The contract under test (see backend.mli): for any program and any legal
-   plan, routing storage through [Backend.with_async] produces byte-identical
-   array streams and an identical physical request set — same read/write and
-   byte counts, same per-array breakdown — as the synchronous run.  Read-ahead
-   and write-behind only move requests in time, never add or drop them. *)
+   wrapper, and the prefetch schedule.  The sync = async contract itself
+   (byte-identical array contents and identical per-array physical I/O) is
+   checked by Riotshare.Differential (test_differential.ml) at every point
+   of the configuration product. *)
 
 module Backend = Riot_storage.Backend
 module Io_queue = Riot_storage.Io_queue
@@ -13,13 +10,10 @@ module Io_stats = Riot_storage.Io_stats
 module Block_store = Riot_storage.Block_store
 module Cplan = Riot_plan.Cplan
 module Prefetch = Riot_plan.Prefetch
-module Engine = Riot_exec.Engine
-module Rand_prog = Riot_ops.Rand_prog
-module Fault_fuzz = Riotshare.Fault_fuzz
+module Differential = Riotshare.Differential
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let format = Block_store.Daf_format
 
 let mk_backend () =
   Backend.sim ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:0. ()
@@ -129,104 +123,6 @@ let test_async_deferred_error_surfaces () =
   check_bool "deferred write error re-raised at the barrier" true raised;
   Riot_base.Failpoint.reset ()
 
-(* --- sync = async differential -------------------------------------------- *)
-
-let counts (s : Io_stats.t) =
-  (s.Io_stats.reads, s.Io_stats.writes, s.Io_stats.bytes_read,
-   s.Io_stats.bytes_written)
-
-let run_sync prog config cplan =
-  let backend = mk_backend () in
-  let stores = Engine.stores_for backend ~format ~config in
-  Fault_fuzz.load_inputs prog config stores;
-  Io_stats.reset backend.Backend.stats;
-  let r =
-    Engine.run ~compute:true ~stores ~mode:Engine.Vector cplan ~backend ~format
-      ~mem_cap:cplan.Cplan.peak_memory
-  in
-  (r, Fault_fuzz.snapshot backend stores, counts backend.Backend.stats)
-
-let run_async ?prefetch prog config cplan =
-  let inner = mk_backend () in
-  let r =
-    Backend.with_async inner (fun backend ->
-        let stores = Engine.stores_for backend ~format ~config in
-        Fault_fuzz.load_inputs prog config stores;
-        backend.Backend.sync ();
-        Io_stats.reset inner.Backend.stats;
-        Engine.run ~compute:true ~stores ?prefetch ~mode:Engine.Vector cplan
-          ~backend ~format ~mem_cap:cplan.Cplan.peak_memory)
-  in
-  (* The wrapper has drained and shut down: snapshot the raw disk. *)
-  let stores = Engine.stores_for inner ~format ~config in
-  (r, Fault_fuzz.snapshot inner stores, counts inner.Backend.stats)
-
-(* Virtual disk time is a float accumulated in request order; async reorders
-   requests, so compare up to rounding. *)
-let same_vtime a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a)
-
-let differential ?prefetch prog config cplan =
-  let rs, ss, cs = run_sync prog config cplan in
-  let ra, sa, ca = run_async ?prefetch prog config cplan in
-  ss = sa && cs = ca
-  && rs.Engine.per_array = ra.Engine.per_array
-  && same_vtime rs.Engine.virtual_io_seconds ra.Engine.virtual_io_seconds
-
-let plans_for prog config =
-  let analysis = Riot_analysis.Deps.extract prog ~ref_params:Rand_prog.ref_params in
-  let plans, _ =
-    Riot_optimizer.Search.enumerate ~max_size:2 prog ~analysis
-      ~ref_params:Rand_prog.ref_params
-  in
-  List.map
-    (fun (p : Riot_optimizer.Search.plan) ->
-      Cplan.build prog ~config ~sched:p.Riot_optimizer.Search.sched
-        ~realized:p.Riot_optimizer.Search.q)
-    (Fault_fuzz.select_plans 2 plans)
-
-let seed_gen =
-  QCheck.make
-    ~print:(fun s ->
-      Printf.sprintf "%d (%s=%d)" s Rand_prog.seed_env_var
-        (Rand_prog.master_seed ()))
-    QCheck.Gen.(int_range 0 100000)
-
-let prop_differential =
-  QCheck.Test.make ~name:"async: sync = async on random programs" ~count:150
-    seed_gen (fun seed ->
-      let with_prog =
-        if seed mod 2 = 0 then Rand_prog.with_program
-        else Rand_prog.with_ew_program
-      in
-      with_prog seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          (* Vary the read-ahead depth with the seed: 0 (pure write-behind),
-             the default, and a horizon past every plan's length. *)
-          let prefetch = [| 0; 2; 1000 |].(seed mod 3) in
-          List.for_all (differential ~prefetch prog config)
-            (plans_for prog config)))
-
-(* Cheap deterministic replays on pinned seeds so the tier-1 quick run
-   crosses the storage tiers too. *)
-let test_pinned_seeds () =
-  List.iter
-    (fun seed ->
-      Rand_prog.with_ew_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.iter
-            (fun cplan ->
-              if not (differential prog config cplan) then
-                Alcotest.failf "ew seed %d diverged under async" seed)
-            (plans_for prog config));
-      Rand_prog.with_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.iter
-            (fun cplan ->
-              if not (differential prog config cplan) then
-                Alcotest.failf "opaque seed %d diverged under async" seed)
-            (plans_for prog config)))
-    [ 0; 1; 2 ]
-
 (* The hint schedule respects the write-before-read fences: a hint's
    earliest safe issue step must not precede the step after the block's
    last prior touch (read, write or pin release — any of them can put a
@@ -235,45 +131,44 @@ let test_pinned_seeds () =
 let test_prefetch_schedule_safety () =
   List.iter
     (fun seed ->
-      Rand_prog.with_ew_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.iter
-            (fun (cplan : Cplan.t) ->
-              let h = Prefetch.make cplan in
-              check_int "one slot per step" (Array.length cplan.Cplan.steps)
-                (Prefetch.length h);
-              Array.iteri
-                (fun t (st : Cplan.step) ->
-                  List.iter
-                    (fun (blk, earliest) ->
-                      if
-                        not
-                          (List.exists
-                             (fun (_, b, src) ->
-                               b = blk && src = Cplan.From_disk)
-                             st.Cplan.reads)
-                      then Alcotest.failf "seed %d: hint without its read" seed;
-                      if earliest >= t then
-                        Alcotest.failf "seed %d: empty issue window" seed;
-                      let fence = ref 0 in
-                      for s = 0 to t - 1 do
-                        let touches (_, b, _) = b = blk in
-                        let stp = cplan.Cplan.steps.(s) in
-                        if
-                          List.exists touches stp.Cplan.reads
-                          || List.exists touches stp.Cplan.writes
-                          || List.exists
-                               (fun (b, _, stop) -> b = blk && stop = s)
-                               cplan.Cplan.pins
-                        then fence := s + 1
-                      done;
-                      if earliest < !fence then
-                        Alcotest.failf
-                          "seed %d: hint for step %d issuable at %d, fence %d"
-                          seed t earliest !fence)
-                    (Prefetch.hints_at h t))
-                cplan.Cplan.steps)
-            (plans_for prog config)))
+      let c = Differential.case_of_seed seed in
+      List.iter
+        (fun (cplan : Cplan.t) ->
+          let h = Prefetch.make cplan in
+          check_int "one slot per step" (Array.length cplan.Cplan.steps)
+            (Prefetch.length h);
+          Array.iteri
+            (fun t (st : Cplan.step) ->
+              List.iter
+                (fun (blk, earliest) ->
+                  if
+                    not
+                      (List.exists
+                         (fun (_, b, src) ->
+                           b = blk && src = Cplan.From_disk)
+                         st.Cplan.reads)
+                  then Alcotest.failf "seed %d: hint without its read" seed;
+                  if earliest >= t then
+                    Alcotest.failf "seed %d: empty issue window" seed;
+                  let fence = ref 0 in
+                  for s = 0 to t - 1 do
+                    let touches (_, b, _) = b = blk in
+                    let stp = cplan.Cplan.steps.(s) in
+                    if
+                      List.exists touches stp.Cplan.reads
+                      || List.exists touches stp.Cplan.writes
+                      || List.exists
+                           (fun (b, _, stop) -> b = blk && stop = s)
+                           cplan.Cplan.pins
+                    then fence := s + 1
+                  done;
+                  if earliest < !fence then
+                    Alcotest.failf
+                      "seed %d: hint for step %d issuable at %d, fence %d"
+                      seed t earliest !fence)
+                (Prefetch.hints_at h t))
+            cplan.Cplan.steps)
+        c.Differential.plans)
     [ 0; 1; 2; 3 ]
 
 let suite =
@@ -289,6 +184,4 @@ let suite =
       Alcotest.test_case "deferred errors surface at barriers" `Quick
         test_async_deferred_error_surfaces;
       Alcotest.test_case "prefetch schedule respects fences" `Quick
-        test_prefetch_schedule_safety;
-      Alcotest.test_case "pinned differential seeds" `Quick test_pinned_seeds ]
-    @ List.map QCheck_alcotest.to_alcotest [ prop_differential ] )
+        test_prefetch_schedule_safety ] )

@@ -3,7 +3,7 @@
    The failpoint registry and the faulty/retrying backend wrappers are
    tested directly; the engine's journal/resume path is tested on real
    accumulating kernels (add_mul's GEMM chains) and, through
-   Riotshare.Fault_fuzz, on randomly generated programs with crash points
+   Riotshare.Differential, on randomly generated programs with crash points
    swept across the whole I/O schedule.  All randomness derives from
    Rand_prog.master_seed (RIOT_TEST_SEED, default 77). *)
 
@@ -20,7 +20,7 @@ module Programs = Riot_ops.Programs
 module Rand_prog = Riot_ops.Rand_prog
 module Config = Riot_ir.Config
 module Dense = Riot_kernels.Dense
-module Fault_fuzz = Riotshare.Fault_fuzz
+module Differential = Riotshare.Differential
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -339,7 +339,7 @@ let test_resume_real_kernels () =
   Failpoint.reset ();
   let clean = sim () in
   load_addmul config (Engine.stores_for clean ~format ~config);
-  let reference = Fault_fuzz.snapshot clean (run clean) in
+  let reference = Differential.snapshot (run clean) in
   (* Probe the op count, then crash at a few points across the schedule. *)
   let probe = sim () in
   load_addmul config (Engine.stores_for probe ~format ~config);
@@ -360,7 +360,7 @@ let test_resume_real_kernels () =
       check_bool
         (Printf.sprintf "resumed output identical (crash at op %d/%d)" k ops)
         true
-        (Fault_fuzz.snapshot b stores = reference))
+        (Differential.snapshot stores = reference))
     [ 5; 33; 60; 90; 99 ]
 
 (* --- Crash-restart on the file backend ------------------------------------ *)
@@ -386,13 +386,13 @@ let test_file_backend_crash_restart () =
       in
       (* Reference on the simulated backend. *)
       let clean = sim () in
-      Fault_fuzz.load_inputs prog config (Engine.stores_for clean ~format ~config);
-      let reference = Fault_fuzz.snapshot clean (run clean) in
+      Differential.load_inputs prog config (Engine.stores_for clean ~format ~config);
+      let reference = Differential.snapshot (run clean) in
       (* Same plan on real files: crash mid-run, close the fds (process
          death), reopen the directory and resume. *)
       let root = tmpdir () in
       let b1 = Backend.file ~root in
-      Fault_fuzz.load_inputs prog config (Engine.stores_for b1 ~format ~config);
+      Differential.load_inputs prog config (Engine.stores_for b1 ~format ~config);
       Failpoint.arm Backend.fp_crash (Failpoint.Nth max_int);
       ignore (run ~journal:true (Backend.faulty b1));
       let ops = Failpoint.hits Backend.fp_crash in
@@ -400,7 +400,7 @@ let test_file_backend_crash_restart () =
       (* Redo from scratch in a second directory with a mid-run crash. *)
       let root2 = tmpdir () in
       let b2 = Backend.file ~root:root2 in
-      Fault_fuzz.load_inputs prog config (Engine.stores_for b2 ~format ~config);
+      Differential.load_inputs prog config (Engine.stores_for b2 ~format ~config);
       Failpoint.arm Backend.fp_crash (Failpoint.Nth (max 1 (ops / 2)));
       (try ignore (run ~journal:true (Backend.faulty b2))
        with Backend.Crash _ -> ());
@@ -409,35 +409,38 @@ let test_file_backend_crash_restart () =
       let b3 = Backend.file ~root:root2 in
       let stores = run ~journal:true ~resume:true b3 in
       check_bool "file-backend resumed output identical" true
-        (Fault_fuzz.snapshot b3 stores = reference);
+        (Differential.snapshot stores = reference);
       b3.Backend.close ())
 
 (* --- Randomized crash-consistency campaign -------------------------------- *)
 
-let campaign_ok (r : Fault_fuzz.result) =
-  List.iter (fun m -> Printf.printf "mismatch: %s\n" m) r.Fault_fuzz.mismatches;
+(* The crash and transient-fault campaign is the differential harness run
+   over the full configuration product. *)
+let campaign_ok (r : Differential.tally) =
+  List.iter (fun m -> Printf.printf "mismatch: %s\n" m) r.Differential.mismatches;
   Printf.printf
     "faultfuzz: %d programs, %d plans, %d crash cases, %d recoveries, %d \
-     transient, %d vectorized, %d faults, %d retries (RIOT_TEST_SEED=%d)\n"
-    r.Fault_fuzz.programs r.Fault_fuzz.plans r.Fault_fuzz.crash_cases
-    r.Fault_fuzz.recoveries r.Fault_fuzz.transient_cases
-    r.Fault_fuzz.vector_cases r.Fault_fuzz.faults_injected r.Fault_fuzz.retries
+     faults, %d retries (RIOT_TEST_SEED=%d)\n"
+    r.Differential.programs r.Differential.plans r.Differential.crash_cases
+    r.Differential.recoveries r.Differential.faults_injected r.Differential.retries
     (Rand_prog.master_seed ());
-  Alcotest.(check (list string)) "no mismatches" [] r.Fault_fuzz.mismatches;
-  check_int "every crash recovered" r.Fault_fuzz.crash_cases
-    r.Fault_fuzz.recoveries;
-  check_bool "some crashes exercised" true (r.Fault_fuzz.crash_cases > 0);
-  check_bool "vectorized runs compared" true (r.Fault_fuzz.vector_cases > 0);
-  check_bool "transient faults absorbed" true (r.Fault_fuzz.retries > 0)
+  List.iter (fun (p, n) -> Printf.printf "  %-32s %5d runs\n" p n) r.Differential.runs;
+  Alcotest.(check (list string)) "no mismatches" [] r.Differential.mismatches;
+  check_int "every crash recovered" r.Differential.crash_cases
+    r.Differential.recoveries;
+  check_bool "some crashes exercised" true (r.Differential.crash_cases > 0);
+  check_bool "vectorized runs compared" true
+    (List.exists (fun (p, _) -> String.starts_with ~prefix:"fused/" p) r.Differential.runs);
+  check_bool "transient faults absorbed" true (r.Differential.retries > 0)
 
 let test_campaign_smoke () =
   campaign_ok
-    (Fault_fuzz.campaign ~seed:(Rand_prog.master_seed ()) ~min_crash_cases:20
+    (Differential.campaign ~seed:(Rand_prog.master_seed ()) ~min_crash_cases:20
        ~plans_per_program:2 ~crash_points:5 ())
 
 let test_campaign_deterministic () =
   let go () =
-    Fault_fuzz.campaign ~seed:(Rand_prog.master_seed ()) ~min_crash_cases:6
+    Differential.campaign ~seed:(Rand_prog.master_seed ()) ~min_crash_cases:6
       ~plans_per_program:1 ~crash_points:3 ()
   in
   check_bool "identical results under a fixed seed" true (go () = go ())

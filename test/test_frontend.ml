@@ -214,7 +214,80 @@ let test_errors () =
              for (j = 0; j < n; j++)\n\
              B[i,j] = A[i,j] + ;");
        "no error"
-     with Parse.Error msg -> msg)
+     with Parse.Error msg -> msg);
+  (* So do the validation errors, at their statement or loop. *)
+  List.iter
+    (fun (what, expected, body) ->
+      Alcotest.(check string) what expected
+        (try
+           ignore
+             (Parse.program ~name:"bad"
+                ("param n; input A[n][n]; output B[n][n];\n" ^ body));
+           "no error"
+         with Parse.Error msg -> msg))
+    [ ( "unknown variable",
+        "line 4: unknown variable q in a subscript of A",
+        "for (i = 0; i < n; i++)\n  for (j = 0; j < n; j++)\n    B[i,j] = A[i,q];" );
+      ( "unknown variable in a loop bound",
+        "line 2: unknown variable m in a loop bound",
+        "for (i = 0; i < m; i++)\n  for (j = 0; j < n; j++)\n    B[i,j] = A[i,j];" );
+      ( "shadowed loop variable",
+        "line 4: shadowed loop variable i",
+        "for (i = 0; i < n; i++)\n\n  for (i = 0; i < n; i++)\n    B[i,i] = A[i,i];" );
+      ( "subscript count",
+        "line 5: access to A has 3 subscripts, array has 2 dims",
+        "for (i = 0; i < n; i++)\n  for (j = 0; j < n; j++)\n\n    B[i,j] = A[i,j,j];" );
+      ( "undeclared array",
+        "line 4: undeclared array C",
+        "for (i = 0; i < n; i++)\n  for (j = 0; j < n; j++)\n    B[i,j] = C[i,j];" ) ]
+
+(* Single-token mutations of a realistic source either still parse or fail
+   with a [Parse.Error] carrying a line: never a stray exception, never an
+   unpositioned message. *)
+let tokens src =
+  let n = String.length src in
+  let word c = c = '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if src.[i] = ' ' || src.[i] = '\n' then go (i + 1) (String.make 1 src.[i] :: acc)
+    else if word src.[i] then begin
+      let j = ref i in
+      while !j < n && word src.[!j] do incr j done;
+      go !j (String.sub src i (!j - i) :: acc)
+    end
+    else if i + 1 < n && List.mem (String.sub src i 2) [ "+="; "++"; "<="; ">=" ] then
+      go (i + 2) (String.sub src i 2 :: acc)
+    else go (i + 1) (String.make 1 src.[i] :: acc)
+  in
+  Array.of_list (go 0 [])
+
+let positioned m =
+  match String.index_opt m ':' with
+  | Some k -> k > 5 && String.sub m 0 5 = "line " && int_of_string_opt (String.sub m 5 (k - 5)) <> None
+  | None -> false
+
+let prop_mutations_positioned =
+  let toks = tokens Test_cost_check.dsl_pipeline_source in
+  let pool =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.filter (fun t -> t <> " " && t <> "\n") (Array.to_list toks)
+         @ [ "x"; "0"; "-"; "if"; "for"; "{"; "}"; "inv"; "rss"; "'" ]))
+  in
+  QCheck.Test.make ~name:"frontend: mutated sources fail with a line" ~count:10000
+    QCheck.(triple (int_bound (Array.length toks - 1)) (int_bound 2) (int_bound (Array.length pool - 1)))
+    (fun (i, op, r) ->
+      let t = Array.copy toks in
+      (match op with
+      | 0 -> t.(i) <- pool.(r)
+      | 1 -> t.(i) <- ""
+      | _ -> t.(i) <- t.(i) ^ " " ^ pool.(r));
+      let src = String.concat "" (Array.to_list t) in
+      match Parse.program ~name:"mutant" src with
+      | (_ : Program.t) -> true
+      | exception Parse.Error m ->
+          positioned m
+          || QCheck.Test.fail_reportf "unpositioned error %S for:\n%s" m src)
 
 let test_optimizes_like_ops_version () =
   (* End-to-end: the parsed Example 1 yields the same best plan cost. *)
@@ -236,4 +309,5 @@ let suite =
       Alcotest.test_case "rss and inv" `Quick test_rss_and_inv;
       Alcotest.test_case "if conditionals" `Quick test_if_conditional;
       Alcotest.test_case "errors" `Quick test_errors;
-      Alcotest.test_case "optimizes like ops version" `Quick test_optimizes_like_ops_version ] )
+      Alcotest.test_case "optimizes like ops version" `Quick test_optimizes_like_ops_version ]
+    @ [ QCheck_alcotest.to_alcotest prop_mutations_positioned ] )

@@ -5,4 +5,5 @@ let () =
       Test_storage.suite; Test_kernels.suite; Test_exec.suite; Test_frontend.suite; Test_core.suite;
       Test_random_programs.suite; Test_codegen.suite; Test_ir.suite;
       Test_cost_check.suite; Test_trace.suite; Test_vexec.suite; Test_pool.suite; Test_parallel.suite;
-      Test_faults.suite; Test_plan_verify.suite; Test_async.suite ]
+      Test_faults.suite; Test_plan_verify.suite; Test_async.suite;
+      Test_differential.suite ]

@@ -17,7 +17,7 @@ module Engine = Riot_exec.Engine
 module Journal = Riot_exec.Journal
 module Programs = Riot_ops.Programs
 module Rand_prog = Riot_ops.Rand_prog
-module Fault_fuzz = Riotshare.Fault_fuzz
+module Differential = Riotshare.Differential
 
 let wm_of plan =
   let rp = Journal.analyze plan in
@@ -68,7 +68,7 @@ let plan_pool =
                    ( Printf.sprintf "rand-%d" seed,
                      Cplan.build prog ~config ~sched:p.Search.sched
                        ~realized:p.Search.q ))
-                 (Fault_fuzz.select_plans 3 plans)))
+                 (Differential.select_plans 3 plans)))
          (List.init 10 Fun.id)
      in
      paper @ random)

@@ -2,8 +2,9 @@
    analysis and optimizer invariants must hold for arbitrary loop programs,
    not just the paper's benchmarks.
 
-   The generator lives in Riot_ops.Rand_prog (shared with the faultfuzz
-   harness).  All programs derive from Rand_prog.master_seed, i.e. the
+   The generator lives in Riot_ops.Rand_prog (shared with
+   Riotshare.Differential, which checks the engine contracts on the same
+   distribution).  All programs derive from Rand_prog.master_seed, i.e. the
    RIOT_TEST_SEED environment variable (default 77); a failure prints both
    the case seed and the master seed, which together replay it exactly. *)
 
@@ -17,10 +18,7 @@ module Search = Riot_optimizer.Search
 module Verify = Riot_optimizer.Verify
 module Cplan = Riot_plan.Cplan
 module Engine = Riot_exec.Engine
-module Backend = Riot_storage.Backend
-module Block_store = Riot_storage.Block_store
 module Rand_prog = Riot_ops.Rand_prog
-module Fault_fuzz = Riotshare.Fault_fuzz
 
 let config_for = Rand_prog.config_for
 let ref_params = Rand_prog.ref_params
@@ -105,30 +103,6 @@ let prop_enumerated_plans_verify =
                    p.Search.q)
             plans))
 
-let prop_engine_matches_plan =
-  QCheck.Test.make ~name:"random programs: engine I/O = plan I/O" ~count:20 seed_gen
-    (fun seed ->
-      with_program seed (fun prog ->
-          let config = config_for prog in
-          let analysis = Deps.extract prog ~ref_params in
-          let plans, _ = Search.enumerate ~max_size:1 prog ~analysis ~ref_params in
-          List.for_all
-            (fun (p : Search.plan) ->
-              let cplan =
-                Cplan.build prog ~config ~sched:p.Search.sched ~realized:p.Search.q
-              in
-              let backend =
-                Backend.sim ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:0. ()
-              in
-              let r =
-                Engine.run ~compute:false cplan ~backend
-                  ~format:Block_store.Daf_format ~mem_cap:cplan.Cplan.peak_memory
-              in
-              r.Engine.reads = cplan.Cplan.read_ops
-              && r.Engine.writes = cplan.Cplan.write_ops
-              && r.Engine.pool_peak_bytes <= cplan.Cplan.peak_memory)
-            plans))
-
 (* Static verification over fuzzer-generated legal plans: every plan the
    search accepts must be free of Error-severity diagnostics.  Opaque-nest
    programs legitimately read never-written blocks (served as zeroes), so
@@ -181,55 +155,6 @@ let static_coverage_floor =
         Alcotest.failf "only %d plans statically verified"
           !statically_verified_plans)
 
-let tmpdir () = Filename.temp_file "riot" "" |> fun f -> Sys.remove f; f
-
-(* Plan-output equivalence: every legal plan of a program - whatever it
-   elides, pins or services from memory - must leave byte-identical Output
-   arrays on a real disk.  (Intermediate arrays legitimately differ: a plan
-   may never materialise them.) *)
-let prop_plan_outputs_equal =
-  QCheck.Test.make ~name:"random programs: all plans produce identical outputs"
-    ~count:10 seed_gen (fun seed ->
-      with_program seed (fun prog ->
-          let config = config_for prog in
-          let analysis = Deps.extract prog ~ref_params in
-          let plans, _ = Search.enumerate ~max_size:2 prog ~analysis ~ref_params in
-          let chosen =
-            (* the base schedule plus up to three with realized sharing *)
-            List.filteri
-              (fun i _ ->
-                let n = List.length plans in
-                i = 0 || i = n - 1 || i = n / 3 || i = 2 * n / 3)
-              plans
-          in
-          let outputs =
-            List.map
-              (fun (p : Search.plan) ->
-                let cplan =
-                  Cplan.build prog ~config ~sched:p.Search.sched
-                    ~realized:p.Search.q
-                in
-                let backend = Backend.file ~root:(tmpdir ()) in
-                let format = Block_store.Daf_format in
-                let stores = Engine.stores_for backend ~format ~config in
-                Fault_fuzz.load_inputs prog config stores;
-                ignore
-                  (Engine.run ~compute:true ~stores cplan ~backend ~format
-                     ~mem_cap:cplan.Cplan.peak_memory);
-                let out =
-                  Fault_fuzz.snapshot backend stores
-                  |> List.filter (fun (name, _) ->
-                         (Program.find_array prog name).Riot_ir.Array_info.kind
-                         = Riot_ir.Array_info.Output)
-                in
-                backend.Backend.close ();
-                out)
-              chosen
-          in
-          match outputs with
-          | [] -> true
-          | first :: rest -> List.for_all (( = ) first) rest))
-
 let suite =
   ( "random-programs",
     List.map QCheck_alcotest.to_alcotest
@@ -237,8 +162,6 @@ let suite =
         prop_deps_subset_of_ground_truth;
         prop_sharing_pairs_share_blocks;
         prop_enumerated_plans_verify;
-        prop_engine_matches_plan;
         prop_plans_statically_verify;
-        prop_ew_plans_statically_verify;
-        prop_plan_outputs_equal ]
+        prop_ew_plans_statically_verify ]
     @ [ static_coverage_floor ] )

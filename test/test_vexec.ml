@@ -1,18 +1,8 @@
-(* Differential tests for fused execution.
-
-   The contract under test (see Engine.mode): for any program and any legal
-   plan, the unfused ([Interpret]) and fused ([Vector]) runs of the compiled
-   plan produce byte-identical array streams, identical physical I/O
-   (request and byte counts, virtual disk time, per-array breakdown) and
-   interchangeable journals, whenever the memory cap admits the plan's peak
-   (so neither mode evicts).  Both modes share one kernel table, so this
-   checks fusion, not the kernels; test_exec's and test_kernels' dense
-   references check those.
-
-   Programs draw from both Rand_prog distributions: gen_ew's element-wise
-   chains make the fusion pass fire (and its singles path run on plans that
-   don't realize the sharing); gen's opaque nests exercise the compiled
-   surrogate kernels.  All seeds derive from RIOT_TEST_SEED (default 77). *)
+(* Fused execution: the fusion pass fires where it should, a fused run
+   narrates the plan's step structure, and the fusion analysis is a legal
+   partition.  The unfused = fused contract itself is checked by
+   Riotshare.Differential (test_differential.ml) at every point of the
+   configuration product. *)
 
 module B = Riot_ir.Build
 module Array_info = Riot_ir.Array_info
@@ -25,15 +15,13 @@ module Cplan = Riot_plan.Cplan
 module Fuse = Riot_plan.Fuse
 module Engine = Riot_exec.Engine
 module Vexec = Riot_exec.Vexec
-module Journal = Riot_exec.Journal
 module Trace = Riot_plan.Trace
 module Backend = Riot_storage.Backend
 module Block_store = Riot_storage.Block_store
 module Rand_prog = Riot_ops.Rand_prog
-module Fault_fuzz = Riotshare.Fault_fuzz
+module Differential = Riotshare.Differential
 
 let ref_params = Rand_prog.ref_params
-let format = Block_store.Daf_format
 
 let seed_gen =
   QCheck.make
@@ -42,202 +30,60 @@ let seed_gen =
         (Rand_prog.master_seed ()))
     QCheck.Gen.(int_range 0 100000)
 
-let mk_backend () =
-  Backend.sim ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:0. ()
-
-let plans_for ?(max_size = 2) ?(take = 3) prog =
-  let analysis = Deps.extract prog ~ref_params in
-  let plans, _ = Search.enumerate ~max_size prog ~analysis ~ref_params in
-  Fault_fuzz.select_plans take plans
-
-(* Realized sets without the optimizer search: any subset of the extracted
-   sharing is realizable under the ORIGINAL schedule by construction — a
-   co-access extent only contains pairs ordered by the original execution,
-   and [Cplan.build] pins the shared block between the two endpoints, which
-   [peak_memory] (our mem_cap) then admits.  This sidesteps the Farkas
-   schedule search, whose cost on random programs would dwarf the executors
-   under test, and reliably yields fused runs: chain links are adjacent
-   under the original interleaving, so their writes elide and fusion fires.
-   Returns the base plan, the write-rooted subset (W->R links and W->W
-   elisions) and, when strictly larger, the full sharing. *)
-let direct_qs prog =
-  let analysis = Deps.extract prog ~ref_params in
-  let sharing = analysis.Deps.sharing in
-  let writes =
-    List.filter
-      (fun (c : Riot_analysis.Coaccess.t) ->
-        c.Riot_analysis.Coaccess.src_typ = Access.Write)
-      sharing
-  in
-  [ [] ]
-  @ (match writes with [] -> [] | _ -> [ writes ])
-  @ (if List.length sharing > List.length writes then [ sharing ] else [])
-
-let direct_cplans prog config =
-  List.map
-    (fun q ->
-      Cplan.build prog ~config ~sched:prog.Riot_ir.Program.original ~realized:q)
-    (direct_qs prog)
-
-let build prog config (p : Search.plan) =
-  Cplan.build prog ~config ~sched:p.Search.sched ~realized:p.Search.q
-
-(* One run: fresh simulated disk, deterministic inputs, full-array snapshot. *)
-let run_mode ?journal ?trace prog config cplan mode =
-  let backend = mk_backend () in
-  let stores = Engine.stores_for backend ~format ~config in
-  Fault_fuzz.load_inputs prog config stores;
-  let r =
-    Engine.run ~compute:true ~stores ?journal ?trace ~mode cplan ~backend
-      ~format ~mem_cap:cplan.Cplan.peak_memory
-  in
-  (r, Fault_fuzz.snapshot backend stores, backend)
-
-(* The differential contract deliberately excludes wall_seconds (timing) and
-   pool_peak_bytes (fused chains hold intermediates in a scratch tile, not
-   pool buffers). *)
-let same_io (a : Engine.result) (b : Engine.result) =
-  a.Engine.reads = b.Engine.reads
-  && a.Engine.writes = b.Engine.writes
-  && a.Engine.bytes_read = b.Engine.bytes_read
-  && a.Engine.bytes_written = b.Engine.bytes_written
-  && a.Engine.virtual_io_seconds = b.Engine.virtual_io_seconds
-  && a.Engine.per_array = b.Engine.per_array
-
-let differential prog config cplan =
-  let ri, si, _ = run_mode prog config cplan Engine.Interpret in
-  let rv, sv, _ = run_mode prog config cplan Engine.Vector in
-  si = sv && same_io ri rv
-
-let prop_differential_ew =
-  QCheck.Test.make ~name:"vexec: interpret = vector on element-wise chains"
-    ~count:500 seed_gen (fun seed ->
-      Rand_prog.with_ew_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.for_all (differential prog config) (direct_cplans prog config)))
-
-let prop_differential_opaque =
-  QCheck.Test.make ~name:"vexec: interpret = vector on opaque programs"
-    ~count:500 seed_gen (fun seed ->
-      Rand_prog.with_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.for_all (differential prog config) (direct_cplans prog config)))
-
-(* A thinner sweep through optimizer-found plans (the Farkas search per
-   program is ~10-100x the cost of the differential itself): reordered
-   schedules cross the executors too. *)
-let prop_differential_search =
-  QCheck.Test.make ~name:"vexec: interpret = vector on searched plans"
-    ~count:25 seed_gen (fun seed ->
-      let with_prog =
-        if seed mod 2 = 0 then Rand_prog.with_program
-        else Rand_prog.with_ew_program
-      in
-      with_prog seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.for_all
-            (fun p -> differential prog config (build prog config p))
-            (plans_for ~take:2 prog)))
-
-(* A journalled fused run must (a) leave the same bytes as the plain
-   unfused run, (b) leave a recoverable journal whose watermark the static
-   analysis marked safe (a fused run journals only the latest safe boundary
-   of each fused range), and (c) never meet a restart point strictly inside
-   a fused group at any safe boundary - the engine's unfused fallback for
-   such a point is never needed. *)
-let prop_journal_watermarks =
-  QCheck.Test.make ~name:"vexec: journalled run leaves safe watermarks"
-    ~count:250 seed_gen (fun seed ->
-      Rand_prog.with_ew_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.for_all
-            (fun cplan ->
-              let _, reference, _ =
-                run_mode prog config cplan Engine.Interpret
-              in
-              let _, sv, backend =
-                run_mode ~journal:true prog config cplan Engine.Vector
-              in
-              let rp = Journal.analyze cplan in
-              let wm_ok =
-                match
-                  Journal.recover backend
-                    ~fingerprint:(Journal.fingerprint cplan)
-                with
-                | None -> true (* no safe boundary in the whole plan *)
-                | Some { Journal.watermark; _ } ->
-                    watermark >= 0
-                    && watermark < Array.length cplan.Cplan.steps
-                    && rp.Journal.safe.(watermark)
-              in
-              let groups = Fuse.analyze cplan in
-              let restarts_ok =
-                Array.for_all2
-                  (fun safe r ->
-                    (not safe)
-                    || not
-                         (List.exists
-                            (fun (g : Fuse.group) -> r > g.Fuse.lo && r <= g.Fuse.hi)
-                            groups))
-                  rp.Journal.safe rp.Journal.restart
-              in
-              wm_ok && restarts_ok && sv = reference)
-            (direct_cplans prog config)))
-
 (* Structural invariants of the fusion analysis itself: an ordered partition
    of the step range whose links are single-producer single-consumer
    adjacent elided intermediates. *)
 let prop_fuse_invariants =
   QCheck.Test.make ~name:"vexec: fusion analysis is a legal partition"
     ~count:250 seed_gen (fun seed ->
-      Rand_prog.with_ew_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.for_all
-            (fun cplan ->
-              let n = Array.length cplan.Cplan.steps in
-              let groups = Fuse.analyze cplan in
-              let rec partition_ok expect = function
-                | [] -> expect = n
-                | (g : Fuse.group) :: rest ->
-                    g.Fuse.lo = expect
-                    && g.Fuse.hi >= g.Fuse.lo
-                    && g.Fuse.hi < n
-                    && List.length g.Fuse.links = g.Fuse.hi - g.Fuse.lo
-                    && partition_ok (g.Fuse.hi + 1) rest
-              in
-              let links_ok =
-                List.for_all
-                  (fun (g : Fuse.group) ->
-                    List.for_all2
-                      (fun o link ->
-                        let producer = cplan.Cplan.steps.(g.Fuse.lo + o) in
-                        let consumer = cplan.Cplan.steps.(g.Fuse.lo + o + 1) in
-                        List.exists
-                          (fun (_, b, d) -> b = link && d = Cplan.Elided)
-                          producer.Cplan.writes
-                        && List.exists
-                             (fun (_, b, s) ->
-                               b = link && s = Cplan.From_memory)
-                             consumer.Cplan.reads
-                        (* single producer, single consumer, all in-range *)
-                        && Array.for_all
-                             (fun (st : Cplan.step) ->
-                               List.for_all (fun (_, b, _) -> b <> link)
-                                 st.Cplan.writes
-                               || st == producer)
-                             cplan.Cplan.steps
-                        && Array.for_all
-                             (fun (st : Cplan.step) ->
-                               List.for_all (fun (_, b, _) -> b <> link)
-                                 st.Cplan.reads
-                               || st == consumer)
-                             cplan.Cplan.steps)
-                      (List.init (List.length g.Fuse.links) Fun.id)
-                      g.Fuse.links)
-                  groups
-              in
-              partition_ok 0 groups && links_ok)
-            (direct_cplans prog config)))
+      (* Odd seeds draw element-wise chains with their direct plans. *)
+      let c = Differential.case_of_seed ((2 * seed) + 1) in
+      List.for_all
+        (fun cplan ->
+          let n = Array.length cplan.Cplan.steps in
+          let groups = Fuse.analyze cplan in
+          let rec partition_ok expect = function
+            | [] -> expect = n
+            | (g : Fuse.group) :: rest ->
+                g.Fuse.lo = expect
+                && g.Fuse.hi >= g.Fuse.lo
+                && g.Fuse.hi < n
+                && List.length g.Fuse.links = g.Fuse.hi - g.Fuse.lo
+                && partition_ok (g.Fuse.hi + 1) rest
+          in
+          let links_ok =
+            List.for_all
+              (fun (g : Fuse.group) ->
+                List.for_all2
+                  (fun o link ->
+                    let producer = cplan.Cplan.steps.(g.Fuse.lo + o) in
+                    let consumer = cplan.Cplan.steps.(g.Fuse.lo + o + 1) in
+                    List.exists
+                      (fun (_, b, d) -> b = link && d = Cplan.Elided)
+                      producer.Cplan.writes
+                    && List.exists
+                         (fun (_, b, s) ->
+                           b = link && s = Cplan.From_memory)
+                         consumer.Cplan.reads
+                    (* single producer, single consumer, all in-range *)
+                    && Array.for_all
+                         (fun (st : Cplan.step) ->
+                           List.for_all (fun (_, b, _) -> b <> link)
+                             st.Cplan.writes
+                           || st == producer)
+                         cplan.Cplan.steps
+                    && Array.for_all
+                         (fun (st : Cplan.step) ->
+                           List.for_all (fun (_, b, _) -> b <> link)
+                             st.Cplan.reads
+                           || st == consumer)
+                         cplan.Cplan.steps)
+                  (List.init (List.length g.Fuse.links) Fun.id)
+                  g.Fuse.links)
+              groups
+          in
+          partition_ok 0 groups && links_ok)
+        c.Differential.plans)
 
 (* --- deterministic cases --------------------------------------------------- *)
 
@@ -283,7 +129,7 @@ let fused_plan () =
   let best =
     List.fold_left
       (fun acc (p : Search.plan) ->
-        let c = build prog config p in
+        let c = Cplan.build prog ~config ~sched:p.Search.sched ~realized:p.Search.q in
         match acc with
         | Some (_, c') when fused_steps c' >= fused_steps c -> acc
         | _ -> Some (p, c))
@@ -313,9 +159,12 @@ let test_fusion_fires () =
       compiled.Vexec.ops
   in
   Alcotest.(check bool) "the 3-stage chain fuses end to end" true full_chain;
-  Alcotest.(check bool)
-    "fused plan is differentially clean" true
-    (differential prog config cplan)
+  let t = Differential.tally () in
+  Differential.check_case t
+    { Differential.name = "chain3"; prog; config; opaque = false; plans = [ cplan ] }
+    (fun _ _ -> []);
+  Alcotest.(check (list string)) "fused plan is differentially clean" []
+    t.Differential.mismatches
 
 (* The vectorized trace replays the interpreted step structure: one
    Step_begin/Step_end bracket per plan step in order, the plan's reads and
@@ -324,7 +173,14 @@ let test_vector_trace () =
   let prog, config, cplan = fused_plan () in
   let events = ref [] in
   let sink = { Trace.emit = (fun e -> events := e :: !events) } in
-  let r, _, _ = run_mode ~trace:sink prog config cplan Engine.Vector in
+  let backend = Backend.sim ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:0. () in
+  let format = Block_store.Daf_format in
+  let stores = Engine.stores_for backend ~format ~config in
+  Differential.load_inputs prog config stores;
+  let r =
+    Engine.run ~stores ~trace:sink cplan ~backend ~format
+      ~mem_cap:cplan.Cplan.peak_memory
+  in
   let events = List.rev !events in
   let n = Array.length cplan.Cplan.steps in
   (* step brackets *)
@@ -388,38 +244,10 @@ let test_vector_trace () =
   Alcotest.(check int) "reads = plan" cplan.Cplan.read_ops r.Engine.reads;
   Alcotest.(check int) "writes = plan" cplan.Cplan.write_ops r.Engine.writes
 
-(* Pinned regression seeds: cheap deterministic replays of the differential
-   property on both distributions (kept `Quick so the tier-1 run crosses the
-   executors too). *)
-let test_pinned_seeds () =
-  List.iter
-    (fun seed ->
-      Rand_prog.with_ew_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.iter
-            (fun p ->
-              if not (differential prog config (build prog config p)) then
-                Alcotest.failf "ew seed %d diverged" seed)
-            (plans_for ~take:2 prog));
-      Rand_prog.with_program seed (fun prog ->
-          let config = Rand_prog.config_for prog in
-          List.iter
-            (fun p ->
-              if not (differential prog config (build prog config p)) then
-                Alcotest.failf "opaque seed %d diverged" seed)
-            (plans_for ~take:2 prog)))
-    [ 0; 1; 2; 3 ]
-
 let suite =
   ( "vexec",
     [ Alcotest.test_case "fusion fires on a 3-stage chain" `Quick
         test_fusion_fires;
       Alcotest.test_case "vector trace replays the plan" `Quick
         test_vector_trace;
-      Alcotest.test_case "pinned differential seeds" `Quick test_pinned_seeds ]
-    @ List.map QCheck_alcotest.to_alcotest
-        [ prop_differential_ew;
-          prop_differential_opaque;
-          prop_differential_search;
-          prop_journal_watermarks;
-          prop_fuse_invariants ] )
+      QCheck_alcotest.to_alcotest prop_fuse_invariants ] )
