@@ -186,13 +186,13 @@ let check_trace (cplan : Cplan.t) ~fused (r : Engine.result) events =
   if (not fused) && r.pool_peak_bytes <> cplan.peak_memory then
     broken "pool peak %d bytes, peak_memory %d" r.pool_peak_bytes cplan.peak_memory
 
-let check_same_io ~loose (r : Engine.result) (base : Engine.result) =
+let check_same_io ~loose ~base_name (r : Engine.result) (base : Engine.result) =
   let mask (a : Cost_check.actual) = if loose then { a with a_read_bytes = 0 } else a in
   let vr = r.virtual_io_seconds and vb = base.virtual_io_seconds in
   if List.map mask r.per_array <> List.map mask base.per_array then
-    broken "per-array I/O differs from the sync clean run";
+    broken "per-array I/O differs from the %s run" base_name;
   if Float.abs (vr -. vb) > 1e-9 *. Float.max 1. vb then
-    broken "virtual I/O %g s, sync clean run %g s" vr vb
+    broken "virtual I/O %g s, %s run %g s" vr base_name vb
 
 let check_static c cplan =
   let vr = Engine.verify cplan in
@@ -240,8 +240,8 @@ let check_plan t ~where c cplan points =
   in
   guard "static" (fun () -> check_static c cplan; t.verified_plans <- t.verified_plans + 1);
   let dirty = reads_unwritten c cplan in
-  (* Clean and transient runs; the clean ones are kept as the baselines of
-     the async and transient runs at their point. *)
+  (* Clean and transient runs; the unfused sync clean ones are kept as the
+     baselines of the fused, async and transient runs at their point. *)
   let runs = Hashtbl.create 8 in
   let rec run p =
     match Hashtbl.find_opt runs p with
@@ -270,9 +270,10 @@ let check_plan t ~where c cplan points =
           check_io ~loose:(p.disk = File && dirty) cplan r;
           check_trace cplan ~fused:p.fused r (events ())
         end;
-        if p.async || p.fault = Transient then
-          check_same_io ~loose:(p.disk = File && dirty && p.async) r
-            (fst (run { p with async = false; fault = Clean }));
+        let base = { p with fused = false; async = false; fault = Clean } in
+        if p <> base then
+          check_same_io ~loose:(p.disk = File && dirty && p.async) ~base_name:(name base) r
+            (fst (run base));
         (r, out)
   in
   let phantom disk =

@@ -5,8 +5,9 @@
     point uses one), fused, and at the requested {!point}s, checking static
     verification; every array against the reference and [Output] arrays
     across plans; on DAF, per-array I/O against {!Riot_plan.Cost_check.predict}
-    and the trace against {!Riot_plan.Cplan.events}; async and transient
-    I/O against the sync clean run; and a crash at backend operation [k],
+    and the trace against {!Riot_plan.Cplan.events}; fused, async and
+    transient I/O against the unfused sync clean run on the same format
+    and disk; and a crash at backend operation [k],
     resumed in the other fused mode, against the reference output. *)
 
 val load_inputs :

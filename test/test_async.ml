@@ -1,8 +1,14 @@
 (* The asynchronous storage tier: Io_queue semantics, the Backend.async
-   wrapper, and the prefetch schedule.  The sync = async contract itself
-   (byte-identical array contents and identical per-array physical I/O) is
-   checked by Riotshare.Differential (test_differential.ml) at every point
-   of the configuration product. *)
+   wrapper, the prefetch schedule, and the sync-vs-async differential
+   contract.
+
+   The contract (see backend.mli): for any program and any legal plan,
+   routing storage through [Backend.with_async] leaves byte-identical array
+   contents and an identical physical request set - same per-array request
+   and byte counts, same virtual disk time up to rounding - as the
+   synchronous run.  Read-ahead and write-behind only move requests in
+   time, never add or drop them.  Riotshare.Differential checks it; the
+   differential cases here are thin calls into it (test_differential.ml). *)
 
 module Backend = Riot_storage.Backend
 module Io_queue = Riot_storage.Io_queue
@@ -123,6 +129,26 @@ let test_async_deferred_error_surfaces () =
   check_bool "deferred write error re-raised at the barrier" true raised;
   Riot_base.Failpoint.reset ()
 
+(* --- sync = async differential -------------------------------------------- *)
+
+(* Async at both fused modes and both formats; the harness compares each
+   run with the sync clean run at its format and disk. *)
+let async_points disks _ _ =
+  List.concat_map
+    (fun (fused, format) ->
+      List.map (fun disk -> Test_differential.at ~fused ~async:true ~format ~disk ()) disks)
+    [ (true, Block_store.Daf_format); (false, Daf_format); (true, Lab_format); (false, Lab_format) ]
+
+let prop_differential =
+  QCheck.Test.make ~name:"async: sync = async on random programs" ~count:150
+    Test_differential.seed_gen (fun seed ->
+      Test_differential.holds ~points:(async_points [ Differential.Sim ]) seed)
+
+(* Cheap deterministic replays on pinned seeds, on both disks, so the tier-1
+   quick run crosses the storage tiers too. *)
+let test_pinned_seeds () =
+  Test_differential.pinned ~points:(async_points [ Differential.Sim; File ]) [ 0; 1; 2; 3; 5 ]
+
 (* The hint schedule respects the write-before-read fences: a hint's
    earliest safe issue step must not precede the step after the block's
    last prior touch (read, write or pin release — any of them can put a
@@ -184,4 +210,6 @@ let suite =
       Alcotest.test_case "deferred errors surface at barriers" `Quick
         test_async_deferred_error_surfaces;
       Alcotest.test_case "prefetch schedule respects fences" `Quick
-        test_prefetch_schedule_safety ] )
+        test_prefetch_schedule_safety;
+      Alcotest.test_case "pinned differential seeds" `Quick test_pinned_seeds ]
+    @ List.map QCheck_alcotest.to_alcotest [ prop_differential ] )

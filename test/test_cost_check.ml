@@ -2,8 +2,8 @@
    per-array granularity): for every example program the physical reads and
    writes the engine performs must exactly equal the optimizer's
    prediction, array by array, on both the simulated and the real-file
-   backend.  Random programs are checked by Riotshare.Differential
-   (test_differential.ml) at every point of the configuration product. *)
+   backend.  Random programs are checked through Riotshare.Differential,
+   whose DAF I/O contract is this property (test_differential.ml). *)
 
 module Api = Riotshare.Api
 module Programs = Riot_ops.Programs
@@ -169,10 +169,26 @@ let test_detects_divergence () =
        report.Cost_check.divergences
     && report.Cost_check.divergences <> [])
 
+(* --- Random programs (property) ---------------------------------------------- *)
+
+(* Opaque nests: each plan's phantom and computing runs on the simulated
+   disk, and with [File] also on a real file, must match [Cost_check.predict]
+   array by array. *)
+let prop_random_cost_check =
+  QCheck.Test.make ~name:"random programs: per-array I/O = prediction" ~count:25
+    Test_random_programs.seed_gen (fun seed -> Test_differential.(holds (2 * seed)))
+
+let prop_random_cost_check_file =
+  QCheck.Test.make ~name:"random programs: per-array I/O = prediction (file backend)"
+    ~count:8 Test_random_programs.seed_gen (fun seed ->
+      Test_differential.(holds ~points:(fun _ _ -> [ at ~disk:File () ]) (2 * seed)))
+
 let suite =
   ( "cost-check",
     [ Alcotest.test_case "examples: per-array I/O = prediction (sim)" `Quick
         test_examples_sim;
       Alcotest.test_case "examples: per-array I/O = prediction (file)" `Quick
         test_examples_file;
-      Alcotest.test_case "divergences are detected" `Quick test_detects_divergence ] )
+      Alcotest.test_case "divergences are detected" `Quick test_detects_divergence ]
+    @ List.map QCheck_alcotest.to_alcotest
+        [ prop_random_cost_check; prop_random_cost_check_file ] )

@@ -7,8 +7,10 @@
    Each QCheck case is one seed: every plan runs the reference, the phantom
    run, the fused sync DAF sim point and a seed-rotated sample of the other
    points.  A coverage floor then asserts every point was reached, and a
-   pinned `Quick case runs the full product.  All seeds derive from
-   RIOT_TEST_SEED (default 77). *)
+   pinned `Quick case runs the full product.  The per-contract tests of
+   the vexec, async, trace, cost-check and random-programs suites are thin
+   calls into the same harness through [holds] and [pinned] below.  All
+   seeds derive from RIOT_TEST_SEED (default 77). *)
 
 module Differential = Riotshare.Differential
 module Api = Riotshare.Api
@@ -29,6 +31,58 @@ let seed_gen =
 let no_mismatches (t : Differential.tally) =
   List.iter (fun m -> Printf.printf "mismatch: %s\n" m) t.Differential.mismatches;
   Alcotest.(check (list string)) "no mismatches" [] t.Differential.mismatches
+
+(* --- Thin calls: the per-contract tests of the other suites --------------- *)
+
+(* A point by its differences from the reference (unfused, sync, DAF,
+   simulated disk, no fault). *)
+let at ?(fused = false) ?(async = false) ?(format = Block_store.Daf_format)
+    ?(disk = Differential.Sim) () =
+  { Differential.fused; async; format; disk; fault = Clean }
+
+(* The fused sync DAF sim point's journalled run crashing at [n] operations
+   spread over the plan. *)
+let fused_crashes n cplan =
+  List.filter
+    (fun (p : Differential.point) ->
+      p.fused && (not p.async) && p.disk = Sim
+      && match p.fault with Crash _ -> true | _ -> false)
+    (Differential.product n cplan)
+
+(* Seeds of one distribution: element-wise chains, opaque nests without
+   searched plans, and opaque nests with them. *)
+let ew_seed s = (2 * s) + 1
+let opaque_seed s = (10 * (s / 4)) + (2 * (1 + (s mod 4)))
+let searched_seed s = 10 * s
+
+(* [case_of_seed seed], every plan also at [points]: true, or a QCheck
+   failure naming the first broken contract. *)
+let holds ?(points = fun _ _ -> []) seed =
+  let t = Differential.tally () in
+  Differential.check_case t (Differential.case_of_seed seed) points;
+  match t.Differential.mismatches with
+  | [] -> true
+  | m :: _ -> QCheck.Test.fail_reportf "%s" m
+
+(* The same over pinned seeds (and any extra cases), as an Alcotest check. *)
+let pinned ?(points = fun _ _ -> []) ?(cases = []) seeds =
+  let t = Differential.tally () in
+  List.iter
+    (fun c -> Differential.check_case t c points)
+    (List.map Differential.case_of_seed seeds @ cases);
+  no_mismatches t
+
+(* The paper programs' best plans, scaled down. *)
+let paper_cases () =
+  List.map
+    (fun (name, prog, config, max_size) ->
+      let config = Programs.scale_down ~factor:1000 config in
+      let best = Api.best (Api.optimize ?max_size prog ~config) in
+      { Differential.name; prog; config; opaque = false; plans = [ best.Api.cplan ] })
+    [ ("add_mul", Programs.add_mul (), Programs.table2, None);
+      ("two_matmuls", Programs.two_matmuls (), Programs.table3_config_a, None);
+      ("linear_regression", Programs.linear_regression (), Programs.table4, Some 2);
+      ("pig_pipeline", Programs.pig_pipeline (), Programs.pig_config, None) ]
 
 (* [n] points of the product other than the three every plan runs,
    rotated by seed and plan index; a crash point kills the run at an
@@ -79,17 +133,7 @@ let test_pinned_product () =
       Differential.check_case t (Differential.case_of_seed seed) (fun _ cplan ->
           Differential.product 2 cplan))
     [ 0; 1 ];
-  List.iter
-    (fun (name, prog, config, max_size) ->
-      let config = Programs.scale_down ~factor:1000 config in
-      let best = Api.best (Api.optimize ?max_size prog ~config) in
-      Differential.check_case t
-        { Differential.name; prog; config; opaque = false; plans = [ best.Api.cplan ] }
-        (fun _ _ -> []))
-    [ ("add_mul", Programs.add_mul (), Programs.table2, None);
-      ("two_matmuls", Programs.two_matmuls (), Programs.table3_config_a, None);
-      ("linear_regression", Programs.linear_regression (), Programs.table4, Some 2);
-      ("pig_pipeline", Programs.pig_pipeline (), Programs.pig_config, None) ];
+  List.iter (fun c -> Differential.check_case t c (fun _ _ -> [])) (paper_cases ());
   no_mismatches t;
   let kinds = List.sort_uniq compare (List.map fst t.Differential.runs) in
   Alcotest.(check int) "every point reached (40 kinds, 2 phantom disks)" 42 (List.length kinds);

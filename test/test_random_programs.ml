@@ -103,6 +103,13 @@ let prop_enumerated_plans_verify =
                    p.Search.q)
             plans))
 
+(* Engine I/O = plan I/O: each plan's phantom run performs exactly the
+   predicted requests, array by array, within a pool peak equal to the
+   plan's [peak_memory] (Riotshare.Differential's I/O and trace contracts). *)
+let prop_engine_matches_plan =
+  QCheck.Test.make ~name:"random programs: engine I/O = plan I/O" ~count:20 seed_gen
+    (fun seed -> Test_differential.(holds (2 * seed)))
+
 (* Static verification over fuzzer-generated legal plans: every plan the
    search accepts must be free of Error-severity diagnostics.  Opaque-nest
    programs legitimately read never-written blocks (served as zeroes), so
@@ -155,6 +162,17 @@ let static_coverage_floor =
         Alcotest.failf "only %d plans statically verified"
           !statically_verified_plans)
 
+(* Plan-output equivalence: every legal plan of a program - whatever it
+   elides, pins or services from memory - must leave byte-identical Output
+   arrays, here also on a real disk.  (Intermediate arrays legitimately
+   differ: a plan may never materialise them.)  Each case holds the base
+   schedule's plans and two optimizer-found ones. *)
+let prop_plan_outputs_equal =
+  QCheck.Test.make ~name:"random programs: all plans produce identical outputs"
+    ~count:10 seed_gen (fun seed ->
+      Test_differential.(
+        holds ~points:(fun _ _ -> [ at ~disk:File () ]) (searched_seed seed)))
+
 let suite =
   ( "random-programs",
     List.map QCheck_alcotest.to_alcotest
@@ -162,6 +180,8 @@ let suite =
         prop_deps_subset_of_ground_truth;
         prop_sharing_pairs_share_blocks;
         prop_enumerated_plans_verify;
+        prop_engine_matches_plan;
         prop_plans_statically_verify;
-        prop_ew_plans_statically_verify ]
+        prop_ew_plans_statically_verify;
+        prop_plan_outputs_equal ]
     @ [ static_coverage_floor ] )

@@ -1,9 +1,10 @@
 (* Execution-trace tests: the two-matmuls plan yields a stable, well-formed
    event stream (balanced step boundaries and pins, no read-after-drop, event
-   counts equal to the plan's aggregate I/O), and every event survives a
-   JSONL round-trip through the parser.  That a run narrates exactly the
-   plan's predicted stream ([Cplan.events]) is one of the contracts
-   Riotshare.Differential checks (test_differential.ml). *)
+   counts equal to the plan's aggregate I/O), every event survives a
+   JSONL round-trip through the parser, and a run narrates exactly the
+   plan's predicted stream ([Cplan.events]).  The last is one of the
+   contracts Riotshare.Differential checks; the cases for it here are thin
+   calls into the harness (test_differential.ml). *)
 
 module Api = Riotshare.Api
 module Programs = Riot_ops.Programs
@@ -11,6 +12,8 @@ module Cplan = Riot_plan.Cplan
 module Trace = Riot_plan.Trace
 module Backend = Riot_storage.Backend
 module Block_store = Riot_storage.Block_store
+module Fuse = Riot_plan.Fuse
+module Differential = Riotshare.Differential
 
 let sim_backend () =
   Backend.sim ~retain_data:false ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:1e-3 ()
@@ -192,6 +195,29 @@ let test_jsonl_rejects_malformed () =
       "{\"ev\":\"step_end\",\"step\":99999999999999999999}";
       "{\"ev\":\"read\",\"step\":0,\"array\":\"A\",\"index\":[0,-],\"src\":\"disk\"}" ]
 
+(* --- Predicted trace = measured trace ------------------------------------------ *)
+
+(* Every plan of a case runs phantom, unfused and fused on a simulated DAF
+   disk with the pool capped at its [peak_memory]; the harness diffs each
+   trace against [Cplan.events] (a fused run without its link blocks' pins
+   and drops), and checks there is no [Evict] and that an unfused pool peak
+   equals [peak_memory], naming the first diverging step.  Random programs:
+   opaque nests on even seeds, element-wise chains on odd ones, under their
+   direct plans, plus optimizer-found plans on every tenth seed. *)
+let prop_trace_equals_prediction =
+  QCheck.Test.make ~name:"random programs: measured trace = Cplan.events" ~count:400
+    Test_differential.seed_gen Test_differential.holds
+
+let test_trace_equals_prediction_pinned () =
+  (* The paper programs' best plans, too. *)
+  let cases =
+    List.map Differential.case_of_seed [ 0; 7; 10; 31; 40 ] @ Test_differential.paper_cases ()
+  in
+  let fuses cplan = List.exists (fun (g : Fuse.group) -> g.Fuse.links <> []) (Fuse.analyze cplan) in
+  Alcotest.(check bool) "pinned seeds include fused runs" true
+    (List.exists (fun (c : Differential.case) -> List.exists fuses c.Differential.plans) cases);
+  Test_differential.pinned ~cases []
+
 let suite =
   ( "trace",
     [ Alcotest.test_case "deterministic" `Quick test_deterministic;
@@ -201,4 +227,7 @@ let suite =
       Alcotest.test_case "counts match plan" `Quick test_counts_match_plan;
       Alcotest.test_case "golden prefix (add_mul)" `Quick test_golden_prefix;
       Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
-      Alcotest.test_case "jsonl rejects malformed" `Quick test_jsonl_rejects_malformed ] )
+      Alcotest.test_case "jsonl rejects malformed" `Quick test_jsonl_rejects_malformed;
+      Alcotest.test_case "measured trace = Cplan.events (pinned seeds)" `Quick
+        test_trace_equals_prediction_pinned;
+      QCheck_alcotest.to_alcotest prop_trace_equals_prediction ] )

@@ -1,8 +1,9 @@
-(* Fused execution: the fusion pass fires where it should, a fused run
-   narrates the plan's step structure, and the fusion analysis is a legal
-   partition.  The unfused = fused contract itself is checked by
-   Riotshare.Differential (test_differential.ml) at every point of the
-   configuration product. *)
+(* Fused execution: unfused = fused, the fusion pass fires where it should,
+   a fused run narrates the plan's step structure, and the fusion analysis
+   is a legal partition.  The unfused = fused contract (byte-identical
+   arrays, identical per-array I/O and virtual disk time, interchangeable
+   journals) is checked by Riotshare.Differential; the properties here are
+   thin calls into it (test_differential.ml). *)
 
 module B = Riot_ir.Build
 module Array_info = Riot_ir.Array_info
@@ -29,6 +30,35 @@ let seed_gen =
       Printf.sprintf "%d (%s=%d)" s Rand_prog.seed_env_var
         (Rand_prog.master_seed ()))
     QCheck.Gen.(int_range 0 100000)
+
+(* Unfused = fused: every plan of a case runs the unfused reference and the
+   fused sync DAF sim point, and the harness compares their arrays, per-array
+   I/O and virtual disk time.  Element-wise chains make the fusion pass fire
+   (and its singles path run on plans that don't realize the sharing);
+   opaque nests exercise the compiled surrogate kernels; the thinner sweep
+   through optimizer-found plans crosses reordered schedules (the search per
+   program is ~10-100x the cost of the differential itself). *)
+let prop_differential_ew =
+  QCheck.Test.make ~name:"vexec: interpret = vector on element-wise chains"
+    ~count:500 seed_gen (fun seed -> Test_differential.(holds (ew_seed seed)))
+
+let prop_differential_opaque =
+  QCheck.Test.make ~name:"vexec: interpret = vector on opaque programs"
+    ~count:500 seed_gen (fun seed -> Test_differential.(holds (opaque_seed seed)))
+
+let prop_differential_search =
+  QCheck.Test.make ~name:"vexec: interpret = vector on searched plans"
+    ~count:25 seed_gen (fun seed -> Test_differential.(holds (searched_seed seed)))
+
+(* A journalled fused run, crashed at operations spread over the plan, must
+   leave a watermark the static analysis marked safe, and its unfused resume
+   must leave the reference output; no safe boundary may restart strictly
+   inside a fused group (the harness's static contract), so the engine's
+   unfused fallback for such a point is never needed. *)
+let prop_journal_watermarks =
+  QCheck.Test.make ~name:"vexec: journalled run leaves safe watermarks"
+    ~count:250 seed_gen (fun seed ->
+      Test_differential.(holds ~points:(fun _ -> fused_crashes 3) (ew_seed seed)))
 
 (* Structural invariants of the fusion analysis itself: an ordered partition
    of the step range whose links are single-producer single-consumer
@@ -244,10 +274,29 @@ let test_vector_trace () =
   Alcotest.(check int) "reads = plan" cplan.Cplan.read_ops r.Engine.reads;
   Alcotest.(check int) "writes = plan" cplan.Cplan.write_ops r.Engine.writes
 
+(* Pinned regression seeds: cheap deterministic replays of unfused = fused
+   on both distributions, at every format and disk (kept `Quick so the
+   tier-1 run crosses the executors too). *)
+let test_pinned_seeds () =
+  let fused_points _ _ =
+    List.concat_map
+      (fun format ->
+        List.map (fun disk -> Test_differential.at ~fused:true ~format ~disk ())
+          [ Differential.Sim; File ])
+      [ Block_store.Daf_format; Lab_format ]
+  in
+  Test_differential.pinned ~points:fused_points [ 0; 1; 2; 3; 5; 7 ]
+
 let suite =
   ( "vexec",
     [ Alcotest.test_case "fusion fires on a 3-stage chain" `Quick
         test_fusion_fires;
       Alcotest.test_case "vector trace replays the plan" `Quick
         test_vector_trace;
-      QCheck_alcotest.to_alcotest prop_fuse_invariants ] )
+      Alcotest.test_case "pinned differential seeds" `Quick test_pinned_seeds ]
+    @ List.map QCheck_alcotest.to_alcotest
+        [ prop_differential_ew;
+          prop_differential_opaque;
+          prop_differential_search;
+          prop_journal_watermarks;
+          prop_fuse_invariants ] )
