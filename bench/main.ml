@@ -1442,6 +1442,156 @@ let gemm_smoke () =
     (gemm_run ~variant:"smoke" ~shapes:gemm_smoke_shapes ~min_seconds:0.01
        ~trials:1)
 
+(* --- plancost: milliseconds per Cplan.build ------------------------------------ *)
+
+(* Plan costing in isolation: every enumerated plan of the four paper
+   pipelines and of perfbench's four-statement element-wise chain (a 16x16
+   block grid), each built with [Cplan.build] against one shared cache
+   prefilled with the program's sharing list, as [Api.optimize] does.  The
+   figure is the median milliseconds per build over [reps] timed passes,
+   on one domain, after an untimed warm-up pass.  The pipelines run at
+   perfbench's sizes (block contents shrunk; the grids, hence the step
+   counts, are the paper's).  Costs must be identical when the plans are
+   built on two domains; a digest of every plan (steps, pins, I/O totals,
+   peak memory, flops, bytes moved) is printed so two commits can be
+   compared.  Never gated on time; writes one row to BENCH_plancost.json. *)
+
+let plancost_json_file = "BENCH_plancost.json"
+
+let plancost_chain () =
+  let module Op = Riot_ops.Op in
+  let module Array_info = Riot_ir.Array_info in
+  let ctx = Op.create ~name:"chain" in
+  List.iter
+    (fun (n, kind) -> Op.declare ctx n ~ndims:2 ~kind)
+    [ ("A", Array_info.Input); ("B", Array_info.Input);
+      ("T1", Array_info.Intermediate); ("T2", Array_info.Intermediate);
+      ("T3", Array_info.Intermediate); ("OUT", Array_info.Output) ];
+  let rows = Op.P "n1" and cols = Op.P "n2" in
+  Op.add ctx ~c:"T1" ~a:"A" ~b:"B" ~rows ~cols;
+  Op.copy ctx ~c:"T2" ~a:"T1" ~rows ~cols;
+  Op.sub ctx ~c:"T3" ~a:"T2" ~b:"B" ~rows ~cols;
+  Op.add ctx ~c:"OUT" ~a:"T3" ~b:"A" ~rows ~cols;
+  Op.finish ctx
+
+let plancost_chain_config =
+  let l = { Config.grid = [| 16; 16 |]; block_elems = [| 32; 32 |]; elem_size = 8 } in
+  Config.make
+    ~params:[ ("n1", 16); ("n2", 16) ]
+    ~layouts:(List.map (fun a -> (a, l)) [ "A"; "B"; "T1"; "T2"; "T3"; "OUT" ])
+
+(* Everything a plan's cost is made of, accesses named by their position in
+   the statement so the digest is independent of physical sharing. *)
+let plancost_digest (c : Cplan.t) =
+  let acc_index stmt (a : Riot_ir.Access.t) =
+    let s = Program.find_stmt c.Cplan.prog stmt in
+    let rec find i = function
+      | [] -> -1
+      | x :: rest -> if x == a then i else find (i + 1) rest
+    in
+    find 0 s.Riot_ir.Stmt.accesses
+  in
+  let steps =
+    Array.map
+      (fun (st : Cplan.step) ->
+        ( st.Cplan.stmt,
+          st.Cplan.instance,
+          st.Cplan.time,
+          List.map (fun (a, b, src) -> (acc_index st.Cplan.stmt a, b, src)) st.Cplan.reads,
+          List.map (fun (a, b, dst) -> (acc_index st.Cplan.stmt a, b, dst)) st.Cplan.writes ))
+      c.Cplan.steps
+  in
+  Digest.string
+    (Marshal.to_string
+       ( steps,
+         c.Cplan.pins,
+         (c.Cplan.read_bytes, c.Cplan.write_bytes, c.Cplan.read_ops, c.Cplan.write_ops),
+         c.Cplan.peak_memory,
+         Int64.bits_of_float c.Cplan.flops,
+         Int64.bits_of_float c.Cplan.moved_bytes )
+       [ Marshal.No_sharing ])
+
+let plancost_run ~variant ~reps =
+  section (Printf.sprintf "plancost (%s): ms per Cplan.build, one domain" variant);
+  let cases =
+    [ ("add_mul", Programs.add_mul (), Programs.table2, None);
+      ( "two_matmuls",
+        Programs.two_matmuls (),
+        Programs.scale_down ~factor:50 Programs.table3_config_a,
+        None );
+      ( "linear_regression",
+        Programs.linear_regression (),
+        Programs.scale_down ~factor:50 Programs.table4,
+        Some 3 );
+      ("pig", Programs.pig_pipeline (), Programs.scale_down ~factor:16 Programs.pig_config, None);
+      ("chain", plancost_chain (), plancost_chain_config, Some 3) ]
+  in
+  Printf.printf "%-18s %6s %6s %10s %10s  %s\n" "program" "plans" "steps" "ms/build"
+    "jobs=2" "digest";
+  let rows =
+    List.map
+      (fun (name, prog, config, max_size) ->
+        let ref_params = config.Config.params in
+        let analysis = Deps.extract prog ~ref_params in
+        let plans, _ = Search.enumerate ?max_size ~jobs:1 prog ~analysis ~ref_params in
+        let cache = Cplan.cache ~coaccesses:analysis.Deps.sharing prog ~config in
+        let build (p : Search.plan) =
+          Cplan.build ~cache prog ~config ~sched:p.Search.sched ~realized:p.Search.q
+        in
+        let digests = List.map (fun p -> plancost_digest (build p)) plans in
+        let times = ref [] in
+        for _ = 1 to reps do
+          List.iter
+            (fun p ->
+              let t0 = Unix.gettimeofday () in
+              ignore (Sys.opaque_identity (build p));
+              times := (Unix.gettimeofday () -. t0) :: !times)
+            plans
+        done;
+        let sorted = Array.of_list (List.sort compare !times) in
+        let ms = 1000. *. sorted.(Array.length sorted / 2) in
+        let parallel =
+          Riot_base.Pool.parallel_map ~jobs:2 (fun p -> plancost_digest (build p)) plans
+        in
+        let identical = parallel = digests in
+        let digest = Digest.to_hex (Digest.string (String.concat "" digests)) in
+        let steps =
+          match plans with p :: _ -> Array.length (build p).Cplan.steps | [] -> 0
+        in
+        Printf.printf "%-18s %6d %6d %10.3f %10s  %s\n%!" name (List.length plans) steps ms
+          (if identical then "identical" else "DIFFERS")
+          digest;
+        (name, List.length plans, steps, ms, identical, digest))
+      cases
+  in
+  let identical = List.for_all (fun (_, _, _, _, id, _) -> id) rows in
+  let metric (name, plans, steps, ms, _, _) =
+    Printf.sprintf
+      "%S: {\"value\": %.4f, \"unit\": \"ms\"}, %S: {\"value\": %d, \"unit\": \"count\"}, \
+       %S: {\"value\": %d, \"unit\": \"count\"}"
+      (name ^ ".ms_per_build") ms (name ^ ".plans") plans (name ^ ".steps") steps
+  in
+  let row =
+    Printf.sprintf
+      "{\"bench\": \"plancost\", \"variant\": %S, \"commit\": %S, \"nproc\": %d, \
+       \"ocaml\": %S, \"timestamp\": %.0f, \"reps\": %d, \"metrics\": {%s}, \
+       \"digests\": {%s}, \"gates\": {\"jobs2_identical\": %b}}"
+      variant (git_commit ())
+      (Domain.recommended_domain_count ())
+      Sys.ocaml_version (Unix.time ()) reps
+      (String.concat ", " (List.map metric rows))
+      (String.concat ", "
+         (List.map (fun (name, _, _, _, _, d) -> Printf.sprintf "%S: %S" name d) rows))
+      identical
+  in
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 plancost_json_file in
+  output_string oc (row ^ "\n");
+  close_out oc;
+  Printf.printf "(appended to %s)\n" plancost_json_file;
+  if not identical then failwith "plancost: costs differ between jobs=1 and jobs=2"
+
+let plancost () = plancost_run ~variant:"full" ~reps:3
+
 (* --- Driver ------------------------------------------------------------------------ *)
 
 let experiments =
@@ -1475,6 +1625,7 @@ let experiments =
     ("iolap-smoke", iolap_smoke);
     ("gemm", gemm);
     ("gemm-smoke", gemm_smoke);
+    ("plancost", plancost);
     ("micro", micro) ]
 
 let () =

@@ -36,8 +36,9 @@
     optimizer actually runs under a pool, kept current as call sites are
     added:
 
-    - {e Shared read-only state} — [Cplan.cache] (instance enumeration and
-      extent pairs, eagerly prefilled before the batch starts) and the
+    - {e Shared read-only state} — [Cplan.cache] (resolved instances,
+      interned block and instance ids, and extent pairs, eagerly prefilled
+      before the batch starts) and the
       program/analysis values are built before fan-out and only read by
       workers.  Safe by immutability-in-practice; never write to a cache
       from inside a batch.

@@ -113,6 +113,10 @@ let optimize ?(machine = Machine.paper) ?max_size ?verify ?jobs ?(prune = false)
   | exception Not_found -> t
 
 let recost ?jobs t ~config =
+  if t.search_stats.Search.bound_pruned > 0 || not t.search_stats.Search.complete then
+    invalid_arg
+      "Api.recost: the result was pruned or cut by its budget; its plans are not \
+       the whole plan space, so re-run optimize at the new configuration";
   let cache = Cplan.cache ~coaccesses:t.analysis.Deps.sharing t.program ~config in
   { t with
     config;

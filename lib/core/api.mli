@@ -63,13 +63,12 @@ val optimize :
     {!Riot_plan.Cost_bound}): [plans] then contains only the candidates
     whose I/O lower bound could beat the incumbent — always including the
     exhaustive search's best plan, bit-identically — so {!best} is
-    unchanged while {!distinct_cost_points} and {!recost} see the surviving
-    subset only (recosting a pruned result at very different sizes is an
-    approximation; re-run [optimize] instead).  [budget] (seconds) implies
-    [prune] and makes the search anytime: the best verified plan found
-    within the budget is returned ([search_stats.complete] = false when the
-    deadline struck), and Plan 0 is always costed first so a plan exists at
-    any budget.  [opt_stats] accumulates profiling counters for the pruned
+    unchanged while {!distinct_cost_points} sees the surviving subset only,
+    and {!recost} rejects the result if anything was pruned.  [budget]
+    (seconds) implies [prune] and makes the search anytime: the best
+    verified plan found within the budget is returned
+    ([search_stats.complete] = false when the deadline struck), and Plan 0
+    is always costed first so a plan exists at any budget.  [opt_stats] accumulates profiling counters for the pruned
     path.
 
     The presumptive winner ({!best} with no cap) is statically verified
@@ -85,7 +84,11 @@ val recost : ?jobs:int -> t -> config:Riot_ir.Config.t -> t
     parameter-independent, so "should the parameters change, we can simply
     plug the new values in instead of performing optimization all over
     again").  The sharing realized by each plan is re-derived at the new
-    parameters from the same symbolic extents. *)
+    parameters from the same symbolic extents.
+    @raise Invalid_argument when [t] is a pruned or budget-cut result
+    ([search_stats.bound_pruned > 0] or [complete = false]): its plans are
+    the survivors at the old sizes, and the best plan at the new ones may
+    be among those it cut.  Re-run {!optimize} instead. *)
 
 val best : ?mem_cap_bytes:int -> t -> costed_plan
 (** The plan with the least predicted I/O among those whose peak memory fits

@@ -1,7 +1,5 @@
-module Poly = Riot_poly.Poly
 module Config = Riot_ir.Config
 module Access = Riot_ir.Access
-module Stmt = Riot_ir.Stmt
 module Program = Riot_ir.Program
 module Array_info = Riot_ir.Array_info
 module Coaccess = Riot_analysis.Coaccess
@@ -46,8 +44,6 @@ module Coaccess = Riot_analysis.Coaccess
    the branch-and-bound tail bound [eval S - sum of top-k remaining savings]
    sound. *)
 
-type blk = string * int list
-
 type opp = {
   pin_ids : int array;  (* interesting blocks this opportunity pins *)
   ww_ids : int array;   (* interesting blocks with a W->W source here *)
@@ -64,9 +60,6 @@ type t = {
   opps : opp array;
   savings : float array;  (* standalone saving of each opportunity, seconds *)
 }
-
-let lookup_in inst params n =
-  match List.assoc_opt n inst with Some v -> v | None -> List.assoc n params
 
 let eval t s =
   let nb = Array.length t.pin_read_save in
@@ -95,147 +88,98 @@ let eval t s =
     ~write_bytes:(t.base_write - !sw)
 
 let make ?cache machine (prog : Program.t) ~config ~coaccesses =
-  let params = config.Config.params in
   let c =
     match cache with
-    | Some c when Cplan.cache_params c = params -> c
+    | Some c when Cplan.cache_fits c prog ~config -> c
     | _ -> Cplan.cache ~coaccesses prog ~config
   in
-  let bytes_of name = Config.block_bytes (Config.layout config name) in
-  let intermediate name =
-    Array_info.is_intermediate (Program.find_array prog name)
-  in
-  (* Event counts per block: R = instance-merged reads, W = raw writes, and
-     for intermediate blocks K = the writes Plan 0 keeps (below).  Instances
-     are walked in the original schedule's order, ties broken by statement
-     order, exactly as [Cplan.build] orders Plan 0's steps. *)
-  let reads : (blk, int) Hashtbl.t = Hashtbl.create 256 in
-  let writes : (blk, int) Hashtbl.t = Hashtbl.create 256 in
-  let kept : (blk, int) Hashtbl.t = Hashtbl.create 64 in
+  let insts = Cplan.cache_instances c in
+  let nb = Cplan.cache_block_count c in
+  let name b = (Cplan.cache_block c b).Cplan.array in
+  let bytes_of b = Config.block_bytes (Config.layout config (name b)) in
+  let intermediate b = Array_info.is_intermediate (Program.find_array prog (name b)) in
+  (* Event counts per block id: R = instance-merged reads, W = raw writes,
+     and for intermediate blocks K = the writes Plan 0 keeps (below).
+     Instances are walked in Plan 0's step order, read off the cache's
+     resolved instances. *)
+  let reads = Array.make nb 0 and writes = Array.make nb 0 and kept = Array.make nb 0 in
   (* Intermediate blocks whose latest write still awaits its first read. *)
-  let pending : (blk, unit) Hashtbl.t = Hashtbl.create 64 in
-  let bump tbl b = Hashtbl.replace tbl b (1 + Option.value ~default:0 (Hashtbl.find_opt tbl b)) in
-  let events =
-    List.stable_sort
-      (fun (_, _, t1) (_, _, t2) -> Riot_ir.Sched.lex_compare t1 t2)
-      (List.concat_map
-         (fun (s : Stmt.t) ->
-           let rows = Riot_ir.Sched.find prog.Program.original s.Stmt.name in
-           List.map
-             (fun inst ->
-               (s, inst, Riot_ir.Sched.time_of rows (lookup_in inst params)))
-             (List.assoc s.Stmt.name (Cplan.cache_instances c)))
-         prog.Program.stmts)
-  in
-  List.iter
-    (fun ((s : Stmt.t), inst, _) ->
-      let active =
-        List.filter_map
-          (fun (a : Access.t) ->
-            let act =
-              match a.Access.restrict_to with
-              | None -> true
-              | Some r -> Poly.mem r (lookup_in inst params)
-            in
-            if act then
-              Some
-                ( a,
-                  (a.Access.array,
-                   Array.to_list (Access.block_of a (lookup_in inst params))) )
-            else None)
-          s.Stmt.accesses
-      in
-      let seen = Hashtbl.create 8 in
-      List.iter
-        (fun ((a : Access.t), b) ->
-          if Access.is_read a && not (Hashtbl.mem seen b) then begin
-            Hashtbl.add seen b ();
-            bump reads b;
-            if Hashtbl.mem pending b then begin
-              Hashtbl.remove pending b;
-              bump kept b
-            end
+  let pending = Bytes.make nb '\000' in
+  Array.iter
+    (fun g ->
+      let it = insts.(g) in
+      Array.iter
+        (fun b ->
+          reads.(b) <- reads.(b) + 1;
+          if Bytes.get pending b = '\001' then begin
+            Bytes.set pending b '\000';
+            kept.(b) <- kept.(b) + 1
           end)
-        active;
-      let written = Hashtbl.create 4 in
-      List.iter
-        (fun ((a : Access.t), b) -> if Access.is_write a then bump written b)
-        active;
-      Hashtbl.iter
-        (fun ((name, _) as b) k ->
-          Hashtbl.replace writes b (k + Option.value ~default:0 (Hashtbl.find_opt writes b));
+        it.Cplan.i_reads;
+      let ws = it.Cplan.i_writes in
+      Array.iter (fun b -> writes.(b) <- writes.(b) + 1) ws;
+      Array.iter
+        (fun b ->
           (* An instance's reads precede its writes, so a write's segment
              runs from the next instance to the block's next write.  Two
              writes in one instance elide together (the first one's segment
              is empty), so only a lone write can be kept. *)
-          if intermediate name then
-            if k = 1 then Hashtbl.replace pending b () else Hashtbl.remove pending b)
-        written)
-    events;
-  let r_of b = Option.value ~default:0 (Hashtbl.find_opt reads b) in
-  let w_of b = Option.value ~default:0 (Hashtbl.find_opt writes b) in
-  let k_of b = Option.value ~default:0 (Hashtbl.find_opt kept b) in
+          if intermediate b then begin
+            let k = Array.fold_left (fun k b' -> if b' = b then k + 1 else k) 0 ws in
+            Bytes.set pending b (if k = 1 then '\001' else '\000')
+          end)
+        ws)
+    (Cplan.cache_order c prog.Program.original);
   (* Base (sharing-free) volume. *)
-  let base_read = Hashtbl.fold (fun (a, _) n acc -> acc + (n * bytes_of a)) reads 0 in
-  let base_write =
-    let keep (a, _ as b) n = if intermediate a then k_of b else n in
-    Hashtbl.fold (fun (a, _ as b) n acc -> acc + (keep b n * bytes_of a)) writes 0
-  in
+  let base_read = ref 0 and base_write = ref 0 in
+  for b = 0 to nb - 1 do
+    if reads.(b) > 0 then base_read := !base_read + (reads.(b) * bytes_of b);
+    if writes.(b) > 0 then
+      base_write :=
+        !base_write + ((if intermediate b then kept.(b) else writes.(b)) * bytes_of b)
+  done;
   (* Per-block saving potentials. *)
   let pin_read_save b =
-    let (a, _) = b in
-    max 0 (r_of b - (if w_of b > 0 then 0 else 1)) * bytes_of a
+    max 0 (reads.(b) - (if writes.(b) > 0 then 0 else 1)) * bytes_of b
   in
-  let pin_write_save b =
-    let (a, _) = b in
-    if intermediate a then k_of b * bytes_of a else 0
-  in
+  let pin_write_save b = if intermediate b then kept.(b) * bytes_of b else 0 in
   let ww_save b =
-    let (a, _) = b in
-    if (not (intermediate a)) && w_of b > 1 then (w_of b - 1) * bytes_of a else 0
+    if (not (intermediate b)) && writes.(b) > 1 then (writes.(b) - 1) * bytes_of b else 0
   in
   (* Interesting blocks: those some opportunity can actually save on. *)
-  let ids : (blk, int) Hashtbl.t = Hashtbl.create 64 in
+  let ids = Array.make nb (-1) and n_ids = ref 0 in
   let prs = ref [] and pws = ref [] and wws = ref [] in
   let id_of b =
-    match Hashtbl.find_opt ids b with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length ids in
-        Hashtbl.add ids b i;
-        prs := pin_read_save b :: !prs;
-        pws := pin_write_save b :: !pws;
-        wws := ww_save b :: !wws;
-        i
-  in
-  let src_block (ca : Coaccess.t) src =
-    let s = Program.find_stmt prog ca.Coaccess.src_stmt in
-    let acc = List.nth s.Stmt.accesses ca.Coaccess.src_acc in
-    (acc.Access.array, Array.to_list (Access.block_of acc (lookup_in src params)))
+    if ids.(b) < 0 then begin
+      ids.(b) <- !n_ids;
+      incr n_ids;
+      prs := pin_read_save b :: !prs;
+      pws := pin_write_save b :: !pws;
+      wws := ww_save b :: !wws
+    end;
+    ids.(b)
   in
   let opps =
     Array.of_list
       (List.map
          (fun (ca : Coaccess.t) ->
-           let pin = Hashtbl.create 8 and ww = Hashtbl.create 8 in
-           List.iter
-             (fun (src, _dst) ->
-               match (ca.Coaccess.src_typ, ca.Coaccess.dst_typ) with
-               | Access.Write, Access.Write ->
-                   let b = src_block ca src in
-                   if ww_save b > 0 then Hashtbl.replace ww (id_of b) ()
-               | _, Access.Read ->
-                   let b = src_block ca src in
-                   if pin_read_save b > 0 || pin_write_save b > 0 then
-                     Hashtbl.replace pin (id_of b) ()
-               | Access.Read, Access.Write -> ())
+           let pin = ref [] and ww = ref [] in
+           Array.iter
+             (fun (sg, _dg) ->
+               (* Every pair lies in the instance sets; [Cplan.build]
+                  rejects a plan realizing one that does not. *)
+               if sg >= 0 then begin
+                 let b = insts.(sg).Cplan.i_blocks.(ca.Coaccess.src_acc) in
+                 match (ca.Coaccess.src_typ, ca.Coaccess.dst_typ) with
+                 | Access.Write, Access.Write -> if ww_save b > 0 then ww := id_of b :: !ww
+                 | _, Access.Read ->
+                     if pin_read_save b > 0 || pin_write_save b > 0 then
+                       pin := id_of b :: !pin
+                 | Access.Read, Access.Write -> ()
+               end)
              (Cplan.cache_pairs c ca);
-           let keys tbl =
-             let a = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-             Array.sort compare a;
-             a
-           in
-           { pin_ids = keys pin; ww_ids = keys ww })
+           let keys l = Array.of_list (List.sort_uniq compare l) in
+           { pin_ids = keys !pin; ww_ids = keys !ww })
          coaccesses)
   in
   let arr l = Array.of_list (List.rev l) in
@@ -243,8 +187,8 @@ let make ?cache machine (prog : Program.t) ~config ~coaccesses =
   and pin_write_save = arr !pws
   and ww_save = arr !wws in
   let t =
-    { machine; base_read; base_write; pin_read_save; pin_write_save; ww_save;
-      opps; savings = [||] }
+    { machine; base_read = !base_read; base_write = !base_write; pin_read_save;
+      pin_write_save; ww_save; opps; savings = [||] }
   in
   let base = eval t [] in
   let savings =

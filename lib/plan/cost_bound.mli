@@ -26,8 +26,9 @@ val make :
   coaccesses:Riot_analysis.Coaccess.t list ->
   t
 (** [make ?cache machine prog ~config ~coaccesses] analyses the block-access
-    counts once (reusing [cache]'s instance sets and extent pairs when its
-    parameters match).  [coaccesses] fixes the opportunity indexing used by
+    counts once, reading Plan 0's resolved accesses and the extent pairs
+    from [cache] when it fits ({!Cplan.cache_fits}), else from a fresh
+    one.  [coaccesses] fixes the opportunity indexing used by
     {!eval} and {!saving}. *)
 
 val eval : t -> int list -> float

@@ -43,49 +43,252 @@ let inst_key inst = List.sort compare inst
 
 (* --- Schedule-independent cache ------------------------------------------- *)
 
-type cache = {
-  cinstances : (string * (string * int) list list) list;
-  cpairs : (string, ((string * int) list * (string * int) list) list) Hashtbl.t;
-  cparams : (string * int) list;
+type instance = {
+  i_stmt : Stmt.t;
+  i_vars : (string * int) list;
+  i_reads : int array;
+  i_read_accs : (Access.t * int list) array;
+  i_writes : int array;
+  i_write_accs : (Access.t * int) array;
+  i_blocks : int array;
+  i_base : int;
+  i_error : exn option;
+  i_flops : float;
+  i_moved : float;
 }
+
+type cache = {
+  cprog : Program.t;
+  cconfig : Config.t;
+  cinstances : instance array;
+  cstmts : (Stmt.t * int * int) list;  (* statement, first id, instance count *)
+  cinst_id : (string * (string * int) list, int) Hashtbl.t;
+  cblocks : block array;
+  cbytes : int array;
+  cintermediate : bool array;
+  cnacc : int;  (* accesses over all instances: the flat per-access arrays *)
+  cpairs : (string, (int * int) array) Hashtbl.t;
+}
+
+let check_bounds layout (blk : block) =
+  let l = layout blk.array in
+  List.iteri
+    (fun d v ->
+      if v < 0 || v >= l.Config.grid.(d) then
+        invalid_arg
+          (Printf.sprintf "Cplan.build: block %s[%s] outside its %s grid" blk.array
+             (String.concat "," (List.map string_of_int blk.index))
+             (String.concat "x" (Array.to_list (Array.map string_of_int l.Config.grid)))))
+    blk.index
+
+(* The CPU model's inputs for one instance: kernel flops and element-wise
+   bytes moved, from its statement's kernel and its first write's block. *)
+let cpu_inputs layout (s : Stmt.t) wblk =
+  let dims name = (layout name).Config.block_elems in
+  let bytes blk = float_of_int (Config.block_bytes (layout blk.array)) in
+  match (s.Stmt.kernel, wblk) with
+  | Kernel.Gemm_acc { ta; _ }, Some w ->
+      let wd = dims w.array in
+      let m = float_of_int wd.(0) and nn = float_of_int wd.(1) in
+      let k =
+        match Stmt.operand_reads s with
+        | a :: _ ->
+            let ad = dims a.Access.array in
+            float_of_int (if ta then ad.(0) else ad.(1))
+        | [] -> 0.
+      in
+      (2. *. m *. nn *. k, 0.)
+  | (Kernel.Assign_add | Kernel.Assign_sub), Some w -> (0., 3. *. bytes w)
+  | Kernel.Copy, Some w -> (0., 2. *. bytes w)
+  | Kernel.Invert, Some w ->
+      let nn = float_of_int (dims w.array).(0) in
+      (2. *. nn *. nn *. nn, 0.)
+  | Kernel.Rss_acc, Some _ -> (
+      match Stmt.operand_reads s with
+      | a :: _ ->
+          let ad = dims a.Access.array in
+          (2. *. float_of_int ad.(0) *. float_of_int ad.(1), 0.)
+      | [] -> (0., 0.))
+  | (Kernel.Filter | Kernel.Foreach), Some w -> (0., 2. *. bytes w)
+  | Kernel.Join_nl, Some w ->
+      (* One multiply per output element. *)
+      let wd = dims w.array in
+      (float_of_int wd.(0) *. float_of_int wd.(1), 0.)
+  | (Kernel.Opaque _ | Kernel.Gemm_acc _ | Kernel.Invert | Kernel.Rss_acc
+    | Kernel.Assign_add | Kernel.Assign_sub | Kernel.Copy | Kernel.Filter
+    | Kernel.Foreach | Kernel.Join_nl), _ -> (0., 0.)
+
+(* A coaccess's concrete pairs as (src, dst) instance ids; -1 marks an
+   instance outside its statement's instance set. *)
+let intern_pairs inst_id (ca : Coaccess.t) pairs =
+  let id stmt inst =
+    Option.value ~default:(-1) (Hashtbl.find_opt inst_id (stmt, inst_key inst))
+  in
+  Array.of_list
+    (List.map
+       (fun (src, dst) -> (id ca.Coaccess.src_stmt src, id ca.Coaccess.dst_stmt dst))
+       pairs)
 
 let cache ?(coaccesses = []) (prog : Program.t) ~config =
   let params = config.Config.params in
+  let layout name = Config.layout config name in
+  let bids = Hashtbl.create 256 and blocks = ref [] in
+  let intern blk =
+    match Hashtbl.find_opt bids blk with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length bids in
+        Hashtbl.add bids blk k;
+        blocks := blk :: !blocks;
+        k
+  in
+  let cinst_id = Hashtbl.create 256 in
+  let insts = ref [] and stmts = ref [] and next = ref 0 and nacc = ref 0 in
+  List.iter
+    (fun (s : Stmt.t) ->
+      let vars_of = Program.instances prog s ~params in
+      stmts := (s, !next, List.length vars_of) :: !stmts;
+      let accs = Array.of_list s.Stmt.accesses in
+      List.iter
+        (fun vars ->
+          let env = lookup_in vars params in
+          let blks =
+            Array.map
+              (fun (a : Access.t) ->
+                { array = a.Access.array; index = Array.to_list (Access.block_of a env) })
+              accs
+          in
+          let active =
+            Array.map
+              (fun (a : Access.t) ->
+                match a.Access.restrict_to with None -> true | Some r -> Poly.mem r env)
+              accs
+          in
+          let pick is =
+            List.filter
+              (fun ai -> active.(ai) && is accs.(ai))
+              (List.init (Array.length accs) Fun.id)
+          in
+          let reads = pick Access.is_read and writes = pick Access.is_write in
+          (* Several reads of one block within an instance are serviced by
+             a single I/O (the paper: "they can always be serviced with
+             only one I/O"): one merged read per block, in first-appearance
+             order, carrying its first access and every merged index. *)
+          let merged =
+            List.fold_left
+              (fun acc ai ->
+                let rec merge = function
+                  | [] -> [ (blks.(ai), accs.(ai), [ ai ]) ]
+                  | (b, a0, ais) :: rest when b = blks.(ai) -> (b, a0, ais @ [ ai ]) :: rest
+                  | x :: rest -> x :: merge rest
+                in
+                merge acc)
+              [] reads
+          in
+          let i_error =
+            match List.iter (fun ai -> check_bounds layout blks.(ai)) (reads @ writes) with
+            | () -> None
+            | exception e -> Some e
+          in
+          let i_flops, i_moved =
+            match i_error with
+            | Some _ -> (0., 0.)
+            | None ->
+                cpu_inputs layout s
+                  (match writes with ai :: _ -> Some blks.(ai) | [] -> None)
+          in
+          Hashtbl.replace cinst_id (s.Stmt.name, inst_key vars) !next;
+          insts :=
+            { i_stmt = s;
+              i_vars = vars;
+              i_reads = Array.of_list (List.map (fun (b, _, _) -> intern b) merged);
+              i_read_accs = Array.of_list (List.map (fun (_, a, ais) -> (a, ais)) merged);
+              i_writes = Array.of_list (List.map (fun ai -> intern blks.(ai)) writes);
+              i_write_accs = Array.of_list (List.map (fun ai -> (accs.(ai), ai)) writes);
+              i_blocks = Array.map intern blks;
+              i_base = !nacc;
+              i_error;
+              i_flops;
+              i_moved }
+            :: !insts;
+          nacc := !nacc + Array.length accs;
+          incr next)
+        vars_of)
+    prog.Program.stmts;
+  let cblocks = Array.of_list (List.rev !blocks) in
   let cpairs = Hashtbl.create 32 in
   List.iter
     (fun (ca : Coaccess.t) ->
       let key = Coaccess.key ca in
       if not (Hashtbl.mem cpairs key) then
-        Hashtbl.add cpairs key (Coaccess.pairs_at ca ~params))
+        Hashtbl.add cpairs key (intern_pairs cinst_id ca (Coaccess.pairs_at ca ~params)))
     coaccesses;
-  { cinstances =
-      List.map
-        (fun (s : Stmt.t) -> (s.Stmt.name, Program.instances prog s ~params))
-        prog.Program.stmts;
-    cpairs;
-    cparams = params }
+  { cprog = prog;
+    cconfig = config;
+    cinstances = Array.of_list (List.rev !insts);
+    cstmts = List.rev !stmts;
+    cinst_id;
+    cblocks;
+    cbytes =
+      Array.map
+        (fun b -> try Config.block_bytes (layout b.array) with Not_found -> 0)
+        cblocks;
+    cintermediate =
+      Array.map
+        (fun b ->
+          try Array_info.is_intermediate (Program.find_array prog b.array)
+          with Not_found -> false)
+        cblocks;
+    cnacc = !nacc;
+    cpairs }
 
-let cache_params c = c.cparams
+let cache_fits c prog ~config = c.cprog == prog && (c.cconfig == config || c.cconfig = config)
 let cache_instances c = c.cinstances
+let cache_block c k = c.cblocks.(k)
+let cache_block_count c = Array.length c.cblocks
 
 let cache_pairs c (ca : Coaccess.t) =
   match Hashtbl.find_opt c.cpairs (Coaccess.key ca) with
   | Some p -> p
-  | None -> Coaccess.pairs_at ca ~params:c.cparams
+  | None -> intern_pairs c.cinst_id ca (Coaccess.pairs_at ca ~params:c.cconfig.Config.params)
+
+(* Instance ids in step order (ties keep program statement order, then
+   enumeration order), and every instance's time vector by id. *)
+let order_times c sched =
+  let params = c.cconfig.Config.params in
+  let times = Array.make (Array.length c.cinstances) [||] in
+  List.iter
+    (fun ((s : Stmt.t), first, count) ->
+      let rows = Sched.find sched s.Stmt.name in
+      for g = first to first + count - 1 do
+        times.(g) <- Sched.time_of rows (lookup_in c.cinstances.(g).i_vars params)
+      done)
+    c.cstmts;
+  let ord = Array.init (Array.length times) Fun.id in
+  Array.stable_sort (fun a b -> Sched.lex_compare times.(a) times.(b)) ord;
+  (ord, times)
+
+let cache_order c sched = fst (order_times c sched)
 
 (* --- The predicted protocol stream ------------------------------------------ *)
 
 type pin_index = { pin_start : block list array; pin_stop : block list array }
 
-let index_pins ~n pins =
-  let pin_start = Array.make n [] and pin_stop = Array.make n [] in
+(* Interval items [(x, start, stop)] by the steps they open and close at;
+   malformed intervals are left out. *)
+let by_step ~n items =
+  let start = Array.make n [] and stop = Array.make n [] in
   List.iter
-    (fun (blk, a, b) ->
+    (fun (x, a, b) ->
       if 0 <= a && a <= b && b < n then begin
-        pin_start.(a) <- blk :: pin_start.(a);
-        pin_stop.(b) <- blk :: pin_stop.(b)
+        start.(a) <- x :: start.(a);
+        stop.(b) <- x :: stop.(b)
       end)
-    pins;
+    items;
+  (start, stop)
+
+let index_pins ~n pins =
+  let pin_start, pin_stop = by_step ~n pins in
   { pin_start; pin_stop }
 
 let sweep (st : step) =
@@ -93,384 +296,315 @@ let sweep (st : step) =
   @ List.map (fun (_, blk, _) -> blk) st.reads
   @ List.map (fun (_, blk, _) -> blk) st.writes
 
+type tally = {
+  mutable peak : int;
+  mutable rd_bytes : int;
+  mutable rd_ops : int;
+  mutable wr_bytes : int;
+  mutable wr_ops : int;
+}
+
 (* The engine's unfused step protocol, simulated from [steps] and [pins]
    alone: [step i emit] narrates step [i] into [emit] and advances the
-   resident set, so steps must be stepped in order, each once; [peak] is
-   the resident high-water mark in bytes.  Like the engine, the step's
-   write buffer is acquired before its pins open, and a block is dropped
-   only while resident and unpinned. *)
-let simulate ~config ~steps ~pins =
-  let { pin_start; pin_stop } = index_pins ~n:(Array.length steps) pins in
-  let resident = Hashtbl.create 64 and depth = Hashtbl.create 64 in
-  let bytes = ref 0 and peak = ref 0 in
-  let bytes_of blk = Config.block_bytes (Config.layout config blk.array) in
-  let pins_on blk = Option.value ~default:0 (Hashtbl.find_opt depth blk) in
-  let bring blk =
-    if not (Hashtbl.mem resident blk) then begin
-      Hashtbl.add resident blk ();
-      bytes := !bytes + bytes_of blk;
-      peak := max !peak !bytes
+   resident set, so steps must be stepped in order, each once; the tally
+   holds the resident high-water mark in bytes and the disk totals so far.
+   Like the engine, the step's write buffer is acquired before its pins
+   open, and a block is dropped only while resident and unpinned.
+
+   Blocks are dense ids: [rids.(i)] and [wids.(i)] are step [i]'s read and
+   write blocks in order, a pin is [((blk, id), start, stop)], and [bytes]
+   sizes every id, so the resident set and pin depths are plain arrays. *)
+let simulate ~steps ~bytes ~rids ~wids ~pins =
+  let n = Array.length steps and nb = Array.length bytes in
+  let pin_start, pin_stop = by_step ~n pins in
+  let resident = Bytes.make nb '\000' and depth = Array.make nb 0 in
+  let cur = ref 0 in
+  let tally = { peak = 0; rd_bytes = 0; rd_ops = 0; wr_bytes = 0; wr_ops = 0 } in
+  let bring k =
+    if Bytes.get resident k = '\000' then begin
+      Bytes.set resident k '\001';
+      cur := !cur + bytes.(k);
+      tally.peak <- max tally.peak !cur
     end
   in
   let step i emit =
-    let st = steps.(i) in
-    let drop blk =
-      if pins_on blk = 0 && Hashtbl.mem resident blk then begin
-        Hashtbl.remove resident blk;
-        bytes := !bytes - bytes_of blk;
+    let st = steps.(i) and ri = rids.(i) and wi = wids.(i) in
+    let drop blk k =
+      if depth.(k) = 0 && Bytes.get resident k = '\001' then begin
+        Bytes.set resident k '\000';
+        cur := !cur - bytes.(k);
         emit (Trace.Drop { step = i; array = blk.array; index = blk.index })
       end
     in
     emit (Trace.Step_begin { step = i; stmt = st.stmt; instance = st.instance });
-    List.iter
-      (fun (_, blk, src) ->
-        let src = match src with From_disk -> Trace.Disk | From_memory -> Trace.Memory in
+    List.iteri
+      (fun j (_, blk, src) ->
+        let k = ri.(j) in
+        let src =
+          match src with
+          | From_disk ->
+              tally.rd_bytes <- tally.rd_bytes + bytes.(k);
+              tally.rd_ops <- tally.rd_ops + 1;
+              Trace.Disk
+          | From_memory -> Trace.Memory
+        in
         emit (Trace.Read { step = i; array = blk.array; index = blk.index; src });
-        bring blk)
+        bring k)
       st.reads;
     let write = match st.writes with w :: _ -> Some w | [] -> None in
-    Option.iter (fun (_, blk, _) -> bring blk) write;
+    Option.iter (fun _ -> bring wi.(0)) write;
     List.iter
-      (fun blk ->
-        Hashtbl.replace depth blk (pins_on blk + 1);
+      (fun (blk, k) ->
+        depth.(k) <- depth.(k) + 1;
         emit (Trace.Pin_open { step = i; array = blk.array; index = blk.index }))
       pin_start.(i);
     Option.iter
       (fun (_, blk, dst) ->
+        if dst = To_disk then begin
+          tally.wr_bytes <- tally.wr_bytes + bytes.(wi.(0));
+          tally.wr_ops <- tally.wr_ops + 1
+        end;
         emit
           (Trace.Write
              { step = i; array = blk.array; index = blk.index; elided = dst = Elided }))
       write;
     List.iter
-      (fun blk ->
-        Hashtbl.replace depth blk (max 0 (pins_on blk - 1));
+      (fun (blk, k) ->
+        depth.(k) <- max 0 (depth.(k) - 1);
         emit (Trace.Pin_close { step = i; array = blk.array; index = blk.index });
-        drop blk)
+        drop blk k)
       pin_stop.(i);
-    List.iter drop (sweep st);
+    (* The {!sweep}, by id. *)
+    (match st.writes with (_, blk, Elided) :: _ -> drop blk wi.(0) | _ -> ());
+    List.iteri (fun j (_, blk, _) -> drop blk ri.(j)) st.reads;
+    List.iteri (fun j (_, blk, _) -> drop blk wi.(j)) st.writes;
     emit (Trace.Step_end { step = i })
   in
-  (step, peak)
+  (step, tally)
+
+(* [simulate]'s inputs for a finished plan: its blocks interned in one pass
+   over the steps, then the pins.  A block only ever pinned is never
+   resident, so it needs no size. *)
+let simulate_plan t =
+  let ids = Hashtbl.create 256 and sizes = ref [] in
+  let id ~sized blk =
+    match Hashtbl.find_opt ids blk with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length ids in
+        Hashtbl.add ids blk k;
+        sizes :=
+          (if sized then Config.block_bytes (Config.layout t.config blk.array) else 0)
+          :: !sizes;
+        k
+  in
+  let ids_of l = Array.of_list (List.map (fun (_, blk, _) -> id ~sized:true blk) l) in
+  let rids = Array.map (fun st -> ids_of st.reads) t.steps in
+  let wids = Array.map (fun st -> ids_of st.writes) t.steps in
+  let pins = List.map (fun (blk, a, b) -> ((blk, id ~sized:false blk), a, b)) t.pins in
+  let bytes = Array.of_list (List.rev !sizes) in
+  simulate ~steps:t.steps ~bytes ~rids ~wids ~pins
 
 (* --- Construction -------------------------------------------------------- *)
 
+(* Every pass below is one walk over the steps, the accesses of the
+   realized pairs or the pins, reading and writing arrays indexed by step,
+   instance id or block id. *)
 let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
-  let params = config.Config.params in
   (* A caller-supplied cache may be shared read-only across domains costing
      plans in parallel: misses are recomputed locally, never inserted.  Only
      a cache private to this build may keep growing. *)
   let c, private_cache =
     match c with
-    | Some c when c.cparams = params -> (c, false)
+    | Some c when cache_fits c prog ~config -> (c, false)
     | _ -> (cache prog ~config, true)
   in
+  let insts = c.cinstances and blocks = c.cblocks in
+  let nb = Array.length blocks in
   let pairs_of (ca : Coaccess.t) =
     let key = Coaccess.key ca in
     match Hashtbl.find_opt c.cpairs key with
     | Some p -> p
     | None ->
-        let p = Coaccess.pairs_at ca ~params in
+        let p = cache_pairs c ca in
         if private_cache then Hashtbl.add c.cpairs key p;
         p
   in
-  (* 1. Enumerate and order all statement instances. *)
-  let raw_events =
-    List.concat_map
-      (fun (s : Stmt.t) ->
-        let rows = Sched.find sched s.Stmt.name in
-        List.map
-          (fun inst -> (s, inst, Sched.time_of rows (lookup_in inst params)))
-          (List.assoc s.Stmt.name c.cinstances))
-      prog.Program.stmts
+  (* 1. Order all statement instances: [ord.(i)] is step [i]'s instance. *)
+  let ord, times = order_times c sched in
+  let n = Array.length ord in
+  let step_of = Array.make n 0 in
+  Array.iteri (fun i g -> step_of.(g) <- i) ord;
+  let step_of_id stmt g =
+    if g < 0 then
+      invalid_arg
+        (Printf.sprintf "Cplan.build: unknown instance of %s in a sharing pair" stmt);
+    step_of.(g)
   in
-  let raw_events =
-    List.sort (fun (_, _, t1) (_, _, t2) -> Sched.lex_compare t1 t2) raw_events
-  in
-  let n = List.length raw_events in
-  let events = Array.of_list raw_events in
-  (* Step index of a (stmt, instance). *)
-  let index_of = Hashtbl.create (2 * n) in
-  Array.iteri
-    (fun i (s, inst, _) -> Hashtbl.replace index_of (s.Stmt.name, inst_key inst) i)
-    events;
-  let find_index stmt inst =
-    match Hashtbl.find_opt index_of (stmt, inst_key inst) with
-    | Some i -> i
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Cplan.build: unknown instance of %s in a sharing pair" stmt)
-  in
-  (* 2. Realized sharing: memory-serviced reads, W->W-elided writes, pins. *)
-  let mem_reads = Hashtbl.create 64 in
-  (* key: (stmt, inst_key, access index) *)
-  let ww_sources = Hashtbl.create 64 in
+  (* 2. Realized sharing: memory-serviced reads and W->W sources, flagged
+     per access of each instance, and pins. *)
+  let mem_read = Bytes.make c.cnacc '\000' and ww_source = Bytes.make c.cnacc '\000' in
   let pins = ref [] in
   List.iter
     (fun (ca : Coaccess.t) ->
-      let pairs = pairs_of ca in
-      List.iter
-        (fun (src, dst) ->
-          let si = find_index ca.Coaccess.src_stmt src in
-          let di = find_index ca.Coaccess.dst_stmt dst in
+      Array.iter
+        (fun (sg, dg) ->
+          let si = step_of_id ca.Coaccess.src_stmt sg in
+          let di = step_of_id ca.Coaccess.dst_stmt dg in
           match (ca.Coaccess.src_typ, ca.Coaccess.dst_typ) with
           | Access.Write, Access.Write ->
-              Hashtbl.replace ww_sources
-                (ca.Coaccess.src_stmt, inst_key src, ca.Coaccess.src_acc) ()
+              Bytes.set ww_source (insts.(sg).i_base + ca.Coaccess.src_acc) '\001'
           | _, Access.Read ->
               (* The earlier-scheduled endpoint of the pair performs the
                  I/O; the later one finds the block resident.  A W->R pair
                  always runs write-first (legality), but an R->R pair may
                  be realized in either schedule order. *)
-              let l_stmt, l_inst, l_acc =
-                if si <= di then
-                  (ca.Coaccess.dst_stmt, dst, ca.Coaccess.dst_acc)
-                else (ca.Coaccess.src_stmt, src, ca.Coaccess.src_acc)
+              let lg, l_acc =
+                if si <= di then (dg, ca.Coaccess.dst_acc) else (sg, ca.Coaccess.src_acc)
               in
-              Hashtbl.replace mem_reads (l_stmt, inst_key l_inst, l_acc) ();
-              let s = Program.find_stmt prog ca.Coaccess.src_stmt in
-              let acc = List.nth s.Stmt.accesses ca.Coaccess.src_acc in
-              let blk =
-                { array = acc.Access.array;
-                  index = Array.to_list (Access.block_of acc (lookup_in src params)) }
-              in
-              pins := (blk, min si di, max si di) :: !pins
+              Bytes.set mem_read (insts.(lg).i_base + l_acc) '\001';
+              let k = insts.(sg).i_blocks.(ca.Coaccess.src_acc) in
+              pins := ((blocks.(k), k), min si di, max si di) :: !pins
           | Access.Read, Access.Write -> ())
-        pairs)
+        (pairs_of ca))
     realized;
-  (* 3. Per-step access resolution. *)
-  let layout name = Config.layout config name in
-  let check_bounds (blk : block) =
-    let l = layout blk.array in
-    List.iteri
-      (fun d v ->
-        if v < 0 || v >= l.Config.grid.(d) then
-          invalid_arg
-            (Printf.sprintf "Cplan.build: block %s[%s] outside its %s grid" blk.array
-               (String.concat "," (List.map string_of_int blk.index))
-               (String.concat "x" (Array.to_list (Array.map string_of_int l.Config.grid)))))
-      blk.index
-  in
-  let active (a : Access.t) inst =
-    match a.Access.restrict_to with
-    | None -> true
-    | Some r -> Poly.mem r (lookup_in inst params)
-  in
-  let ww_candidate : (block * int, unit) Hashtbl.t = Hashtbl.create 32 in
-  let steps =
+  let pins = !pins in
+  (* 3. Read sources.  A read is serviced from memory when it is a realized
+     reuse target, or when some realized opportunity pins the block across
+     this step anyway (the buffer is resident; re-reading it would be
+     gratuitous I/O the engine does not perform).  Pin (blk, a, b) covers
+     steps a < i <= b: a sweep counts the covering pins of every block. *)
+  let opens = Array.make (n + 1) [] and closes = Array.make (n + 1) [] in
+  List.iter
+    (fun ((_, k), a, b) ->
+      if a < b then begin
+        opens.(a + 1) <- k :: opens.(a + 1);
+        closes.(b + 1) <- k :: closes.(b + 1)
+      end)
+    pins;
+  let covering = Array.make nb 0 in
+  let from_mem =
     Array.mapi
-      (fun i ((s : Stmt.t), inst, time) ->
-        let accs = List.mapi (fun ai a -> (ai, a)) s.Stmt.accesses in
-        let block_of (a : Access.t) =
-          let blk =
-            { array = a.Access.array;
-              index = Array.to_list (Access.block_of a (lookup_in inst params)) }
-          in
-          check_bounds blk;
-          blk
-        in
-        let reads =
-          List.filter_map
-            (fun (ai, (a : Access.t)) ->
-              if Access.is_read a && active a inst then begin
-                let blk = block_of a in
-                (* Serviced from memory when it is a realized reuse target, or
-                   when some realized opportunity pins the block across this
-                   step anyway (the buffer is resident; re-reading it would
-                   be gratuitous I/O the engine does not perform). *)
-                let src =
-                  if
-                    Hashtbl.mem mem_reads (s.Stmt.name, inst_key inst, ai)
-                    || List.exists (fun (b, a0, b0) -> b = blk && a0 < i && i <= b0) !pins
-                  then From_memory
-                  else From_disk
-                in
-                Some (a, blk, src)
-              end
-              else None)
-            accs
-        in
-        (* Several reads of one block within an instance are serviced by a
-           single I/O (the paper: "they can always be serviced with only one
-           I/O"); merge them, preferring the memory-serviced marking. *)
-        let reads =
-          List.fold_left
-            (fun acc (a, blk, src) ->
-              let rec merge = function
-                | [] -> [ (a, blk, src) ]
-                | (a0, blk0, src0) :: rest when blk0 = blk ->
-                    (a0, blk0, (if src = From_memory || src0 = From_memory then From_memory else From_disk))
-                    :: rest
-                | x :: rest -> x :: merge rest
-              in
-              merge acc)
-            [] reads
-        in
-        let writes =
-          List.filter_map
-            (fun (ai, (a : Access.t)) ->
-              if Access.is_write a && active a inst then begin
-                let blk = block_of a in
-                if Hashtbl.mem ww_sources (s.Stmt.name, inst_key inst, ai) then
-                  Hashtbl.replace ww_candidate (blk, i) ();
-                Some (a, blk, To_disk)
-              end
-              else None)
-            accs
-        in
-        { stmt = s.Stmt.name; instance = inst; time; reads; writes })
-      events
+      (fun i g ->
+        List.iter (fun k -> covering.(k) <- covering.(k) + 1) opens.(i);
+        List.iter (fun k -> covering.(k) <- covering.(k) - 1) closes.(i);
+        let it = insts.(g) in
+        Option.iter raise it.i_error;
+        Array.mapi
+          (fun j k ->
+            covering.(k) > 0
+            || List.exists
+                 (fun ai -> Bytes.get mem_read (it.i_base + ai) = '\001')
+                 (snd it.i_read_accs.(j)))
+          it.i_reads)
+      ord
   in
   (* 4. Write elision. A write is elided only when it is execution-safe:
      every read of the block before the next write of the same block must be
      serviced from memory. Under that condition, a write is dropped when
      (a) it is a realized W->W source (a later write overwrites it), for any
      array kind, or (b) the array is an intermediate (footnote 8: nothing
-     ever needs the block on disk). Output arrays keep their final write. *)
-  let by_block = Hashtbl.create 64 in
-  Array.iteri
-    (fun i st ->
-      List.iter
-        (fun (_, blk, src) ->
-          Hashtbl.replace by_block blk
-            ((`R (i, src)) :: Option.value ~default:[] (Hashtbl.find_opt by_block blk)))
-        st.reads;
-      List.iter
-        (fun (_, blk, _) ->
-          Hashtbl.replace by_block blk
-            ((`W i) :: Option.value ~default:[] (Hashtbl.find_opt by_block blk)))
-        st.writes)
-    steps;
-  let elide_writes = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun blk accs ->
-      let info = Program.find_array prog blk.array in
-      let intermediate = Array_info.is_intermediate info in
-      (* Walk in time order; a read at the same step as a write belongs to
-         the segment of the PREVIOUS write (reads happen before the write
-         within an instance). *)
-      let accs =
-        List.sort
-          (fun a b ->
-            let pos = function `R (i, _) -> (i, 0) | `W i -> (i, 1) in
-            compare (pos a) (pos b))
-          accs
-      in
-      let rec walk = function
-        | `W i :: rest ->
-            let rec upto = function
-              | `W _ :: _ -> []
-              | x :: r -> x :: upto r
-              | [] -> []
-            in
-            let segment_reads =
-              List.filter_map (function `R (j, src) -> Some (j, src) | `W _ -> None)
-                (upto rest)
-            in
-            let has_later_write =
-              List.exists (function `W _ -> true | `R _ -> false) rest
-            in
-            let all_mem =
-              List.for_all (fun (_, src) -> src = From_memory) segment_reads
-            in
-            let elidable =
-              all_mem
-              && (intermediate
-                 || (Hashtbl.mem ww_candidate (blk, i) && has_later_write))
-            in
-            if elidable then Hashtbl.replace elide_writes (blk, i) ();
-            walk rest
-        | `R _ :: rest -> walk rest
-        | [] -> ()
-      in
-      walk accs)
-    by_block;
+     ever needs the block on disk). Output arrays keep their final write.
+     One forward sweep keeps each block's open write and whether every read
+     of its segment so far came from memory; a read at the same step as a
+     write belongs to the segment of the PREVIOUS write (reads happen
+     before the write within an instance).  Flags are per (block, step): a
+     step writing one block twice elides both writes or neither. *)
+  (* Whether [f it s] holds for some write slot [s] of block [k] at step [i]. *)
+  let any_write i k f =
+    let it = insts.(ord.(i)) in
+    let hit = ref false in
+    Array.iteri (fun s k' -> if k' = k && f it s then hit := true) it.i_writes;
+    !hit
+  in
+  let ww_candidate i k =
+    any_write i k (fun it s ->
+        Bytes.get ww_source (it.i_base + snd it.i_write_accs.(s)) = '\001')
+  in
+  let elidable = Array.map (fun g -> Array.make (Array.length insts.(g).i_writes) false) ord in
+  let open_step = Array.make nb (-1) and open_slot = Array.make nb 0 in
+  let all_mem = Bytes.make nb '\001' in
+  let close k ~later =
+    let i = open_step.(k) in
+    if i >= 0 then begin
+      let s = open_slot.(k) in
+      if
+        Bytes.get all_mem k = '\001'
+        && (c.cintermediate.(k) || (later && ww_candidate i k))
+      then elidable.(i).(s) <- true
+    end
+  in
+  for i = 0 to n - 1 do
+    let it = insts.(ord.(i)) in
+    Array.iteri
+      (fun j k -> if not from_mem.(i).(j) then Bytes.set all_mem k '\000')
+      it.i_reads;
+    Array.iteri
+      (fun s k ->
+        close k ~later:true;
+        open_step.(k) <- i;
+        open_slot.(k) <- s;
+        Bytes.set all_mem k '\001')
+      it.i_writes
+  done;
+  for k = 0 to nb - 1 do
+    close k ~later:false
+  done;
   let steps =
     Array.mapi
-      (fun i st ->
-        { st with
+      (fun i g ->
+        let it = insts.(g) in
+        { stmt = it.i_stmt.Stmt.name;
+          instance = it.i_vars;
+          time = times.(g);
+          reads =
+            Array.to_list
+              (Array.mapi
+                 (fun j k ->
+                   ( fst it.i_read_accs.(j),
+                     blocks.(k),
+                     if from_mem.(i).(j) then From_memory else From_disk ))
+                 it.i_reads);
           writes =
-            List.map
-              (fun (a, blk, _kind) ->
-                if Hashtbl.mem elide_writes (blk, i) then (a, blk, Elided)
-                else (a, blk, To_disk))
-              st.writes })
-      steps
+            Array.to_list
+              (Array.mapi
+                 (fun s k ->
+                   ( fst it.i_write_accs.(s),
+                     blocks.(k),
+                     if any_write i k (fun _ s' -> elidable.(i).(s')) then Elided else To_disk ))
+                 it.i_writes) })
+      ord
   in
   (* 5. Totals and peak memory: one pass of the predicted protocol stream,
      never materialised.  The peak is its resident high-water mark: the
      running step's blocks plus every block pinned across the step. *)
-  let block_bytes blk = Config.block_bytes (layout blk.array) in
-  let pins = !pins in
-  let read_bytes = ref 0 and write_bytes = ref 0 in
-  let read_ops = ref 0 and write_ops = ref 0 in
-  let step, peak = simulate ~config ~steps ~pins in
-  let count = function
-    | Trace.Read { array; src = Trace.Disk; _ } ->
-        read_bytes := !read_bytes + Config.block_bytes (layout array);
-        incr read_ops
-    | Trace.Write { array; elided = false; _ } ->
-        write_bytes := !write_bytes + Config.block_bytes (layout array);
-        incr write_ops
-    | _ -> ()
+  let step, tally =
+    simulate ~steps ~bytes:c.cbytes
+      ~rids:(Array.map (fun g -> insts.(g).i_reads) ord)
+      ~wids:(Array.map (fun g -> insts.(g).i_writes) ord)
+      ~pins
   in
   for i = 0 to n - 1 do
-    step i count
+    step i ignore
   done;
-  (* 6. CPU model inputs. *)
+  (* 6. CPU model inputs, summed in step order. *)
   let flops = ref 0. and moved = ref 0. in
   Array.iter
-    (fun st ->
-      let s = Program.find_stmt prog st.stmt in
-      let wblk =
-        match st.writes with (_, blk, _) :: _ -> Some blk | [] -> None
-      in
-      let dims name = (layout name).Config.block_elems in
-      match (s.Stmt.kernel, wblk) with
-      | Kernel.Gemm_acc { ta; _ }, Some w ->
-          let wd = dims w.array in
-          let m = float_of_int wd.(0) and nn = float_of_int wd.(1) in
-          let k =
-            match Stmt.operand_reads s with
-            | a :: _ ->
-                let ad = dims a.Access.array in
-                float_of_int (if ta then ad.(0) else ad.(1))
-            | [] -> 0.
-          in
-          flops := !flops +. (2. *. m *. nn *. k)
-      | (Kernel.Assign_add | Kernel.Assign_sub), Some w ->
-          moved := !moved +. (3. *. float_of_int (block_bytes w))
-      | Kernel.Copy, Some w -> moved := !moved +. (2. *. float_of_int (block_bytes w))
-      | Kernel.Invert, Some w ->
-          let wd = dims w.array in
-          let nn = float_of_int wd.(0) in
-          flops := !flops +. (2. *. nn *. nn *. nn)
-      | Kernel.Rss_acc, Some _ ->
-          (match Stmt.operand_reads s with
-          | a :: _ ->
-              let ad = dims a.Access.array in
-              flops := !flops +. (2. *. float_of_int ad.(0) *. float_of_int ad.(1))
-          | [] -> ())
-      | (Kernel.Filter | Kernel.Foreach), Some w ->
-          moved := !moved +. (2. *. float_of_int (block_bytes w))
-      | Kernel.Join_nl, Some w ->
-          (* One multiply per output element. *)
-          let wd = dims w.array in
-          flops := !flops +. (float_of_int wd.(0) *. float_of_int wd.(1))
-      | (Kernel.Opaque _ | Kernel.Gemm_acc _ | Kernel.Invert | Kernel.Rss_acc
-        | Kernel.Assign_add | Kernel.Assign_sub | Kernel.Copy | Kernel.Filter
-        | Kernel.Foreach | Kernel.Join_nl), _ -> ())
-    steps;
+    (fun g ->
+      flops := !flops +. insts.(g).i_flops;
+      moved := !moved +. insts.(g).i_moved)
+    ord;
   { prog;
     config;
     sched;
     realized;
     steps;
-    pins;
-    read_bytes = !read_bytes;
-    write_bytes = !write_bytes;
-    read_ops = !read_ops;
-    write_ops = !write_ops;
-    peak_memory = !peak;
+    pins = List.map (fun ((blk, _), a, b) -> (blk, a, b)) pins;
+    read_bytes = tally.rd_bytes;
+    write_bytes = tally.wr_bytes;
+    read_ops = tally.rd_ops;
+    write_ops = tally.wr_ops;
+    peak_memory = tally.peak;
     flops = !flops;
     moved_bytes = !moved }
 
@@ -497,7 +631,7 @@ let pin_index t = index_pins ~n:(Array.length t.steps) t.pins
 
 let events t =
   Seq.memoize (fun () ->
-      let step, _ = simulate ~config:t.config ~steps:t.steps ~pins:t.pins in
+      let step, _ = simulate_plan t in
       Seq.concat_map
         (fun i ->
           let evs = ref [] in

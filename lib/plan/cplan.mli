@@ -44,8 +44,12 @@ type t = {
 }
 
 type cache
-(** Memoises the schedule-independent work (statement instance sets, extent
-    pairs) across the many plans costed under one configuration.
+(** The schedule-independent half of plan costing, built once per program
+    and configuration and shared by every plan costed under them: each
+    statement instance with its accesses resolved (restrictions applied,
+    blocks computed and checked against the grid), blocks and instances
+    interned to dense integer ids, per-block sizes, and the concrete extent
+    pairs of sharing opportunities as instance-id pairs.
 
     A cache passed to {!build} is treated as strictly read-only, so one cache
     may be shared by plan costings running concurrently on several domains.
@@ -61,17 +65,51 @@ val cache :
   cache
 (** [coaccesses] eagerly materialises the concrete extent pairs of the given
     coaccesses (typically the analysis' full sharing list, a superset of
-    every plan's realized set) at the configuration's parameters. *)
+    every plan's realized set) at the configuration's parameters.  Never
+    raises on an out-of-grid access: {!build} does, when it reaches it. *)
 
-val cache_params : cache -> (string * int) list
-(** The configuration parameters the cache was built at. *)
+val cache_fits : cache -> Riot_ir.Program.t -> config:Riot_ir.Config.t -> bool
+(** Whether the cache was built for this (physically same) program and an
+    equal configuration; {!build} ignores a cache that does not fit. *)
 
-val cache_instances : cache -> (string * (string * int) list list) list
-(** Per-statement concrete instance sets, in program statement order. *)
+type instance = private {
+  i_stmt : Riot_ir.Stmt.t;
+  i_vars : (string * int) list;  (** the instance's qualified loop variables *)
+  i_reads : int array;
+      (** blocks of its active reads, merged: one per distinct block, in
+          first-appearance order *)
+  i_read_accs : (Riot_ir.Access.t * int list) array;
+      (** per merged read: its first access, and the indices (in the
+          statement's access list) of every access merged into it *)
+  i_writes : int array;  (** blocks of its active writes, in access order *)
+  i_write_accs : (Riot_ir.Access.t * int) array;  (** each write's access and index *)
+  i_blocks : int array;  (** the block of every access by index, active or not *)
+  i_base : int;  (** offset of its access 0 in per-access flag arrays *)
+  i_error : exn option;  (** the first out-of-grid active access, raised by {!build} *)
+  i_flops : float;  (** kernel flops of the instance *)
+  i_moved : float;  (** element-wise kernel bytes moved *)
+}
+(** One resolved statement instance of a cache.  Ids are dense: instances in
+    program statement order, then enumeration order; blocks in first
+    resolution order. *)
 
-val cache_pairs : cache -> Riot_analysis.Coaccess.t -> ((string * int) list * (string * int) list) list
-(** The concrete (src instance, dst instance) pairs of a coaccess's extent;
-    served from the prefill when available, recomputed (without inserting)
+val cache_instances : cache -> instance array
+(** Every statement instance, indexed by instance id. *)
+
+val cache_block : cache -> int -> block
+(** The block of a block id. *)
+
+val cache_block_count : cache -> int
+(** Block ids run from 0 to [cache_block_count c - 1]. *)
+
+val cache_order : cache -> Riot_ir.Sched.program_sched -> int array
+(** Instance ids in the schedule's execution order: the step order of
+    {!build}.  Ties keep id order. *)
+
+val cache_pairs : cache -> Riot_analysis.Coaccess.t -> (int * int) array
+(** The concrete (src, dst) pairs of a coaccess's extent as instance ids
+    ([-1] for an instance outside its statement's instance set); served
+    from the prefill when available, recomputed (without inserting)
     otherwise.  Read-only, so safe from any domain. *)
 
 val build :

@@ -108,6 +108,25 @@ let test_recost_matches_fresh_optimize () =
   check_bool "config updated" true
     (recosted.Api.config.Config.layouts = small.Config.layouts)
 
+(* A pruned or budget-cut result holds only the survivors at its own
+   sizes, so recosting it would silently approximate: it is rejected. *)
+let test_recost_rejects_pruned () =
+  let rejects what o =
+    match Api.recost o ~config:(Programs.scale_down ~factor:20 o.Api.config) with
+    | (_ : Api.t) -> Alcotest.failf "recost accepted a %s result" what
+    | exception Invalid_argument _ -> ()
+  in
+  let small = Programs.scale_down ~factor:10 Programs.table3_config_a in
+  let pruned = Api.optimize ~prune:true ~max_size:2 (Programs.two_matmuls ()) ~config:small in
+  check_bool "bound pruning fired" true (pruned.Api.search_stats.Search.bound_pruned > 0);
+  rejects "bound-pruned" pruned;
+  let cut =
+    Api.optimize ~budget:0. (Programs.add_mul ())
+      ~config:(Programs.scale_down ~factor:10 Programs.table2)
+  in
+  check_bool "budget struck" false cut.Api.search_stats.Search.complete;
+  rejects "budget-cut" cut
+
 let test_best_verifies_optimized_winner_once () =
   let o = Api.optimize (Programs.add_mul ()) ~config:(Programs.scale_down ~factor:10 Programs.table2) in
   let w = Api.best o in
@@ -173,6 +192,7 @@ let suite =
       Alcotest.test_case "refine divisibility" `Quick test_refine_divisibility;
       Alcotest.test_case "joint optimization tradeoff" `Slow test_joint_optimization_tradeoff;
       Alcotest.test_case "recost matches fresh optimize" `Quick test_recost_matches_fresh_optimize;
+      Alcotest.test_case "recost rejects a pruned result" `Quick test_recost_rejects_pruned;
       Alcotest.test_case "best verifies the optimized winner once" `Quick
         test_best_verifies_optimized_winner_once;
       Alcotest.test_case "opportunistic LRU bounds" `Quick test_opportunistic_between_bounds ] )

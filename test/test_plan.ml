@@ -216,6 +216,60 @@ let test_explain_breakdown () =
     c.Cplan.write_ops
     (List.fold_left (fun a (r : Cost_check.expected) -> a + r.e_writes) 0 rows)
 
+(* The sources of reads, on random programs: every memory-serviced read at
+   step i lies inside a pin (blk, a, b) with a <= i <= b, and no
+   disk-serviced read is covered by a pin with a < i <= b (the scan
+   [Cplan.build] once ran per read, kept here as the oracle).  A build
+   against the shared cache prefilled with the program's sharing list must
+   equal a build with a private cache, field for field. *)
+let prop_read_sources =
+  let module Differential = Riotshare.Differential in
+  let module Rand_prog = Riot_ops.Rand_prog in
+  QCheck.Test.make ~name:"plan: read sources match pins on random programs" ~count:200
+    (QCheck.make
+       ~print:(fun s ->
+         Printf.sprintf "%d (%s=%d)" s Rand_prog.seed_env_var (Rand_prog.master_seed ()))
+       QCheck.Gen.(int_range 0 100000))
+    (fun seed ->
+      let case = Differential.case_of_seed seed in
+      let prog = case.Differential.prog and config = case.Differential.config in
+      let analysis = Deps.extract prog ~ref_params:config.Config.params in
+      let cache = Cplan.cache ~coaccesses:analysis.Deps.sharing prog ~config in
+      List.iteri
+        (fun k (c : Cplan.t) ->
+          Array.iteri
+            (fun i (st : Cplan.step) ->
+              List.iter
+                (fun ((_ : Riot_ir.Access.t), blk, src) ->
+                  let pinned lo =
+                    List.exists (fun (b, a, z) -> b = blk && lo a && i <= z) c.Cplan.pins
+                  in
+                  match src with
+                  | Cplan.From_memory ->
+                      if not (pinned (fun a -> a <= i)) then
+                        QCheck.Test.fail_reportf "plan %d step %d: memory read of %s without a pin"
+                          k i blk.Cplan.array
+                  | Cplan.From_disk ->
+                      if pinned (fun a -> a < i) then
+                        QCheck.Test.fail_reportf "plan %d step %d: pinned %s read from disk" k i
+                          blk.Cplan.array)
+                st.Cplan.reads)
+            c.Cplan.steps;
+          let shared =
+            Cplan.build ~cache prog ~config ~sched:c.Cplan.sched ~realized:c.Cplan.realized
+          in
+          let fields (c : Cplan.t) =
+            ( c.Cplan.steps,
+              c.Cplan.pins,
+              (c.Cplan.read_bytes, c.Cplan.write_bytes, c.Cplan.read_ops, c.Cplan.write_ops),
+              c.Cplan.peak_memory,
+              (c.Cplan.flops, c.Cplan.moved_bytes) )
+          in
+          if fields shared <> fields c then
+            QCheck.Test.fail_reportf "plan %d: shared-cache build differs" k)
+        case.Differential.plans;
+      true)
+
 let suite =
   ( "plan",
     [ Alcotest.test_case "baseline volumes" `Quick test_baseline_volumes;
@@ -228,4 +282,5 @@ let suite =
       Alcotest.test_case "bigblock variant" `Quick test_bigblock_variant;
       Alcotest.test_case "scale down" `Quick test_scale_down_preserves_structure;
       Alcotest.test_case "symbolic cost polynomials" `Quick test_symbolic_read_volume;
-      Alcotest.test_case "explain breakdown" `Quick test_explain_breakdown ] )
+      Alcotest.test_case "explain breakdown" `Quick test_explain_breakdown;
+      QCheck_alcotest.to_alcotest prop_read_sources ] )
