@@ -411,25 +411,12 @@ let simulate_plan t =
    realized pairs or the pins, reading and writing arrays indexed by step,
    instance id or block id. *)
 let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
-  (* A caller-supplied cache may be shared read-only across domains costing
-     plans in parallel: misses are recomputed locally, never inserted.  Only
-     a cache private to this build may keep growing. *)
-  let c, private_cache =
-    match c with
-    | Some c when cache_fits c prog ~config -> (c, false)
-    | _ -> (cache prog ~config, true)
-  in
+  (* The cache is only read, never written (a missed extent pair is
+     recomputed locally), so one cache may be shared by builds running
+     concurrently on several domains. *)
+  let c = match c with Some c when cache_fits c prog ~config -> c | _ -> cache prog ~config in
   let insts = c.cinstances and blocks = c.cblocks in
   let nb = Array.length blocks in
-  let pairs_of (ca : Coaccess.t) =
-    let key = Coaccess.key ca in
-    match Hashtbl.find_opt c.cpairs key with
-    | Some p -> p
-    | None ->
-        let p = cache_pairs c ca in
-        if private_cache then Hashtbl.add c.cpairs key p;
-        p
-  in
   (* 1. Order all statement instances: [ord.(i)] is step [i]'s instance. *)
   let ord, times = order_times c sched in
   let n = Array.length ord in
@@ -466,7 +453,7 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
               let k = insts.(sg).i_blocks.(ca.Coaccess.src_acc) in
               pins := ((blocks.(k), k), min si di, max si di) :: !pins
           | Access.Read, Access.Write -> ())
-        (pairs_of ca))
+        (cache_pairs c ca))
     realized;
   let pins = !pins in
   (* 3. Read sources.  A read is serviced from memory when it is a realized
