@@ -1341,9 +1341,10 @@ let iolap_smoke () = iolap_run ~variant:"smoke" ~scale:50 ~reps:1 ~gate:false
    with block contents shrunk 50x), next to Machine.paper's modeled
    gemm_flops — the CPU half of the cost model checked the way Fig. 3(b)
    checks the I/O half.  Throughput is reported, never gated: a wall-clock
-   figure depends on the host.  The full run appends one row to
-   BENCH_gemm.json; the smoke run uses tiny shapes and checks only that
-   results are finite and deterministic. *)
+   figure depends on the host.  The row's gates record that every result
+   was finite and that two calls agreed bit for bit; the run fails if
+   either does not hold.  The full run appends its row to BENCH_gemm.json;
+   the smoke run uses tiny shapes. *)
 
 let gemm_json_file = "BENCH_gemm.json"
 
@@ -1360,14 +1361,26 @@ let gemm_smoke_shapes =
     (fun (ta, tb) -> (Printf.sprintf "smoke ta=%b tb=%b" ta tb, 7, 9, 5, ta, tb))
     [ (false, false); (true, false); (false, true); (true, true) ]
 
+(* HEAD, suffixed "+dirty" when lib/ (the code every bench measures) has
+   uncommitted changes, so a row measured before a commit is not filed under
+   its parent. *)
 let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, id when id <> "" -> id
-    | _ -> "unknown"
-  with Unix.Unix_error _ | Sys_error _ -> "unknown"
+  let first_line cmd =
+    try
+      let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> Some line
+      | _ -> None
+    with Unix.Unix_error _ | Sys_error _ -> None
+  in
+  match first_line "git rev-parse --short=12 HEAD" with
+  | Some id when id <> "" -> (
+      match first_line "git status --porcelain -- :/lib" with
+      | Some "" -> id
+      | Some _ -> id ^ "+dirty"
+      | None -> id)
+  | _ -> "unknown"
 
 let gemm_run ~variant ~shapes ~min_seconds ~trials =
   section (Printf.sprintf "Dense.gemm throughput (%s)" variant);
@@ -1387,10 +1400,8 @@ let gemm_run ~variant ~shapes ~min_seconds ~trials =
         in
         let c1 = once () in
         let bits c = Array.map Int64.bits_of_float c in
-        if not (Array.for_all Float.is_finite c1) then
-          failwith (Printf.sprintf "gemm: non-finite result on %s" label);
-        if bits (once ()) <> bits c1 then
-          failwith (Printf.sprintf "gemm: nondeterministic result on %s" label);
+        let finite = Array.for_all Float.is_finite c1
+        and deterministic = bits (once ()) = bits c1 in
         (* Median over trials; each trial repeats the call until it has run
            [min_seconds]. *)
         let c = Array.make (m * n) 0. in
@@ -1405,27 +1416,44 @@ let gemm_run ~variant ~shapes ~min_seconds ~trials =
         let rates = List.sort compare (List.init trials (fun _ -> trial ())) in
         let flops = List.nth rates (trials / 2) in
         let op = (if ta then "A'" else "A") ^ (if tb then "B'" else "B") in
-        Printf.printf "%-24s %-16s %-6s %-10.2f %-10.1f %.4f\n" label
-          (Printf.sprintf "%dx%dx%d" m n k)
-          op (flops /. 1e9) (model /. 1e9) (flops /. model);
-        Printf.sprintf
-          "{\"shape\": %S, \"m\": %d, \"n\": %d, \"k\": %d, \"ta\": %b, \
-           \"tb\": %b, \"gflops\": %.3f, \"model_gflops\": %.1f, \
-           \"model_ratio\": %.4f}"
-          label m n k ta tb (flops /. 1e9) (model /. 1e9) (flops /. model))
+        let dims = Printf.sprintf "%dx%dx%d" m n k in
+        Printf.printf "%-24s %-16s %-6s %-10.2f %-10.1f %.4f\n" label dims op
+          (flops /. 1e9) (model /. 1e9) (flops /. model);
+        (label, Printf.sprintf "%s %s" dims op, flops, finite, deterministic))
       shapes
+  in
+  let finite = List.for_all (fun (_, _, _, f, _) -> f) rows
+  and deterministic = List.for_all (fun (_, _, _, _, d) -> d) rows in
+  let metric (label, _, flops, _, _) =
+    Printf.sprintf
+      "%S: {\"value\": %.3f, \"unit\": \"GFLOP/s\"}, %S: {\"value\": %.4f, \
+       \"unit\": \"ratio\"}"
+      (label ^ ".gflops") (flops /. 1e9) (label ^ ".model_ratio") (flops /. model)
   in
   let row =
     Printf.sprintf
       "{\"bench\": \"gemm\", \"variant\": %S, \"commit\": %S, \"nproc\": %d, \
        \"ocaml\": %S, \"timestamp\": %.0f, \"trials\": %d, \
-       \"min_seconds\": %g, \"rows\": [%s]}"
+       \"min_seconds\": %g, \"shapes\": {%s}, \"metrics\": {\"model_gflops\": \
+       {\"value\": %.1f, \"unit\": \"GFLOP/s\"}, %s}, \"gates\": {\"finite\": %b, \
+       \"deterministic\": %b}}"
       variant (git_commit ())
       (Domain.recommended_domain_count ())
       Sys.ocaml_version (Unix.time ()) trials min_seconds
-      (String.concat ", " rows)
+      (String.concat ", "
+         (List.map (fun (label, shape, _, _, _) -> Printf.sprintf "%S: %S" label shape) rows))
+      (model /. 1e9)
+      (String.concat ", " (List.map metric rows))
+      finite deterministic
   in
   print_endline row;
+  List.iter
+    (fun (label, _, _, f, d) ->
+      if not (f && d) then
+        failwith
+          (Printf.sprintf "gemm: %s result on %s"
+             (if f then "nondeterministic" else "non-finite") label))
+    rows;
   row
 
 let gemm () =

@@ -1,5 +1,6 @@
 module Cplan = Riot_plan.Cplan
 module Backend = Riot_storage.Backend
+module Block_store = Riot_storage.Block_store
 
 let stream = "__journal__"
 let magic = "RIOTJRN2"
@@ -275,11 +276,7 @@ let encode_image_payload ~array ~index ~(data : float array) =
       Bytes.set_int64_le b !p (Int64.of_int v);
       p := !p + 8)
     index;
-  Array.iter
-    (fun v ->
-      Bytes.set_int64_le b !p (Int64.bits_of_float v);
-      p := !p + 8)
-    data;
+  Block_store.set_floats b ~off:!p data;
   b
 
 let decode_image_payload ~step (b : Bytes.t) =
@@ -304,10 +301,7 @@ let decode_image_payload ~step (b : Bytes.t) =
             { im_step = step;
               im_array = array;
               im_index = index;
-              im_data =
-                Array.init
-                  ((len - doff) / 8)
-                  (fun e -> Int64.float_of_bits (Bytes.get_int64_le b (doff + (8 * e)))) }
+              im_data = Block_store.get_floats b ~off:doff ((len - doff) / 8) }
       end
     end
   end

@@ -1,9 +1,9 @@
-(* Register-tiled gemm; the contract and the tile design are in dense.mli.
-   Tiling changes only which elements of c are in flight together, never an
-   element's operation sequence, so the result is bit-identical to the plain
-   i-l-j triple loop.  The unchecked accesses are sound because [gemm_check]
-   runs first, and it runs before c is touched, so a shape error leaves c
-   intact. *)
+(* Packed, register-tiled gemm; the contract and the design are in dense.mli.
+   Packing and tiling change only where operands are read from and which
+   elements of c are in flight together, never an element's operation
+   sequence, so the result is bit-identical to the plain i-l-j triple loop.
+   The unchecked accesses are sound because [gemm_check] runs first, and it
+   runs before c is touched, so a shape error leaves c intact. *)
 
 let gemm_check ~m ~n ~k ~a ~b ~c =
   if m < 0 || n < 0 || k < 0 then
@@ -21,6 +21,14 @@ let gemm_check ~m ~n ~k ~a ~b ~c =
     [ ("a", Array.length a, m, k);
       ("b", Array.length b, k, n);
       ("c", Array.length c, m, n) ]
+
+(* The packing buffers of the calling domain: [pa] holds op(a)'s row pairs,
+   [pb] one 4-column panel of op(b).  They only grow, so a domain's gemm
+   calls allocate nothing once its largest shape has been seen. *)
+type panels = { mutable pa : float array; mutable pb : float array }
+
+let panels_key =
+  Domain.DLS.new_key (fun () -> { pa = [||]; pb = [||] })
 
 let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
   gemm_check ~m ~n ~k ~a ~b ~c;
@@ -40,60 +48,78 @@ let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
     Array.unsafe_set c ((i * n) + j) !acc
   in
   let m2 = m land lnot 1 and n4 = n land lnot 3 in
-  let i = ref 0 in
-  while !i < m2 do
-    let i0 = !i in
-    let ar0 = i0 * ars in
-    let ar1 = ar0 + ars and cr0 = i0 * n in
-    let cr1 = cr0 + n in
-    let j = ref 0 in
-    while !j < n4 do
-      let j0 = !j in
-      let bc0 = j0 * bcs in
-      let bc1 = bc0 + bcs in
-      let bc2 = bc1 + bcs in
-      let bc3 = bc2 + bcs in
-      let ld o = Array.unsafe_get c o in
-      let c00 = ref (ld (cr0 + j0)) and c01 = ref (ld (cr0 + j0 + 1))
-      and c02 = ref (ld (cr0 + j0 + 2)) and c03 = ref (ld (cr0 + j0 + 3))
-      and c10 = ref (ld (cr1 + j0)) and c11 = ref (ld (cr1 + j0 + 1))
-      and c12 = ref (ld (cr1 + j0 + 2)) and c13 = ref (ld (cr1 + j0 + 3)) in
+  if m2 > 0 && n4 > 0 && k > 0 then begin
+    let p = Domain.DLS.get panels_key in
+    if Array.length p.pa < m2 * k then p.pa <- Array.create_float (m2 * k);
+    if Array.length p.pb < 4 * k then p.pb <- Array.create_float (4 * k);
+    let pa = p.pa and pb = p.pb in
+    (* pa.(i0*k + 2l + r) = a(i0+r, l) for every row pair i0. *)
+    for r = 0 to (m2 / 2) - 1 do
+      let i0 = 2 * r in
+      let ar0 = i0 * ars and po = i0 * k in
+      let ar1 = ar0 + ars in
       for l = 0 to k - 1 do
-        let al = l * als and bl = l * bls in
-        let a0 = Array.unsafe_get a (ar0 + al)
-        and a1 = Array.unsafe_get a (ar1 + al) in
-        let b0 = Array.unsafe_get b (bl + bc0)
-        and b1 = Array.unsafe_get b (bl + bc1)
-        and b2 = Array.unsafe_get b (bl + bc2)
-        and b3 = Array.unsafe_get b (bl + bc3) in
-        if a0 <> 0. then begin
-          c00 := !c00 +. (a0 *. b0);
-          c01 := !c01 +. (a0 *. b1);
-          c02 := !c02 +. (a0 *. b2);
-          c03 := !c03 +. (a0 *. b3)
-        end;
-        if a1 <> 0. then begin
-          c10 := !c10 +. (a1 *. b0);
-          c11 := !c11 +. (a1 *. b1);
-          c12 := !c12 +. (a1 *. b2);
-          c13 := !c13 +. (a1 *. b3)
-        end
+        let al = l * als in
+        Array.unsafe_set pa (po + (2 * l)) (Array.unsafe_get a (ar0 + al));
+        Array.unsafe_set pa (po + (2 * l) + 1) (Array.unsafe_get a (ar1 + al))
+      done
+    done;
+    for q = 0 to (n4 / 4) - 1 do
+      let j0 = 4 * q in
+      (* pb.(4l + q) = b(l, j0+q). *)
+      let bc0 = j0 * bcs in
+      for l = 0 to k - 1 do
+        let bl = (l * bls) + bc0 in
+        Array.unsafe_set pb (4 * l) (Array.unsafe_get b bl);
+        Array.unsafe_set pb ((4 * l) + 1) (Array.unsafe_get b (bl + bcs));
+        Array.unsafe_set pb ((4 * l) + 2) (Array.unsafe_get b (bl + (2 * bcs)));
+        Array.unsafe_set pb ((4 * l) + 3) (Array.unsafe_get b (bl + (3 * bcs)))
       done;
-      Array.unsafe_set c (cr0 + j0) !c00;
-      Array.unsafe_set c (cr0 + j0 + 1) !c01;
-      Array.unsafe_set c (cr0 + j0 + 2) !c02;
-      Array.unsafe_set c (cr0 + j0 + 3) !c03;
-      Array.unsafe_set c (cr1 + j0) !c10;
-      Array.unsafe_set c (cr1 + j0 + 1) !c11;
-      Array.unsafe_set c (cr1 + j0 + 2) !c12;
-      Array.unsafe_set c (cr1 + j0 + 3) !c13;
-      j := j0 + 4
-    done;
+      for r = 0 to (m2 / 2) - 1 do
+        let i0 = 2 * r in
+        let po = i0 * k and cr0 = (i0 * n) + j0 in
+        let cr1 = cr0 + n in
+        let ld o = Array.unsafe_get c o in
+        let c00 = ref (ld cr0) and c01 = ref (ld (cr0 + 1))
+        and c02 = ref (ld (cr0 + 2)) and c03 = ref (ld (cr0 + 3))
+        and c10 = ref (ld cr1) and c11 = ref (ld (cr1 + 1))
+        and c12 = ref (ld (cr1 + 2)) and c13 = ref (ld (cr1 + 3)) in
+        for l = 0 to k - 1 do
+          let pl = po + (2 * l) and ql = 4 * l in
+          let a0 = Array.unsafe_get pa pl
+          and a1 = Array.unsafe_get pa (pl + 1) in
+          let b0 = Array.unsafe_get pb ql
+          and b1 = Array.unsafe_get pb (ql + 1)
+          and b2 = Array.unsafe_get pb (ql + 2)
+          and b3 = Array.unsafe_get pb (ql + 3) in
+          if a0 <> 0. then begin
+            c00 := !c00 +. (a0 *. b0);
+            c01 := !c01 +. (a0 *. b1);
+            c02 := !c02 +. (a0 *. b2);
+            c03 := !c03 +. (a0 *. b3)
+          end;
+          if a1 <> 0. then begin
+            c10 := !c10 +. (a1 *. b0);
+            c11 := !c11 +. (a1 *. b1);
+            c12 := !c12 +. (a1 *. b2);
+            c13 := !c13 +. (a1 *. b3)
+          end
+        done;
+        Array.unsafe_set c cr0 !c00;
+        Array.unsafe_set c (cr0 + 1) !c01;
+        Array.unsafe_set c (cr0 + 2) !c02;
+        Array.unsafe_set c (cr0 + 3) !c03;
+        Array.unsafe_set c cr1 !c10;
+        Array.unsafe_set c (cr1 + 1) !c11;
+        Array.unsafe_set c (cr1 + 2) !c12;
+        Array.unsafe_set c (cr1 + 3) !c13
+      done
+    done
+  end;
+  for i = 0 to m2 - 1 do
     for j = n4 to n - 1 do
-      scalar i0 j;
-      scalar (i0 + 1) j
-    done;
-    i := i0 + 2
+      scalar i j
+    done
   done;
   if m2 < m then
     for j = 0 to n - 1 do

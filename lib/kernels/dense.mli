@@ -2,8 +2,8 @@
 
     This is the execution engine's substitute for GotoBLAS2: gemm with
     transposition, element-wise ops, Gauss-Jordan inversion and residual
-    sums of squares.  Only {!gemm} is register-tiled; the rest are plain
-    loops.  The cost model accounts for full-scale CPU time separately
+    sums of squares.  Only {!gemm} is packed and register-tiled; the rest
+    are plain loops.  The cost model accounts for full-scale CPU time separately
     ({!Riot_plan.Machine}), at the paper's modeled gemm rate rather than
     this kernel's. *)
 
@@ -32,13 +32,28 @@ val gemm :
     bit-identical (NaN, infinities and signed zeros included) to the plain
     [i]-[l]-[j] triple loop, and to every revision of this kernel.
 
-    Design: one code path serves all four transpose cases through four
-    integer strides (the row and [l] strides of [a], the [l] and column
-    strides of [b]).  A 2-row x 4-column tile of [c] is held in unboxed
-    float registers across the whole [l] loop, so each loaded [a] value
-    feeds four multiply-adds and each [b] value two; scalar loops finish
-    the [m mod 2] rows and [n mod 4] columns.  The inner loops use unchecked
-    array accesses, made sound by the shape check below.
+    Design: operands are packed into contiguous panels, as in GotoBLAS
+    (Goto and van de Geijn, TOMS 2008).  op(a)'s full row pairs are copied
+    once per call, interleaved by [l] ([a(i0,l)], [a(i0+1,l)] adjacent);
+    each 4-column panel of op(b) is copied before its tiles run, four
+    values per [l].  A 2-row x 4-column tile of [c] is held in unboxed float
+    registers across the whole [l] loop and reads both panels at unit
+    stride, so each loaded [a] value feeds four multiply-adds and each [b]
+    value two.  The packing loops absorb the transposes, so all four cases
+    share one tile loop; strided scalar loops finish the [m mod 2] rows and
+    [n mod 4] columns from the unpacked operands.  Packing moves values,
+    never an element's operation sequence.
+
+    The panel buffers belong to the calling domain ([Domain.DLS]): calls on
+    different domains never share one, and a domain's buffers only grow, to
+    the largest [(m - m mod 2) * k] and [4 * k] it has seen, so a call
+    allocates nothing once that shape has been seen.  The buffers outlive
+    the call but hold nothing a later call reads before overwriting it.
+    The tiles read [a] and [b] from copies taken before [c] is written, so
+    if [c] shared storage with either, a write to [c] would not reach the
+    operand values later tiles use and the result would differ from the
+    triple loop's: hence the no-aliasing precondition above.  The inner loops use unchecked array
+    accesses, made sound by the shape check below.
 
     @raise Invalid_argument if [m], [n] or [k] is negative or [a], [b] or
     [c] is shorter than its shape needs.  The message names the short

@@ -63,17 +63,18 @@ let file ~root =
   in
   let pread ~name ~off ~len =
     let fd = fd_of name in
-    let buf = Bytes.make len '\000' in
+    let buf = Bytes.create len in
     ignore (Unix.lseek fd off Unix.SEEK_SET);
     let rec fill pos =
       if pos < len then begin
         let n = Unix.read fd buf pos (len - pos) in
-        if n = 0 then pos (* reading past EOF yields zeroes *)
-        else fill (pos + n)
+        if n = 0 then pos else fill (pos + n)
       end
       else pos
     in
     let moved = fill 0 in
+    (* Reading past EOF yields zeroes: only the unread suffix needs them. *)
+    Bytes.fill buf moved (len - moved) '\000';
     (* Account the bytes the disk actually served: the zero-filled suffix of
        an EOF-short read never moved, and counting it would overstate
        measured I/O relative to the cost model (see backend.mli). *)

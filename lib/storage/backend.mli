@@ -41,8 +41,8 @@ type t = {
           the current end of a stream is {e not} an error and is {e not} a
           short read - the missing suffix is zero-filled, so [pread] always
           returns exactly [len] bytes and never changes the stream's size.
-          Both implementations obey this (the file backend by pre-zeroing
-          the buffer, the simulated one by construction); block stores rely
+          Both implementations obey this (the file backend by zeroing the
+          unread suffix, the simulated one by construction); block stores rely
           on it to read never-written blocks as zeroes.
 
           {b Accounting}: the {e file} backend charges {!Io_stats} with the

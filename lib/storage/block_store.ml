@@ -33,13 +33,23 @@ let touch_write t index =
 let prefetch t index =
   match t.impl with D d -> Daf.prefetch d index | L l -> Lab_tree.prefetch l index
 
-let floats_of_bytes b =
-  let n = Bytes.length b / 8 in
-  Array.init n (fun i -> Int64.float_of_bits (Bytes.get_int64_le b (i * 8)))
+let get_floats b ~off n =
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Int64.float_of_bits (Bytes.get_int64_le b (off + (8 * i))))
+  done;
+  a
+
+let set_floats b ~off (a : float array) =
+  for i = 0 to Array.length a - 1 do
+    Bytes.set_int64_le b (off + (8 * i)) (Int64.bits_of_float (Array.unsafe_get a i))
+  done
+
+let floats_of_bytes b = get_floats b ~off:0 (Bytes.length b / 8)
 
 let bytes_of_floats a =
   let b = Bytes.create (Array.length a * 8) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (i * 8) (Int64.bits_of_float v)) a;
+  set_floats b ~off:0 a;
   b
 
 let read_floats t index = floats_of_bytes (read_block t index)

@@ -28,6 +28,17 @@ val write_floats : t -> int list -> float array -> unit
 (** Payloads as double-precision arrays (the element type used throughout
     the experiments). *)
 
+val get_floats : bytes -> off:int -> int -> float array
+(** [get_floats b ~off n] decodes the [n] little-endian IEEE doubles at
+    byte offset [off], bit for bit (NaN payloads and signed zeros kept).
+    The block codec of {!read_floats}; one loop, no per-element boxing.
+    @raise Invalid_argument if the range runs past the end of [b]. *)
+
+val set_floats : bytes -> off:int -> float array -> unit
+(** [set_floats b ~off a] encodes [a] at byte offset [off]; the inverse of
+    {!get_floats} and the codec of {!write_floats}.
+    @raise Invalid_argument if [b] is too short. *)
+
 val stream_name : t -> string
 (** The backend stream (file name) this store reads and writes, the key of
     its per-stream [Io_stats] counters. *)

@@ -293,6 +293,22 @@ let test_journal_torn_and_stale () =
   | Some r -> check_int "new incarnation's record wins" 3 r.Journal.watermark
   | None -> Alcotest.fail "journal did not recover"
 
+(* A before-image comes back from recovery bit for bit: NaN payloads,
+   signed zeros, infinities and subnormals included. *)
+let test_journal_image_bit_exact () =
+  let b = sim () in
+  let w = Journal.start b ~fingerprint:5L in
+  let data = Test_storage.codec_specials in
+  Journal.append_image w ~step:2 ~array:"X" ~index:[ 3; 1 ] ~data;
+  Journal.append w ~step:2;
+  match Journal.recover b ~fingerprint:5L with
+  | Some { Journal.images = [ im ]; _ } ->
+      check_bool "image block" true (im.Journal.im_array = "X" && im.Journal.im_index = [ 3; 1 ]);
+      check_bool "image bits" true
+        (Array.map Int64.bits_of_float im.Journal.im_data
+        = Array.map Int64.bits_of_float data)
+  | _ -> Alcotest.fail "expected exactly one recovered before-image"
+
 (* --- Crash-restart on real accumulating kernels --------------------------- *)
 
 (* add_mul (E = (A+B)*D) at reduced scale: GEMM accumulator chains make
@@ -464,6 +480,8 @@ let suite =
       Alcotest.test_case "crash is permanent" `Quick test_crash_is_permanent;
       Alcotest.test_case "crashing write is torn" `Quick test_crash_write_is_torn;
       Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
+      Alcotest.test_case "journal before-image is bit-exact" `Quick
+        test_journal_image_bit_exact;
       Alcotest.test_case "journal torn tail and stale records" `Quick
         test_journal_torn_and_stale;
       Alcotest.test_case "crash-resume on real kernels" `Quick

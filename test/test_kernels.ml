@@ -313,6 +313,72 @@ let test_gemm_bit_identity () =
         [ false; true ])
     transposes
 
+(* The packed kernel keeps its panels in growing per-domain buffers.  A
+   smaller call after a larger one leaves a stale tail in them, which must
+   never reach a result; neither may a k = 0 call made while they are
+   allocated. *)
+let test_gemm_buffer_reuse () =
+  let st = Random.State.make [| 2718 |] in
+  List.iter
+    (fun (ta, tb) ->
+      List.iter
+        (fun (m, n, k) ->
+          let accumulate = Random.State.bool st in
+          if not (gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k) then
+            Alcotest.failf "gemm differs from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b"
+              m n k ta tb)
+        [ (38, 44, 300); (6, 8, 0); (5, 7, 3); (4, 4, 17); (38, 44, 300) ])
+    transposes
+
+(* Odd m (a scalar last row) with n mod 4 in {1,2,3} (scalar edge columns)
+   around packed tiles, up to the benchmark's k = 1200. *)
+let test_gemm_ragged_edges () =
+  let st = Random.State.make [| 1729 |] in
+  List.iter
+    (fun (ta, tb) ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun n ->
+              List.iter
+                (fun k ->
+                  let accumulate = Random.State.bool st in
+                  if not (gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k) then
+                    Alcotest.failf
+                      "gemm differs from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b"
+                      m n k ta tb)
+                [ 1; 2; 65; 1200 ])
+            [ 5; 6; 7; 13 ])
+        [ 1; 3; 17 ])
+    transposes
+
+(* Two domains calling gemm at once, each with its own sequence of shapes:
+   a packing buffer shared between domains would mix their panels. *)
+let test_gemm_two_domains () =
+  let st = Random.State.make [| 31415 |] in
+  let cases =
+    List.init 16 (fun i ->
+        let ta, tb = List.nth transposes (i mod 4) in
+        let m, n, k = if i mod 2 = 0 then (48, 40, 400) else (30, 52, 250) in
+        let p_special = 0.1 in
+        ( (ta, tb, m, n, k),
+          gemm_operand st ~p_special (m * k),
+          gemm_operand st ~p_special (k * n),
+          gemm_operand st ~p_special (m * n) ))
+  in
+  let results =
+    Riot_base.Pool.parallel_map ~jobs:2
+      (fun ((ta, tb, m, n, k), a, b, c0) ->
+        let c = Array.copy c0 and c_ref = Array.copy c0 in
+        Dense.gemm ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
+        seq_gemm ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
+        bits_equal c c_ref)
+      cases
+  in
+  List.iteri
+    (fun i ok -> check_bool (Printf.sprintf "case %d bit-identical" i) true ok)
+    results
+
 (* A shape error must leave c exactly as it was: the check runs before the
    accumulate:false zero-fill. *)
 let test_gemm_shape_error () =
@@ -442,5 +508,9 @@ let suite =
       Alcotest.test_case "gemm bit-identical to seq_gemm" `Quick
         test_gemm_bit_identity;
       Alcotest.test_case "gemm shape error leaves c" `Quick
-        test_gemm_shape_error ]
+        test_gemm_shape_error;
+      Alcotest.test_case "gemm packing buffer reuse" `Quick
+        test_gemm_buffer_reuse;
+      Alcotest.test_case "gemm ragged edges" `Quick test_gemm_ragged_edges;
+      Alcotest.test_case "gemm from two domains" `Quick test_gemm_two_domains ]
     @ List.map QCheck_alcotest.to_alcotest qcheck_kernels )
