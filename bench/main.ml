@@ -395,6 +395,40 @@ let opttime_measure ?max_size ~gated name paper prog config =
     ot_opps = List.length o_ex.Api.analysis.Deps.sharing;
     ot_identical = identical }
 
+(* HEAD, suffixed "+dirty" when lib/ (the code every bench measures) has
+   uncommitted changes, so a row measured before a commit is not filed under
+   its parent. *)
+let git_commit () =
+  let first_line cmd =
+    try
+      let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> Some line
+      | _ -> None
+    with Unix.Unix_error _ | Sys_error _ -> None
+  in
+  match first_line "git rev-parse --short=12 HEAD" with
+  | Some id when id <> "" -> (
+      match first_line "git status --porcelain -- :/lib" with
+      | Some "" -> id
+      | Some _ -> id ^ "+dirty"
+      | None -> id)
+  | _ -> "unknown"
+
+(* The fields every BENCH_*.json row opens with: bench, variant, commit,
+   nproc, OCaml version and timestamp.  Metrics follow as
+   [{"value": v, "unit": u}] objects. *)
+let row_header ~bench ~variant =
+  Printf.sprintf
+    "\"bench\": %S, \"variant\": %S, \"commit\": %S, \"nproc\": %d, \"ocaml\": %S, \
+     \"timestamp\": %.0f"
+    bench variant (git_commit ())
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (Unix.time ())
+
+let metric name value unit = Printf.sprintf "%S: {\"value\": %s, \"unit\": %S}" name value unit
+
 let opttime_json_file = "BENCH_opttime.json"
 
 let opttime_speedup r jobs =
@@ -439,35 +473,44 @@ let opttime_emit ~variant ~speedup_floor rows =
   Printf.printf
     "\naggregate speedup on the paper pipelines (jobs=2 vs exhaustive seq): %.2fx\n"
     agg;
-  (* Machine-readable trajectory: each run appends one JSON object, so the
-     file accumulates a cross-run history (one object per line). *)
-  let row_json r =
-    let space = 1 lsl r.ot_opps in
-    Printf.sprintf
-      "{\"program\": %S, \"paper_seconds\": %s, \"gated\": %b, \
-       \"exhaustive_seconds\": %.3f, %s, \"speedup_jobs2\": %s, \
-       \"plans\": %d, \"survivors\": %d, \"candidates_tried\": %d, \
-       \"bound_pruned\": %d, \"apriori_pruned\": %d, \"search_space\": %d, \
-       \"identical_best\": %b}"
-      r.ot_name r.ot_paper r.ot_gated r.ot_exhaustive
-      (String.concat ", "
-         (List.map
-            (fun (j, t) -> Printf.sprintf "\"bb_seconds_jobs%d\": %.3f" j t)
-            r.ot_bb))
-      (match opttime_speedup r 2 with
-      | Some s -> Printf.sprintf "%.3f" s
-      | None -> "null")
-      r.ot_plans r.ot_survivors r.ot_tried r.ot_bound_pruned r.ot_apriori_pruned
-      space r.ot_identical
+  (* Machine-readable trajectory: each run appends one row in the common
+     schema, so the file accumulates a cross-run history (one per line). *)
+  let row_metrics r =
+    let m key value unit = metric (r.ot_name ^ "." ^ key) value unit in
+    let count key v = m key (string_of_int v) "count" in
+    [ m "exhaustive_seconds" (Printf.sprintf "%.3f" r.ot_exhaustive) "s" ]
+    @ List.map
+        (fun (j, t) -> m (Printf.sprintf "bb_seconds_jobs%d" j) (Printf.sprintf "%.3f" t) "s")
+        r.ot_bb
+    @ [ m "speedup_jobs2"
+          (match opttime_speedup r 2 with Some s -> Printf.sprintf "%.3f" s | None -> "null")
+          "ratio";
+        count "plans" r.ot_plans;
+        count "survivors" r.ot_survivors;
+        count "candidates_tried" r.ot_tried;
+        count "bound_pruned" r.ot_bound_pruned;
+        count "apriori_pruned" r.ot_apriori_pruned;
+        count "search_space" (1 lsl r.ot_opps) ]
   in
+  let identical = List.for_all (fun r -> r.ot_identical) rows
+  and pruning = List.for_all (fun r -> (not r.ot_gated) || r.ot_bound_pruned > 0) rows in
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 opttime_json_file
   in
   Printf.fprintf oc
-    "{\"variant\": %S, \"timestamp\": %.0f, \"aggregate_speedup_jobs2\": %.3f, \
-     \"rows\": [%s]}\n"
-    variant (Unix.time ()) agg
-    (String.concat ", " (List.map row_json rows));
+    "{%s, \"programs\": {%s}, \"metrics\": {%s}, \"gates\": {\"identical_best\": %b, \
+     \"bound_pruning\": %b, \"speedup_floor\": %b}}\n"
+    (row_header ~bench:"opttime" ~variant)
+    (String.concat ", "
+       (List.map
+          (fun r ->
+            Printf.sprintf "%S: {\"paper_seconds\": %s, \"gated\": %b}" r.ot_name r.ot_paper
+              r.ot_gated)
+          rows))
+    (String.concat ", "
+       (metric "aggregate_speedup_jobs2" (Printf.sprintf "%.3f" agg) "ratio"
+       :: List.concat_map row_metrics rows))
+    identical pruning (agg >= speedup_floor);
   close_out oc;
   Printf.printf "(appended to %s)\n" opttime_json_file;
   (* Gates: best-plan bit-identity everywhere, pruning actually firing on
@@ -1361,27 +1404,6 @@ let gemm_smoke_shapes =
     (fun (ta, tb) -> (Printf.sprintf "smoke ta=%b tb=%b" ta tb, 7, 9, 5, ta, tb))
     [ (false, false); (true, false); (false, true); (true, true) ]
 
-(* HEAD, suffixed "+dirty" when lib/ (the code every bench measures) has
-   uncommitted changes, so a row measured before a commit is not filed under
-   its parent. *)
-let git_commit () =
-  let first_line cmd =
-    try
-      let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
-      let line = try input_line ic with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> Some line
-      | _ -> None
-    with Unix.Unix_error _ | Sys_error _ -> None
-  in
-  match first_line "git rev-parse --short=12 HEAD" with
-  | Some id when id <> "" -> (
-      match first_line "git status --porcelain -- :/lib" with
-      | Some "" -> id
-      | Some _ -> id ^ "+dirty"
-      | None -> id)
-  | _ -> "unknown"
-
 let gemm_run ~variant ~shapes ~min_seconds ~trials =
   section (Printf.sprintf "Dense.gemm throughput (%s)" variant);
   let st = Random.State.make [| 2012 |] in
@@ -1424,26 +1446,21 @@ let gemm_run ~variant ~shapes ~min_seconds ~trials =
   in
   let finite = List.for_all (fun (_, _, _, f, _) -> f) rows
   and deterministic = List.for_all (fun (_, _, _, _, d) -> d) rows in
-  let metric (label, _, flops, _, _) =
-    Printf.sprintf
-      "%S: {\"value\": %.3f, \"unit\": \"GFLOP/s\"}, %S: {\"value\": %.4f, \
-       \"unit\": \"ratio\"}"
-      (label ^ ".gflops") (flops /. 1e9) (label ^ ".model_ratio") (flops /. model)
+  let metrics (label, _, flops, _, _) =
+    [ metric (label ^ ".gflops") (Printf.sprintf "%.3f" (flops /. 1e9)) "GFLOP/s";
+      metric (label ^ ".model_ratio") (Printf.sprintf "%.4f" (flops /. model)) "ratio" ]
   in
   let row =
     Printf.sprintf
-      "{\"bench\": \"gemm\", \"variant\": %S, \"commit\": %S, \"nproc\": %d, \
-       \"ocaml\": %S, \"timestamp\": %.0f, \"trials\": %d, \
-       \"min_seconds\": %g, \"shapes\": {%s}, \"metrics\": {\"model_gflops\": \
-       {\"value\": %.1f, \"unit\": \"GFLOP/s\"}, %s}, \"gates\": {\"finite\": %b, \
-       \"deterministic\": %b}}"
-      variant (git_commit ())
-      (Domain.recommended_domain_count ())
-      Sys.ocaml_version (Unix.time ()) trials min_seconds
+      "{%s, \"trials\": %d, \"min_seconds\": %g, \"shapes\": {%s}, \"metrics\": {%s}, \
+       \"gates\": {\"finite\": %b, \"deterministic\": %b}}"
+      (row_header ~bench:"gemm" ~variant)
+      trials min_seconds
       (String.concat ", "
          (List.map (fun (label, shape, _, _, _) -> Printf.sprintf "%S: %S" label shape) rows))
-      (model /. 1e9)
-      (String.concat ", " (List.map metric rows))
+      (String.concat ", "
+         (metric "model_gflops" (Printf.sprintf "%.1f" (model /. 1e9)) "GFLOP/s"
+         :: List.concat_map metrics rows))
       finite deterministic
   in
   print_endline row;
@@ -1593,21 +1610,18 @@ let plancost_run ~variant ~reps =
       cases
   in
   let identical = List.for_all (fun (_, _, _, _, id, _) -> id) rows in
-  let metric (name, plans, steps, ms, _, _) =
-    Printf.sprintf
-      "%S: {\"value\": %.4f, \"unit\": \"ms\"}, %S: {\"value\": %d, \"unit\": \"count\"}, \
-       %S: {\"value\": %d, \"unit\": \"count\"}"
-      (name ^ ".ms_per_build") ms (name ^ ".plans") plans (name ^ ".steps") steps
+  let metrics (name, plans, steps, ms, _, _) =
+    [ metric (name ^ ".ms_per_build") (Printf.sprintf "%.4f" ms) "ms";
+      metric (name ^ ".plans") (string_of_int plans) "count";
+      metric (name ^ ".steps") (string_of_int steps) "count" ]
   in
   let row =
     Printf.sprintf
-      "{\"bench\": \"plancost\", \"variant\": %S, \"commit\": %S, \"nproc\": %d, \
-       \"ocaml\": %S, \"timestamp\": %.0f, \"reps\": %d, \"metrics\": {%s}, \
-       \"digests\": {%s}, \"gates\": {\"jobs2_identical\": %b}}"
-      variant (git_commit ())
-      (Domain.recommended_domain_count ())
-      Sys.ocaml_version (Unix.time ()) reps
-      (String.concat ", " (List.map metric rows))
+      "{%s, \"reps\": %d, \"metrics\": {%s}, \"digests\": {%s}, \
+       \"gates\": {\"jobs2_identical\": %b}}"
+      (row_header ~bench:"plancost" ~variant)
+      reps
+      (String.concat ", " (List.concat_map metrics rows))
       (String.concat ", "
          (List.map (fun (name, _, _, _, _, d) -> Printf.sprintf "%S: %S" name d) rows))
       identical

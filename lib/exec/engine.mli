@@ -5,9 +5,9 @@
     order is followed exactly; memory-serviced reads are satisfied from
     pinned pool buffers; writes go through the pool (write-through for
     materialised writes, memory-only for elided ones); pin intervals open
-    and close at the plan's step boundaries.  Every run executes the plan as
-    compiled by {!Vexec}, one step protocol and one kernel table for every
-    mode. *)
+    and close at the plan's step boundaries.  Every run is one loop over the
+    plan's protocol program ({!Riot_plan.Cplan.lower}, compiled by {!Vexec}
+    with one kernel table), whatever the mode. *)
 
 type error =
   | Missing_block of {
@@ -146,9 +146,9 @@ val run :
     correctly under either, because watermark records are plan-based and
     every fused watermark is also an unfused one.
 
-    At each dispatch boundary a computing run issues
-    {!Riot_storage.Block_store.prefetch} hints for the [From_disk] reads of
-    the next two steps, where {!Riot_plan.Prefetch} proves them ordered
+    As each unit of the program (a step, or a fused chain) begins, a
+    computing run issues {!Riot_storage.Block_store.prefetch} hints for the
+    [From_disk] reads up to two steps past the unit, where {!Riot_plan.Prefetch} proves them ordered
     after any pending write-back of the block.  They overlap reads with
     computation under {!Riot_storage.Backend.async}, are no-ops on
     synchronous backends, and never change the physical requests. *)

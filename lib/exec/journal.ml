@@ -56,71 +56,69 @@ type resume_plan = {
   undo : (string * int list) list array;
 }
 
+(* Two passes over the unfused program, with per-block state in arrays by
+   id.  Within a step the reads precede the write, so a read's producer is
+   its block's latest write at an earlier step, while a write at the read's
+   own step counts as at or after it. *)
 let analyze (plan : Cplan.t) =
-  let steps = plan.Cplan.steps in
-  let n = Array.length steps in
-  (* Per-block chronology of accesses, in step order. *)
-  let reads : (string * int list, (int * Cplan.read_src) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  and writes : (string * int list, (int * Cplan.write_dst) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let push tbl key v =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := v :: !r
-    | None -> Hashtbl.add tbl key (ref [ v ])
-  in
+  let p = Cplan.lower plan in
+  let ops = p.Cplan.ops in
+  let n = Array.length plan.Cplan.steps and nb = Array.length p.Cplan.blocks in
+  (* Backwards: the first To_disk write of each read's block at or after the
+     read's step ([max_int]: none), by op index. *)
+  let next_disk = Array.make nb max_int and disk_after = Array.make (Array.length ops) max_int in
+  let s = ref n in
+  for pc = Array.length ops - 1 downto 0 do
+    match ops.(pc) with
+    | Cplan.Step_end i -> s := i
+    | Cplan.Write { id; dst = Cplan.To_disk } -> next_disk.(id) <- !s
+    | Cplan.Read { id; _ } -> disk_after.(pc) <- next_disk.(id)
+    | _ -> ()
+  done;
+  (* Forwards, keeping each block's first touch and latest write so far,
+     and collecting per read:
+     - [elided]: a memory-serviced read of an elided (memory-only) value
+       is a window [(producer, read, first touch of the block)];
+     - [poisoned]: a read takes a disk value for every restart point from
+       just past its producer (from 0 if it has none or reads the disk) up
+       to the read, and is poisoned by its block's first To_disk write at
+       or after the read: [(from, read, write)];
+     - [undo], the anti-dependence set: a read at step [s] of a block that
+       some step [t >= s] overwrites on disk must journal the block's
+       pre-clobber value (a before-image), so a restart below [s] can
+       restore what the read saw.  The engine captures the bytes from the
+       pool - the block is in memory at the read - so this costs journal
+       writes, never extra data-stream I/O. *)
+  let first = Array.make nb max_int in
+  let producer = Array.make nb (-1) and producer_elided = Array.make nb false in
+  let elided = ref [] and poisoned = ref [] and undo = Array.make n [] in
   Array.iteri
-    (fun i (st : Cplan.step) ->
-      List.iter
-        (fun ((_ : Riot_ir.Access.t), (blk : Cplan.block), src) ->
-          push reads (blk.Cplan.array, blk.Cplan.index) (i, src))
-        st.Cplan.reads;
-      List.iter
-        (fun ((_ : Riot_ir.Access.t), (blk : Cplan.block), dst) ->
-          push writes (blk.Cplan.array, blk.Cplan.index) (i, dst))
-        st.Cplan.writes)
-    steps;
-  Hashtbl.iter (fun _ r -> r := List.rev !r) reads;
-  Hashtbl.iter (fun _ r -> r := List.rev !r) writes;
-  let writes_of key =
-    match Hashtbl.find_opt writes key with Some r -> !r | None -> []
-  in
-  let first_touch key =
-    let mr =
-      match Hashtbl.find_opt reads key with
-      | Some { contents = (s, _) :: _ } -> s
-      | _ -> max_int
-    and mw = match writes_of key with (t, _) :: _ -> t | [] -> max_int in
-    min mr mw
-  in
-  (* Latest write to [key] strictly before step [s]. *)
-  let producer key s =
-    List.fold_left
-      (fun acc (t, dst) -> if t < s then Some (t, dst) else acc)
-      None (writes_of key)
-  in
-  let all_reads =
-    Hashtbl.fold
-      (fun key r acc -> List.rev_append (List.map (fun (s, src) -> (key, s, src)) !r) acc)
-      reads []
-  in
+    (fun pc -> function
+      | Cplan.Step_begin i -> s := i
+      | Cplan.Read { id; src; _ } ->
+          let s = !s and t = producer.(id) and w = disk_after.(pc) in
+          first.(id) <- min first.(id) s;
+          let memory = src = Cplan.From_memory && t >= 0 in
+          if memory && producer_elided.(id) then elided := (t, s, first.(id)) :: !elided;
+          if w < max_int then begin
+            poisoned := ((if memory then t + 1 else 0), s, w) :: !poisoned;
+            undo.(s) <- p.Cplan.keys.(id) :: undo.(s)
+          end
+      | Cplan.Write { id; dst } ->
+          first.(id) <- min first.(id) !s;
+          producer.(id) <- !s;
+          producer_elided.(id) <- dst = Cplan.Elided
+      | _ -> ())
+    ops;
+  let elided = List.rev !elided in
   (* Restart point for watermark [i]: pull back to the first touch of any
-     block whose memory-serviced read depends on an elided (memory-only)
-     value produced before the restart point, i.e. whose (producer, read]
-     window contains it.  Monotone decreasing, so the fixpoint terminates.
-     Only elided memory reads can pull, and a restart point no window
-     contains is final at once, so the pass over them runs only there. *)
-  let elided =
-    List.filter_map
-      (fun (key, s, src) ->
-        if src <> Cplan.From_memory then None
-        else
-          match producer key s with
-          | Some (t, Cplan.Elided) -> Some (t, s, first_touch key)
-          | _ -> None)
-      all_reads
-  in
+     block whose memory-serviced read depends on an elided value produced
+     before the restart point, i.e. whose (producer, read] window contains
+     it.  Monotone decreasing, so the fixpoint terminates.  A restart point
+     no window contains is final at once, so the pass over the windows runs
+     only there.  The windows are tried in step order: when several cross
+     the restart point, the one taken first can decide between two valid
+     restart points. *)
   let pulled =
     Riot_base.Cover.min_cover ~n:(n + 1)
       (List.map (fun (t, s, _) -> (t + 1, s, 0)) elided)
@@ -142,42 +140,19 @@ let analyze (plan : Cplan.t) =
   in
   (* A boundary is safe iff no replayed read can observe a "future" disk
      version: a read of [b] at step [s >= restart] that takes its value from
-     the disk (From_disk, or From_memory preloaded because its producer
-     precedes the restart point) is poisoned by any To_disk write of [b] at
-     a step [t] with [s <= t <= tmax], where [tmax] bounds how far past this
-     watermark the crashed incarnation can have run: up to the next safe
-     boundary (beyond which the watermark would have advanced).  Computed
-     backwards since tmax depends on later boundaries.
+     the disk is poisoned by any To_disk write of [b] at a step [t] with
+     [s <= t <= tmax], where [tmax] bounds how far past this watermark the
+     crashed incarnation can have run: up to the next safe boundary (beyond
+     which the watermark would have advanced).  So boundary [i] is dangerous
+     iff the least first write over the poisoned reads whose window contains
+     its restart point is at most [tmax].  Computed backwards since [tmax]
+     depends on later boundaries.
 
-     Before-image records (below) repair exactly these anti-dependences on
-     resume, so every watermark remains recoverable even when no boundary
-     below the crash point is safe; the [safe] gating still limits journal
-     records and sync barriers to boundaries that need no repair.
-
-     A read at [s] takes a disk value for every restart point from just past
-     its producer (from 0 if it has none or reads the disk) up to [s], and is
-     poisoned iff its block's first To_disk write at or after [s] is within
-     [tmax]; so boundary [i] is dangerous iff the least such first write over
-     the reads whose window contains [r] is at most [tmax]. *)
-  let first_disk_write =
-    Riot_base.Cover.min_cover ~n:(n + 1)
-      (List.filter_map
-         (fun (key, s, src) ->
-           match
-             List.find_opt
-               (fun (t, dst) -> dst = Cplan.To_disk && t >= s)
-               (writes_of key)
-           with
-           | None -> None
-           | Some (w, _) ->
-               let from =
-                 match (src, producer key s) with
-                 | Cplan.From_memory, Some (t, _) -> t + 1
-                 | _ -> 0
-               in
-               Some (from, s, w))
-         all_reads)
-  in
+     Before-image records repair exactly these anti-dependences on resume,
+     so every watermark remains recoverable even when no boundary below the
+     crash point is safe; the [safe] gating still limits journal records and
+     sync barriers to boundaries that need no repair. *)
+  let first_disk_write = Riot_base.Cover.min_cover ~n:(n + 1) !poisoned in
   let safe = Array.make n false and restart = Array.make n 0 in
   let ns = ref None in
   for i = n - 1 downto 0 do
@@ -188,25 +163,6 @@ let analyze (plan : Cplan.t) =
     restart.(i) <- r;
     if not danger then ns := Some i
   done;
-  (* Anti-dependence set: a read at step [s] of a block that some step
-     [t >= s] overwrites on disk must journal the block's pre-clobber value
-     (a before-image) so a restart below [s] can restore what the read saw.
-     The engine captures the bytes from the pool - the block is in memory at
-     the read - so this costs journal writes, never extra data-stream I/O. *)
-  let undo = Array.make n [] in
-  Array.iteri
-    (fun i (st : Cplan.step) ->
-      List.iter
-        (fun ((_ : Riot_ir.Access.t), (blk : Cplan.block), _) ->
-          let key = (blk.Cplan.array, blk.Cplan.index) in
-          if
-            List.exists
-              (fun (t, dst) -> dst = Cplan.To_disk && t >= i)
-              (writes_of key)
-            && not (List.mem key undo.(i))
-          then undo.(i) <- key :: undo.(i))
-        st.Cplan.reads)
-    steps;
   { safe; restart; undo }
 
 (* --- On-disk journal ------------------------------------------------------ *)

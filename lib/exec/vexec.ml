@@ -10,101 +10,44 @@ module Dense = Riot_kernels.Dense
 exception
   Arity of { step : int; stmt : string; kernel : string; operands : int }
 
-type op_src = Rd of int | Pool of Cplan.block
+type operand = Slot of int | Pool of int | Absent of Cplan.block
 
-type single = {
-  s_step : int;
-  s_stmt : string;
-  s_instance : (string * int) list;
-  s_reads : (Cplan.block * Cplan.read_src) array;
-  s_write : (Cplan.block * Cplan.write_dst) option;
-  s_fill : bool;
-  s_ops : op_src array;
-  s_drops : Cplan.block array;
-  s_kernel : float array array -> float array -> unit;
-}
+type kernel = { operands : operand array; run : float array array -> float array -> unit }
 
-type terminal = Ew | Rss of { rows : int; cols : int }
+type compiled = { program : Cplan.program; kernels : kernel array; n_fused : int }
 
-type fused = {
-  f_lo : int;
-  f_hi : int;
-  f_steps : single array;
-  f_prev_read : int array;
-  f_links : Cplan.block array;
-  f_chain : Dense.chain;
-  f_binds : (int * int) array;
-  f_captured : float array array array;
-  f_terminal : terminal;
-}
+(* The position of [blk] among the step's reads, or -1. *)
+let read_index (st : Cplan.step) blk =
+  let rec go j = function
+    | [] -> -1
+    | (_, b, _) :: rest -> if b = blk then j else go (j + 1) rest
+  in
+  go 0 st.Cplan.reads
 
-type op = Single of single | Fused of fused
-
-type compiled = {
-  ops : op array;
-  n_fused : int;
-  pins : Cplan.pin_index;
-}
-
-let compile_single ?kcache (plan : Cplan.t) i =
+(* One step's kernel.  An operand is its read's capture slot (slot [j] is
+   the step's [j]-th read), else a block the pool must already hold. *)
+let compile_single ~kcache ~id_of (plan : Cplan.t) i =
   let st = plan.Cplan.steps.(i) in
   let s = Program.find_stmt plan.Cplan.prog st.Cplan.stmt in
-  let lookup nm =
-    match List.assoc_opt nm st.Cplan.instance with
-    | Some v -> v
-    | None -> List.assoc nm plan.Cplan.config.Config.params
-  in
-  let reads =
-    Array.of_list (List.map (fun (_, blk, src) -> (blk, src)) st.Cplan.reads)
-  in
-  let write =
-    match st.Cplan.writes with
-    | [] -> None
-    | (_, blk, dst) :: _ -> Some (blk, dst)
-  in
-  let fill =
-    match st.Cplan.writes with
-    | ((wa : Access.t), wblk, _) :: _ ->
-        Kernel.is_accumulating s.Stmt.kernel
-        && not
-             (List.exists
-                (fun ((a : Access.t), b, _) -> Access.same_map wa a && b = wblk)
-                st.Cplan.reads)
-    | [] -> false
-  in
-  let ops =
+  let operands =
     Array.of_list
       (List.map
-         (fun (oa : Access.t) ->
-           let ob =
-             { Cplan.array = oa.Access.array;
-               index = Array.to_list (Access.block_of oa lookup) }
-           in
-           let idx = ref (-1) in
-           Array.iteri
-             (fun r (blk, _) -> if !idx < 0 && blk = ob then idx := r)
-             reads;
-           if !idx >= 0 then Rd !idx else Pool ob)
-         (Stmt.operand_reads s))
+         (fun ob ->
+           let r = read_index st ob in
+           if r >= 0 then Slot r
+           else match id_of ob with Some k -> Pool k | None -> Absent ob)
+         (Cplan.operand_blocks plan i))
   in
+  let write = match st.Cplan.writes with [] -> None | (_, blk, _) :: _ -> Some blk in
   let layout name = Config.layout plan.Cplan.config name in
-  let nops = Array.length ops in
-  let arity_raiser () =
-    fun (_ : float array array) (_ : float array) ->
-     raise
-       (Arity
-          { step = i;
-            stmt = st.Cplan.stmt;
-            kernel = Kernel.name s.Stmt.kernel;
-            operands = nops })
-  in
+  let nops = Array.length operands in
   (* The kernel closure depends only on the statement (its kernel, arity and
      the block layouts of its fixed operand arrays), never on the block
      instance, so it is shared across the plan's steps of one statement —
      compilation is per (program, plan), not per block. *)
   let build_kern () =
     match (s.Stmt.kernel, write) with
-    | Kernel.Gemm_acc { ta; tb }, Some (wblk, _) when nops = 2 ->
+    | Kernel.Gemm_acc { ta; tb }, Some wblk when nops = 2 ->
         let wl = layout wblk.Cplan.array in
         let m = wl.Config.block_elems.(0) and nn = wl.Config.block_elems.(1) in
         Some
@@ -118,7 +61,7 @@ let compile_single ?kcache (plan : Cplan.t) i =
         Some (fun bufs c -> Dense.sub bufs.(0) bufs.(1) c)
     | Kernel.Copy, Some _ when nops = 1 ->
         Some (fun bufs c -> Dense.copy ~src:bufs.(0) ~dst:c)
-    | Kernel.Invert, Some (wblk, _) when nops = 1 ->
+    | Kernel.Invert, Some wblk when nops = 1 ->
         let nn = (layout wblk.Cplan.array).Config.block_elems.(0) in
         Some (fun bufs c -> Dense.invert ~n:nn bufs.(0) c)
     | Kernel.Rss_acc, Some _ when nops = 1 ->
@@ -134,7 +77,7 @@ let compile_single ?kcache (plan : Cplan.t) i =
         Some (fun bufs c -> Dense.filter_pos ~src:bufs.(0) ~dst:c)
     | Kernel.Foreach, Some _ when nops = 1 ->
         Some (fun bufs c -> Dense.foreach_affine ~src:bufs.(0) ~dst:c)
-    | Kernel.Join_nl, Some (wblk, _) when nops = 2 ->
+    | Kernel.Join_nl, Some wblk when nops = 2 ->
         let wl = layout wblk.Cplan.array in
         let rows = wl.Config.block_elems.(0)
         and cols = wl.Config.block_elems.(1) in
@@ -168,90 +111,54 @@ let compile_single ?kcache (plan : Cplan.t) i =
     | Kernel.Opaque _, None -> Some (fun _ _ -> ())
     | _ -> None
   in
-  let kern =
-    match kcache with
+  let run =
+    match Hashtbl.find_opt kcache st.Cplan.stmt with
+    | Some k -> k
     | None -> (
-        match build_kern () with Some k -> k | None -> arity_raiser ())
-    | Some tbl -> (
-        match Hashtbl.find_opt tbl st.Cplan.stmt with
-        | Some k -> k
-        | None -> (
-            match build_kern () with
-            | Some k ->
-                Hashtbl.add tbl st.Cplan.stmt k;
-                k
-            (* The arity raiser reports this step's index, so it is the one
-               closure never shared across instances. *)
-            | None -> arity_raiser ()))
+        match build_kern () with
+        | Some k ->
+            Hashtbl.add kcache st.Cplan.stmt k;
+            k
+        (* The arity raiser reports this step's index, so it is the one
+           closure never shared across instances. *)
+        | None ->
+            fun _ _ ->
+              raise
+                (Arity
+                   { step = i;
+                     stmt = st.Cplan.stmt;
+                     kernel = Kernel.name s.Stmt.kernel;
+                     operands = nops }))
   in
-  (* The end-of-step dead-block sweep, precomputed so the engine iterates
-     a list instead of re-deriving it per run. *)
-  let drops = Array.of_list (Cplan.sweep st) in
-  { s_step = i;
-    s_stmt = st.Cplan.stmt;
-    s_instance = st.Cplan.instance;
-    s_reads = reads;
-    s_write = write;
-    s_fill = fill;
-    s_ops = ops;
-    s_drops = drops;
-    s_kernel = kern }
+  { operands; run }
 
-let compile_fused ?kcache (plan : Cplan.t) (g : Fuse.group) =
-  let nst = g.Fuse.hi - g.Fuse.lo + 1 in
-  let links = Array.of_list g.Fuse.links in
-  let steps =
-    Array.init nst (fun o -> compile_single ?kcache plan (g.Fuse.lo + o))
-  in
-  (* A link block never materializes in the pool when the group runs fused,
-     so probing it in the dead-block sweep is a guaranteed miss — filter the
-     links out of every member step's drop list (it cannot change behaviour
-     or the trace: dropping a non-resident block is a silent no-op). *)
-  let is_link blk = List.exists (fun l -> l = blk) g.Fuse.links in
-  let steps =
-    Array.map
-      (fun s ->
-        { s with
-          s_drops =
-            Array.of_list
-              (List.filter
-                 (fun b -> not (is_link b))
-                 (Array.to_list s.s_drops)) })
-      steps
-  in
-  let read_index (s : single) blk =
-    let idx = ref (-1) in
-    Array.iteri (fun r (b, _) -> if !idx < 0 && b = blk then idx := r) s.s_reads;
-    assert (!idx >= 0);
-    !idx
-  in
-  let prev_read =
-    Array.init nst (fun o ->
-        if o = 0 then -1 else read_index steps.(o) links.(o - 1))
-  in
+(* A fused group [lo..hi] as one chain kernel.  Step [lo + o]'s [j]-th
+   read sits in capture slot [base.(o) + j]; an operand that is the incoming
+   link is the chain's previous tile, every other one a chain operand slot.
+   Fuse admits only kernels with a chain arity, every operand among the
+   step's reads. *)
+let compile_chain (plan : Cplan.t) lo hi =
+  let nst = hi - lo + 1 in
+  let step o = plan.Cplan.steps.(lo + o) in
+  let stmt o = Program.find_stmt plan.Cplan.prog (step o).Cplan.stmt in
+  let link o = match (step o).Cplan.writes with (_, blk, _) :: _ -> blk | [] -> assert false in
+  let base = Array.make nst 0 in
+  for o = 1 to nst - 1 do
+    base.(o) <- base.(o - 1) + List.length (step (o - 1)).Cplan.reads
+  done;
   let binds = ref [] and nbinds = ref 0 in
-  let src o k =
-    match steps.(o).s_ops.(k) with
-    | Rd r ->
-        let blk, _ = steps.(o).s_reads.(r) in
-        if o > 0 && blk = links.(o - 1) then Dense.Prev
-        else begin
-          let slot = !nbinds in
-          incr nbinds;
-          binds := (o, r) :: !binds;
-          Dense.Buf slot
-        end
-    | Pool _ -> assert false (* Fuse requires operands in the step's reads *)
-  in
-  (* Fuse admits only kernels with a chain arity, and checked that every
-     operand is among the step's reads. *)
-  let stage_of o =
-    let kernel =
-      (Program.find_stmt plan.Cplan.prog plan.Cplan.steps.(g.Fuse.lo + o).Cplan.stmt)
-        .Stmt.kernel
+  let stage o =
+    let src ob =
+      if o > 0 && ob = link (o - 1) then Dense.Prev
+      else begin
+        let r = read_index (step o) ob in
+        assert (r >= 0);
+        binds := Slot (base.(o) + r) :: !binds;
+        incr nbinds;
+        Dense.Buf (!nbinds - 1)
+      end
     in
-    let srcs = List.init (Option.get (Kernel.chain_arity kernel)) (src o) in
-    match (kernel, srcs) with
+    match ((stmt o).Stmt.kernel, List.map src (Cplan.operand_blocks plan (lo + o))) with
     | Kernel.Assign_add, [ a; b ] -> Dense.Fadd (a, b)
     | Kernel.Assign_sub, [ a; b ] -> Dense.Fsub (a, b)
     | Kernel.Copy, [ a ] -> Dense.Fcopy a
@@ -259,70 +166,52 @@ let compile_fused ?kcache (plan : Cplan.t) (g : Fuse.group) =
     | Kernel.Foreach, [ a ] -> Dense.Fforeach a
     | _ -> assert false
   in
-  let term_kernel =
-    (Program.find_stmt plan.Cplan.prog plan.Cplan.steps.(g.Fuse.hi).Cplan.stmt)
-      .Stmt.kernel
-  in
-  let terminal, stages =
-    match term_kernel with
+  let tile = Config.block_elems_total (Config.layout plan.Cplan.config (link 0).Cplan.array) in
+  let run =
+    match (stmt (nst - 1)).Stmt.kernel with
     | Kernel.Rss_acc ->
-        (* The accumulation consumes the chain's final tile directly. *)
-        assert (prev_read.(nst - 1) >= 0);
-        let e_array = links.(nst - 2).Cplan.array in
-        let el = Config.layout plan.Cplan.config e_array in
-        ( Rss { rows = el.Config.block_elems.(0); cols = el.Config.block_elems.(1) },
-          Array.init (nst - 1) stage_of )
-    | _ -> (Ew, Array.init nst stage_of)
+        (* The accumulation consumes the chain's final tile directly.  Its
+           zero-fill waits until the interior stages have read their
+           operands, one of which may be the accumulator itself. *)
+        let el = Config.layout plan.Cplan.config (link (nst - 2)).Cplan.array in
+        let rows = el.Config.block_elems.(0) and cols = el.Config.block_elems.(1) in
+        let chain = Dense.compile_chain ~tile (Array.init (nst - 1) stage) in
+        let fill = Cplan.zero_fill plan hi in
+        fun bufs dst ->
+          let e = Dense.run_stages chain ~bufs in
+          if fill then Dense.fill dst 0.;
+          Dense.rss_acc ~rows ~cols ~e ~acc:dst
+    | _ ->
+        let chain = Dense.compile_chain ~tile (Array.init nst stage) in
+        fun bufs dst -> Dense.run_chain chain ~bufs ~dst
   in
-  let tile =
-    Config.block_elems_total (Config.layout plan.Cplan.config links.(0).Cplan.array)
-  in
-  { f_lo = g.Fuse.lo;
-    f_hi = g.Fuse.hi;
-    f_steps = steps;
-    f_prev_read = prev_read;
-    f_links = links;
-    f_chain = Dense.compile_chain ~tile stages;
-    f_binds = Array.of_list (List.rev !binds);
-    f_captured =
-      Array.map
-        (fun (s : single) -> Array.make (Array.length s.s_reads) [||])
-        steps;
-    f_terminal = terminal }
+  { operands = Array.of_list (List.rev !binds); run }
 
 let compile ?(fuse = true) (plan : Cplan.t) =
-  let groups =
-    if fuse then Fuse.analyze plan
-    else
-      List.init (Array.length plan.Cplan.steps) (fun i ->
-          { Fuse.lo = i; hi = i; links = [] })
+  let fused =
+    if fuse then
+      List.filter_map
+        (fun (g : Fuse.group) -> if g.Fuse.hi > g.Fuse.lo then Some (g.Fuse.lo, g.Fuse.hi) else None)
+        (Fuse.analyze plan)
+    else []
   in
+  let p = Cplan.lower ~fused plan in
+  let ids =
+    lazy
+      (let h = Hashtbl.create (Array.length p.Cplan.blocks) in
+       Array.iteri (fun k b -> Hashtbl.replace h b k) p.Cplan.blocks;
+       h)
+  in
+  let id_of blk = Hashtbl.find_opt (Lazy.force ids) blk in
   let kcache = Hashtbl.create 16 in
-  let ops =
-    Array.of_list
-      (List.map
-         (fun (g : Fuse.group) ->
-           if g.Fuse.hi = g.Fuse.lo then
-             Single (compile_single ~kcache plan g.Fuse.lo)
-           else Fused (compile_fused ~kcache plan g))
-         groups)
-  in
-  (* The plan's pin index with every link pin filtered out (link blocks
-     never materialize, so their pins are unopenable); unfused, it is the
-     plan's own.  Precomputed here because rebuilding it per run re-hashes
-     every pin of the plan — on fine-grained plans that setup rivals the
-     execution itself. *)
-  let linked = Hashtbl.create 64 in
-  Array.iter
-    (function
-      | Fused f -> Array.iter (fun blk -> Hashtbl.replace linked blk ()) f.f_links
-      | Single _ -> ())
-    ops;
-  let { Cplan.pin_start; pin_stop } = Cplan.pin_index plan in
-  let unlinked = Array.map (List.filter (fun blk -> not (Hashtbl.mem linked blk))) in
-  { ops;
-    n_fused = Fuse.fused_groups groups;
-    pins = { Cplan.pin_start = unlinked pin_start; pin_stop = unlinked pin_stop } }
+  let nothing = { operands = [||]; run = (fun _ _ -> ()) } in
+  let kernels = Array.make (Array.length plan.Cplan.steps) nothing in
+  Array.iteri
+    (fun lo hi ->
+      if hi = lo then kernels.(lo) <- compile_single ~kcache ~id_of plan lo
+      else if hi > lo then kernels.(lo) <- compile_chain plan lo hi)
+    p.Cplan.heads;
+  { program = p; kernels; n_fused = List.length fused }
 
 (* Compilation costs about as much as executing the plan once, so callers
    that run the same plan repeatedly (benchmarks, crash/restart recovery,

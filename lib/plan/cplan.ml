@@ -270,9 +270,29 @@ let order_times c sched =
 
 let cache_order c sched = fst (order_times c sched)
 
-(* --- The predicted protocol stream ------------------------------------------ *)
+(* --- The protocol program ---------------------------------------------------- *)
 
-type pin_index = { pin_start : block list array; pin_stop : block list array }
+type op =
+  | Step_begin of int
+  | Read of { id : int; src : read_src; slot : int }
+  | Alloc of { id : int; fill : bool }
+  | Pin of int
+  | Kernel of { lo : int; hi : int }
+  | Write of { id : int; dst : write_dst }
+  | Unpin of int
+  | Drop of int
+  | Mark of { lo : int; hi : int }
+  | Step_end of int
+
+type program = {
+  ops : op array;
+  blocks : block array;
+  keys : (string * int list) array;
+  link : bool array;
+  starts : int array;
+  heads : int array;
+  slots : int;
+}
 
 (* Interval items [(x, start, stop)] by the steps they open and close at;
    malformed intervals are left out. *)
@@ -287,14 +307,74 @@ let by_step ~n items =
     items;
   (start, stop)
 
-let index_pins ~n pins =
-  let pin_start, pin_stop = by_step ~n pins in
-  { pin_start; pin_stop }
+(* The step protocol over dense block ids, op by op into [emit]: the one
+   definition {!lower} materialises for the engine, {!events} narrates and
+   {!build} costs.  [rids.(i)] and [wids.(i)] are step [i]'s read and write
+   ids and a pin is [(id, start, stop)].  Unfused, every step is a unit of
+   its own.  [fused] is [(hi, link)]: [hi.(i)] is the last step of the unit
+   holding step [i] (a fused chain, or [i] alone), and a [link] id never
+   reaches the pool, so it has no capture slot, pin or drop.  A unit
+   allocates its write buffer, runs its kernel and marks the journal at its
+   last step. *)
+let rec mem_id (k : int) ids j = j < Array.length ids && (ids.(j) = k || mem_id k ids (j + 1))
 
-let sweep (st : step) =
-  (match st.writes with (_, blk, Elided) :: _ -> [ blk ] | _ -> [])
-  @ List.map (fun (_, blk, _) -> blk) st.reads
-  @ List.map (fun (_, blk, _) -> blk) st.writes
+let protocol ?fused ?(fill = fun _ -> false) ~steps ~rids ~wids ~pins emit =
+  let emit op = ignore (emit op) in
+  let n = Array.length steps in
+  let pin_start, pin_stop = by_step ~n pins in
+  let hi i = match fused with Some (hi, _) -> hi.(i) | None -> i in
+  let link k = match fused with Some (_, link) -> link.(k) | None -> false in
+  let lo = ref 0 and slot = ref 0 in
+  let rec reads ri j = function
+    | [] -> ()
+    | (_, _, src) :: rest ->
+        let k = ri.(j) in
+        emit (Read { id = k; src; slot = (if link k then -1 else !slot + j) });
+        reads ri (j + 1) rest
+  in
+  let pin k = if not (link k) then emit (Pin k) in
+  let unpin k =
+    if not (link k) then begin
+      emit (Unpin k);
+      emit (Drop k)
+    end
+  in
+  let drop k = if not (link k) then emit (Drop k) in
+  for i = 0 to n - 1 do
+    let st = steps.(i) and ri = rids.(i) and wi = wids.(i) in
+    let last = hi i = i in
+    if i = 0 || hi (i - 1) < i then begin
+      lo := i;
+      slot := 0
+    end;
+    emit (Step_begin i);
+    reads ri 0 st.reads;
+    slot := !slot + Array.length ri;
+    (* A chain's accumulator is zeroed by its kernel, after the interior
+       stages have read their operands. *)
+    if last && Array.length wi > 0 then emit (Alloc { id = wi.(0); fill = !lo = i && fill i });
+    List.iter pin pin_start.(i);
+    if last then emit (Kernel { lo = !lo; hi = i });
+    let elided =
+      match st.writes with
+      | (_, _, dst) :: _ ->
+          emit (Write { id = wi.(0); dst });
+          dst = Elided
+      | [] -> false
+    in
+    List.iter unpin pin_stop.(i);
+    (* The end-of-step dead-block sweep: the elided write, the reads, the
+       writes, each id once (a second drop of an id finds it as the first
+       left it). *)
+    if elided then drop wi.(0);
+    Array.iter drop ri;
+    for s = 0 to Array.length wi - 1 do
+      let k = wi.(s) in
+      if not ((s = 0 && elided) || mem_id k ri 0) then drop k
+    done;
+    if last then emit (Mark { lo = !lo; hi = i });
+    emit (Step_end i)
+  done
 
 type tally = {
   mutable peak : int;
@@ -304,19 +384,13 @@ type tally = {
   mutable wr_ops : int;
 }
 
-(* The engine's unfused step protocol, simulated from [steps] and [pins]
-   alone: [step i emit] narrates step [i] into [emit] and advances the
-   resident set, so steps must be stepped in order, each once; the tally
-   holds the resident high-water mark in bytes and the disk totals so far.
-   Like the engine, the step's write buffer is acquired before its pins
-   open, and a block is dropped only while resident and unpinned.
-
-   Blocks are dense ids: [rids.(i)] and [wids.(i)] are step [i]'s read and
-   write blocks in order, a pin is [((blk, id), start, stop)], and [bytes]
-   sizes every id, so the resident set and pin depths are plain arrays. *)
-let simulate ~steps ~bytes ~rids ~wids ~pins =
-  let n = Array.length steps and nb = Array.length bytes in
-  let pin_start, pin_stop = by_step ~n pins in
+(* The engine's pool under an unfused program, simulated op by op: [sim op]
+   advances the resident set and pin depths, and is false only for a [Drop]
+   that finds its block absent or pinned (the engine leaves it, and narrates
+   nothing).  The tally holds the resident high-water mark in bytes ([bytes]
+   sizes every id) and the disk totals so far. *)
+let simulate ~bytes =
+  let nb = Array.length bytes in
   let resident = Bytes.make nb '\000' and depth = Array.make nb 0 in
   let cur = ref 0 in
   let tally = { peak = 0; rd_bytes = 0; rd_ops = 0; wr_bytes = 0; wr_ops = 0 } in
@@ -324,86 +398,43 @@ let simulate ~steps ~bytes ~rids ~wids ~pins =
     if Bytes.get resident k = '\000' then begin
       Bytes.set resident k '\001';
       cur := !cur + bytes.(k);
-      tally.peak <- max tally.peak !cur
+      if !cur > tally.peak then tally.peak <- !cur
     end
   in
-  let step i emit =
-    let st = steps.(i) and ri = rids.(i) and wi = wids.(i) in
-    let drop blk k =
-      if depth.(k) = 0 && Bytes.get resident k = '\001' then begin
-        Bytes.set resident k '\000';
-        cur := !cur - bytes.(k);
-        emit (Trace.Drop { step = i; array = blk.array; index = blk.index })
-      end
-    in
-    emit (Trace.Step_begin { step = i; stmt = st.stmt; instance = st.instance });
-    List.iteri
-      (fun j (_, blk, src) ->
-        let k = ri.(j) in
-        let src =
-          match src with
-          | From_disk ->
-              tally.rd_bytes <- tally.rd_bytes + bytes.(k);
-              tally.rd_ops <- tally.rd_ops + 1;
-              Trace.Disk
-          | From_memory -> Trace.Memory
-        in
-        emit (Trace.Read { step = i; array = blk.array; index = blk.index; src });
-        bring k)
-      st.reads;
-    let write = match st.writes with w :: _ -> Some w | [] -> None in
-    Option.iter (fun _ -> bring wi.(0)) write;
-    List.iter
-      (fun (blk, k) ->
+  let sim = function
+    | Read { id; src; _ } ->
+        if src = From_disk then begin
+          tally.rd_bytes <- tally.rd_bytes + bytes.(id);
+          tally.rd_ops <- tally.rd_ops + 1
+        end;
+        bring id;
+        true
+    | Alloc { id; _ } ->
+        bring id;
+        true
+    | Pin k ->
         depth.(k) <- depth.(k) + 1;
-        emit (Trace.Pin_open { step = i; array = blk.array; index = blk.index }))
-      pin_start.(i);
-    Option.iter
-      (fun (_, blk, dst) ->
+        true
+    | Write { id; dst } ->
         if dst = To_disk then begin
-          tally.wr_bytes <- tally.wr_bytes + bytes.(wi.(0));
+          tally.wr_bytes <- tally.wr_bytes + bytes.(id);
           tally.wr_ops <- tally.wr_ops + 1
         end;
-        emit
-          (Trace.Write
-             { step = i; array = blk.array; index = blk.index; elided = dst = Elided }))
-      write;
-    List.iter
-      (fun (blk, k) ->
-        depth.(k) <- max 0 (depth.(k) - 1);
-        emit (Trace.Pin_close { step = i; array = blk.array; index = blk.index });
-        drop blk k)
-      pin_stop.(i);
-    (* The {!sweep}, by id. *)
-    (match st.writes with (_, blk, Elided) :: _ -> drop blk wi.(0) | _ -> ());
-    List.iteri (fun j (_, blk, _) -> drop blk ri.(j)) st.reads;
-    List.iteri (fun j (_, blk, _) -> drop blk wi.(j)) st.writes;
-    emit (Trace.Step_end { step = i })
+        true
+    | Unpin k ->
+        if depth.(k) > 0 then depth.(k) <- depth.(k) - 1;
+        true
+    | Drop k ->
+        depth.(k) = 0
+        && Bytes.get resident k = '\001'
+        && begin
+             Bytes.set resident k '\000';
+             cur := !cur - bytes.(k);
+             true
+           end
+    | Step_begin _ | Kernel _ | Mark _ | Step_end _ -> true
   in
-  (step, tally)
-
-(* [simulate]'s inputs for a finished plan: its blocks interned in one pass
-   over the steps, then the pins.  A block only ever pinned is never
-   resident, so it needs no size. *)
-let simulate_plan t =
-  let ids = Hashtbl.create 256 and sizes = ref [] in
-  let id ~sized blk =
-    match Hashtbl.find_opt ids blk with
-    | Some k -> k
-    | None ->
-        let k = Hashtbl.length ids in
-        Hashtbl.add ids blk k;
-        sizes :=
-          (if sized then Config.block_bytes (Config.layout t.config blk.array) else 0)
-          :: !sizes;
-        k
-  in
-  let ids_of l = Array.of_list (List.map (fun (_, blk, _) -> id ~sized:true blk) l) in
-  let rids = Array.map (fun st -> ids_of st.reads) t.steps in
-  let wids = Array.map (fun st -> ids_of st.writes) t.steps in
-  let pins = List.map (fun (blk, a, b) -> ((blk, id ~sized:false blk), a, b)) t.pins in
-  let bytes = Array.of_list (List.rev !sizes) in
-  simulate ~steps:t.steps ~bytes ~rids ~wids ~pins
+  (sim, tally)
 
 (* --- Construction -------------------------------------------------------- *)
 
@@ -451,7 +482,7 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
               in
               Bytes.set mem_read (insts.(lg).i_base + l_acc) '\001';
               let k = insts.(sg).i_blocks.(ca.Coaccess.src_acc) in
-              pins := ((blocks.(k), k), min si di, max si di) :: !pins
+              pins := (k, min si di, max si di) :: !pins
           | Access.Read, Access.Write -> ())
         (cache_pairs c ca))
     realized;
@@ -463,7 +494,7 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
      steps a < i <= b: a sweep counts the covering pins of every block. *)
   let opens = Array.make (n + 1) [] and closes = Array.make (n + 1) [] in
   List.iter
-    (fun ((_, k), a, b) ->
+    (fun (k, a, b) ->
       if a < b then begin
         opens.(a + 1) <- k :: opens.(a + 1);
         closes.(b + 1) <- k :: closes.(b + 1)
@@ -562,18 +593,14 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
                  it.i_writes) })
       ord
   in
-  (* 5. Totals and peak memory: one pass of the predicted protocol stream,
-     never materialised.  The peak is its resident high-water mark: the
-     running step's blocks plus every block pinned across the step. *)
-  let step, tally =
-    simulate ~steps ~bytes:c.cbytes
-      ~rids:(Array.map (fun g -> insts.(g).i_reads) ord)
-      ~wids:(Array.map (fun g -> insts.(g).i_writes) ord)
-      ~pins
-  in
-  for i = 0 to n - 1 do
-    step i ignore
-  done;
+  (* 5. Totals and peak memory: the unfused protocol program, simulated op
+     by op and never materialised.  The peak is its resident high-water
+     mark: the running step's blocks plus every block pinned across it. *)
+  let sim, tally = simulate ~bytes:c.cbytes in
+  protocol ~steps
+    ~rids:(Array.map (fun g -> insts.(g).i_reads) ord)
+    ~wids:(Array.map (fun g -> insts.(g).i_writes) ord)
+    ~pins sim;
   (* 6. CPU model inputs, summed in step order. *)
   let flops = ref 0. and moved = ref 0. in
   Array.iter
@@ -586,7 +613,7 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
     sched;
     realized;
     steps;
-    pins = List.map (fun ((blk, _), a, b) -> (blk, a, b)) pins;
+    pins = List.map (fun (k, a, b) -> (blocks.(k), a, b)) pins;
     read_bytes = tally.rd_bytes;
     write_bytes = tally.wr_bytes;
     read_ops = tally.rd_ops;
@@ -614,18 +641,100 @@ let cpu_seconds ?(vectorized = true) (m : Machine.t) t =
 
 let total_predicted_seconds m t = predicted_io_seconds m t +. cpu_seconds m t
 
-let pin_index t = index_pins ~n:(Array.length t.steps) t.pins
+let zero_fill t i =
+  let st = t.steps.(i) in
+  match st.writes with
+  | (wa, wblk, _) :: _ ->
+      Kernel.is_accumulating (Program.find_stmt t.prog st.stmt).Stmt.kernel
+      && not (List.exists (fun (a, b, _) -> b = wblk && Access.same_map wa a) st.reads)
+  | [] -> false
 
+let operand_blocks t i =
+  let st = t.steps.(i) in
+  let env = lookup_in st.instance t.config.Config.params in
+  List.map
+    (fun (a : Access.t) -> { array = a.Access.array; index = Array.to_list (Access.block_of a env) })
+    (Stmt.operand_reads (Program.find_stmt t.prog st.stmt))
+
+(* A finished plan's blocks interned in one pass over the steps, then the
+   pins: the blocks by id, each step's read and write ids, the pins by id. *)
+let intern t =
+  let ids = Hashtbl.create 256 and blocks = ref [] in
+  let id blk =
+    match Hashtbl.find_opt ids blk with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length ids in
+        Hashtbl.add ids blk k;
+        blocks := blk :: !blocks;
+        k
+  in
+  let ids_of l = Array.of_list (List.map (fun (_, blk, _) -> id blk) l) in
+  let rids = Array.map (fun st -> ids_of st.reads) t.steps in
+  let wids = Array.map (fun st -> ids_of st.writes) t.steps in
+  let pins = List.map (fun (blk, a, b) -> (id blk, a, b)) t.pins in
+  (Array.of_list (List.rev !blocks), rids, wids, pins)
+
+let lower ?(fused = []) t =
+  let blocks, rids, wids, pins = intern t in
+  let n = Array.length t.steps and nb = Array.length blocks in
+  let hi = Array.init n Fun.id and link = Array.make nb false in
+  List.iter
+    (fun (lo, h) ->
+      for i = lo to h do
+        hi.(i) <- h;
+        if i < h then link.(wids.(i).(0)) <- true
+      done)
+    fused;
+  let ops = ref [] in
+  protocol ~fused:(hi, link) ~fill:(zero_fill t) ~steps:t.steps ~rids ~wids ~pins (fun op ->
+      ops := op :: !ops);
+  let ops = Array.of_list (List.rev !ops) in
+  let starts = Array.make (n + 1) (Array.length ops) and heads = Array.make n (-1) in
+  let slots = ref 0 in
+  Array.iteri
+    (fun pc -> function
+      | Step_begin i -> starts.(i) <- pc
+      | Kernel { lo; hi } -> heads.(lo) <- hi
+      | Read { slot; _ } -> slots := max !slots (slot + 1)
+      | _ -> ())
+    ops;
+  { ops;
+    blocks;
+    keys = Array.map (fun b -> (b.array, b.index)) blocks;
+    link;
+    starts;
+    heads;
+    slots = !slots }
+
+let narrate t blocks ~step = function
+  | Step_begin i ->
+      Some (Trace.Step_begin { step = i; stmt = t.steps.(i).stmt; instance = t.steps.(i).instance })
+  | Read { id; src; _ } ->
+      let src = match src with From_disk -> Trace.Disk | From_memory -> Trace.Memory in
+      Some (Trace.Read { step; array = blocks.(id).array; index = blocks.(id).index; src })
+  | Pin k -> Some (Trace.Pin_open { step; array = blocks.(k).array; index = blocks.(k).index })
+  | Write { id; dst } ->
+      Some
+        (Trace.Write
+           { step; array = blocks.(id).array; index = blocks.(id).index; elided = dst = Elided })
+  | Unpin k -> Some (Trace.Pin_close { step; array = blocks.(k).array; index = blocks.(k).index })
+  | Drop k -> Some (Trace.Drop { step; array = blocks.(k).array; index = blocks.(k).index })
+  | Step_end i -> Some (Trace.Step_end { step = i })
+  | Alloc _ | Kernel _ | Mark _ -> None
+
+(* The unfused generator run straight into the simulated pool, as in
+   {!build}: the program is never materialised. *)
 let events t =
   Seq.memoize (fun () ->
-      let step, _ = simulate_plan t in
-      Seq.concat_map
-        (fun i ->
-          let evs = ref [] in
-          step i (fun e -> evs := e :: !evs);
-          List.to_seq (List.rev !evs))
-        (Seq.init (Array.length t.steps) Fun.id)
-        ())
+      let blocks, rids, wids, pins = intern t in
+      let sim, _ = simulate ~bytes:(Array.make (Array.length blocks) 0) in
+      let evs = ref [] and step = ref 0 in
+      protocol ~steps:t.steps ~rids ~wids ~pins (fun op ->
+          (match op with Step_begin i -> step := i | _ -> ());
+          if sim op then
+            match narrate t blocks ~step:!step op with Some e -> evs := e :: !evs | None -> ());
+      List.to_seq (List.rev !evs) ())
 
 type divergence = {
   d_step : int;

@@ -139,31 +139,82 @@ val total_predicted_seconds : Machine.t -> t -> float
 (** I/O + CPU (the program is executed phase by phase, as in the paper's
     breakdown). *)
 
-(** {2 The predicted protocol stream} *)
+(** {2 The protocol program}
 
-type pin_index = {
-  pin_start : block list array;  (** pins opening at each step *)
-  pin_stop : block list array;  (** pins closing at each step *)
+    The engine's step protocol (read, allocate, pin, compute, write, unpin,
+    drop, journal) written out once, as a flat op array over dense block
+    ids.  The engine runs it, {!events} narrates it, {!build} takes its
+    totals and peak from it, and the journal and prefetch analyses fold
+    over it. *)
+
+type op =
+  | Step_begin of int
+  | Read of { id : int; src : read_src; slot : int }
+      (** bring the block in (from disk or the pool) and keep its buffer
+          in capture slot [slot] of the running unit; [-1] for a link *)
+  | Alloc of { id : int; fill : bool }
+      (** resolve the write buffer; [fill]: zero it first ({!zero_fill}) *)
+  | Pin of int
+  | Kernel of { lo : int; hi : int }
+      (** run the unit over steps [lo..hi]: one step, or a fused chain *)
+  | Write of { id : int; dst : write_dst }
+  | Unpin of int
+  | Drop of int  (** release the block if it is resident and unpinned *)
+  | Mark of { lo : int; hi : int }
+      (** the unit's journal point: a watermark at its latest safe step *)
+  | Step_end of int
+
+type program = {
+  ops : op array;
+  blocks : block array;  (** by id: reads and writes in step order, then pins *)
+  keys : (string * int list) array;  (** each id's buffer-pool key *)
+  link : bool array;
+      (** ids a fused chain carries in its scratch tile: their reads and
+          writes are narrated only, and they are never allocated, pinned or
+          dropped *)
+  starts : int array;
+      (** [starts.(i)]: index in [ops] of step [i]'s [Step_begin];
+          [starts.(n)] is the length of [ops] *)
+  heads : int array;
+      (** [heads.(i)]: the last step of the unit step [i] opens, or [-1]
+          when step [i] lies inside a fused chain *)
+  slots : int;  (** capture slots the largest unit needs *)
 }
+(** Per step: [Step_begin]; each [Read]; at the unit's last step, the
+    write's [Alloc]; the [Pin]s opening there; at the unit's last step, its
+    [Kernel]; the [Write]; each closing pin's [Unpin] and [Drop]; the
+    dead-block sweep's [Drop]s (the elided write, the reads, the writes,
+    each id once);
+    at the unit's last step, its [Mark]; [Step_end].  Unfused, every unit
+    is one step and capture slot [j] is the step's [j]-th read. *)
 
-val pin_index : t -> pin_index
-(** [pins] indexed by step, the one index {!events}, the compiled executor
-    and the prefetch schedule read.  Derived from [pins] on each call, so a
-    plan rebuilt with other pins stays consistent.  Malformed intervals are
-    left out ([Plan_verify] reports them as RS005). *)
+val operand_blocks : t -> int -> block list
+(** The blocks step [i]'s kernel takes as operands, in operand order.  An
+    operand need not be among the step's reads: a restriction may have
+    deactivated its read. *)
 
-val sweep : step -> block list
-(** The end-of-step dead-block sweep, in order: the elided write's block,
-    the reads, the writes; each is dropped if still resident and unpinned. *)
+val zero_fill : t -> int -> bool
+(** Whether step [i]'s kernel accumulates into a write buffer none of its
+    reads brings in, so that buffer must be zeroed before the kernel runs. *)
+
+val lower : ?fused:(int * int) list -> t -> program
+(** The plan's protocol program.  [fused] (default none) lists the step
+    ranges run as single chains, [Fuse.analyze]'s multi-step groups: each
+    range is one unit, whose links are the writes of all but its last step,
+    and whose accumulator zero-fill belongs to the chain kernel. *)
+
+val narrate : t -> block array -> step:int -> op -> Trace.event option
+(** The trace event of [op] run at step [step], its blocks named by
+    [blocks] (a program's): the one narration of the engine and of
+    {!events}.  [None] for [Alloc], [Kernel] and [Mark].  A [Drop]'s event
+    stands only when the drop releases its block. *)
 
 val events : t -> Trace.event Seq.t
-(** The predicted trace (persistent, computed as it is traversed): the
-    engine's unfused step protocol simulated from [steps] and [pins] alone.
-    Per step: [Step_begin]; each [Read]; the [Pin_open]s starting there;
-    the [Write]; each [Pin_close], then its [Drop] if the block is now
-    unpinned; the {!sweep}'s [Drop]s; [Step_end].  As in the engine, the
-    write buffer is resident before the pins open.  [peak_memory] is the
-    stream's resident high-water mark and [read_*]/[write_*] its totals. *)
+(** The predicted trace (persistent, computed in full when first
+    traversed): the unfused protocol {!narrate}d against a simulated pool,
+    where a [Drop] releases its block when it is resident and unpinned.
+    [peak_memory] is the stream's resident high-water mark and
+    [read_*]/[write_*] its totals. *)
 
 type divergence = {
   d_step : int;  (** step of the first differing event *)

@@ -1,5 +1,4 @@
 module Config = Riot_ir.Config
-module Access = Riot_ir.Access
 module Stmt = Riot_ir.Stmt
 module Program = Riot_ir.Program
 module Kernel = Riot_ir.Kernel
@@ -39,20 +38,7 @@ let analyze (plan : Cplan.t) =
   (* Computed once per step up front: [link] consults both endpoints of
      every boundary, so recomputing these per probe would walk each step's
      accesses several times over (measurable on fine-grained plans). *)
-  let operand_blocks =
-    Array.init n (fun i ->
-        let st = steps.(i) in
-        let lookup nm =
-          match List.assoc_opt nm st.Cplan.instance with
-          | Some v -> v
-          | None -> List.assoc nm plan.Cplan.config.Config.params
-        in
-        List.map
-          (fun (a : Access.t) ->
-            { Cplan.array = a.Access.array;
-              index = Array.to_list (Access.block_of a lookup) })
-          (Stmt.operand_reads stmt_of.(i)))
-  in
+  let operand_blocks = Array.init n (Cplan.operand_blocks plan) in
   let operand_blocks i = operand_blocks.(i) in
   (* A step can take part in a chain (as producer or consumer) only when the
      executor's view of it is fully static: exactly one write, and every

@@ -29,34 +29,30 @@ type t = { by_target : hint list array }
 
 let length t = Array.length t.by_target
 
-let make (plan : Cplan.t) =
-  let n = Array.length plan.Cplan.steps in
-  (* [floor] maps a block to the earliest safe issue step implied by
-     everything at steps processed so far. *)
-  let floor : (Cplan.block, int) Hashtbl.t = Hashtbl.create 64 in
-  let stops = (Cplan.pin_index plan).Cplan.pin_stop in
-  let by_target = Array.make n [] in
-  for t = 0 to n - 1 do
-    let st = plan.Cplan.steps.(t) in
-    let seen = ref [] in
-    List.iter
-      (fun (_, blk, src) ->
-        if src = Cplan.From_disk && not (List.mem blk !seen) then begin
-          seen := blk :: !seen;
-          let e = Option.value ~default:0 (Hashtbl.find_opt floor blk) in
-          if e < t then
-            by_target.(t) <-
-              { h_block = blk; h_earliest = e; h_issued = false }
-              :: by_target.(t)
-        end)
-      st.Cplan.reads;
-    (* This step's accesses and pin releases gate later hints for the same
-       block behind this step's enqueued effects. *)
-    List.iter (fun (_, blk, _) -> Hashtbl.replace floor blk (t + 1)) st.Cplan.reads;
-    List.iter (fun (_, blk, _) -> Hashtbl.replace floor blk (t + 1)) st.Cplan.writes;
-    List.iter (fun blk -> Hashtbl.replace floor blk (t + 1)) stops.(t)
-  done;
+(* One pass over the program: [floor.(id)] is the earliest safe
+   issue step implied by the ops seen so far.  A step's reads come before
+   its write and pin releases, and its reads are of distinct blocks, so a
+   read's hint sees only earlier steps' floors. *)
+let of_program (p : Cplan.program) =
+  let floor = Array.make (Array.length p.Cplan.blocks) 0 in
+  let by_target = Array.make (Array.length p.Cplan.starts - 1) [] in
+  let t = ref 0 in
+  Array.iter
+    (function
+      | Cplan.Step_begin i -> t := i
+      | Cplan.Read { id; src; _ } ->
+          let e = floor.(id) in
+          if src = Cplan.From_disk && e < !t then
+            by_target.(!t) <-
+              { h_block = p.Cplan.blocks.(id); h_earliest = e; h_issued = false }
+              :: by_target.(!t);
+          floor.(id) <- !t + 1
+      | Cplan.Write { id; _ } | Cplan.Unpin id -> floor.(id) <- !t + 1
+      | _ -> ())
+    p.Cplan.ops;
   { by_target }
+
+let make plan = of_program (Cplan.lower plan)
 
 let issue t ~now ~horizon f =
   let n = Array.length t.by_target in

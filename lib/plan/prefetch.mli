@@ -19,11 +19,16 @@ val make : Cplan.t -> t
     issue step.  Mode-independent — fused and unfused execution perform the
     same physical reads. *)
 
+val of_program : Cplan.program -> t
+(** {!make} over a lowering the caller already holds, fused or not: a
+    chain's links are never read from disk, so both give the same
+    schedule. *)
+
 val issue : t -> now:int -> horizon:int -> (Cplan.block -> unit) -> unit
 (** [issue t ~now ~horizon f] calls [f] on every not-yet-issued hint whose
     target step lies in [now, horizon] and whose earliest safe issue step
-    is [<= now], marking them issued.  Call it at each dispatch boundary
-    [now] with [horizon] = last step of the dispatch unit plus the desired
+    is [<= now], marking them issued.  Call it as each unit of the program
+    begins at [now], with [horizon] = the unit's last step plus the desired
     read-ahead depth; hints that were not safe yet are retried at later
     boundaries and fall back to demand reads if their window closes. *)
 

@@ -201,9 +201,11 @@ let sim ?(retain_data = true) ?(sleep_factor = 0.) ~read_bw ~write_bw
     Io_stats.add_read ~stream:name stats len;
     if retain_data then begin
       let s = stream_of name in
-      let out = Bytes.make len '\000' in
+      let out = Bytes.create len in
       let avail = max 0 (min len (s.slen - off)) in
       if avail > 0 then Bytes.blit s.sdata off out 0 avail;
+      (* Bytes past the stored length read as zeroes; only they need filling. *)
+      Bytes.fill out avail (len - avail) '\000';
       out
     end
     else Bytes.make len '\000'

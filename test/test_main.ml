@@ -6,4 +6,4 @@ let () =
       Test_random_programs.suite; Test_codegen.suite; Test_ir.suite;
       Test_cost_check.suite; Test_trace.suite; Test_vexec.suite; Test_pool.suite; Test_parallel.suite;
       Test_faults.suite; Test_plan_verify.suite; Test_async.suite;
-      Test_differential.suite ]
+      Test_differential.suite; Test_protocol.suite ]

@@ -175,20 +175,25 @@ let test_fusion_fires () =
   Alcotest.(check bool)
     "a multi-step fused group exists" true
     (Fuse.fused_groups groups > 0);
+  (* Each unit of the lowered program runs one [Kernel] op over its step
+     range: a fused chain spans several steps. *)
+  let spans (c : Vexec.compiled) =
+    List.filter_map
+      (function Cplan.Kernel { lo; hi } -> Some (hi - lo + 1) | _ -> None)
+      (Array.to_list c.Vexec.program.Cplan.ops)
+  in
   let compiled = Vexec.compiled_for cplan in
   Alcotest.(check bool) "compile sees the fusion" true (compiled.Vexec.n_fused > 0);
+  Alcotest.(check bool) "a fused kernel op exists" true
+    (List.exists (fun s -> s > 1) (spans compiled));
   (* The cache keys on fuse as well as the plan: the unfused request on the
      same physical plan must not be handed the fused compile. *)
-  Alcotest.(check int) "unfused compile has no fused groups" 0
-    (Vexec.compiled_for ~fuse:false cplan).Vexec.n_fused;
-  let full_chain =
-    Array.exists
-      (function
-        | Vexec.Fused f -> Array.length f.Vexec.f_steps = 3
-        | Vexec.Single _ -> false)
-      compiled.Vexec.ops
-  in
-  Alcotest.(check bool) "the 3-stage chain fuses end to end" true full_chain;
+  let unfused = Vexec.compiled_for ~fuse:false cplan in
+  Alcotest.(check int) "unfused compile has no fused groups" 0 unfused.Vexec.n_fused;
+  Alcotest.(check bool) "unfused compile has no fused kernel op" false
+    (List.exists (fun s -> s > 1) (spans unfused));
+  Alcotest.(check bool) "the 3-stage chain is one kernel op over 3 steps" true
+    (List.mem 3 (spans compiled));
   let t = Differential.tally () in
   Differential.check_case t
     { Differential.name = "chain3"; prog; config; opaque = false; plans = [ cplan ] }
