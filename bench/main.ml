@@ -1634,6 +1634,110 @@ let plancost_run ~variant ~reps =
 
 let plancost () = plancost_run ~variant:"full" ~reps:3
 
+(* --- codec: block bytes <-> float array throughput ------------------------------
+
+   Block_store.get_floats (decode) and set_floats (encode) in MB/s at the
+   largest block each source-to-bytes workload moves (the configs of
+   perfbench/workloads.ml), next to Bytes.copy of the same bytes as the
+   host's memory-copy reference.  Every block read and write of the engine,
+   the buffer pool and the journal goes through this codec.  Throughput is
+   reported, never gated.  The row's gate records that decoding returned
+   exactly the stored bits (checked against Bytes.get_int64_le, with signed
+   zero, a subnormal and NaN payloads planted in random bytes) and that
+   encoding at an unaligned offset wrote the source bytes back; the run
+   fails if it does not hold.  The full run appends its row to
+   BENCH_codec.json; the smoke run only checks the gate. *)
+
+let codec_json_file = "BENCH_codec.json"
+
+let codec_workloads =
+  [ ("linreg-search", Programs.scale_down ~factor:50 Programs.table4);
+    ("twomm-gemm", Programs.scale_down ~factor:50 Programs.table3_config_a);
+    ("chain-fine", plancost_chain_config);
+    ("pig-io", Programs.scale_down ~factor:16 Programs.pig_config) ]
+
+let codec_run ~variant ~min_seconds ~trials =
+  section (Printf.sprintf "Block codec throughput (%s)" variant);
+  Printf.printf "%-14s %10s %12s %12s %12s  %s\n" "workload" "block B" "decode MB/s"
+    "encode MB/s" "copy MB/s" "bit-exact";
+  let st = Random.State.make [| 2012 |] in
+  (* Median over trials of MB/s; each trial repeats [f] for [min_seconds]. *)
+  let rate bytes f =
+    let trial () =
+      let t0 = Unix.gettimeofday () and reps = ref 0 in
+      while Unix.gettimeofday () -. t0 < min_seconds || !reps = 0 do
+        f ();
+        incr reps
+      done;
+      float_of_int (bytes * !reps) /. (Unix.gettimeofday () -. t0) /. 1e6
+    in
+    List.nth (List.sort compare (List.init trials (fun _ -> trial ()))) (trials / 2)
+  in
+  let rows =
+    List.map
+      (fun (name, config) ->
+        let bytes =
+          List.fold_left
+            (fun m (_, l) -> max m (Config.block_bytes l))
+            0 config.Config.layouts
+        in
+        let n = bytes / 8 in
+        let src = Bytes.init bytes (fun _ -> Char.chr (Random.State.int st 256)) in
+        List.iteri
+          (fun i v -> Bytes.set_int64_le src (8 * i) v)
+          [ 0x8000000000000000L; 0x0000000000000001L; 0x7ff4000000abcdefL;
+            0xfff80000deadbeefL ];
+        let a = Block_store.get_floats src ~off:0 n in
+        let decoded = ref true in
+        Array.iteri
+          (fun i x ->
+            if Int64.bits_of_float x <> Bytes.get_int64_le src (8 * i) then decoded := false)
+          a;
+        let dst = Bytes.make (bytes + 3) '\000' in
+        Block_store.set_floats dst ~off:3 a;
+        let bit_exact = !decoded && Bytes.equal (Bytes.sub dst 3 bytes) src in
+        let decode =
+          rate bytes (fun () ->
+              ignore (Sys.opaque_identity (Block_store.get_floats src ~off:0 n)))
+        and encode = rate bytes (fun () -> Block_store.set_floats dst ~off:0 a)
+        and copy = rate bytes (fun () -> ignore (Sys.opaque_identity (Bytes.copy src))) in
+        Printf.printf "%-14s %10d %12.0f %12.0f %12.0f  %b\n%!" name bytes decode encode copy
+          bit_exact;
+        (name, bytes, decode, encode, copy, bit_exact))
+      codec_workloads
+  in
+  let bit_exact = List.for_all (fun (_, _, _, _, _, ok) -> ok) rows in
+  let metrics (name, bytes, decode, encode, copy, _) =
+    [ metric (name ^ ".block_bytes") (string_of_int bytes) "B";
+      metric (name ^ ".decode_mb_s") (Printf.sprintf "%.1f" decode) "MB/s";
+      metric (name ^ ".encode_mb_s") (Printf.sprintf "%.1f" encode) "MB/s";
+      metric (name ^ ".copy_mb_s") (Printf.sprintf "%.1f" copy) "MB/s" ]
+  in
+  let row =
+    Printf.sprintf
+      "{%s, \"trials\": %d, \"min_seconds\": %g, \"metrics\": {%s}, \
+       \"gates\": {\"bit_exact\": %b}}"
+      (row_header ~bench:"codec" ~variant)
+      trials min_seconds
+      (String.concat ", " (List.concat_map metrics rows))
+      bit_exact
+  in
+  print_endline row;
+  List.iter
+    (fun (name, _, _, _, _, ok) ->
+      if not ok then failwith (Printf.sprintf "codec: not bit-exact on %s" name))
+    rows;
+  row
+
+let codec () =
+  let row = codec_run ~variant:"full" ~min_seconds:0.2 ~trials:5 in
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 codec_json_file in
+  output_string oc (row ^ "\n");
+  close_out oc;
+  Printf.printf "(appended to %s)\n" codec_json_file
+
+let codec_smoke () = ignore (codec_run ~variant:"smoke" ~min_seconds:0.01 ~trials:1)
+
 (* --- Driver ------------------------------------------------------------------------ *)
 
 let experiments =
@@ -1668,6 +1772,8 @@ let experiments =
     ("gemm", gemm);
     ("gemm-smoke", gemm_smoke);
     ("plancost", plancost);
+    ("codec", codec);
+    ("codec-smoke", codec_smoke);
     ("micro", micro) ]
 
 let () =
@@ -1705,7 +1811,7 @@ let () =
         (fun n ->
           n <> "opttime-smoke" && n <> "polyfuzz-smoke" && n <> "faultfuzz-smoke"
           && n <> "cpubound-smoke" && n <> "checkverify-smoke"
-          && n <> "iolap-smoke" && n <> "gemm-smoke")
+          && n <> "iolap-smoke" && n <> "gemm-smoke" && n <> "codec-smoke")
         (List.map fst experiments)
     else args
   in

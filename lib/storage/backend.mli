@@ -37,10 +37,12 @@ exception Crash of { op : io_op; stream : string }
 
 type t = {
   pread : name:string -> off:int -> len:int -> bytes;
-      (** Positional read.  {b End-of-stream contract}: reading at or past
-          the current end of a stream is {e not} an error and is {e not} a
-          short read - the missing suffix is zero-filled, so [pread] always
-          returns exactly [len] bytes and never changes the stream's size.
+      (** Positional read into a fresh buffer that the caller owns (block
+          stores hand it on without copying).  {b End-of-stream contract}:
+          reading at or past the current end of a stream is {e not} an
+          error and is {e not} a short read - the missing suffix is
+          zero-filled, so [pread] always returns exactly [len] bytes and
+          never changes the stream's size.
           Both implementations obey this (the file backend by zeroing the
           unread suffix, the simulated one by construction); block stores rely
           on it to read never-written blocks as zeroes.

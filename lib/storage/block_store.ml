@@ -33,17 +33,25 @@ let touch_write t index =
 let prefetch t index =
   match t.impl with D d -> Daf.prefetch d index | L l -> Lab_tree.prefetch l index
 
+external get_floats_unchecked : bytes -> int -> int -> float array
+  = "riot_get_floats"
+
+external set_floats_unchecked : bytes -> int -> float array -> unit
+  = "riot_set_floats"
+[@@noalloc]
+
+(* Written so that no intermediate overflows: [8 * n] could. *)
+let check_range fn b ~off n =
+  if off < 0 || n < 0 || off > Bytes.length b || n > (Bytes.length b - off) / 8
+  then invalid_arg fn
+
 let get_floats b ~off n =
-  let a = Array.create_float n in
-  for i = 0 to n - 1 do
-    Array.unsafe_set a i (Int64.float_of_bits (Bytes.get_int64_le b (off + (8 * i))))
-  done;
-  a
+  check_range "Block_store.get_floats" b ~off n;
+  get_floats_unchecked b off n
 
 let set_floats b ~off (a : float array) =
-  for i = 0 to Array.length a - 1 do
-    Bytes.set_int64_le b (off + (8 * i)) (Int64.bits_of_float (Array.unsafe_get a i))
-  done
+  check_range "Block_store.set_floats" b ~off (Array.length a);
+  set_floats_unchecked b off a
 
 let floats_of_bytes b = get_floats b ~off:0 (Bytes.length b / 8)
 

@@ -210,7 +210,9 @@ let read_block t index =
   | None -> Bytes.make bb '\000'
   | Some (off, len) ->
       let data = t.backend.Backend.pread ~name:t.file ~off ~len in
-      if len >= bb then Bytes.sub data 0 bb
+      (* [pread] returns a fresh buffer of exactly [len] bytes. *)
+      if len = bb then data
+      else if len > bb then Bytes.sub data 0 bb
       else begin
         let out = Bytes.make bb '\000' in
         Bytes.blit data 0 out 0 len;

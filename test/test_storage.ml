@@ -181,6 +181,117 @@ let test_codec_bit_exact () =
       b.Backend.close ())
     [ ("sim", sim ()); ("file", Backend.file ~root:(tmpdir ())) ]
 
+(* The per-element codec loops that the bulk copy replaced, frozen as the
+   reference encoder and decoder. *)
+let ref_get_floats b ~off n =
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Int64.float_of_bits (Bytes.get_int64_le b (off + (8 * i))))
+  done;
+  a
+
+let ref_set_floats b ~off (a : float array) =
+  for i = 0 to Array.length a - 1 do
+    Bytes.set_int64_le b (off + (8 * i)) (Int64.bits_of_float (Array.unsafe_get a i))
+  done
+
+let random_bytes st n = Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+(* Random bit patterns and the specials, at every byte offset 0..7 of a
+   buffer with bytes to spare on both sides: both directions agree with the
+   reference bit for bit, and the encoder leaves the bytes around the range
+   as they were. *)
+let test_codec_matches_reference () =
+  let st = Random.State.make [| 22 |] in
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun n ->
+      let a =
+        Array.init n (fun i ->
+            if i < Array.length codec_specials then codec_specials.(i)
+            else Int64.float_of_bits (Random.State.bits64 st))
+      in
+      for off = 0 to 7 do
+        let len = off + (8 * n) + 5 in
+        let src = random_bytes st len in
+        let label = Printf.sprintf "n=%d off=%d" n off in
+        check_bool (label ^ " decode") true
+          (bits (Block_store.get_floats src ~off n) = bits (ref_get_floats src ~off n));
+        let got = Bytes.copy src and want = Bytes.copy src in
+        Block_store.set_floats got ~off a;
+        ref_set_floats want ~off a;
+        check_bool (label ^ " encode") true (Bytes.equal got want)
+      done)
+    [ 0; 1; 2; 15; 64; 1000 ];
+  (* A zero-length range is valid at either end of the buffer. *)
+  let b = random_bytes st 16 in
+  List.iter
+    (fun off ->
+      check_int "empty decode" 0 (Array.length (Block_store.get_floats b ~off 0));
+      Block_store.set_floats b ~off [||])
+    [ 0; 9; 16 ]
+
+let test_codec_rejects_bad_ranges () =
+  let b = Bytes.init 20 Char.chr in
+  let raises label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" label
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (label, off, n) ->
+      raises ("get " ^ label) (fun () -> Block_store.get_floats b ~off n))
+    [ ("negative off", -1, 1); ("negative n", 0, -1); ("past the end", 8, 2);
+      ("off past the end", 21, 0); ("huge n", 0, max_int / 4) ];
+  List.iter
+    (fun (label, off, n) ->
+      let before = Bytes.copy b in
+      raises ("set " ^ label) (fun () -> Block_store.set_floats b ~off (Array.make n 1.5));
+      check_bool ("set " ^ label ^ " leaves the bytes untouched") true (Bytes.equal b before))
+    [ ("negative off", -1, 1); ("past the end", 8, 2); ("one byte short", 5, 2);
+      ("off past the end", 21, 0) ]
+
+(* write_floats/read_floats round trips through both formats on both
+   backends, with random bit patterns filling the block; a block read
+   belongs to the caller, so changing it does not change the next read. *)
+let test_codec_store_round_trips () =
+  let l = layout ~grid:[| 2; 3 |] ~block:[| 4; 9 |] in
+  let st = Random.State.make [| 7 |] in
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun (label, b) ->
+      List.iter
+        (fun (fname, format) ->
+          let s = Block_store.create b ~format ~name:("R" ^ fname) ~layout:l in
+          let blocks = [ [ 0; 0 ]; [ 1; 2 ]; [ 0; 1 ] ] in
+          let data =
+            List.map
+              (fun idx ->
+                let p =
+                  Array.init (Config.block_elems_total l) (fun i ->
+                      if i < Array.length codec_specials then codec_specials.(i)
+                      else Int64.float_of_bits (Random.State.bits64 st))
+                in
+                Block_store.write_floats s idx p;
+                (idx, p))
+              blocks
+          in
+          List.iter
+            (fun (idx, p) ->
+              let where = Printf.sprintf "%s %s" label fname in
+              check_bool (where ^ " bits") true (bits (Block_store.read_floats s idx) = bits p);
+              let raw = Block_store.read_block s idx in
+              Bytes.fill raw 0 8 '\255';
+              check_bool (where ^ " fresh read") true
+                (bits (Block_store.read_floats s idx) = bits p))
+            data;
+          check_bool (label ^ " " ^ fname ^ " unwritten block is zero") true
+            (Array.for_all (fun x -> Int64.bits_of_float x = 0L)
+               (Block_store.read_floats s [ 1; 1 ])))
+        [ ("daf", Block_store.Daf_format); ("lab", Block_store.Lab_format) ];
+      b.Backend.close ())
+    [ ("sim", sim ()); ("file", Backend.file ~root:(tmpdir ())) ]
+
 (* --- Buffer pool -------------------------------------------------------------- *)
 
 let mk_store ?(name = "S") b l =
@@ -516,6 +627,10 @@ let suite =
       Alcotest.test_case "lab persistence" `Quick test_lab_persistence;
       Alcotest.test_case "formats agree" `Quick test_formats_agree;
       Alcotest.test_case "codec round trip is bit-exact" `Quick test_codec_bit_exact;
+      Alcotest.test_case "codec matches the per-element reference" `Quick
+        test_codec_matches_reference;
+      Alcotest.test_case "codec rejects bad ranges" `Quick test_codec_rejects_bad_ranges;
+      Alcotest.test_case "codec store round trips" `Quick test_codec_store_round_trips;
       Alcotest.test_case "pool hit/miss" `Quick test_pool_hit_miss;
       Alcotest.test_case "pool LRU eviction" `Quick test_pool_eviction_lru;
       Alcotest.test_case "pool pinning" `Quick test_pool_pinning;
