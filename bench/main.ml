@@ -1383,11 +1383,17 @@ let iolap_smoke () = iolap_run ~variant:"smoke" ~scale:50 ~reps:1 ~gate:false
    workloads execute (perfbench/workloads.ml: Table 3 Config A and Table 4
    with block contents shrunk 50x), next to Machine.paper's modeled
    gemm_flops — the CPU half of the cost model checked the way Fig. 3(b)
-   checks the I/O half.  Throughput is reported, never gated: a wall-clock
-   figure depends on the host.  The row's gates record that every result
-   was finite and that two calls agreed bit for bit; the run fails if
-   either does not hold.  The full run appends its row to BENCH_gemm.json;
-   the smoke run uses tiny shapes. *)
+   checks the I/O half.  Each shape runs through Dense.gemm_par on a pool of
+   [jobs] domains, as the executor runs it: shapes below Dense.gemm_grain
+   stay on one domain, the others split their rows.  Throughput is
+   reported, never gated: a wall-clock figure depends on the host.  The
+   pool spins between batches, as the executor's does.  The row's gates
+   record that every result was finite, that two calls agreed bit for bit,
+   and that a forced row split across the pool matched the one-domain
+   Dense.gemm bit for bit; the run fails if any does not hold.
+   The full run appends one row at jobs = 1 and one at the default jobs to
+   BENCH_gemm.json; the smoke run uses tiny shapes and gates only the
+   identities. *)
 
 let gemm_json_file = "BENCH_gemm.json"
 
@@ -1404,33 +1410,39 @@ let gemm_smoke_shapes =
     (fun (ta, tb) -> (Printf.sprintf "smoke ta=%b tb=%b" ta tb, 7, 9, 5, ta, tb))
     [ (false, false); (true, false); (false, true); (true, true) ]
 
-let gemm_run ~variant ~shapes ~min_seconds ~trials =
-  section (Printf.sprintf "Dense.gemm throughput (%s)" variant);
+let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
+  section (Printf.sprintf "Dense.gemm throughput (%s, jobs=%d)" variant jobs);
   let st = Random.State.make [| 2012 |] in
   let model = machine.Machine.gemm_flops in
-  Printf.printf "%-24s %-16s %-6s %-10s %-10s %s\n" "shape" "m x n x k" "op"
+  Printf.printf "%-24s %-16s %-6s %-7s %-10s %-10s %s\n" "shape" "m x n x k" "op" "chunks"
     "GFLOP/s" "model" "ratio";
   let rows =
     List.map
       (fun (label, m, n, k, ta, tb) ->
         let a = Array.init (m * k) (fun _ -> Random.State.float st 2. -. 1.)
         and b = Array.init (k * n) (fun _ -> Random.State.float st 2. -. 1.) in
-        let once () =
+        (* A fresh pool per shape, used at once, as a run's pool is. *)
+        Riot_base.Pool.with_pool ~jobs ~spin:true @@ fun pool ->
+        let par = { Dense.jobs; run = (fun ~n body -> Riot_base.Pool.parallel_for pool ~n body) } in
+        let once ?chunks par =
           let c = Array.make (m * n) 0. in
-          Dense.gemm ~accumulate:false ~ta ~tb ~m ~n ~k ~a ~b ~c;
+          Dense.gemm_par ?chunks par ~accumulate:false ~ta ~tb ~m ~n ~k ~a ~b ~c;
           c
         in
-        let c1 = once () in
+        let c1 = once par in
         let bits c = Array.map Int64.bits_of_float c in
         let finite = Array.for_all Float.is_finite c1
-        and deterministic = bits (once ()) = bits c1 in
+        and deterministic = bits (once par) = bits c1
+        and split_identical =
+          bits (once ~chunks:(max 2 jobs) par) = bits (once Dense.sequential)
+        in
         (* Median over trials; each trial repeats the call until it has run
            [min_seconds]. *)
         let c = Array.make (m * n) 0. in
         let trial () =
           let t0 = Unix.gettimeofday () and reps = ref 0 in
           while Unix.gettimeofday () -. t0 < min_seconds || !reps = 0 do
-            Dense.gemm ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
+            Dense.gemm_par par ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
             incr reps
           done;
           2. *. float_of_int (m * n * k * !reps) /. (Unix.gettimeofday () -. t0)
@@ -1439,53 +1451,70 @@ let gemm_run ~variant ~shapes ~min_seconds ~trials =
         let flops = List.nth rates (trials / 2) in
         let op = (if ta then "A'" else "A") ^ (if tb then "B'" else "B") in
         let dims = Printf.sprintf "%dx%dx%d" m n k in
-        Printf.printf "%-24s %-16s %-6s %-10.2f %-10.1f %.4f\n" label dims op
+        Printf.printf "%-24s %-16s %-6s %-7d %-10.2f %-10.1f %.4f\n" label dims op
+          (Dense.gemm_chunks ~jobs ~m ~n ~k)
           (flops /. 1e9) (model /. 1e9) (flops /. model);
-        (label, Printf.sprintf "%s %s" dims op, flops, finite, deterministic))
+        (label, Printf.sprintf "%s %s" dims op, flops, (finite, deterministic, split_identical)))
       shapes
   in
-  let finite = List.for_all (fun (_, _, _, f, _) -> f) rows
-  and deterministic = List.for_all (fun (_, _, _, _, d) -> d) rows in
-  let metrics (label, _, flops, _, _) =
+  let all f = List.for_all (fun (_, _, _, g) -> f g) rows in
+  let finite = all (fun (f, _, _) -> f)
+  and deterministic = all (fun (_, d, _) -> d)
+  and split_identical = all (fun (_, _, i) -> i) in
+  let metrics (label, _, flops, _) =
     [ metric (label ^ ".gflops") (Printf.sprintf "%.3f" (flops /. 1e9)) "GFLOP/s";
       metric (label ^ ".model_ratio") (Printf.sprintf "%.4f" (flops /. model)) "ratio" ]
   in
   let row =
     Printf.sprintf
-      "{%s, \"trials\": %d, \"min_seconds\": %g, \"shapes\": {%s}, \"metrics\": {%s}, \
-       \"gates\": {\"finite\": %b, \"deterministic\": %b}}"
+      "{%s, \"jobs\": %d, \"grain_flops\": %d, \"trials\": %d, \"min_seconds\": %g, \
+       \"shapes\": {%s}, \"metrics\": {%s}, \"gates\": {\"finite\": %b, \
+       \"deterministic\": %b, \"split_identical\": %b}}"
       (row_header ~bench:"gemm" ~variant)
-      trials min_seconds
+      jobs Dense.gemm_grain trials min_seconds
       (String.concat ", "
-         (List.map (fun (label, shape, _, _, _) -> Printf.sprintf "%S: %S" label shape) rows))
+         (List.map (fun (label, shape, _, _) -> Printf.sprintf "%S: %S" label shape) rows))
       (String.concat ", "
          (metric "model_gflops" (Printf.sprintf "%.1f" (model /. 1e9)) "GFLOP/s"
          :: List.concat_map metrics rows))
-      finite deterministic
+      finite deterministic split_identical
   in
   print_endline row;
   List.iter
-    (fun (label, _, _, f, d) ->
-      if not (f && d) then
+    (fun (label, _, _, (f, d, i)) ->
+      if not (f && d && i) then
         failwith
           (Printf.sprintf "gemm: %s result on %s"
-             (if f then "nondeterministic" else "non-finite") label))
+             (if not f then "non-finite"
+              else if not d then "nondeterministic"
+              else "split differs from the one-domain")
+             label))
     rows;
   row
 
+(* jobs = 1, then the default jobs the executor uses. *)
 let gemm () =
-  let row =
-    gemm_run ~variant:"full" ~shapes:gemm_shapes ~min_seconds:0.2 ~trials:5
+  let rows =
+    List.map
+      (fun jobs ->
+        gemm_run ~variant:"full" ~jobs ~shapes:gemm_shapes ~min_seconds:0.2 ~trials:5)
+      (List.sort_uniq compare [ 1; Riot_base.Pool.default_jobs () ])
   in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 gemm_json_file in
-  output_string oc (row ^ "\n");
+  List.iter (fun row -> output_string oc (row ^ "\n")) rows;
   close_out oc;
   Printf.printf "(appended to %s)\n" gemm_json_file
 
+(* Identity gates only, no speed ratio: the smoke shapes fall below the
+   grain, so the forced split is what crosses the domains, on two of them
+   at least. *)
 let gemm_smoke () =
-  ignore
-    (gemm_run ~variant:"smoke" ~shapes:gemm_smoke_shapes ~min_seconds:0.01
-       ~trials:1)
+  List.iter
+    (fun jobs ->
+      ignore
+        (gemm_run ~variant:"smoke" ~jobs ~shapes:gemm_smoke_shapes ~min_seconds:0.01
+           ~trials:1))
+    (List.sort_uniq compare [ 1; max 2 (Riot_base.Pool.default_jobs ()) ])
 
 (* --- plancost: milliseconds per Cplan.build ------------------------------------ *)
 

@@ -177,9 +177,10 @@ let jobs_arg =
     & opt (some int) None
     & info [ "jobs"; "j" ]
         ~doc:
-          "Domains for the parallel plan search and costing (default: \
-           $(b,RIOT_JOBS) or the machine's core count). Any value produces \
-           the same plans and costs as --jobs 1.")
+          "Domains for the parallel plan search and costing, and for the \
+           row chunks of each large gemm when $(b,run) executes the plan \
+           (default: $(b,RIOT_JOBS) or the machine's core count). Any value \
+           produces the same plans, costs and output as --jobs 1.")
 
 let budget_arg =
   Arg.(
@@ -365,8 +366,8 @@ let run program source config params blocks max_size jobs budget scale format mo
       in
       let exec backend =
         match exec_mode with
-        | None -> Api.execute ~compute:false ?trace best ~backend ~format
-        | Some m -> Api.execute ~compute:true ~mode:m ?trace best ~backend ~format
+        | None -> Api.execute ~compute:false ?trace ?jobs best ~backend ~format
+        | Some m -> Api.execute ~compute:true ~mode:m ?trace ?jobs best ~backend ~format
       in
       let result =
         match io_mode with

@@ -9,45 +9,71 @@ let default_jobs () =
 (* Workers block on [work_ready] until a new batch (higher epoch) appears, run
    its chunk-runner to exhaustion, then report in on [batch_done].  A batch's
    chunk-runner owns all per-batch state (atomic item counter, result slots,
-   first-exception slot), so the pool itself carries no per-item state. *)
+   first-exception slot), so the pool itself carries no per-item state.
+   [epoch] and [active] change only under [m], but are atomics so that the
+   spin phases below may read them without it. *)
 type t = {
   size : int;
   m : Mutex.t;
   work_ready : Condition.t;
   batch_done : Condition.t;
   mutable batch : (unit -> unit) option;
-  mutable epoch : int;
-  mutable active : int;  (* workers still inside the current batch *)
+  epoch : int Atomic.t;
+  active : int Atomic.t;  (* workers still inside the current batch *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
+  spin : bool;
 }
 
 let jobs t = t.size
 
+(* In a spinning pool a domain spins for up to [spin_seconds] watching for
+   what it waits for before it blocks on a condition.  Batches that follow
+   each other closely (the executor's gemm calls, a fraction of a
+   millisecond apart) then find the worker awake on its own core.  A worker
+   woken from sleep is often placed by the OS on the waking domain's core,
+   where it runs only after that domain blocks, so the batch runs
+   serially. *)
+let spin_seconds = 2e-3
+
+let spin_until t ready =
+  if t.spin && not (ready ()) then begin
+    let t0 = Unix.gettimeofday () in
+    while (not (ready ())) && Unix.gettimeofday () -. t0 < spin_seconds do
+      Domain.cpu_relax ()
+    done
+  end
+
 let worker t =
   let last_epoch = ref 0 in
   let rec loop () =
+    spin_until t (fun () -> Atomic.get t.epoch <> !last_epoch);
     Mutex.lock t.m;
-    while (not t.stop) && (t.batch = None || t.epoch = !last_epoch) do
+    while (not t.stop) && (t.batch = None || Atomic.get t.epoch = !last_epoch) do
       Condition.wait t.work_ready t.m
     done;
     if t.stop then Mutex.unlock t.m
     else begin
       let run = Option.get t.batch in
-      last_epoch := t.epoch;
+      last_epoch := Atomic.get t.epoch;
       Mutex.unlock t.m;
       (* Chunk-runners never raise: item exceptions are captured per batch. *)
       run ();
       Mutex.lock t.m;
-      t.active <- t.active - 1;
-      if t.active = 0 then Condition.broadcast t.batch_done;
+      Atomic.decr t.active;
+      if Atomic.get t.active = 0 then Condition.broadcast t.batch_done;
       Mutex.unlock t.m;
       loop ()
     end
   in
   loop ()
 
-let create ?jobs () =
+(* Every worker domain any pool has spawned, for tests that assert a code
+   path spawned none. *)
+let spawned_total = Atomic.make 0
+let spawned () = Atomic.get spawned_total
+
+let create ?jobs ?(spin = false) () =
   let size = match jobs with Some j -> j | None -> default_jobs () in
   if size < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let t =
@@ -56,24 +82,30 @@ let create ?jobs () =
       work_ready = Condition.create ();
       batch_done = Condition.create ();
       batch = None;
-      epoch = 0;
-      active = 0;
+      epoch = Atomic.make 0;
+      active = Atomic.make 0;
       stop = false;
-      workers = [] }
+      workers = [];
+      spin }
   in
-  t.workers <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker t));
+  t.workers <-
+    List.init (size - 1) (fun _ ->
+        Atomic.incr spawned_total;
+        Domain.spawn (fun () -> worker t));
   t
 
 let shutdown t =
   Mutex.lock t.m;
   let already = t.stop in
   t.stop <- true;
+  (* Also ends a worker's spin at once. *)
+  Atomic.incr t.epoch;
   Condition.broadcast t.work_ready;
   Mutex.unlock t.m;
   if not already then List.iter Domain.join t.workers
 
-let with_pool ?jobs f =
-  let t = create ?jobs () in
+let with_pool ?jobs ?spin f =
+  let t = create ?jobs ?spin () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Run [body i] for every [i < n] across the pool; [body] must not raise.
@@ -148,33 +180,43 @@ let run_batch t ~n body =
       invalid_arg "Pool: used after shutdown"
     end;
     t.batch <- Some runner;
-    t.epoch <- t.epoch + 1;
-    t.active <- List.length t.workers;
+    Atomic.set t.active (List.length t.workers);
+    Atomic.incr t.epoch;
     Condition.broadcast t.work_ready;
     Mutex.unlock t.m;
     runner ();
+    spin_until t (fun () -> Atomic.get t.active = 0);
     Mutex.lock t.m;
-    while t.active > 0 do
+    while Atomic.get t.active > 0 do
       Condition.wait t.batch_done t.m
     done;
     t.batch <- None;
     Mutex.unlock t.m
   end
 
-let map_array t f xs =
-  let n = Array.length xs in
-  let results = Array.make n None in
-  let failure = Atomic.make None in
-  run_batch t ~n (fun i ->
-      if Atomic.get failure = None then
-        match f xs.(i) with
-        | y -> results.(i) <- Some y
-        | exception e ->
+(* [body] may raise: the first exception stops further items from starting
+   and is re-raised in the caller once the batch has drained. *)
+let parallel_for t ~n body =
+  if n < 0 then invalid_arg "Pool.parallel_for: negative n";
+  if t.size = 1 then
+    for i = 0 to n - 1 do
+      body i
+    done
+  else begin
+    let failure = Atomic.make None in
+    run_batch t ~n (fun i ->
+        if Atomic.get failure = None then
+          try body i
+          with e ->
             let bt = Printexc.get_raw_backtrace () in
             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-  match Atomic.get failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> Array.map Option.get results
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get failure)
+  end
+
+let map_array t f xs =
+  let results = Array.make (Array.length xs) None in
+  parallel_for t ~n:(Array.length xs) (fun i -> results.(i) <- Some (f xs.(i)));
+  Array.map Option.get results
 
 let map t f xs =
   if t.size = 1 then List.map f xs

@@ -1,6 +1,6 @@
 (** A small fixed-size pool of OCaml 5 domains for embarrassingly parallel
     batches (the optimizer's per-candidate schedule searches and per-plan
-    costings).
+    costings, and the executor's row chunks of a large gemm).
 
     A pool of [jobs] workers runs batches with [jobs - 1] spawned domains plus
     the calling domain; the spawned domains persist across batches, so one
@@ -54,6 +54,19 @@
     - {e Global registries} — [Failpoint]'s table is mutated only from the
       single engine domain (arming happens before a run); do not arm
       failpoints from inside a pool batch.
+    - {e The executor's gemm chunks} — [Riot_exec.Engine.run] splits a
+      gemm above [Dense.gemm_grain] into row-pair chunks of [c] and runs
+      them through {!parallel_for}.  A chunk writes only its own rows of
+      [c]: the chunks' element ranges are disjoint, and the batch's join
+      orders every write before the caller reads [c].  [a] and [b] are
+      shared read-only; the caller finished writing them before the
+      dispatch.  The packing panels a chunk copies operands into are its
+      domain's own ([Domain.DLS]), never another chunk's.  The pool lives
+      only as long as the run: it is spawned at the run's first split
+      kernel and shut down when the run returns or raises.  It must not
+      outlive the run: every minor collection is a stop-the-world barrier
+      across all running domains, so a pool left idle through the
+      optimizer's allocation-heavy search slows every collection there.
 
     The pool/parallel suites run under OCaml 5's ThreadSanitizer via the
     [runtest-tsan] alias (see test/run_tsan.sh) to keep this contract
@@ -65,9 +78,18 @@ val default_jobs : unit -> int
 (** The pool size used when [?jobs] is omitted: [RIOT_JOBS] if set to a
     positive integer, otherwise {!Domain.recommended_domain_count}. *)
 
-val create : ?jobs:int -> unit -> t
+val create : ?jobs:int -> ?spin:bool -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] defaults to
-    {!default_jobs}; values < 1 raise [Invalid_argument]). *)
+    {!default_jobs}; values < 1 raise [Invalid_argument]).
+
+    With [spin] (default false) a worker spins for up to 2 ms after each
+    batch before it blocks, and the caller spins as long on a batch's
+    completion, so batches that follow each other closely (the executor's
+    gemm calls) never wait on an OS wake-up.  Without it a worker woken
+    from sleep can be placed on the caller's core and start only when the
+    caller blocks, after its own share of the batch.  The price is up to
+    2 ms of each worker's core per batch.  A batch posted after a longer
+    pause still wakes the worker that way. *)
 
 val jobs : t -> int
 (** The pool's fixed size (worker domains + the calling domain). *)
@@ -75,9 +97,22 @@ val jobs : t -> int
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent; the pool must not be used after. *)
 
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
+val with_pool : ?jobs:int -> ?spin:bool -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and guarantees {!shutdown},
     also on exceptions. *)
+
+val spawned : unit -> int
+(** Worker domains spawned by every {!create} in this process so far; a
+    test reads it before and after a call to check the call spawned none. *)
+
+val parallel_for : t -> n:int -> (int -> unit) -> unit
+(** [parallel_for t ~n body] runs [body 0] ... [body (n - 1)], each exactly
+    once, across the pool, and returns once all have finished.  It builds
+    no list.  With [jobs = 1] it is the plain [for] loop on the calling
+    domain, in order.  If a [body] raises, items not yet started are
+    skipped and the exception is re-raised in the caller after the batch
+    drains (which one, when several raise, is unspecified).
+    @raise Invalid_argument if [n < 0]. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel [List.map] across the pool's domains. *)

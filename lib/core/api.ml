@@ -141,8 +141,8 @@ let distinct_cost_points t =
       end)
     t.plans
 
-let execute ?compute ?stores ?trace ?mode costed ~backend ~format =
-  Engine.run ?compute ?stores ?trace ?mode costed.cplan ~backend ~format
+let execute ?compute ?stores ?trace ?mode ?jobs costed ~backend ~format =
+  Engine.run ?compute ?stores ?trace ?mode ?jobs costed.cplan ~backend ~format
     ~mem_cap:costed.memory_bytes
 
 let check_cost costed result = Engine.check_cost result costed.cplan

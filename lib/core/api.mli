@@ -111,6 +111,7 @@ val execute :
   ?stores:(string * Riot_storage.Block_store.t) list ->
   ?trace:Riot_plan.Trace.sink ->
   ?mode:Riot_exec.Engine.mode ->
+  ?jobs:int ->
   costed_plan ->
   backend:Riot_storage.Backend.t ->
   format:Riot_storage.Block_store.format ->
@@ -118,7 +119,9 @@ val execute :
 (** Run the plan with a memory cap equal to its computed requirement.
     [trace] streams execution events (see {!Riot_plan.Trace}); [mode]
     selects the executor (default tile-vectorized, see
-    {!Riot_exec.Engine.mode} for the differential contract). *)
+    {!Riot_exec.Engine.mode} for the differential contract); [jobs] (default
+    {!Riot_base.Pool.default_jobs}) is how many domains a large gemm splits
+    its rows across, with bit-identical results ({!Riot_exec.Engine.run}). *)
 
 val check_cost : costed_plan -> Riot_exec.Engine.result -> Riot_plan.Cost_check.report
 (** Cross-validate the plan's predicted per-array I/O against a run's

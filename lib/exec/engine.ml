@@ -9,6 +9,7 @@ module Block_store = Riot_storage.Block_store
 module Buffer_pool = Riot_storage.Buffer_pool
 module Io_stats = Riot_storage.Io_stats
 module Dense = Riot_kernels.Dense
+module Pool = Riot_base.Pool
 
 type error =
   | Missing_block of {
@@ -156,10 +157,12 @@ let verify_exn ?cap_bytes plan =
 let prefetch = 2 (* read-ahead depth, in plan steps *)
 
 let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
-    ?(mode = Vector) (plan : Cplan.t) ~backend ~format ~mem_cap =
+    ?(mode = Vector) ?jobs (plan : Cplan.t) ~backend ~format ~mem_cap =
   (* A LAB-tree insert is three writes: a crash between them breaks its index. *)
   if (journal || resume) && format = Block_store.Lab_format then
     invalid_arg "Engine.run: journal and resume need the DAF format";
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  if jobs < 1 then invalid_arg "Engine.run: jobs must be >= 1";
   (* A caller-supplied store list must cover the plan before anything runs:
      a gap would otherwise surface as [Not_found] at that array's first
      access, after earlier steps had already written. *)
@@ -204,7 +207,9 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
      safe, syncing the data streams first.  Neither costs anything when both
      are off. *)
   let rplan =
-    if journal || resume then Some (Journal.analyze plan) else None
+    if journal || resume then
+      Some (Journal.of_program (Vexec.compiled_for ~fuse:false plan).Vexec.program)
+    else None
   in
   let fp = if journal || resume then Journal.fingerprint plan else 0L in
   let recovered = if resume then Journal.recover backend ~fingerprint:fp else None in
@@ -280,6 +285,27 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
      fused chain's intermediate) exists only as the chain's scratch tile:
      its read and write are narrated, nothing more. *)
   let captured = Array.make p.Cplan.slots [||] and wbuf = ref [||] in
+  (* The run's kernel pool, spawned at the first kernel that splits (a gemm
+     above the grain), so phantom runs and plans without a large gemm spawn
+     none, and shut down when the run ends: an idle domain left alive would
+     join every stop-the-world minor collection of whatever runs next.  It
+     spins between batches, since gemm calls come less than a millisecond
+     apart. *)
+  let kernel_pool = ref None in
+  let par =
+    { Dense.jobs;
+      run =
+        (fun ~n body ->
+          let pool =
+            match !kernel_pool with
+            | Some pool -> pool
+            | None ->
+                let pool = Pool.create ~jobs ~spin:true () in
+                kernel_pool := Some pool;
+                pool
+          in
+          Pool.parallel_for pool ~n body) }
+  in
   let tell op = if tracing then Option.iter emit (Cplan.narrate plan blocks ~step:!cur_step op) in
   let run_op op =
     match op with
@@ -334,7 +360,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
                 | Vexec.Absent blk -> raise (missing `Operand blk))
               k.Vexec.operands
           in
-          k.Vexec.run bufs !wbuf
+          k.Vexec.run par bufs !wbuf
         end
     | Cplan.Write { id; dst } ->
         if not link.(id) then Buffer_pool.mark_dirty pool keys.(id);
@@ -370,9 +396,12 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     | Cplan.Step_end _ -> tell op
   in
   (try
-     for pc = p.Cplan.starts.(start_step) to Array.length p.Cplan.ops - 1 do
-       run_op p.Cplan.ops.(pc)
-     done
+     Fun.protect
+       ~finally:(fun () -> Option.iter Pool.shutdown !kernel_pool)
+       (fun () ->
+         for pc = p.Cplan.starts.(start_step) to Array.length p.Cplan.ops - 1 do
+           run_op p.Cplan.ops.(pc)
+         done)
    with Vexec.Arity { step; stmt; kernel; operands } ->
      raise (Error (Kernel_arity { step; stmt; kernel; operands })));
   backend.Backend.sync ();

@@ -79,6 +79,7 @@ val run :
   ?journal:bool ->
   ?resume:bool ->
   ?mode:mode ->
+  ?jobs:int ->
   Riot_plan.Cplan.t ->
   backend:Riot_storage.Backend.t ->
   format:Riot_storage.Block_store.format ->
@@ -151,7 +152,22 @@ val run :
     [From_disk] reads up to two steps past the unit, where {!Riot_plan.Prefetch} proves them ordered
     after any pending write-back of the block.  They overlap reads with
     computation under {!Riot_storage.Backend.async}, are no-ops on
-    synchronous backends, and never change the physical requests. *)
+    synchronous backends, and never change the physical requests.
+
+    [jobs] (default {!Riot_base.Pool.default_jobs}, i.e. [RIOT_JOBS] or the
+    machine's domain count) is the number of domains a gemm kernel may
+    split across: a gemm whose flops reach
+    {!Riot_kernels.Dense.gemm_grain} runs its rows in
+    {!Riot_kernels.Dense.gemm_chunks} chunks on a domain pool this run
+    owns.  The pool is spawned at the run's first such kernel and shut down
+    when the run returns or raises, so it never outlives the run: a phantom
+    run, or a plan whose gemms all fall below the grain, spawns no domain,
+    and no idle domain is left to join the stop-the-world collections of
+    whatever runs next (the optimizer, above all).  The split is
+    bit-identical ({!Riot_kernels.Dense.gemm_par}) and touches no block,
+    pin or I/O request, so every [jobs] gives the same array contents, the
+    same [result] I/O fields and the same trace.
+    @raise Invalid_argument, before any storage is touched, if [jobs < 1]. *)
 
 val run_opportunistic :
   Riot_plan.Cplan.t ->

@@ -60,10 +60,9 @@ type resume_plan = {
    id.  Within a step the reads precede the write, so a read's producer is
    its block's latest write at an earlier step, while a write at the read's
    own step counts as at or after it. *)
-let analyze (plan : Cplan.t) =
-  let p = Cplan.lower plan in
+let of_program (p : Cplan.program) =
   let ops = p.Cplan.ops in
-  let n = Array.length plan.Cplan.steps and nb = Array.length p.Cplan.blocks in
+  let n = Array.length p.Cplan.starts - 1 and nb = Array.length p.Cplan.blocks in
   (* Backwards: the first To_disk write of each read's block at or after the
      read's step ([max_int]: none), by op index. *)
   let next_disk = Array.make nb max_int and disk_after = Array.make (Array.length ops) max_int in
@@ -164,6 +163,8 @@ let analyze (plan : Cplan.t) =
     if not danger then ns := Some i
   done;
   { safe; restart; undo }
+
+let analyze plan = of_program (Cplan.lower plan)
 
 (* --- On-disk journal ------------------------------------------------------ *)
 

@@ -73,6 +73,13 @@ val analyze : Riot_plan.Cplan.t -> resume_plan
     above).  The last boundary is always safe; [restart] is meaningful for
     any watermark. *)
 
+val of_program : Riot_plan.Cplan.program -> resume_plan
+(** {!analyze} over the plan's unfused lowering ([Cplan.lower] with no
+    fused ranges) the caller already holds, such as the program of
+    [Vexec.compiled_for ~fuse:false]: [analyze plan] is
+    [of_program (Cplan.lower plan)].  A fused lowering is out of contract:
+    its links' pins and drops are missing. *)
+
 type image = {
   im_step : int;
   im_array : string;

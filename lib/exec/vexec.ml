@@ -12,7 +12,10 @@ exception
 
 type operand = Slot of int | Pool of int | Absent of Cplan.block
 
-type kernel = { operands : operand array; run : float array array -> float array -> unit }
+type kernel = {
+  operands : operand array;
+  run : Dense.par -> float array array -> float array -> unit;
+}
 
 type compiled = { program : Cplan.program; kernels : kernel array; n_fused : int }
 
@@ -44,26 +47,28 @@ let compile_single ~kcache ~id_of (plan : Cplan.t) i =
   (* The kernel closure depends only on the statement (its kernel, arity and
      the block layouts of its fixed operand arrays), never on the block
      instance, so it is shared across the plan's steps of one statement —
-     compilation is per (program, plan), not per block. *)
+     compilation is per (program, plan), not per block.  The run's
+     parallel-for is an argument, never captured: compiled plans are cached
+     across runs, and each run owns its pool. *)
   let build_kern () =
     match (s.Stmt.kernel, write) with
     | Kernel.Gemm_acc { ta; tb }, Some wblk when nops = 2 ->
         let wl = layout wblk.Cplan.array in
         let m = wl.Config.block_elems.(0) and nn = wl.Config.block_elems.(1) in
         Some
-          (fun bufs c ->
+          (fun par bufs c ->
             let a = bufs.(0) and b = bufs.(1) in
             let k = Array.length a / m in
-            Dense.gemm ~accumulate:true ~ta ~tb ~m ~n:nn ~k ~a ~b ~c)
+            Dense.gemm_par par ~accumulate:true ~ta ~tb ~m ~n:nn ~k ~a ~b ~c)
     | Kernel.Assign_add, Some _ when nops = 2 ->
-        Some (fun bufs c -> Dense.add bufs.(0) bufs.(1) c)
+        Some (fun _ bufs c -> Dense.add bufs.(0) bufs.(1) c)
     | Kernel.Assign_sub, Some _ when nops = 2 ->
-        Some (fun bufs c -> Dense.sub bufs.(0) bufs.(1) c)
+        Some (fun _ bufs c -> Dense.sub bufs.(0) bufs.(1) c)
     | Kernel.Copy, Some _ when nops = 1 ->
-        Some (fun bufs c -> Dense.copy ~src:bufs.(0) ~dst:c)
+        Some (fun _ bufs c -> Dense.copy ~src:bufs.(0) ~dst:c)
     | Kernel.Invert, Some wblk when nops = 1 ->
         let nn = (layout wblk.Cplan.array).Config.block_elems.(0) in
-        Some (fun bufs c -> Dense.invert ~n:nn bufs.(0) c)
+        Some (fun _ bufs c -> Dense.invert ~n:nn bufs.(0) c)
     | Kernel.Rss_acc, Some _ when nops = 1 ->
         let el =
           match Stmt.operand_reads s with
@@ -72,17 +77,17 @@ let compile_single ~kcache ~id_of (plan : Cplan.t) i =
         in
         let rows = el.Config.block_elems.(0)
         and cols = el.Config.block_elems.(1) in
-        Some (fun bufs c -> Dense.rss_acc ~rows ~cols ~e:bufs.(0) ~acc:c)
+        Some (fun _ bufs c -> Dense.rss_acc ~rows ~cols ~e:bufs.(0) ~acc:c)
     | Kernel.Filter, Some _ when nops = 1 ->
-        Some (fun bufs c -> Dense.filter_pos ~src:bufs.(0) ~dst:c)
+        Some (fun _ bufs c -> Dense.filter_pos ~src:bufs.(0) ~dst:c)
     | Kernel.Foreach, Some _ when nops = 1 ->
-        Some (fun bufs c -> Dense.foreach_affine ~src:bufs.(0) ~dst:c)
+        Some (fun _ bufs c -> Dense.foreach_affine ~src:bufs.(0) ~dst:c)
     | Kernel.Join_nl, Some wblk when nops = 2 ->
         let wl = layout wblk.Cplan.array in
         let rows = wl.Config.block_elems.(0)
         and cols = wl.Config.block_elems.(1) in
         Some
-          (fun bufs c ->
+          (fun _ bufs c ->
             Dense.join_scores ~rows ~cols ~l:bufs.(0) ~r:bufs.(1) ~out:c)
     | Kernel.Opaque tag, Some _ ->
         (* Surrogate computation for opaque kernels: a deterministic
@@ -95,7 +100,7 @@ let compile_single ~kcache ~id_of (plan : Cplan.t) i =
            compare real data even for programs with no named kernel. *)
         let th = (Hashtbl.hash tag land 0xFFFF) + 1 in
         Some
-          (fun bufs c ->
+          (fun _ bufs c ->
             for e = 0 to Array.length c - 1 do
               let acc = ref ((th * 1000003) + e) in
               Array.iter
@@ -108,7 +113,7 @@ let compile_single ~kcache ~id_of (plan : Cplan.t) i =
                 bufs;
               c.(e) <- float_of_int (!acc land 0xFFFFF)
             done)
-    | Kernel.Opaque _, None -> Some (fun _ _ -> ())
+    | Kernel.Opaque _, None -> Some (fun _ _ _ -> ())
     | _ -> None
   in
   let run =
@@ -122,7 +127,7 @@ let compile_single ~kcache ~id_of (plan : Cplan.t) i =
         (* The arity raiser reports this step's index, so it is the one
            closure never shared across instances. *)
         | None ->
-            fun _ _ ->
+            fun _ _ _ ->
               raise
                 (Arity
                    { step = i;
@@ -177,13 +182,13 @@ let compile_chain (plan : Cplan.t) lo hi =
         let rows = el.Config.block_elems.(0) and cols = el.Config.block_elems.(1) in
         let chain = Dense.compile_chain ~tile (Array.init (nst - 1) stage) in
         let fill = Cplan.zero_fill plan hi in
-        fun bufs dst ->
+        fun _ bufs dst ->
           let e = Dense.run_stages chain ~bufs in
           if fill then Dense.fill dst 0.;
           Dense.rss_acc ~rows ~cols ~e ~acc:dst
     | _ ->
         let chain = Dense.compile_chain ~tile (Array.init nst stage) in
-        fun bufs dst -> Dense.run_chain chain ~bufs ~dst
+        fun _ bufs dst -> Dense.run_chain chain ~bufs ~dst
   in
   { operands = Array.of_list (List.rev !binds); run }
 
@@ -204,7 +209,7 @@ let compile ?(fuse = true) (plan : Cplan.t) =
   in
   let id_of blk = Hashtbl.find_opt (Lazy.force ids) blk in
   let kcache = Hashtbl.create 16 in
-  let nothing = { operands = [||]; run = (fun _ _ -> ()) } in
+  let nothing = { operands = [||]; run = (fun _ _ _ -> ()) } in
   let kernels = Array.make (Array.length plan.Cplan.steps) nothing in
   Array.iteri
     (fun lo hi ->

@@ -32,9 +32,12 @@ type operand =
 
 type kernel = {
   operands : operand array;
-  run : float array array -> float array -> unit;
-      (** [run operands write_buf]; [write_buf] is [[||]] when the unit has
-          no write *)
+  run : Riot_kernels.Dense.par -> float array array -> float array -> unit;
+      (** [run par operands write_buf]; [write_buf] is [[||]] when the unit
+          has no write.  [par] is the calling run's parallel-for, which a
+          gemm above {!Riot_kernels.Dense.gemm_grain} splits its rows
+          across; the closure never keeps it, since a compiled plan outlives
+          the run that compiled it *)
 }
 (** A unit's compiled kernel: one step's closure from the kernel table, or
     a fused chain's single pass over the tile. *)

@@ -3,7 +3,9 @@
    elements of c are in flight together, never an element's operation
    sequence, so the result is bit-identical to the plain i-l-j triple loop.
    The unchecked accesses are sound because [gemm_check] runs first, and it
-   runs before c is touched, so a shape error leaves c intact. *)
+   runs before c is touched, so a shape error leaves c intact.  A row split
+   hands each chunk the same kernel over its own rows, so it moves no
+   element's operation sequence either. *)
 
 let gemm_check ~m ~n ~k ~a ~b ~c =
   if m < 0 || n < 0 || k < 0 then
@@ -22,17 +24,20 @@ let gemm_check ~m ~n ~k ~a ~b ~c =
       ("b", Array.length b, k, n);
       ("c", Array.length c, m, n) ]
 
-(* The packing buffers of the calling domain: [pa] holds op(a)'s row pairs,
-   [pb] one 4-column panel of op(b).  They only grow, so a domain's gemm
-   calls allocate nothing once its largest shape has been seen. *)
+(* The packing buffers of the calling domain: [pa] holds the row pairs of
+   op(a) being computed, [pb] one 4-column panel of op(b).  They only grow,
+   so a domain's gemm calls allocate nothing once its largest shape has
+   been seen. *)
 type panels = { mutable pa : float array; mutable pb : float array }
 
 let panels_key =
   Domain.DLS.new_key (fun () -> { pa = [||]; pb = [||] })
 
-let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
-  gemm_check ~m ~n ~k ~a ~b ~c;
-  if not accumulate then Array.fill c 0 (m * n) 0.;
+(* Rows [lo, hi) of c, by the packed kernel; [lo] is even and [hi] is even
+   or [m].  Only those rows of c are read or written, and the panels hold
+   only those rows of op(a), so chunks of one call may run on different
+   domains at once. *)
+let gemm_rows ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo ~hi =
   (* a(i,l) = a.(i*ars + l*als); b(l,j) = b.(l*bls + j*bcs). *)
   let ars, als = if ta then (1, m) else (k, 1) in
   let bls, bcs = if tb then (1, k) else (n, 1) in
@@ -47,16 +52,17 @@ let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
     done;
     Array.unsafe_set c ((i * n) + j) !acc
   in
-  let m2 = m land lnot 1 and n4 = n land lnot 3 in
-  if m2 > 0 && n4 > 0 && k > 0 then begin
+  let hi2 = hi land lnot 1 and n4 = n land lnot 3 in
+  let pairs = (hi2 - lo) / 2 in
+  if pairs > 0 && n4 > 0 && k > 0 then begin
     let p = Domain.DLS.get panels_key in
-    if Array.length p.pa < m2 * k then p.pa <- Array.create_float (m2 * k);
+    if Array.length p.pa < 2 * pairs * k then p.pa <- Array.create_float (2 * pairs * k);
     if Array.length p.pb < 4 * k then p.pb <- Array.create_float (4 * k);
     let pa = p.pa and pb = p.pb in
-    (* pa.(i0*k + 2l + r) = a(i0+r, l) for every row pair i0. *)
-    for r = 0 to (m2 / 2) - 1 do
-      let i0 = 2 * r in
-      let ar0 = i0 * ars and po = i0 * k in
+    (* pa.(2rk + 2l + s) = a(lo + 2r + s, l) for every row pair r. *)
+    for r = 0 to pairs - 1 do
+      let i0 = lo + (2 * r) in
+      let ar0 = i0 * ars and po = 2 * r * k in
       let ar1 = ar0 + ars in
       for l = 0 to k - 1 do
         let al = l * als in
@@ -75,9 +81,9 @@ let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
         Array.unsafe_set pb ((4 * l) + 2) (Array.unsafe_get b (bl + (2 * bcs)));
         Array.unsafe_set pb ((4 * l) + 3) (Array.unsafe_get b (bl + (3 * bcs)))
       done;
-      for r = 0 to (m2 / 2) - 1 do
-        let i0 = 2 * r in
-        let po = i0 * k and cr0 = (i0 * n) + j0 in
+      for r = 0 to pairs - 1 do
+        let i0 = lo + (2 * r) in
+        let po = 2 * r * k and cr0 = (i0 * n) + j0 in
         let cr1 = cr0 + n in
         let ld o = Array.unsafe_get c o in
         let c00 = ref (ld cr0) and c01 = ref (ld (cr0 + 1))
@@ -116,15 +122,46 @@ let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
       done
     done
   end;
-  for i = 0 to m2 - 1 do
+  for i = lo to hi2 - 1 do
     for j = n4 to n - 1 do
       scalar i j
     done
   done;
-  if m2 < m then
+  if hi2 < hi then
     for j = 0 to n - 1 do
-      scalar m2 j
+      scalar hi2 j
     done
+
+type par = { jobs : int; run : n:int -> (int -> unit) -> unit }
+
+let sequential = { jobs = 1; run = (fun ~n body -> for i = 0 to n - 1 do body i done) }
+
+let gemm_grain = 1_000_000
+
+let gemm_chunks ~jobs ~m ~n ~k =
+  if jobs <= 1 || 2 * m * n * k < gemm_grain then 1 else max 1 (min jobs (m / 2))
+
+let gemm_par ?chunks par ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
+  gemm_check ~m ~n ~k ~a ~b ~c;
+  let chunks =
+    match chunks with
+    | Some q when q < 1 -> invalid_arg (Printf.sprintf "Dense.gemm: %d chunks" q)
+    | Some q -> q
+    | None -> gemm_chunks ~jobs:par.jobs ~m ~n ~k
+  in
+  if not accumulate then Array.fill c 0 (m * n) 0.;
+  if chunks = 1 then gemm_rows ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo:0 ~hi:m
+  else begin
+    (* Chunk [q] takes row pairs [q*pairs/chunks, (q+1)*pairs/chunks); the
+       last one also takes an odd last row. *)
+    let pairs = m / 2 in
+    let bound q = if q = chunks then m else 2 * (q * pairs / chunks) in
+    par.run ~n:chunks (fun q ->
+        gemm_rows ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo:(bound q) ~hi:(bound (q + 1)))
+  end
+
+let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
+  gemm_par ~chunks:1 sequential ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c
 
 let add a b c =
   for i = 0 to Array.length c - 1 do

@@ -2,8 +2,8 @@
 
     This is the execution engine's substitute for GotoBLAS2: gemm with
     transposition, element-wise ops, Gauss-Jordan inversion and residual
-    sums of squares.  Only {!gemm} is packed and register-tiled; the rest
-    are plain loops.  The cost model accounts for full-scale CPU time separately
+    sums of squares.  Only {!gemm} is packed and register-tiled, and only
+    it can split across domains ({!gemm_par}); the rest are plain loops.  The cost model accounts for full-scale CPU time separately
     ({!Riot_plan.Machine}), at the paper's modeled gemm rate rather than
     this kernel's. *)
 
@@ -34,7 +34,7 @@ val gemm :
 
     Design: operands are packed into contiguous panels, as in GotoBLAS
     (Goto and van de Geijn, TOMS 2008).  op(a)'s full row pairs are copied
-    once per call, interleaved by [l] ([a(i0,l)], [a(i0+1,l)] adjacent);
+    once per call (per chunk, under {!gemm_par}), interleaved by [l] ([a(i0,l)], [a(i0+1,l)] adjacent);
     each 4-column panel of op(b) is copied before its tiles run, four
     values per [l].  A 2-row x 4-column tile of [c] is held in unboxed float
     registers across the whole [l] loop and reads both panels at unit
@@ -46,7 +46,7 @@ val gemm :
 
     The panel buffers belong to the calling domain ([Domain.DLS]): calls on
     different domains never share one, and a domain's buffers only grow, to
-    the largest [(m - m mod 2) * k] and [4 * k] it has seen, so a call
+    the largest [(rows - rows mod 2) * k] and [4 * k] it has seen, so a call
     allocates nothing once that shape has been seen.  The buffers outlive
     the call but hold nothing a later call reads before overwriting it.
     The tiles read [a] and [b] from copies taken before [c] is written, so
@@ -59,6 +59,66 @@ val gemm :
     [c] is shorter than its shape needs.  The message names the short
     operand and the dimensions.  The check runs before anything is written,
     so [c] is unchanged on the raise. *)
+
+(** {2 Row-split gemm}
+
+    {!gemm_par} runs the same kernel split by rows of [c] across a
+    caller-supplied parallel-for.  Rows are cut into [chunks] contiguous
+    runs of whole row pairs (the last run also takes an odd last row), and
+    each chunk is the packed kernel restricted to its rows: it packs those
+    rows of op(a) and its own op(b) panels into its domain's buffers, and
+    reads and writes only its rows of [c].  No element of [c] is touched by
+    two chunks, and each element keeps exactly the operation sequence of the
+    contract above, so the result is bit-identical to {!gemm} for every
+    chunk count and every interleaving of the chunks.  The shape check and
+    the [accumulate = false] zero-fill run once, on the caller, before any
+    chunk is dispatched; a shape error therefore leaves [c] unchanged and
+    runs no chunk.
+
+    The split pays only when a chunk's work dwarfs the cost of waking a
+    domain, so by default a call splits only when its [2mnk] flops reach
+    {!gemm_grain}: about 0.3 ms of one core's work, against tens of
+    microseconds per dispatch.  Each extra chunk re-packs op(b), [n * k]
+    copies against [2 * (m / chunks) * n * k] flops. *)
+
+type par = {
+  jobs : int;  (** the domains [run] spreads its bodies over *)
+  run : n:int -> (int -> unit) -> unit;
+      (** [run ~n body] calls [body 0] ... [body (n - 1)], each exactly
+          once, possibly concurrently, and returns once all have; a
+          body's exception is re-raised in the caller *)
+}
+(** A parallel-for, supplied by the caller (the engine passes its run's
+    domain pool); this library spawns no domain itself. *)
+
+val sequential : par
+(** [jobs = 1]: the bodies run in order on the calling domain. *)
+
+val gemm_grain : int
+(** Flops ([2mnk]) below which {!gemm_par} does not split by default: one
+    million. *)
+
+val gemm_chunks : jobs:int -> m:int -> n:int -> k:int -> int
+(** The default chunk count: [1] when [jobs <= 1] or the call's flops fall
+    below {!gemm_grain}, else [min jobs (m / 2)] (at least [1]). *)
+
+val gemm_par :
+  ?chunks:int ->
+  par ->
+  accumulate:bool ->
+  ta:bool ->
+  tb:bool ->
+  m:int ->
+  n:int ->
+  k:int ->
+  a:float array ->
+  b:float array ->
+  c:float array ->
+  unit
+(** {!gemm}, split into [chunks] row chunks run through [par]; [chunks]
+    defaults to [gemm_chunks ~jobs:par.jobs ~m ~n ~k].  With one chunk [par]
+    is never called.  Bit-identical to {!gemm} (see above).
+    @raise Invalid_argument as {!gemm} does, or if [chunks < 1]. *)
 
 val add : float array -> float array -> float array -> unit
 (** [c.(i) = a.(i) + b.(i)]. *)

@@ -276,13 +276,13 @@ let gemm_operand st ~p_special len =
 
 let transposes = [ (false, false); (true, false); (false, true); (true, true) ]
 
-let gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k =
+let gemm_matches_seq ?(gemm = Dense.gemm) st ~accumulate ~ta ~tb ~m ~n ~k =
   let p_special = [| 0.; 0.1; 0.5 |].(Random.State.int st 3) in
   let a = gemm_operand st ~p_special (m * k)
   and b = gemm_operand st ~p_special (k * n)
   and c0 = gemm_operand st ~p_special (m * n) in
   let c = Array.copy c0 and c_ref = Array.copy c0 in
-  Dense.gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c;
+  gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c;
   seq_gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
   bits_equal c c_ref
 
@@ -428,6 +428,89 @@ let test_gemm_shape_error () =
     (bits_equal c
        (Array.init 20 (fun i -> if i < m * n then float_of_int k else 0.)))
 
+(* --- Row-split gemm -------------------------------------------------------------
+
+   Dense.gemm_par cuts the rows of c into chunks and runs each through the
+   caller's parallel-for, here a real pool of [jobs] domains.  Every chunk
+   count must match [seq_gemm] bit for bit: chunks = jobs, and more chunks
+   than row pairs, so some chunks are empty.  The shapes cover odd m (the
+   last chunk's scalar row), m below twice the chunk count, n < 4 (no
+   packed tile at all) and k = 0. *)
+
+let pool_par pool =
+  { Dense.jobs = Riot_base.Pool.jobs pool;
+    run = (fun ~n body -> Riot_base.Pool.parallel_for pool ~n body) }
+
+let split_shapes =
+  [ (1, 5, 3); (2, 8, 5); (3, 8, 5); (5, 9, 6); (7, 4, 7); (9, 1, 4); (8, 2, 5);
+    (9, 3, 6); (7, 9, 0); (6, 8, 0); (17, 13, 65); (38, 44, 30) ]
+
+let test_gemm_split () =
+  let st = Random.State.make [| 4242 |] in
+  List.iter
+    (fun jobs ->
+      Riot_base.Pool.with_pool ~jobs (fun pool ->
+          let par = pool_par pool in
+          let case ?chunks ~ta ~tb (m, n, k) =
+            let accumulate = Random.State.bool st in
+            if
+              not
+                (gemm_matches_seq ~gemm:(Dense.gemm_par ?chunks par) st ~accumulate ~ta
+                   ~tb ~m ~n ~k)
+            then
+              Alcotest.failf
+                "split gemm differs from seq_gemm: jobs=%d chunks=%s m=%d n=%d \
+                 k=%d ta=%b tb=%b accumulate=%b"
+                jobs
+                (match chunks with Some q -> string_of_int q | None -> "default")
+                m n k ta tb accumulate
+          in
+          List.iter
+            (fun (ta, tb) ->
+              List.iter
+                (fun shape ->
+                  case ~chunks:jobs ~ta ~tb shape;
+                  case ~chunks:((2 * jobs) + 1) ~ta ~tb shape)
+                split_shapes;
+              (* The default chunking at the benchmark's twomm block, which
+                 clears the grain. *)
+              case ~ta ~tb (160, 60, 140))
+            transposes))
+    [ 1; 2; 3; 4 ]
+
+(* A shape error raises on the caller before any chunk is dispatched, and
+   leaves c as it was; so does a chunk count below one. *)
+let test_gemm_split_shape_error () =
+  let dispatched = ref 0 in
+  let par =
+    { Dense.jobs = 2;
+      run =
+        (fun ~n body ->
+          incr dispatched;
+          for i = 0 to n - 1 do
+            body i
+          done) }
+  in
+  let m = 6 and n = 5 and k = 4 in
+  List.iter
+    (fun (what, chunks, (da, db, dc)) ->
+      let a = Array.make ((m * k) - da) 1.
+      and b = Array.make ((k * n) - db) 1.
+      and c = Array.init ((m * n) - dc) float_of_int in
+      let before = Array.copy c in
+      let raised =
+        try
+          Dense.gemm_par ~chunks par ~accumulate:false ~ta:false ~tb:false ~m ~n ~k ~a ~b
+            ~c;
+          false
+        with Invalid_argument _ -> true
+      in
+      check_bool (what ^ " raises") true raised;
+      check_bool (what ^ " leaves c unchanged") true (bits_equal c before))
+    [ ("short a", 2, (1, 0, 0)); ("short b", 2, (0, 1, 0)); ("short c", 2, (0, 0, 1));
+      ("zero chunks", 0, (0, 0, 0)) ];
+  Alcotest.(check int) "no chunk dispatched" 0 !dispatched
+
 let qcheck_kernels =
   let open QCheck in
   let dims = Gen.(triple (int_range 1 5) (int_range 1 5) (int_range 1 5)) in
@@ -512,5 +595,8 @@ let suite =
       Alcotest.test_case "gemm packing buffer reuse" `Quick
         test_gemm_buffer_reuse;
       Alcotest.test_case "gemm ragged edges" `Quick test_gemm_ragged_edges;
-      Alcotest.test_case "gemm from two domains" `Quick test_gemm_two_domains ]
+      Alcotest.test_case "gemm from two domains" `Quick test_gemm_two_domains;
+      Alcotest.test_case "split gemm bit-identical to seq_gemm" `Quick test_gemm_split;
+      Alcotest.test_case "split gemm shape error runs no chunk" `Quick
+        test_gemm_split_shape_error ]
     @ List.map QCheck_alcotest.to_alcotest qcheck_kernels )

@@ -8,6 +8,14 @@ module Deps = Riot_analysis.Deps
 module Coaccess = Riot_analysis.Coaccess
 module Search = Riot_optimizer.Search
 module Config = Riot_ir.Config
+module Cplan = Riot_plan.Cplan
+module Trace = Riot_plan.Trace
+module Engine = Riot_exec.Engine
+module Backend = Riot_storage.Backend
+module Block_store = Riot_storage.Block_store
+module Differential = Riotshare.Differential
+module Dense = Riot_kernels.Dense
+module Pool = Riot_base.Pool
 
 let check_bool = Alcotest.(check bool)
 
@@ -215,6 +223,110 @@ let qcheck_parallel =
             = opt_signature (Api.optimize ~max_size:2 ~jobs:1 prog ~config)))
   ]
 
+(* --- Row-split gemm in the executor ----------------------------------------
+
+   Engine.run splits each gemm above Dense.gemm_grain across a pool of
+   [jobs] domains that the run owns.  Every enumerated plan (k <= 2) of two
+   matmuls and of linear regression, at block shapes above the grain, must
+   give byte-identical arrays, identical I/O and an identical trace at
+   jobs = 1 and jobs = 2.  Grids are small so each run takes milliseconds. *)
+
+let layouts l =
+  List.map
+    (fun (name, br, bc, gr, gc) ->
+      (name, { Config.grid = [| gr; gc |]; block_elems = [| br; bc |]; elem_size = 8 }))
+    l
+
+(* C += A*B and E += A*D on 100x100 by 100x60 blocks: 1.2 MFLOP each; with
+   [small], 40x40 by 40x24 blocks, below the grain. *)
+let twomm_split_config ~small =
+  let d x = if small then x * 2 / 5 else x in
+  Config.make
+    ~params:[ ("n1", 2); ("n2", 2); ("n3", 2); ("n4", 2) ]
+    ~layouts:
+      (layouts
+         [ ("A", d 100, d 100, 2, 2);
+           ("B", d 100, d 60, 2, 2);
+           ("C", d 100, d 60, 2, 2);
+           ("D", d 100, d 60, 2, 2);
+           ("E", d 100, d 60, 2, 2) ])
+
+(* U += X'X on 40x40x600 blocks: 1.9 MFLOP. *)
+let linreg_split_config =
+  Config.make
+    ~params:[ ("n", 3) ]
+    ~layouts:
+      (layouts
+         [ ("X", 600, 40, 3, 1);
+           ("Y", 600, 8, 3, 1);
+           ("U", 40, 40, 1, 1);
+           ("V", 40, 8, 1, 1);
+           ("W", 40, 40, 1, 1);
+           ("Bh", 40, 8, 1, 1);
+           ("Yh", 600, 8, 3, 1);
+           ("E", 600, 8, 3, 1);
+           ("R", 1, 8, 1, 1) ])
+
+(* One run of [cplan] on fresh simulated storage: the arrays it leaves, its
+   result's I/O fields, its trace, and the worker domains it spawned. *)
+let split_run ?(compute = true) prog config (p : Api.costed_plan) ~jobs =
+  let backend = Backend.sim ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:0. () in
+  let format = Block_store.Daf_format in
+  let stores = Engine.stores_for backend ~format ~config in
+  if compute then Differential.load_inputs prog config stores;
+  let sink, events = Trace.collector () in
+  let spawned = Pool.spawned () in
+  let r =
+    Engine.run ~compute ~stores ~trace:sink ~jobs p.Api.cplan ~backend ~format
+      ~mem_cap:p.Api.memory_bytes
+  in
+  let io =
+    ( r.Engine.virtual_io_seconds,
+      (r.Engine.reads, r.Engine.writes, r.Engine.bytes_read, r.Engine.bytes_written),
+      r.Engine.pool_peak_bytes,
+      r.Engine.per_array )
+  in
+  ( (if compute then Differential.snapshot stores else []),
+    io,
+    events (),
+    Pool.spawned () - spawned )
+
+let check_split_plans name prog config =
+  let opt = Api.optimize ~max_size:2 ~jobs:1 prog ~config in
+  List.iter
+    (fun (p : Api.costed_plan) ->
+      let what s = Printf.sprintf "%s plan %d: %s" name p.Api.plan.Search.index s in
+      let data1, io1, trace1, spawned1 = split_run prog config p ~jobs:1 in
+      let data2, io2, trace2, spawned2 = split_run prog config p ~jobs:2 in
+      check_bool (what "arrays byte-identical") true (data1 = data2);
+      check_bool (what "I/O identical") true (io1 = io2);
+      check_bool (what "trace identical") true (trace1 = trace2);
+      Alcotest.(check int) (what "jobs=1 spawns no domain") 0 spawned1;
+      Alcotest.(check int) (what "jobs=2 spawns one pool, once") 1 spawned2)
+    opt.Api.plans
+
+let test_split_twomm () =
+  check_split_plans "two_matmuls" (Programs.two_matmuls ())
+    (twomm_split_config ~small:false)
+
+let test_split_linreg () =
+  check_split_plans "linear_regression" (Programs.linear_regression ())
+    linreg_split_config
+
+(* The pool is spawned only by a kernel that splits: never on a phantom
+   run, never when every gemm falls below the grain. *)
+let test_split_no_pool () =
+  let prog = Programs.two_matmuls () in
+  let big = twomm_split_config ~small:false
+  and small = twomm_split_config ~small:true in
+  let best config = Api.best (Api.optimize ~max_size:2 ~jobs:1 prog ~config) in
+  check_bool "small blocks fall below the grain" true
+    (Dense.gemm_chunks ~jobs:2 ~m:40 ~n:24 ~k:40 = 1);
+  let _, _, _, phantom = split_run ~compute:false prog big (best big) ~jobs:2 in
+  Alcotest.(check int) "phantom run spawns no domain" 0 phantom;
+  let _, _, _, below = split_run prog small (best small) ~jobs:2 in
+  Alcotest.(check int) "gemms below the grain spawn no domain" 0 below
+
 let suite =
   ( "parallel-determinism",
     [ Alcotest.test_case "enumerate add_mul" `Quick test_enumerate_add_mul;
@@ -226,7 +338,13 @@ let suite =
         test_bb_two_matmuls;
       Alcotest.test_case "budget monotonicity" `Quick test_budget_monotone;
       Alcotest.test_case "interrupted budget returns valid plan" `Quick
-        test_budget_interrupted_valid ]
+        test_budget_interrupted_valid;
+      Alcotest.test_case "split gemm: two_matmuls jobs=2 = jobs=1" `Quick
+        test_split_twomm;
+      Alcotest.test_case "split gemm: linreg jobs=2 = jobs=1" `Quick
+        test_split_linreg;
+      Alcotest.test_case "split gemm: no pool without a split" `Quick
+        test_split_no_pool ]
     @ List.map QCheck_alcotest.to_alcotest (qcheck_parallel @ qcheck_bb)
     @ [ Alcotest.test_case "bound admissible on pinned random programs" `Quick
           test_bound_admissible ] )

@@ -101,6 +101,59 @@ let test_riot_jobs_env () =
   check_int "RIOT_JOBS garbage -> 1" 1 (Pool.default_jobs ());
   Unix.putenv "RIOT_JOBS" ""
 
+(* --- parallel_for --------------------------------------------------------- *)
+
+(* Each index runs exactly once, whatever n is against jobs. *)
+let test_parallel_for_counts () =
+  Pool.with_pool ~jobs:3 (fun pool ->
+      List.iter
+        (fun n ->
+          let hits = Array.init n (fun _ -> Atomic.make 0) in
+          Pool.parallel_for pool ~n (fun i -> Atomic.incr hits.(i));
+          check_bool
+            (Printf.sprintf "n=%d: every index once" n)
+            true
+            (Array.for_all (fun h -> Atomic.get h = 1) hits))
+        [ 0; 1; 2; 3; 7; 100 ]);
+  check_bool "negative n rejected" true
+    (try
+       Pool.with_pool ~jobs:2 (fun pool -> Pool.parallel_for pool ~n:(-1) ignore);
+       false
+     with Invalid_argument _ -> true)
+
+(* jobs = 1 spawns nothing and is the plain loop, in order, on the caller. *)
+let test_parallel_for_jobs1 () =
+  let spawned = Pool.spawned () in
+  let id0 = (Domain.self () :> int) in
+  let seen = ref [] and domains = ref [] in
+  Pool.with_pool ~jobs:1 (fun pool ->
+      Pool.parallel_for pool ~n:20 (fun i ->
+          seen := i :: !seen;
+          domains := (Domain.self () :> int) :: !domains));
+  Alcotest.check ints "in order" (List.init 20 Fun.id) (List.rev !seen);
+  check_bool "all on the calling domain" true (List.for_all (( = ) id0) !domains);
+  check_int "no domain spawned" 0 (Pool.spawned () - spawned)
+
+(* A chunk's exception reaches the caller, at jobs = 1 and above, and the
+   pool keeps serving batches afterwards; many small batches reuse it, with
+   the workers spinning between batches or sleeping. *)
+let test_parallel_for_exception_reuse () =
+  List.iter
+    (fun (jobs, spin) ->
+      let what s = Printf.sprintf "jobs=%d spin=%b: %s" jobs spin s in
+      Pool.with_pool ~jobs ~spin (fun pool ->
+          check_bool (what "exception re-raised") true
+            (try
+               Pool.parallel_for pool ~n:8 (fun i -> if i = 5 then raise (Boom i));
+               false
+             with Boom 5 -> true);
+          let total = Atomic.make 0 in
+          for _ = 1 to 200 do
+            Pool.parallel_for pool ~n:2 (fun i -> ignore (Atomic.fetch_and_add total (i + 1)))
+          done;
+          check_int (what "200 batches after a failure") 600 (Atomic.get total)))
+    [ (1, false); (2, false); (3, false); (2, true); (3, true) ]
+
 let qcheck_pool =
   [ QCheck.Test.make ~name:"pool: parallel_map = List.map" ~count:100
       QCheck.(pair (int_range 1 6) (small_list int))
@@ -122,5 +175,9 @@ let suite =
       Alcotest.test_case "exception propagation" `Quick test_exceptions;
       Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
       Alcotest.test_case "create/shutdown" `Quick test_create_shutdown;
-      Alcotest.test_case "RIOT_JOBS env" `Quick test_riot_jobs_env ]
+      Alcotest.test_case "RIOT_JOBS env" `Quick test_riot_jobs_env;
+      Alcotest.test_case "parallel_for: each index once" `Quick test_parallel_for_counts;
+      Alcotest.test_case "parallel_for: jobs=1 is the loop" `Quick test_parallel_for_jobs1;
+      Alcotest.test_case "parallel_for: exception, reuse" `Quick
+        test_parallel_for_exception_reuse ]
     @ List.map QCheck_alcotest.to_alcotest qcheck_pool )
