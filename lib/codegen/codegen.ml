@@ -487,14 +487,10 @@ let kernel_comment (prog : Program.t) stmt =
   let reads =
     List.map (fun (a : Access.t) -> a.Access.array) (Stmt.operand_reads s)
   in
+  let k = Kernel.info s.Stmt.kernel in
   Printf.sprintf "%s: %s %s= %s" stmt w
-    (if Kernel.is_accumulating s.Stmt.kernel then "+" else "")
-    (String.concat (match s.Stmt.kernel with
-                    | Kernel.Assign_add -> " + "
-                    | Kernel.Assign_sub -> " - "
-                    | Kernel.Gemm_acc _ -> " * "
-                    | _ -> ", ")
-       (match reads with [] -> [ "..." ] | l -> l))
+    (if k.Kernel.accumulating then "+" else "")
+    (String.concat k.Kernel.op (match reads with [] -> [ "..." ] | l -> l))
 
 let to_c prog ast =
   let buf = Buffer.create 1024 in

@@ -7,7 +7,7 @@
     materialised writes, memory-only for elided ones); pin intervals open
     and close at the plan's step boundaries.  Every run is one loop over the
     plan's protocol program ({!Riot_plan.Cplan.lower}, compiled by {!Vexec}
-    with one kernel table), whatever the mode. *)
+    from the one kernel table, {!Riot_ir.Kernel.info}), whatever the mode. *)
 
 type error =
   | Missing_block of {
@@ -26,7 +26,11 @@ type error =
       stmt : string;
       kernel : string;
       operands : int;
-    }  (** The kernel was handed an operand list it has no shape for. *)
+    }
+      (** The kernel was handed an operand list it has no shape for: the
+          statement's operand count differs from the kernel table's arity,
+          or the step has no write block.  Raised at the offending step,
+          after the earlier steps' effects. *)
 
 exception Error of error
 (** Execution failed on a malformed or mis-costed plan.  Carries the step,

@@ -27,11 +27,93 @@ let read_index (st : Cplan.step) blk =
   in
   go 0 st.Cplan.reads
 
-(* One step's kernel.  An operand is its read's capture slot (slot [j] is
-   the step's [j]-th read), else a block the pool must already hold. *)
-let compile_single ~kcache ~id_of (plan : Cplan.t) i =
+(* What a kernel is to [Dense]: an element-wise kernel is a chain stage,
+   any other a closure over its operand buffers and its write buffer. *)
+type dense =
+  | Stage of Dense.fstage
+  | Call of (Dense.par -> float array array -> float array -> unit)
+
+(* The one match from a kernel to [Dense], for step [i] whose operands are
+   [srcs].  Called only once the step fits the kernel table's arity, so a
+   kernel with a fixed arity has its operands and its write block.  The
+   result depends only on the statement (its kernel, arity and the block
+   layouts of its fixed operand arrays), never on the block instance, so it
+   is shared across the plan's steps of one statement.  The run's
+   parallel-for is an argument, never captured: compiled plans are cached
+   across runs, and each run owns its pool. *)
+let dense (plan : Cplan.t) i srcs =
   let st = plan.Cplan.steps.(i) in
   let s = Program.find_stmt plan.Cplan.prog st.Cplan.stmt in
+  let layout name = Config.layout plan.Cplan.config name in
+  let dims () =
+    match st.Cplan.writes with
+    | (_, wblk, _) :: _ -> (layout wblk.Cplan.array).Config.block_elems
+    | [] -> assert false
+  in
+  match s.Stmt.kernel with
+  | Kernel.Assign_add -> Stage (Dense.Fadd (srcs.(0), srcs.(1)))
+  | Kernel.Assign_sub -> Stage (Dense.Fsub (srcs.(0), srcs.(1)))
+  | Kernel.Copy -> Stage (Dense.Fcopy srcs.(0))
+  | Kernel.Filter -> Stage (Dense.Ffilter srcs.(0))
+  | Kernel.Foreach -> Stage (Dense.Fforeach srcs.(0))
+  | Kernel.Gemm_acc { ta; tb } ->
+      let d = dims () in
+      let m = d.(0) and nn = d.(1) in
+      Call
+        (fun par bufs c ->
+          let a = bufs.(0) and b = bufs.(1) in
+          let k = Array.length a / m in
+          Dense.gemm_par par ~accumulate:true ~ta ~tb ~m ~n:nn ~k ~a ~b ~c)
+  | Kernel.Invert ->
+      let nn = (dims ()).(0) in
+      Call (fun _ bufs c -> Dense.invert ~n:nn bufs.(0) c)
+  | Kernel.Rss_acc ->
+      let el =
+        match Stmt.operand_reads s with
+        | (a : Access.t) :: _ -> (layout a.Access.array).Config.block_elems
+        | [] -> assert false
+      in
+      let rows = el.(0) and cols = el.(1) in
+      Call (fun _ bufs c -> Dense.rss_acc ~rows ~cols ~e:bufs.(0) ~acc:c)
+  | Kernel.Join_nl ->
+      let d = dims () in
+      let rows = d.(0) and cols = d.(1) in
+      Call (fun _ bufs c -> Dense.join_scores ~rows ~cols ~l:bufs.(0) ~r:bufs.(1) ~out:c)
+  | Kernel.Opaque tag ->
+      (* Surrogate computation for opaque kernels: a deterministic
+         element-wise mix of the operand values.  It reads only the
+         declared operands - never the prior contents of [c], whose buffer
+         may be fresh or stale depending on residency (the [op != c] guard
+         tests buffer identity) - and writes every element, so the bytes
+         produced depend only on the declared dataflow.  That makes
+         differential harnesses (plan-output equivalence, crash-resume)
+         compare real data even for programs with no named kernel.  A step
+         with no write gets [c = [||]] and does nothing. *)
+      let th = (Hashtbl.hash tag land 0xFFFF) + 1 in
+      Call
+        (fun _ bufs c ->
+          for e = 0 to Array.length c - 1 do
+            let acc = ref ((th * 1000003) + e) in
+            Array.iter
+              (fun (op : float array) ->
+                if op != c && Array.length op > 0 then
+                  acc :=
+                    (!acc * 1000003)
+                    lxor Hashtbl.hash
+                           (Int64.bits_of_float op.(e mod Array.length op)))
+              bufs;
+            c.(e) <- float_of_int (!acc land 0xFFFFF)
+          done)
+
+(* One step's kernel.  An operand is its read's capture slot (slot [j] is
+   the step's [j]-th read), else a block the pool must already hold.  The
+   arity is checked once, against the kernel table, when the statement's
+   closure is first built; a step that does not fit gets a closure raising
+   {!Arity} with its own index, so it is never shared.  An element-wise
+   step runs as a one-stage chain, which writes its output directly and
+   never touches its (empty) scratch tile. *)
+let compile_single ~kcache ~id_of (plan : Cplan.t) i =
+  let st = plan.Cplan.steps.(i) in
   let operands =
     Array.of_list
       (List.map
@@ -41,118 +123,46 @@ let compile_single ~kcache ~id_of (plan : Cplan.t) i =
            else match id_of ob with Some k -> Pool k | None -> Absent ob)
          (Cplan.operand_blocks plan i))
   in
-  let write = match st.Cplan.writes with [] -> None | (_, blk, _) :: _ -> Some blk in
-  let layout name = Config.layout plan.Cplan.config name in
   let nops = Array.length operands in
-  (* The kernel closure depends only on the statement (its kernel, arity and
-     the block layouts of its fixed operand arrays), never on the block
-     instance, so it is shared across the plan's steps of one statement —
-     compilation is per (program, plan), not per block.  The run's
-     parallel-for is an argument, never captured: compiled plans are cached
-     across runs, and each run owns its pool. *)
-  let build_kern () =
-    match (s.Stmt.kernel, write) with
-    | Kernel.Gemm_acc { ta; tb }, Some wblk when nops = 2 ->
-        let wl = layout wblk.Cplan.array in
-        let m = wl.Config.block_elems.(0) and nn = wl.Config.block_elems.(1) in
-        Some
-          (fun par bufs c ->
-            let a = bufs.(0) and b = bufs.(1) in
-            let k = Array.length a / m in
-            Dense.gemm_par par ~accumulate:true ~ta ~tb ~m ~n:nn ~k ~a ~b ~c)
-    | Kernel.Assign_add, Some _ when nops = 2 ->
-        Some (fun _ bufs c -> Dense.add bufs.(0) bufs.(1) c)
-    | Kernel.Assign_sub, Some _ when nops = 2 ->
-        Some (fun _ bufs c -> Dense.sub bufs.(0) bufs.(1) c)
-    | Kernel.Copy, Some _ when nops = 1 ->
-        Some (fun _ bufs c -> Dense.copy ~src:bufs.(0) ~dst:c)
-    | Kernel.Invert, Some wblk when nops = 1 ->
-        let nn = (layout wblk.Cplan.array).Config.block_elems.(0) in
-        Some (fun _ bufs c -> Dense.invert ~n:nn bufs.(0) c)
-    | Kernel.Rss_acc, Some _ when nops = 1 ->
-        let el =
-          match Stmt.operand_reads s with
-          | (a : Access.t) :: _ -> layout a.Access.array
-          | [] -> assert false
-        in
-        let rows = el.Config.block_elems.(0)
-        and cols = el.Config.block_elems.(1) in
-        Some (fun _ bufs c -> Dense.rss_acc ~rows ~cols ~e:bufs.(0) ~acc:c)
-    | Kernel.Filter, Some _ when nops = 1 ->
-        Some (fun _ bufs c -> Dense.filter_pos ~src:bufs.(0) ~dst:c)
-    | Kernel.Foreach, Some _ when nops = 1 ->
-        Some (fun _ bufs c -> Dense.foreach_affine ~src:bufs.(0) ~dst:c)
-    | Kernel.Join_nl, Some wblk when nops = 2 ->
-        let wl = layout wblk.Cplan.array in
-        let rows = wl.Config.block_elems.(0)
-        and cols = wl.Config.block_elems.(1) in
-        Some
-          (fun _ bufs c ->
-            Dense.join_scores ~rows ~cols ~l:bufs.(0) ~r:bufs.(1) ~out:c)
-    | Kernel.Opaque tag, Some _ ->
-        (* Surrogate computation for opaque kernels: a deterministic
-           element-wise mix of the operand values.  It reads only the
-           declared operands - never the prior contents of [c], whose buffer
-           may be fresh or stale depending on residency (the [op != c] guard
-           tests buffer identity) - and writes every element, so the bytes
-           produced depend only on the declared dataflow.  That makes
-           differential harnesses (plan-output equivalence, crash-resume)
-           compare real data even for programs with no named kernel. *)
-        let th = (Hashtbl.hash tag land 0xFFFF) + 1 in
-        Some
-          (fun _ bufs c ->
-            for e = 0 to Array.length c - 1 do
-              let acc = ref ((th * 1000003) + e) in
-              Array.iter
-                (fun (op : float array) ->
-                  if op != c && Array.length op > 0 then
-                    acc :=
-                      (!acc * 1000003)
-                      lxor Hashtbl.hash
-                             (Int64.bits_of_float op.(e mod Array.length op)))
-                bufs;
-              c.(e) <- float_of_int (!acc land 0xFFFFF)
-            done)
-    | Kernel.Opaque _, None -> Some (fun _ _ _ -> ())
-    | _ -> None
-  in
   let run =
     match Hashtbl.find_opt kcache st.Cplan.stmt with
     | Some k -> k
     | None -> (
-        match build_kern () with
-        | Some k ->
-            Hashtbl.add kcache st.Cplan.stmt k;
-            k
-        (* The arity raiser reports this step's index, so it is the one
-           closure never shared across instances. *)
-        | None ->
+        let info = Kernel.info (Program.find_stmt plan.Cplan.prog st.Cplan.stmt).Stmt.kernel in
+        match info.Kernel.arity with
+        | Some a when a <> nops || st.Cplan.writes = [] ->
             fun _ _ _ ->
               raise
                 (Arity
-                   { step = i;
-                     stmt = st.Cplan.stmt;
-                     kernel = Kernel.name s.Stmt.kernel;
-                     operands = nops }))
+                   { step = i; stmt = st.Cplan.stmt; kernel = info.Kernel.name; operands = nops })
+        | _ ->
+            let k =
+              match dense plan i (Array.init nops (fun j -> Dense.Buf j)) with
+              | Call k -> k
+              | Stage stage ->
+                  let chain = Dense.compile_chain ~tile:0 [| stage |] in
+                  fun _ bufs c -> Dense.run_chain chain ~bufs ~dst:c
+            in
+            Hashtbl.add kcache st.Cplan.stmt k;
+            k)
   in
   { operands; run }
 
 (* A fused group [lo..hi] as one chain kernel.  Step [lo + o]'s [j]-th
    read sits in capture slot [base.(o) + j]; an operand that is the incoming
    link is the chain's previous tile, every other one a chain operand slot.
-   Fuse admits only kernels with a chain arity, every operand among the
-   step's reads. *)
+   Fuse admits only kernels with a chain role and the table's arity, every
+   operand among the step's reads. *)
 let compile_chain (plan : Cplan.t) lo hi =
   let nst = hi - lo + 1 in
   let step o = plan.Cplan.steps.(lo + o) in
-  let stmt o = Program.find_stmt plan.Cplan.prog (step o).Cplan.stmt in
   let link o = match (step o).Cplan.writes with (_, blk, _) :: _ -> blk | [] -> assert false in
   let base = Array.make nst 0 in
   for o = 1 to nst - 1 do
     base.(o) <- base.(o - 1) + List.length (step (o - 1)).Cplan.reads
   done;
   let binds = ref [] and nbinds = ref 0 in
-  let stage o =
+  let member o =
     let src ob =
       if o > 0 && ob = link (o - 1) then Dense.Prev
       else begin
@@ -163,32 +173,27 @@ let compile_chain (plan : Cplan.t) lo hi =
         Dense.Buf (!nbinds - 1)
       end
     in
-    match ((stmt o).Stmt.kernel, List.map src (Cplan.operand_blocks plan (lo + o))) with
-    | Kernel.Assign_add, [ a; b ] -> Dense.Fadd (a, b)
-    | Kernel.Assign_sub, [ a; b ] -> Dense.Fsub (a, b)
-    | Kernel.Copy, [ a ] -> Dense.Fcopy a
-    | Kernel.Filter, [ a ] -> Dense.Ffilter a
-    | Kernel.Foreach, [ a ] -> Dense.Fforeach a
-    | _ -> assert false
+    dense plan (lo + o) (Array.of_list (List.map src (Cplan.operand_blocks plan (lo + o))))
   in
+  let members = Array.init nst member in
+  let stage = function Stage s -> s | Call _ -> assert false in
   let tile = Config.block_elems_total (Config.layout plan.Cplan.config (link 0).Cplan.array) in
   let run =
-    match (stmt (nst - 1)).Stmt.kernel with
-    | Kernel.Rss_acc ->
-        (* The accumulation consumes the chain's final tile directly.  Its
-           zero-fill waits until the interior stages have read their
-           operands, one of which may be the accumulator itself. *)
-        let el = Config.layout plan.Cplan.config (link (nst - 2)).Cplan.array in
-        let rows = el.Config.block_elems.(0) and cols = el.Config.block_elems.(1) in
-        let chain = Dense.compile_chain ~tile (Array.init (nst - 1) stage) in
+    match members.(nst - 1) with
+    | Stage _ ->
+        let chain = Dense.compile_chain ~tile (Array.map stage members) in
+        fun _ bufs dst -> Dense.run_chain chain ~bufs ~dst
+    | Call terminal ->
+        (* A [Terminal] kernel consumes the chain's final tile directly, its
+           one operand being the incoming link.  An accumulator's zero-fill
+           waits until the interior stages have read their operands, one of
+           which may be the accumulator itself. *)
+        let chain = Dense.compile_chain ~tile (Array.map stage (Array.sub members 0 (nst - 1))) in
         let fill = Cplan.zero_fill plan hi in
-        fun _ bufs dst ->
+        fun par bufs dst ->
           let e = Dense.run_stages chain ~bufs in
           if fill then Dense.fill dst 0.;
-          Dense.rss_acc ~rows ~cols ~e ~acc:dst
-    | _ ->
-        let chain = Dense.compile_chain ~tile (Array.init nst stage) in
-        fun _ bufs dst -> Dense.run_chain chain ~bufs ~dst
+          terminal par [| e |] dst
   in
   { operands = Array.of_list (List.rev !binds); run }
 

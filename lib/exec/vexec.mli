@@ -2,8 +2,11 @@
 
     Each step's statement, kernel, operand accesses and block layouts are
     resolved once per (program, plan) pair, leaving closures the engine calls
-    with raw float buffers.  This module holds the engine's only kernel
-    dispatch table.  With [fuse] (the default) it also consumes
+    with raw float buffers.  The kernel facts come from the one kernel table,
+    {!Riot_ir.Kernel.info}: each statement's operand count is checked against
+    its arity once.  This module holds the one mapping from a kernel to
+    {!Riot_kernels.Dense}: an element-wise kernel becomes a chain stage (a
+    single step runs as a one-stage chain), any other a closure.  With [fuse] (the default) it also consumes
     {!Riot_plan.Fuse.analyze}'s legality verdict and collapses each fusable
     run of element-wise steps into a single {!Riot_kernels.Dense.chain} that
     makes one pass over the tile, so the run's intermediate (link) blocks
@@ -19,8 +22,9 @@
 exception
   Arity of { step : int; stmt : string; kernel : string; operands : int }
 (** Raised (lazily, from a compiled kernel closure) when a statement's
-    operand count does not match its kernel.  The engine rewraps it as
-    [Engine.Kernel_arity]. *)
+    operand count does not match its kernel's arity in the kernel table, or
+    a kernel with a fixed arity has no write block.  The engine rewraps it
+    as [Engine.Kernel_arity]. *)
 
 type operand =
   | Slot of int  (** the buffer the unit's reads captured in this slot *)
@@ -39,8 +43,8 @@ type kernel = {
           across; the closure never keeps it, since a compiled plan outlives
           the run that compiled it *)
 }
-(** A unit's compiled kernel: one step's closure from the kernel table, or
-    a fused chain's single pass over the tile. *)
+(** A unit's compiled kernel: one step's closure, or a fused chain's
+    single pass over the tile. *)
 
 type compiled = {
   program : Riot_plan.Cplan.program;  (** the plan's lowering, fused or not *)

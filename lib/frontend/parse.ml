@@ -237,7 +237,7 @@ let statement st decls (env : loop list) (conds : B.aexp list) =
      reduction iteration; the reduction variables are the enclosing loop
      variables absent from the left-hand side's subscripts. *)
   let self_read =
-    if Kernel.is_accumulating kernel then begin
+    if (Kernel.info kernel).Kernel.accumulating then begin
       let lhs_vars = vars_of_aexps lhs.subs in
       let reduction = List.filter (fun l -> not (List.mem l.var lhs_vars)) env in
       if reduction = [] then []

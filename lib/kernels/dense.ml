@@ -258,16 +258,15 @@ let join_scores ~rows ~cols ~l ~r ~out =
 (* --- Fused element-wise chains ---------------------------------------------
 
    A chain is a compiled sequence of element-wise stages whose intermediate
-   tiles never leave a private scratch buffer.  Each stage is a monomorphic
-   full-tile loop (no per-element closures, so floats stay unboxed under
-   flambda); [Prev] names the previous stage's output and [Buf i] a slot in
-   the caller-supplied operand table.
+   tiles never leave a private scratch buffer.  Each stage is one closure
+   call per tile into the standalone kernel's own full-tile loop, never one
+   per element; [Prev] names the previous stage's output and [Buf i] a slot
+   in the caller-supplied operand table.
 
    Every stage is pointwise at the same index, so a single scratch tile
    suffices: a stage may read [Prev] (== the scratch it writes) or an
    operand aliasing its output, and each element is read before it is
-   written.  Per element, every stage performs exactly the floating-point
-   operations of the corresponding standalone kernel in the same order, so a
+   written.  Every stage runs the standalone kernel's loop itself, so a
    chain's output is bit-identical to running the stages one kernel at a
    time through separate buffers. *)
 
@@ -287,38 +286,13 @@ type chain = {
 }
 
 let compile_stage st =
-  let resolve src bufs prev =
-    match src with Prev -> prev | Buf i -> bufs.(i)
-  in
+  let get src bufs prev = match src with Prev -> prev | Buf i -> bufs.(i) in
   match st with
-  | Fadd (x, y) ->
-      fun bufs prev out ->
-        let a = resolve x bufs prev and b = resolve y bufs prev in
-        for i = 0 to Array.length out - 1 do
-          out.(i) <- a.(i) +. b.(i)
-        done
-  | Fsub (x, y) ->
-      fun bufs prev out ->
-        let a = resolve x bufs prev and b = resolve y bufs prev in
-        for i = 0 to Array.length out - 1 do
-          out.(i) <- a.(i) -. b.(i)
-        done
-  | Fcopy x ->
-      fun bufs prev out ->
-        let a = resolve x bufs prev in
-        Array.blit a 0 out 0 (Array.length out)
-  | Ffilter x ->
-      fun bufs prev out ->
-        let a = resolve x bufs prev in
-        for i = 0 to Array.length out - 1 do
-          out.(i) <- (if a.(i) > 0. then a.(i) else 0.)
-        done
-  | Fforeach x ->
-      fun bufs prev out ->
-        let a = resolve x bufs prev in
-        for i = 0 to Array.length out - 1 do
-          out.(i) <- (2. *. a.(i)) +. 1.
-        done
+  | Fadd (x, y) -> fun bufs prev out -> add (get x bufs prev) (get y bufs prev) out
+  | Fsub (x, y) -> fun bufs prev out -> sub (get x bufs prev) (get y bufs prev) out
+  | Fcopy x -> fun bufs prev out -> copy ~src:(get x bufs prev) ~dst:out
+  | Ffilter x -> fun bufs prev out -> filter_pos ~src:(get x bufs prev) ~dst:out
+  | Fforeach x -> fun bufs prev out -> foreach_affine ~src:(get x bufs prev) ~dst:out
 
 let compile_chain ~tile stages =
   if Array.length stages = 0 then invalid_arg "Dense.compile_chain: no stages";

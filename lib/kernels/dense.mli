@@ -153,12 +153,12 @@ val join_scores :
 
     A chain runs a sequence of element-wise stages over one tile, keeping
     every intermediate in a private scratch buffer instead of a pool block.
-    Stages are compiled once into monomorphic full-tile loops (floats stay
-    unboxed under flambda) and reused across blocks.  Per element, each
-    stage performs exactly the floating-point operations of the standalone
-    kernel in the same order, so chain outputs are bit-identical to running
-    the kernels one step at a time through separate buffers — the property
-    the differential executor harness asserts.
+    Stages are compiled once and reused across blocks: each is one closure
+    call per stage per tile into the standalone kernel ({!add}, {!sub},
+    {!copy}, {!filter_pos}, {!foreach_affine}), none per element.  Each
+    element-wise loop exists once, so chain outputs are bit-identical to
+    running the kernels one step at a time through separate buffers — the
+    property the differential executor harness asserts.
 
     All stages are pointwise at the same index, so aliasing is safe: a
     stage's output may alias [Prev] or any operand (each element is read

@@ -81,43 +81,6 @@ let check_bounds layout (blk : block) =
              (String.concat "x" (Array.to_list (Array.map string_of_int l.Config.grid)))))
     blk.index
 
-(* The CPU model's inputs for one instance: kernel flops and element-wise
-   bytes moved, from its statement's kernel and its first write's block. *)
-let cpu_inputs layout (s : Stmt.t) wblk =
-  let dims name = (layout name).Config.block_elems in
-  let bytes blk = float_of_int (Config.block_bytes (layout blk.array)) in
-  match (s.Stmt.kernel, wblk) with
-  | Kernel.Gemm_acc { ta; _ }, Some w ->
-      let wd = dims w.array in
-      let m = float_of_int wd.(0) and nn = float_of_int wd.(1) in
-      let k =
-        match Stmt.operand_reads s with
-        | a :: _ ->
-            let ad = dims a.Access.array in
-            float_of_int (if ta then ad.(0) else ad.(1))
-        | [] -> 0.
-      in
-      (2. *. m *. nn *. k, 0.)
-  | (Kernel.Assign_add | Kernel.Assign_sub), Some w -> (0., 3. *. bytes w)
-  | Kernel.Copy, Some w -> (0., 2. *. bytes w)
-  | Kernel.Invert, Some w ->
-      let nn = float_of_int (dims w.array).(0) in
-      (2. *. nn *. nn *. nn, 0.)
-  | Kernel.Rss_acc, Some _ -> (
-      match Stmt.operand_reads s with
-      | a :: _ ->
-          let ad = dims a.Access.array in
-          (2. *. float_of_int ad.(0) *. float_of_int ad.(1), 0.)
-      | [] -> (0., 0.))
-  | (Kernel.Filter | Kernel.Foreach), Some w -> (0., 2. *. bytes w)
-  | Kernel.Join_nl, Some w ->
-      (* One multiply per output element. *)
-      let wd = dims w.array in
-      (float_of_int wd.(0) *. float_of_int wd.(1), 0.)
-  | (Kernel.Opaque _ | Kernel.Gemm_acc _ | Kernel.Invert | Kernel.Rss_acc
-    | Kernel.Assign_add | Kernel.Assign_sub | Kernel.Copy | Kernel.Filter
-    | Kernel.Foreach | Kernel.Join_nl), _ -> (0., 0.)
-
 (* A coaccess's concrete pairs as (src, dst) instance ids; -1 marks an
    instance outside its statement's instance set. *)
 let intern_pairs inst_id (ca : Coaccess.t) pairs =
@@ -149,6 +112,12 @@ let cache ?(coaccesses = []) (prog : Program.t) ~config =
       let vars_of = Program.instances prog s ~params in
       stmts := (s, !next, List.length vars_of) :: !stmts;
       let accs = Array.of_list s.Stmt.accesses in
+      let operand =
+        lazy
+          (match Stmt.operand_reads s with
+          | a :: _ -> Some (layout a.Access.array)
+          | [] -> None)
+      in
       List.iter
         (fun vars ->
           let env = lookup_in vars params in
@@ -191,11 +160,11 @@ let cache ?(coaccesses = []) (prog : Program.t) ~config =
             | exception e -> Some e
           in
           let i_flops, i_moved =
-            match i_error with
-            | Some _ -> (0., 0.)
-            | None ->
-                cpu_inputs layout s
-                  (match writes with ai :: _ -> Some blks.(ai) | [] -> None)
+            match (i_error, writes) with
+            | None, ai :: _ ->
+                Kernel.cost s.Stmt.kernel ~write:(layout blks.(ai).array)
+                  ~operand:(Lazy.force operand)
+            | _ -> (0., 0.)
           in
           Hashtbl.replace cinst_id (s.Stmt.name, inst_key vars) !next;
           insts :=
@@ -645,7 +614,7 @@ let zero_fill t i =
   let st = t.steps.(i) in
   match st.writes with
   | (wa, wblk, _) :: _ ->
-      Kernel.is_accumulating (Program.find_stmt t.prog st.stmt).Stmt.kernel
+      (Kernel.info (Program.find_stmt t.prog st.stmt).Stmt.kernel).Kernel.accumulating
       && not (List.exists (fun (a, b, _) -> b = wblk && Access.same_map wa a) st.reads)
   | [] -> false
 

@@ -8,12 +8,13 @@ type group = { lo : int; hi : int; links : Cplan.block list }
 let analyze (plan : Cplan.t) =
   let steps = plan.Cplan.steps in
   let n = Array.length steps in
-  let stmt_of =
+  let kernel =
     Array.map
-      (fun (st : Cplan.step) -> Program.find_stmt plan.Cplan.prog st.Cplan.stmt)
+      (fun (st : Cplan.step) ->
+        Kernel.info (Program.find_stmt plan.Cplan.prog st.Cplan.stmt).Stmt.kernel)
       steps
   in
-  let kernel_of i = stmt_of.(i).Stmt.kernel in
+  let elementwise i = kernel.(i).Kernel.chain = Some Kernel.Elementwise in
   (* Whole-plan access maps: a block may be skipped only when its entire
      life is the one elided write and the one memory read the link fuses
      over (plus pins inside that interval). *)
@@ -40,16 +41,18 @@ let analyze (plan : Cplan.t) =
      accesses several times over (measurable on fine-grained plans). *)
   let operand_blocks = Array.init n (Cplan.operand_blocks plan) in
   let operand_blocks i = operand_blocks.(i) in
-  (* A step can take part in a chain (as producer or consumer) only when the
-     executor's view of it is fully static: exactly one write, and every
-     kernel operand resolvable from the step's own read list (a [restrict_to]
-     may deactivate a read an operand still names; such steps run one at a
-     time). *)
+  (* A step can take part in a chain (as producer or consumer) only when its
+     kernel has a chain role and the executor's view of it is fully static:
+     exactly one write, the table's operand count, and every kernel operand
+     resolvable from the step's own read list (a [restrict_to] may deactivate
+     a read an operand still names; such steps run one at a time).  A
+     producer must also be element-wise; a [Terminal] only ends a chain. *)
   let step_ok =
     Array.init n (fun i ->
         let st = steps.(i) in
         List.length st.Cplan.writes = 1
-        && Kernel.chain_arity (kernel_of i) = Some (List.length (operand_blocks i))
+        && kernel.(i).Kernel.chain <> None
+        && kernel.(i).Kernel.arity = Some (List.length (operand_blocks i))
         && List.for_all
              (fun ob -> List.exists (fun (_, rb, _) -> rb = ob) st.Cplan.reads)
              (operand_blocks i))
@@ -62,7 +65,7 @@ let analyze (plan : Cplan.t) =
      to disk, journal and every other step. *)
   let link i =
     if i + 1 >= n then None
-    else if not (Kernel.is_elementwise (kernel_of i) && step_ok i) then None
+    else if not (elementwise i && step_ok i) then None
     else
       match steps.(i).Cplan.writes with
       | [ (_, blk, Cplan.Elided) ]
@@ -71,8 +74,6 @@ let analyze (plan : Cplan.t) =
              && List.for_all
                   (fun (a0, b0) -> a0 >= i && b0 <= i + 1)
                   (all pins_tbl blk)
-             && (Kernel.is_elementwise (kernel_of (i + 1))
-                || kernel_of (i + 1) = Kernel.Rss_acc)
              && step_ok (i + 1)
              && List.mem blk (operand_blocks (i + 1)) ->
           Some blk
@@ -91,7 +92,7 @@ let analyze (plan : Cplan.t) =
         let j = ref (!i + 1) in
         let extending = ref true in
         while !extending do
-          if Kernel.is_elementwise (kernel_of !j) then
+          if elementwise !j then
             match link !j with
             | Some blk' when block_total blk' = tile ->
                 links := blk' :: !links;

@@ -13,11 +13,12 @@
     - step [i] runs an element-wise kernel and its single write is the
       {e elided} write of [b] — the block's only write in the whole plan;
     - the plan's only read of [b] is a memory-serviced read at step [i + 1],
-      whose kernel is element-wise or an RSS accumulation;
+      whose kernel has a chain role in the kernel table
+      ({!Riot_ir.Kernel.info}): element-wise, or a terminal;
     - every pin of [b] lies inside [[i, i + 1]];
-    - both steps have exactly one write and every kernel operand appears in
-      the step's own read list (so the executor can bind operands
-      statically).
+    - both steps have exactly one write and the table's operand count, and
+      every kernel operand appears in the step's own read list (so the
+      executor can bind operands statically).
 
     Under these conditions [b] is invisible outside the pair: it never
     touches disk (elided write, memory read), never appears in a journal

@@ -424,13 +424,13 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
 (* --- Fusion legality cross-check (FU) ------------------------------------- *)
 
 (* Re-derived here from first principles (not by calling [Fuse]; only the
-   kernel facts in [Kernel] are shared); the fused groups the vectorized
+   kernel table, [Kernel.info], is shared); the fused groups the vectorized
    executor consumes are then diffed against it. *)
 let check_fusion (plan : Cplan.t) ch groups acc =
   let steps = plan.Cplan.steps in
   let n = Array.length steps in
-  let kernel_of i =
-    (Program.find_stmt plan.Cplan.prog steps.(i).Cplan.stmt).Stmt.kernel
+  let kernel i =
+    Kernel.info (Program.find_stmt plan.Cplan.prog steps.(i).Cplan.stmt).Stmt.kernel
   in
   let operand_blocks i =
     let st = steps.(i) in
@@ -449,7 +449,7 @@ let check_fusion (plan : Cplan.t) ch groups acc =
     let st = steps.(i) in
     let obs = operand_blocks i in
     List.length st.Cplan.writes = 1
-    && Kernel.chain_arity (kernel_of i) = Some (List.length obs)
+    && (kernel i).Kernel.arity = Some (List.length obs)
     && List.for_all
          (fun ob -> List.exists (fun (_, rb, _) -> rb = ob) st.Cplan.reads)
          obs
@@ -462,11 +462,10 @@ let check_fusion (plan : Cplan.t) ch groups acc =
   (* Why boundary [k] -> [k + 1] may not be fused over [blk]; [None] = legal. *)
   let illegal k (blk : Cplan.block) =
     if k + 1 >= n then Some "boundary past the last step"
-    else if not (Kernel.is_elementwise (kernel_of k)) then
+    else if (kernel k).Kernel.chain <> Some Kernel.Elementwise then
       Some "producer kernel is not element-wise"
-    else if
-      not (Kernel.is_elementwise (kernel_of (k + 1)) || kernel_of (k + 1) = Kernel.Rss_acc)
-    then Some "consumer kernel is neither element-wise nor an RSS accumulation"
+    else if (kernel (k + 1)).Kernel.chain = None then
+      Some "consumer kernel is neither element-wise nor a chain terminal"
     else if not (static_shape k && static_shape (k + 1)) then
       Some "a step's kernel operands are not statically resolvable"
     else if

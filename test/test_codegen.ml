@@ -4,6 +4,9 @@ module Search = Riot_optimizer.Search
 module Verify = Riot_optimizer.Verify
 module Sched = Riot_ir.Sched
 module Programs = Riot_ops.Programs
+module B = Riot_ir.Build
+module Array_info = Riot_ir.Array_info
+module Kernel = Riot_ir.Kernel
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -112,19 +115,44 @@ let test_pig_and_reversed_plans () =
   check_program (Programs.pig_pipeline ()) [ ("m", 3); ("n", 2) ] ~max_size:2;
   check_program (Programs.reversed_copy ()) [ ("n", 4) ] ~max_size:2
 
+let original_code prog =
+  Codegen.to_c prog (Codegen.generate prog ~sched:prog.Riot_ir.Program.original)
+
+let contains code sub =
+  let n = String.length sub and m = String.length code in
+  let rec go i = i + n <= m && (String.sub code i n = sub || go (i + 1)) in
+  go 0
+
 let test_pretty_printer () =
-  let prog = Programs.add_mul () in
-  let ast = Codegen.generate prog ~sched:prog.Riot_ir.Program.original in
-  let code = Codegen.to_c prog ast in
-  let contains sub =
-    let n = String.length sub and m = String.length code in
-    let rec go i = i + n <= m && (String.sub code i n = sub || go (i + 1)) in
-    go 0
+  let code = original_code (Programs.add_mul ()) in
+  check_bool "has loops" true (contains code "for (");
+  check_bool "mentions s1" true (contains code "s1(");
+  check_bool "mentions s2" true (contains code "s2(");
+  check_bool "kernel comment" true (contains code "// s2: E += C * D")
+
+(* Each statement's comment spells its kernel's operator text from the
+   kernel table: add, sub, and copy (a single operand, no operator). *)
+let test_kernel_comments () =
+  let ids = [ B.var "i" ] in
+  let arrays =
+    List.map
+      (fun (kind, name) -> Array_info.make ~kind name ~ndims:1)
+      [ (Array_info.Input, "A"); (Input, "B"); (Intermediate, "C");
+        (Intermediate, "D"); (Output, "E") ]
   in
-  check_bool "has loops" true (contains "for (");
-  check_bool "mentions s1" true (contains "s1(");
-  check_bool "mentions s2" true (contains "s2(");
-  check_bool "kernel comment" true (contains "// s2: E += C * D")
+  let prog =
+    B.program ~name:"ops" ~params:[ "n" ] ~arrays
+      [ B.for_ "i" ~lo:(B.cst 0) ~hi:(B.var "n")
+          [ B.stmt "s1" ~kernel:Kernel.Assign_add
+              ~accs:[ B.write "C" ids; B.read "A" ids; B.read "B" ids ];
+            B.stmt "s2" ~kernel:Kernel.Assign_sub
+              ~accs:[ B.write "D" ids; B.read "C" ids; B.read "B" ids ];
+            B.stmt "s3" ~kernel:Kernel.Copy ~accs:[ B.write "E" ids; B.read "D" ids ] ] ]
+  in
+  let code = original_code prog in
+  List.iter
+    (fun c -> check_bool c true (contains code c))
+    [ "// s1: C = A + B\n"; "// s2: D = C - B\n"; "// s3: E = D\n" ]
 
 let suite =
   ( "codegen",
@@ -133,4 +161,5 @@ let suite =
       Alcotest.test_case "parameter independence" `Quick test_parameter_independence;
       Alcotest.test_case "two-matmul plans" `Slow test_two_matmul_plans;
       Alcotest.test_case "pig and reversed-copy plans" `Quick test_pig_and_reversed_plans;
-      Alcotest.test_case "pretty printer" `Quick test_pretty_printer ] )
+      Alcotest.test_case "pretty printer" `Quick test_pretty_printer;
+      Alcotest.test_case "kernel comments" `Quick test_kernel_comments ] )

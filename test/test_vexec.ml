@@ -292,13 +292,90 @@ let test_pinned_seeds () =
   in
   Test_differential.pinned ~points:fused_points [ 0; 1; 2; 3; 5; 7 ]
 
+(* The kernel table and the executor agree on every kernel's arity.  Each
+   program copies A into P (steps 0 to n - 1), then runs one statement of
+   the kernel under test over [nops] operand arrays.  With the table's
+   arity the run completes; with one operand more it fails with
+   [Kernel_arity] at that statement's first step, once the copy's writes
+   are on disk.  [Opaque] has no fixed arity and runs either way. *)
+let arity_run kernel nops =
+  let operands = List.init nops (Printf.sprintf "O%d") in
+  let arrays =
+    List.map
+      (fun (kind, name) -> Array_info.make ~kind name ~ndims:2)
+      ([ (Array_info.Input, "A"); (Output, "P"); (Output, "W") ]
+      @ List.map (fun o -> (Array_info.Input, o)) operands)
+  in
+  let ids = [ B.var "i"; B.cst 0 ] in
+  let prog =
+    B.program ~name:"arity" ~params:[ "n" ] ~arrays
+      [ B.for_ "i" ~lo:(B.cst 0) ~hi:(B.var "n")
+          [ B.stmt "s0" ~kernel:Kernel.Copy ~accs:[ B.write "P" ids; B.read "A" ids ] ];
+        B.for_ "i" ~lo:(B.cst 0) ~hi:(B.var "n")
+          [ B.stmt "s1" ~kernel
+              ~accs:(B.write "W" ids :: List.map (fun o -> B.read o ids) operands) ] ]
+  in
+  let config = Rand_prog.config_for prog in
+  let cplan = Cplan.build prog ~config ~sched:prog.Program.original ~realized:[] in
+  let backend = Backend.sim ~read_bw:96e6 ~write_bw:60e6 ~request_overhead:0. () in
+  let format = Block_store.Daf_format in
+  let stores = Engine.stores_for backend ~format ~config in
+  Differential.load_inputs prog config stores;
+  let run () =
+    ignore (Engine.run ~stores cplan ~backend ~format ~mem_cap:cplan.Cplan.peak_memory)
+  in
+  (cplan, stores, run)
+
+let test_kernel_arity () =
+  List.iter
+    (fun (kernel, arity) ->
+      let info = Kernel.info kernel in
+      let name = info.Kernel.name in
+      Alcotest.(check (option int)) (name ^ ": table arity") arity info.Kernel.arity;
+      let nops = Option.value ~default:1 info.Kernel.arity in
+      let _, _, run = arity_run kernel nops in
+      (match run () with
+      | () -> ()
+      | exception e ->
+          Alcotest.failf "%s with %d operands raised %s" name nops (Printexc.to_string e));
+      let cplan, stores, run = arity_run kernel (nops + 1) in
+      match run () with
+      | () ->
+          if info.Kernel.arity <> None then
+            Alcotest.failf "%s ran with %d operands" name (nops + 1)
+      | exception Engine.Error (Engine.Kernel_arity { step; stmt; kernel = k; operands }) ->
+          let first = ref (-1) in
+          Array.iteri
+            (fun i (st : Cplan.step) -> if !first < 0 && st.Cplan.stmt = "s1" then first := i)
+            cplan.Cplan.steps;
+          Alcotest.(check bool) (name ^ " has a fixed arity") true (info.Kernel.arity <> None);
+          Alcotest.(check int) (name ^ ": failing step") !first step;
+          Alcotest.(check bool) (name ^ ": after the copy's steps") true (step > 0);
+          Alcotest.(check string) (name ^ ": statement") "s1" stmt;
+          Alcotest.(check string) (name ^ ": kernel") name k;
+          Alcotest.(check int) (name ^ ": operands") (nops + 1) operands;
+          for i = 0 to step - 1 do
+            let block a = Block_store.read_floats (List.assoc a stores) [ i; 0 ] in
+            if block "P" <> block "A" then
+              Alcotest.failf "%s: step %d's write is not on disk" name i
+          done)
+    Kernel.
+      [ (Assign_add, Some 2); (Assign_sub, Some 2);
+        (Gemm_acc { ta = false; tb = false }, Some 2);
+        (Gemm_acc { ta = true; tb = false }, Some 2);
+        (Gemm_acc { ta = false; tb = true }, Some 2);
+        (Gemm_acc { ta = true; tb = true }, Some 2); (Invert, Some 1); (Rss_acc, Some 1);
+        (Copy, Some 1); (Filter, Some 1); (Foreach, Some 1); (Join_nl, Some 2);
+        (Opaque "t", None) ]
+
 let suite =
   ( "vexec",
     [ Alcotest.test_case "fusion fires on a 3-stage chain" `Quick
         test_fusion_fires;
       Alcotest.test_case "vector trace replays the plan" `Quick
         test_vector_trace;
-      Alcotest.test_case "pinned differential seeds" `Quick test_pinned_seeds ]
+      Alcotest.test_case "pinned differential seeds" `Quick test_pinned_seeds;
+      Alcotest.test_case "kernel arity: table = executor" `Quick test_kernel_arity ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_differential_ew;
           prop_differential_opaque;
