@@ -1389,8 +1389,11 @@ let iolap_smoke () = iolap_run ~variant:"smoke" ~scale:50 ~reps:1 ~gate:false
    reported, never gated: a wall-clock figure depends on the host.  The
    pool spins between batches, as the executor's does.  The row's gates
    record that every result was finite, that two calls agreed bit for bit,
-   and that a forced row split across the pool matched the one-domain
-   Dense.gemm bit for bit; the run fails if any does not hold.
+   that a forced row split across the pool matched the one-domain
+   Dense.gemm bit for bit, and that on operands salted with NaNs of two
+   payloads and both signs, infinities, signed zeros and subnormals the
+   kernel matched the plain triple loop bit for bit; the run fails if any
+   does not hold.
    The full run appends one row at jobs = 1 and one at the default jobs to
    BENCH_gemm.json; the smoke run uses tiny shapes and gates only the
    identities. *)
@@ -1410,9 +1413,37 @@ let gemm_smoke_shapes =
     (fun (ta, tb) -> (Printf.sprintf "smoke ta=%b tb=%b" ta tb, 7, 9, 5, ta, tb))
     [ (false, false); (true, false); (false, true); (true, true) ]
 
+(* The plain i-l-j triple loop Dense.gemm's contract is written against:
+   c(i,j) += a(i,l) * b(l,j) for l ascending, skipping a zero a(i,l). *)
+let plain_gemm ~ta ~tb ~m ~n ~k ~a ~b ~c =
+  for i = 0 to m - 1 do
+    for l = 0 to k - 1 do
+      let av = if ta then a.((l * m) + i) else a.((i * k) + l) in
+      if av <> 0. then
+        for j = 0 to n - 1 do
+          let bv = if tb then b.((j * k) + l) else b.((l * n) + j) in
+          c.((i * n) + j) <- c.((i * n) + j) +. (av *. bv)
+        done
+    done
+  done
+
+let gemm_specials =
+  [| Int64.float_of_bits 0x7FF8_0000_0000_0001L; Int64.float_of_bits 0xFFF8_0000_0000_0001L;
+     Int64.float_of_bits 0x7FF8_0000_0000_BEEFL; Int64.float_of_bits 0xFFF8_0000_0000_BEEFL;
+     Float.infinity; Float.neg_infinity; 0.; -0.; 1e-310; -1e-310 |]
+
+(* One in ten elements special, the rest in [-1, 1). *)
+let salted st len =
+  Array.init len (fun _ ->
+      if Random.State.int st 10 = 0 then
+        gemm_specials.(Random.State.int st (Array.length gemm_specials))
+      else Random.State.float st 2. -. 1.)
+
 let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
   section (Printf.sprintf "Dense.gemm throughput (%s, jobs=%d)" variant jobs);
   let st = Random.State.make [| 2012 |] in
+  (* Its own stream, so the timed operands stay those of earlier rows. *)
+  let salt = Random.State.make [| 2013 |] in
   let model = machine.Machine.gemm_flops in
   Printf.printf "%-24s %-16s %-6s %-7s %-10s %-10s %s\n" "shape" "m x n x k" "op" "chunks"
     "GFLOP/s" "model" "ratio";
@@ -1435,6 +1466,13 @@ let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
         and deterministic = bits (once par) = bits c1
         and split_identical =
           bits (once ~chunks:(max 2 jobs) par) = bits (once Dense.sequential)
+        and seq_identical =
+          let a = salted salt (m * k) and b = salted salt (k * n)
+          and c0 = salted salt (m * n) in
+          let c = Array.copy c0 and c_ref = Array.copy c0 in
+          Dense.gemm_par par ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
+          plain_gemm ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
+          bits c = bits c_ref
         in
         (* Median over trials; each trial repeats the call until it has run
            [min_seconds]. *)
@@ -1454,13 +1492,17 @@ let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
         Printf.printf "%-24s %-16s %-6s %-7d %-10.2f %-10.1f %.4f\n" label dims op
           (Dense.gemm_chunks ~jobs ~m ~n ~k)
           (flops /. 1e9) (model /. 1e9) (flops /. model);
-        (label, Printf.sprintf "%s %s" dims op, flops, (finite, deterministic, split_identical)))
+        ( label,
+          Printf.sprintf "%s %s" dims op,
+          flops,
+          (finite, deterministic, split_identical, seq_identical) ))
       shapes
   in
   let all f = List.for_all (fun (_, _, _, g) -> f g) rows in
-  let finite = all (fun (f, _, _) -> f)
-  and deterministic = all (fun (_, d, _) -> d)
-  and split_identical = all (fun (_, _, i) -> i) in
+  let finite = all (fun (f, _, _, _) -> f)
+  and deterministic = all (fun (_, d, _, _) -> d)
+  and split_identical = all (fun (_, _, i, _) -> i)
+  and seq_identical = all (fun (_, _, _, q) -> q) in
   let metrics (label, _, flops, _) =
     [ metric (label ^ ".gflops") (Printf.sprintf "%.3f" (flops /. 1e9)) "GFLOP/s";
       metric (label ^ ".model_ratio") (Printf.sprintf "%.4f" (flops /. model)) "ratio" ]
@@ -1469,7 +1511,7 @@ let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
     Printf.sprintf
       "{%s, \"jobs\": %d, \"grain_flops\": %d, \"trials\": %d, \"min_seconds\": %g, \
        \"shapes\": {%s}, \"metrics\": {%s}, \"gates\": {\"finite\": %b, \
-       \"deterministic\": %b, \"split_identical\": %b}}"
+       \"deterministic\": %b, \"split_identical\": %b, \"seq_identical\": %b}}"
       (row_header ~bench:"gemm" ~variant)
       jobs Dense.gemm_grain trials min_seconds
       (String.concat ", "
@@ -1477,17 +1519,18 @@ let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
       (String.concat ", "
          (metric "model_gflops" (Printf.sprintf "%.1f" (model /. 1e9)) "GFLOP/s"
          :: List.concat_map metrics rows))
-      finite deterministic split_identical
+      finite deterministic split_identical seq_identical
   in
   print_endline row;
   List.iter
-    (fun (label, _, _, (f, d, i)) ->
-      if not (f && d && i) then
+    (fun (label, _, _, (f, d, i, q)) ->
+      if not (f && d && i && q) then
         failwith
           (Printf.sprintf "gemm: %s result on %s"
              (if not f then "non-finite"
               else if not d then "nondeterministic"
-              else "split differs from the one-domain")
+              else if not i then "split differs from the one-domain"
+              else "kernel differs from the plain triple loop")
              label))
     rows;
   row

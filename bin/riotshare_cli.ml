@@ -353,21 +353,34 @@ let run program source config params blocks max_size jobs budget scale format mo
       let backend =
         Api.simulated_backend ~retain_data:(exec_mode <> None) opt.Api.machine
       in
-      let injecting =
+      (* Parsed now, so a malformed spec fails before the run; armed only
+         once a computing run's inputs are loaded, so loading sees no fault. *)
+      let faults =
         Failpoint.reset ();
         match failpoints with
-        | Some spec ->
-            Failpoint.arm_spec spec;
-            true
-        | None -> Failpoint.arm_from_env ()
+        | Some spec -> Failpoint.parse_spec spec
+        | None -> Option.fold ~none:[] ~some:Failpoint.parse_spec (Failpoint.env_spec ())
       in
+      let injecting = faults <> [] in
       let backend =
         if injecting then Backend.retrying (Backend.faulty backend) else backend
       in
       let exec backend =
+        (* A computing run reads its Input arrays: give them deterministic
+           contents, through the store handles the run then uses. *)
+        let stores =
+          if exec_mode = None then None
+          else begin
+            let stores = Engine.stores_for backend ~format ~config in
+            Riotshare.Differential.load_inputs prog config stores;
+            backend.Backend.sync ();
+            Some stores
+          end
+        in
+        List.iter (fun (name, trigger) -> Failpoint.arm name trigger) faults;
         match exec_mode with
         | None -> Api.execute ~compute:false ?trace ?jobs best ~backend ~format
-        | Some m -> Api.execute ~compute:true ~mode:m ?trace ?jobs best ~backend ~format
+        | Some m -> Api.execute ~compute:true ?stores ~mode:m ?trace ?jobs best ~backend ~format
       in
       let result =
         match io_mode with
@@ -442,9 +455,9 @@ let run_cmd =
             & info [ "mode" ]
                 ~doc:
                   "$(b,simulate) (default): phantom run, I/O and memory only. \
-                   $(b,interpret) / $(b,vector): run the kernels on a \
-                   data-retaining simulated disk (inputs read as zeroes unless \
-                   loaded) through the compiled plan, one step at a time \
+                   $(b,interpret) / $(b,vector): write deterministic values \
+                   into every input array of a data-retaining simulated disk, \
+                   then run the kernels through the compiled plan, one step at a time \
                    ($(b,interpret)) or with element-wise runs fused into \
                    single passes over the tile ($(b,vector)).  The two modes \
                    are differentially equivalent: byte-identical outputs and \

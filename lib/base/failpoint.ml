@@ -124,9 +124,14 @@ let arm_spec spec = List.iter (fun (n, t) -> arm n t) (parse_spec spec)
 
 let env_var = "RIOT_FAILPOINTS"
 
-let arm_from_env () =
+let env_spec () =
   match Sys.getenv_opt env_var with
-  | Some spec when String.trim spec <> "" ->
+  | Some spec when String.trim spec <> "" -> Some spec
+  | _ -> None
+
+let arm_from_env () =
+  match env_spec () with
+  | Some spec ->
       arm_spec spec;
       true
-  | _ -> false
+  | None -> false

@@ -70,6 +70,9 @@ val arm_spec : string -> unit
 val env_var : string
 (** ["RIOT_FAILPOINTS"]. *)
 
+val env_spec : unit -> string option
+(** [$RIOT_FAILPOINTS] if set and non-empty. *)
+
 val arm_from_env : unit -> bool
 (** Arm from [$RIOT_FAILPOINTS] if set and non-empty; returns whether
     anything was armed.  @raise Invalid_argument on a malformed spec. *)

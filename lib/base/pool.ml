@@ -6,12 +6,17 @@ let default_jobs () =
       | _ -> 1)
   | None -> Domain.recommended_domain_count ()
 
-(* Workers block on [work_ready] until a new batch (higher epoch) appears, run
-   its chunk-runner to exhaustion, then report in on [batch_done].  A batch's
-   chunk-runner owns all per-batch state (atomic item counter, result slots,
-   first-exception slot), so the pool itself carries no per-item state.
-   [epoch] and [active] change only under [m], but are atomics so that the
-   spin phases below may read them without it. *)
+(* Workers block on [work_ready] until a new batch (higher epoch) appears,
+   join it by counting themselves into [active] under [m], run its
+   chunk-runner to exhaustion, then report in on [batch_done].  The caller
+   closes the batch ([batch <- None], under [m]) as soon as its own runner
+   returns, which is when every item has been claimed; it then waits only
+   for the workers that joined, and a worker that arrives later skips the
+   closed batch.  A batch's chunk-runner owns all per-batch state (atomic
+   item counter, result slots, first-exception slot), so the pool itself
+   carries no per-item state.  [epoch] and [active] change only under [m],
+   but are atomics so that the spin phases below may read them without
+   it. *)
 type t = {
   size : int;
   m : Mutex.t;
@@ -19,7 +24,7 @@ type t = {
   batch_done : Condition.t;
   mutable batch : (unit -> unit) option;
   epoch : int Atomic.t;
-  active : int Atomic.t;  (* workers still inside the current batch *)
+  active : int Atomic.t;  (* workers that joined the current batch and are still in it *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
   spin : bool;
@@ -49,21 +54,27 @@ let worker t =
   let rec loop () =
     spin_until t (fun () -> Atomic.get t.epoch <> !last_epoch);
     Mutex.lock t.m;
-    while (not t.stop) && (t.batch = None || Atomic.get t.epoch = !last_epoch) do
+    while (not t.stop) && Atomic.get t.epoch = !last_epoch do
       Condition.wait t.work_ready t.m
     done;
     if t.stop then Mutex.unlock t.m
     else begin
-      let run = Option.get t.batch in
       last_epoch := Atomic.get t.epoch;
-      Mutex.unlock t.m;
-      (* Chunk-runners never raise: item exceptions are captured per batch. *)
-      run ();
-      Mutex.lock t.m;
-      Atomic.decr t.active;
-      if Atomic.get t.active = 0 then Condition.broadcast t.batch_done;
-      Mutex.unlock t.m;
-      loop ()
+      match t.batch with
+      | None ->
+          (* Closed before this worker got here: the caller ran it. *)
+          Mutex.unlock t.m;
+          loop ()
+      | Some run ->
+          Atomic.incr t.active;
+          Mutex.unlock t.m;
+          (* Chunk-runners never raise: item exceptions are captured per batch. *)
+          run ();
+          Mutex.lock t.m;
+          Atomic.decr t.active;
+          if Atomic.get t.active = 0 then Condition.broadcast t.batch_done;
+          Mutex.unlock t.m;
+          loop ()
     end
   in
   loop ()
@@ -180,17 +191,21 @@ let run_batch t ~n body =
       invalid_arg "Pool: used after shutdown"
     end;
     t.batch <- Some runner;
-    Atomic.set t.active (List.length t.workers);
     Atomic.incr t.epoch;
     Condition.broadcast t.work_ready;
     Mutex.unlock t.m;
     runner ();
+    (* Every item is claimed now.  Close the batch, so a worker that has not
+       joined it yet (say, one woken onto this domain's core) never will,
+       and wait only for those that did. *)
+    Mutex.lock t.m;
+    t.batch <- None;
+    Mutex.unlock t.m;
     spin_until t (fun () -> Atomic.get t.active = 0);
     Mutex.lock t.m;
     while Atomic.get t.active > 0 do
       Condition.wait t.batch_done t.m
     done;
-    t.batch <- None;
     Mutex.unlock t.m
   end
 

@@ -89,7 +89,13 @@ val create : ?jobs:int -> ?spin:bool -> unit -> t
     from sleep can be placed on the caller's core and start only when the
     caller blocks, after its own share of the batch.  The price is up to
     2 ms of each worker's core per batch.  A batch posted after a longer
-    pause still wakes the worker that way. *)
+    pause still wakes the worker that way.
+
+    In either mode the caller waits only for the workers that joined a
+    batch.  When its own runner returns every item has been claimed, so it
+    closes the batch: a worker that has not joined yet (one still waiting
+    for a core, say) skips it and never runs a body after
+    {!parallel_for} has returned. *)
 
 val jobs : t -> int
 (** The pool's fixed size (worker domains + the calling domain). *)

@@ -1,11 +1,12 @@
-(* Packed, register-tiled gemm; the contract and the design are in dense.mli.
-   Packing and tiling change only where operands are read from and which
-   elements of c are in flight together, never an element's operation
-   sequence, so the result is bit-identical to the plain i-l-j triple loop.
-   The unchecked accesses are sound because [gemm_check] runs first, and it
-   runs before c is touched, so a shape error leaves c intact.  A row split
-   hands each chunk the same kernel over its own rows, so it moves no
-   element's operation sequence either. *)
+(* Packed, register-tiled gemm; the contract and the design are in dense.mli,
+   the tile loop in gemm_stubs.c.  Packing and tiling change only where
+   operands are read from and which elements of c are in flight together,
+   never an element's operation sequence, so the result is bit-identical to
+   the plain i-l-j triple loop.  The C kernel's raw accesses are sound
+   because [gemm_check] runs first, and it runs before c is touched, so a
+   shape error leaves c intact.  A row split hands each chunk the same
+   kernel over its own rows, so it moves no element's operation sequence
+   either. *)
 
 let gemm_check ~m ~n ~k ~a ~b ~c =
   if m < 0 || n < 0 || k < 0 then
@@ -24,113 +25,36 @@ let gemm_check ~m ~n ~k ~a ~b ~c =
       ("b", Array.length b, k, n);
       ("c", Array.length c, m, n) ]
 
-(* The packing buffers of the calling domain: [pa] holds the row pairs of
-   op(a) being computed, [pb] one 4-column panel of op(b).  They only grow,
-   so a domain's gemm calls allocate nothing once its largest shape has
-   been seen. *)
+(* The packing panels of the calling domain: [pa] holds the rows of op(a)
+   being computed, [pb] one tile-wide column panel of op(b).  They only
+   grow, so a domain's gemm calls allocate nothing once its largest shape
+   has been seen; the C kernel allocates nothing at all. *)
 type panels = { mutable pa : float array; mutable pb : float array }
 
 let panels_key =
   Domain.DLS.new_key (fun () -> { pa = [||]; pb = [||] })
 
-(* Rows [lo, hi) of c, by the packed kernel; [lo] is even and [hi] is even
-   or [m].  Only those rows of c are read or written, and the panels hold
-   only those rows of op(a), so chunks of one call may run on different
-   domains at once. *)
+(* The C kernel's tile height and width (MR and NR in gemm_stubs.c). *)
+let tile_rows = 4
+let tile_cols = 8
+
+external gemm_tiles :
+  bool -> bool -> int -> int -> int -> float array -> float array -> float array ->
+  float array -> float array -> int -> int -> unit
+  = "riot_gemm_rows_byte" "riot_gemm_rows"
+[@@noalloc]
+
+(* Rows [lo, hi) of c, by the packed kernel.  Only those rows of c are read
+   or written, and the panels hold only those rows of op(a), so chunks of
+   one call may run on different domains at once. *)
 let gemm_rows ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo ~hi =
-  (* a(i,l) = a.(i*ars + l*als); b(l,j) = b.(l*bls + j*bcs). *)
-  let ars, als = if ta then (1, m) else (k, 1) in
-  let bls, bcs = if tb then (1, k) else (n, 1) in
-  (* One element of c by the scalar loop: the edges outside the tiles. *)
-  let scalar i j =
-    let ar = i * ars and bc = j * bcs in
-    let acc = ref (Array.unsafe_get c ((i * n) + j)) in
-    for l = 0 to k - 1 do
-      let av = Array.unsafe_get a (ar + (l * als)) in
-      if av <> 0. then
-        acc := !acc +. (av *. Array.unsafe_get b ((l * bls) + bc))
-    done;
-    Array.unsafe_set c ((i * n) + j) !acc
-  in
-  let hi2 = hi land lnot 1 and n4 = n land lnot 3 in
-  let pairs = (hi2 - lo) / 2 in
-  if pairs > 0 && n4 > 0 && k > 0 then begin
+  if hi > lo && n > 0 && k > 0 then begin
     let p = Domain.DLS.get panels_key in
-    if Array.length p.pa < 2 * pairs * k then p.pa <- Array.create_float (2 * pairs * k);
-    if Array.length p.pb < 4 * k then p.pb <- Array.create_float (4 * k);
-    let pa = p.pa and pb = p.pb in
-    (* pa.(2rk + 2l + s) = a(lo + 2r + s, l) for every row pair r. *)
-    for r = 0 to pairs - 1 do
-      let i0 = lo + (2 * r) in
-      let ar0 = i0 * ars and po = 2 * r * k in
-      let ar1 = ar0 + ars in
-      for l = 0 to k - 1 do
-        let al = l * als in
-        Array.unsafe_set pa (po + (2 * l)) (Array.unsafe_get a (ar0 + al));
-        Array.unsafe_set pa (po + (2 * l) + 1) (Array.unsafe_get a (ar1 + al))
-      done
-    done;
-    for q = 0 to (n4 / 4) - 1 do
-      let j0 = 4 * q in
-      (* pb.(4l + q) = b(l, j0+q). *)
-      let bc0 = j0 * bcs in
-      for l = 0 to k - 1 do
-        let bl = (l * bls) + bc0 in
-        Array.unsafe_set pb (4 * l) (Array.unsafe_get b bl);
-        Array.unsafe_set pb ((4 * l) + 1) (Array.unsafe_get b (bl + bcs));
-        Array.unsafe_set pb ((4 * l) + 2) (Array.unsafe_get b (bl + (2 * bcs)));
-        Array.unsafe_set pb ((4 * l) + 3) (Array.unsafe_get b (bl + (3 * bcs)))
-      done;
-      for r = 0 to pairs - 1 do
-        let i0 = lo + (2 * r) in
-        let po = 2 * r * k and cr0 = (i0 * n) + j0 in
-        let cr1 = cr0 + n in
-        let ld o = Array.unsafe_get c o in
-        let c00 = ref (ld cr0) and c01 = ref (ld (cr0 + 1))
-        and c02 = ref (ld (cr0 + 2)) and c03 = ref (ld (cr0 + 3))
-        and c10 = ref (ld cr1) and c11 = ref (ld (cr1 + 1))
-        and c12 = ref (ld (cr1 + 2)) and c13 = ref (ld (cr1 + 3)) in
-        for l = 0 to k - 1 do
-          let pl = po + (2 * l) and ql = 4 * l in
-          let a0 = Array.unsafe_get pa pl
-          and a1 = Array.unsafe_get pa (pl + 1) in
-          let b0 = Array.unsafe_get pb ql
-          and b1 = Array.unsafe_get pb (ql + 1)
-          and b2 = Array.unsafe_get pb (ql + 2)
-          and b3 = Array.unsafe_get pb (ql + 3) in
-          if a0 <> 0. then begin
-            c00 := !c00 +. (a0 *. b0);
-            c01 := !c01 +. (a0 *. b1);
-            c02 := !c02 +. (a0 *. b2);
-            c03 := !c03 +. (a0 *. b3)
-          end;
-          if a1 <> 0. then begin
-            c10 := !c10 +. (a1 *. b0);
-            c11 := !c11 +. (a1 *. b1);
-            c12 := !c12 +. (a1 *. b2);
-            c13 := !c13 +. (a1 *. b3)
-          end
-        done;
-        Array.unsafe_set c cr0 !c00;
-        Array.unsafe_set c (cr0 + 1) !c01;
-        Array.unsafe_set c (cr0 + 2) !c02;
-        Array.unsafe_set c (cr0 + 3) !c03;
-        Array.unsafe_set c cr1 !c10;
-        Array.unsafe_set c (cr1 + 1) !c11;
-        Array.unsafe_set c (cr1 + 2) !c12;
-        Array.unsafe_set c (cr1 + 3) !c13
-      done
-    done
-  end;
-  for i = lo to hi2 - 1 do
-    for j = n4 to n - 1 do
-      scalar i j
-    done
-  done;
-  if hi2 < hi then
-    for j = 0 to n - 1 do
-      scalar hi2 j
-    done
+    let rows = tile_rows * ((hi - lo + tile_rows - 1) / tile_rows) in
+    if Array.length p.pa < rows * k then p.pa <- Array.create_float (rows * k);
+    if Array.length p.pb < tile_cols * k then p.pb <- Array.create_float (tile_cols * k);
+    gemm_tiles ta tb m n k a b c p.pa p.pb lo hi
+  end
 
 type par = { jobs : int; run : n:int -> (int -> unit) -> unit }
 

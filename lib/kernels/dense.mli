@@ -33,27 +33,45 @@ val gemm :
     [i]-[l]-[j] triple loop, and to every revision of this kernel.
 
     Design: operands are packed into contiguous panels, as in GotoBLAS
-    (Goto and van de Geijn, TOMS 2008).  op(a)'s full row pairs are copied
-    once per call (per chunk, under {!gemm_par}), interleaved by [l] ([a(i0,l)], [a(i0+1,l)] adjacent);
-    each 4-column panel of op(b) is copied before its tiles run, four
-    values per [l].  A 2-row x 4-column tile of [c] is held in unboxed float
-    registers across the whole [l] loop and reads both panels at unit
-    stride, so each loaded [a] value feeds four multiply-adds and each [b]
-    value two.  The packing loops absorb the transposes, so all four cases
-    share one tile loop; strided scalar loops finish the [m mod 2] rows and
-    [n mod 4] columns from the unpacked operands.  Packing moves values,
-    never an element's operation sequence.
+    (Goto and van de Geijn, TOMS 2008), and the tile loop is C
+    (gemm_stubs.c), one call per row chunk.  op(a)'s rows are copied once
+    per call (per chunk, under {!gemm_par}) in groups of four, interleaved
+    by [l]; each 8-column panel of op(b) is copied before its tiles run,
+    eight values per [l].  A 4-row x 8-column tile of [c] is held in
+    registers across the whole [l] loop, and [-O3] vectorises its column
+    loop at the baseline x86-64 ISA (two doubles per instruction; no
+    [-march], no [-ffast-math]), so each loaded [a] value feeds eight
+    multiply-adds and each [b] value four.  The panels pad the last rows and
+    columns with [+0.]: a padded row's zero [a] is skipped by the rule
+    above, and a padded column's sums are computed and thrown away, so every
+    element of [c], edges included, runs through the same tile.  The
+    packing absorbs the transposes.  Packing moves values, never an
+    element's operation sequence.  The file is compiled with
+    [-ffp-contract=off], so the compiler never fuses a multiply and its add
+    into one fused multiply-add, which rounds once and would change the low
+    bits of every inexact product.
 
-    The panel buffers belong to the calling domain ([Domain.DLS]): calls on
+    NaN payloads: when both operands of a multiply or an add are NaNs, x86
+    returns the first one's (quieted), and a C compiler may put either
+    operand of [+] or [*] first.  The packing notes whether the chunk's rows
+    of op(a), a panel of op(b) or a tile of [c] holds a NaN.  A tile with no
+    NaN operand runs the vectorised loop: every NaN that arises there is
+    the hardware's default NaN, the same bits in either order.  A tile with
+    one runs a scalar loop that picks explicitly, as the triple loop does:
+    the accumulator's NaN, then [a]'s, then [b]'s.
+
+    The panel buffers belong to the calling domain ([Domain.DLS]) and are
+    grown on the OCaml side; the C kernel allocates nothing.  Calls on
     different domains never share one, and a domain's buffers only grow, to
-    the largest [(rows - rows mod 2) * k] and [4 * k] it has seen, so a call
-    allocates nothing once that shape has been seen.  The buffers outlive
-    the call but hold nothing a later call reads before overwriting it.
-    The tiles read [a] and [b] from copies taken before [c] is written, so
-    if [c] shared storage with either, a write to [c] would not reach the
+    the largest [(rows rounded up to 4) * k] and [8 * k] it has seen, so a
+    call allocates nothing once that shape has been seen.  The buffers
+    outlive the call but hold nothing a later call reads before overwriting
+    it.  The tiles read [a] and [b] from copies taken before [c] is written,
+    so if [c] shared storage with either, a write to [c] would not reach the
     operand values later tiles use and the result would differ from the
-    triple loop's: hence the no-aliasing precondition above.  The inner loops use unchecked array
-    accesses, made sound by the shape check below.
+    triple loop's: hence the no-aliasing precondition above.  The kernel
+    reads and writes through raw pointers, made sound by the shape check
+    below.
 
     @raise Invalid_argument if [m], [n] or [k] is negative or [a], [b] or
     [c] is shorter than its shape needs.  The message names the short

@@ -428,6 +428,84 @@ let test_gemm_shape_error () =
     (bits_equal c
        (Array.init 20 (fun i -> if i < m * n then float_of_int k else 0.)))
 
+(* NaNs of two payloads and both signs, and a signalling one, in a, b and c:
+   when both operands of a multiply or an add are NaNs, the result must
+   carry the same one as the triple loop's (the accumulator's, then a's),
+   payload and sign included. *)
+let nan_of bits = Int64.float_of_bits bits
+
+let nans =
+  [| nan_of 0x7FF8_0000_0000_0001L; nan_of 0xFFF8_0000_0000_0001L;
+     nan_of 0x7FF8_0000_0000_BEEFL; nan_of 0xFFF8_0000_0000_BEEFL;
+     nan_of 0x7FF0_0000_0000_0ABCL |]
+
+let nan_operand st len =
+  Array.init len (fun _ ->
+      match Random.State.int st 4 with
+      | 0 -> nans.(Random.State.int st (Array.length nans))
+      | 1 -> specials.(Random.State.int st (Array.length specials))
+      | _ -> Random.State.float st 4. -. 2.)
+
+let test_gemm_nan_payloads () =
+  let st = Random.State.make [| 5151 |] in
+  List.iter
+    (fun (ta, tb) ->
+      List.iter
+        (fun (m, n, k) ->
+          List.iter
+            (fun accumulate ->
+              let a = nan_operand st (m * k)
+              and b = nan_operand st (k * n)
+              and c0 = nan_operand st (m * n) in
+              let c = Array.copy c0 and c_ref = Array.copy c0 in
+              Dense.gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c;
+              seq_gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
+              if not (bits_equal c c_ref) then
+                Alcotest.failf
+                  "NaN payloads differ from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b \
+                   accumulate=%b"
+                  m n k ta tb accumulate)
+            [ false; true ])
+        [ (4, 8, 1); (4, 8, 6); (5, 9, 3); (9, 17, 12); (13, 22, 40) ])
+    transposes
+
+(* Each product and sum rounds on its own: with a = 1 + 2^-30 and
+   b = 1 - 2^-30, a * b rounds to 1, so c = -1 accumulates to exactly 0,
+   where a fused multiply-add would leave -2^-60. *)
+let test_gemm_no_fma () =
+  let av = 1. +. ldexp 1. (-30) and bv = 1. -. ldexp 1. (-30) in
+  check_bool "fma differs from a*b+c" true (Float.fma av bv (-1.) <> (av *. bv) -. 1.);
+  List.iter
+    (fun (m, n) ->
+      let k = 1 in
+      let a = Array.make (m * k) av and b = Array.make (k * n) bv in
+      let c = Array.make (m * n) (-1.) in
+      Dense.gemm ~accumulate:true ~ta:false ~tb:false ~m ~n ~k ~a ~b ~c;
+      check_bool
+        (Printf.sprintf "%dx%d: every c is exactly 0" m n)
+        true
+        (bits_equal c (Array.make (m * n) 0.)))
+    [ (4, 8); (5, 13); (12, 24) ]
+
+(* Every m x n up to past twice the C kernel's 4 x 8 tile, so each count of
+   edge rows and edge columns meets full tiles on both sides. *)
+let test_gemm_tile_sweep () =
+  let st = Random.State.make [| 8080 |] in
+  List.iter
+    (fun (ta, tb) ->
+      for m = 0 to 10 do
+        for n = 0 to 18 do
+          List.iter
+            (fun k ->
+              let accumulate = Random.State.bool st in
+              if not (gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k) then
+                Alcotest.failf "gemm differs from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b"
+                  m n k ta tb)
+            [ 0; 1; 5 ]
+        done
+      done)
+    transposes
+
 (* --- Row-split gemm -------------------------------------------------------------
 
    Dense.gemm_par cuts the rows of c into chunks and runs each through the
@@ -477,6 +555,34 @@ let test_gemm_split () =
               case ~ta ~tb (160, 60, 140))
             transposes))
     [ 1; 2; 3; 4 ]
+
+(* Chunk bounds are row pairs, so a chunk may start two rows into one of the
+   C kernel's 4-row tiles.  Each of these splits has such a chunk. *)
+let test_gemm_split_odd_lo () =
+  let st = Random.State.make [| 6262 |] in
+  let starts m chunks =
+    let pairs = m / 2 in
+    List.init chunks (fun q -> 2 * (q * pairs / chunks))
+  in
+  List.iter
+    (fun (m, n, k, chunks) ->
+      check_bool
+        (Printf.sprintf "m=%d chunks=%d has a chunk starting at 2 mod 4" m chunks)
+        true
+        (List.exists (fun lo -> lo mod 4 = 2) (starts m chunks));
+      List.iter
+        (fun (ta, tb) ->
+          let accumulate = Random.State.bool st in
+          if
+            not
+              (gemm_matches_seq ~gemm:(Dense.gemm_par ~chunks Dense.sequential) st
+                 ~accumulate ~ta ~tb ~m ~n ~k)
+          then
+            Alcotest.failf
+              "split gemm differs from seq_gemm: m=%d n=%d k=%d chunks=%d ta=%b tb=%b"
+              m n k chunks ta tb)
+        transposes)
+    [ (14, 9, 7, 2); (6, 17, 5, 3); (22, 13, 30, 4); (13, 8, 3, 2); (30, 25, 64, 5) ]
 
 (* A shape error raises on the caller before any chunk is dispatched, and
    leaves c as it was; so does a chunk count below one. *)
@@ -598,5 +704,11 @@ let suite =
       Alcotest.test_case "gemm from two domains" `Quick test_gemm_two_domains;
       Alcotest.test_case "split gemm bit-identical to seq_gemm" `Quick test_gemm_split;
       Alcotest.test_case "split gemm shape error runs no chunk" `Quick
-        test_gemm_split_shape_error ]
+        test_gemm_split_shape_error;
+      Alcotest.test_case "gemm NaN payloads bit-identical to seq_gemm" `Quick
+        test_gemm_nan_payloads;
+      Alcotest.test_case "gemm rounds each multiply and add" `Quick test_gemm_no_fma;
+      Alcotest.test_case "gemm m x n sweep past two tiles" `Quick test_gemm_tile_sweep;
+      Alcotest.test_case "split gemm chunk starting inside a tile" `Quick
+        test_gemm_split_odd_lo ]
     @ List.map QCheck_alcotest.to_alcotest qcheck_kernels )

@@ -154,6 +154,33 @@ let test_parallel_for_exception_reuse () =
           check_int (what "200 batches after a failure") 600 (Atomic.get total)))
     [ (1, false); (2, false); (3, false); (2, true); (3, true) ]
 
+(* Many small batches back to back: a worker that misses a batch's start
+   (the caller ran it whole and closed it) must skip it, never run its
+   bodies late.  Each batch has its own counters; every index runs once
+   before parallel_for returns, and the previous batch's counters still
+   read one after the next batch has run. *)
+let test_parallel_for_stress () =
+  List.iter
+    (fun spin ->
+      Pool.with_pool ~jobs:2 ~spin (fun pool ->
+          let what fmt = Printf.ksprintf (fun s -> Printf.sprintf "spin=%b: %s" spin s) fmt in
+          let check_once b counts =
+            Array.iteri
+              (fun i c ->
+                if Atomic.get c <> 1 then
+                  Alcotest.failf "%s" (what "batch %d index %d ran %d times" b i (Atomic.get c)))
+              counts
+          in
+          let prev = ref [||] in
+          for b = 0 to 9_999 do
+            let counts = Array.init (2 + (b mod 4)) (fun _ -> Atomic.make 0) in
+            Pool.parallel_for pool ~n:(Array.length counts) (fun i -> Atomic.incr counts.(i));
+            check_once b counts;
+            check_once (b - 1) !prev;
+            prev := counts
+          done))
+    [ false; true ]
+
 let qcheck_pool =
   [ QCheck.Test.make ~name:"pool: parallel_map = List.map" ~count:100
       QCheck.(pair (int_range 1 6) (small_list int))
@@ -179,5 +206,7 @@ let suite =
       Alcotest.test_case "parallel_for: each index once" `Quick test_parallel_for_counts;
       Alcotest.test_case "parallel_for: jobs=1 is the loop" `Quick test_parallel_for_jobs1;
       Alcotest.test_case "parallel_for: exception, reuse" `Quick
-        test_parallel_for_exception_reuse ]
+        test_parallel_for_exception_reuse;
+      Alcotest.test_case "parallel_for: 10000 small batches" `Quick
+        test_parallel_for_stress ]
     @ List.map QCheck_alcotest.to_alcotest qcheck_pool )
