@@ -20,6 +20,7 @@ module Program = Riot_ir.Program
 module Deps = Riot_analysis.Deps
 module Coaccess = Riot_analysis.Coaccess
 module Search = Riot_optimizer.Search
+module Opt_stats = Riot_optimizer.Opt_stats
 module Cplan = Riot_plan.Cplan
 module Machine = Riot_plan.Machine
 module Engine = Riot_exec.Engine
@@ -332,6 +333,8 @@ type opttime_row = {
   ot_bound_pruned : int;
   ot_apriori_pruned : int;
   ot_opps : int;
+  ot_fm_components : int;  (* components Fourier-Motzkin decided, one search *)
+  ot_samples_drawn : int;  (* (component, window) samples drawn, one search *)
   ot_identical : bool;
 }
 
@@ -367,21 +370,26 @@ let opttime_measure ?max_size ~gated name paper prog config =
   let runs =
     List.map
       (fun j ->
+        let s = Opt_stats.create () in
         let o, t =
-          time (fun () -> Api.optimize ~prune:true ~jobs:j ?max_size prog ~config)
+          time (fun () ->
+              Api.optimize ~prune:true ~jobs:j ?max_size ~opt_stats:s prog ~config)
         in
-        (j, o, t))
+        (j, (o, Atomic.get s.Opt_stats.fm_components, Atomic.get s.Opt_stats.samples_drawn), t))
       (opttime_jobs ())
   in
+  (* The work counters are deterministic, so they join the signature. *)
   let identical =
-    List.for_all (fun (_, o, _) -> best_signature o = best_signature o_ex) runs
+    List.for_all (fun (_, (o, _, _), _) -> best_signature o = best_signature o_ex) runs
     &&
     match runs with
-    | (_, o1, _) :: rest ->
-        List.for_all (fun (_, o, _) -> bb_signature o = bb_signature o1) rest
+    | (_, (o1, fm1, s1), _) :: rest ->
+        List.for_all
+          (fun (_, (o, fm, s), _) -> bb_signature o = bb_signature o1 && fm = fm1 && s = s1)
+          rest
     | [] -> true
   in
-  let _, o_bb, _ = List.hd runs in
+  let _, (o_bb, fm, sampled), _ = List.hd runs in
   { ot_name = name;
     ot_paper = paper;
     ot_gated = gated;
@@ -393,6 +401,8 @@ let opttime_measure ?max_size ~gated name paper prog config =
     ot_bound_pruned = o_bb.Api.search_stats.Search.bound_pruned;
     ot_apriori_pruned = o_bb.Api.search_stats.Search.pruned;
     ot_opps = List.length o_ex.Api.analysis.Deps.sharing;
+    ot_fm_components = fm;
+    ot_samples_drawn = sampled;
     ot_identical = identical }
 
 (* HEAD, suffixed "+dirty" when lib/ (the code every bench measures) has
@@ -451,9 +461,9 @@ let opttime_aggregate rows jobs =
   if bb > 0. then ex /. bb else 1.
 
 let opttime_emit ~variant ~speedup_floor rows =
-  Printf.printf "%-28s %-9s %-10s %-8s %-8s %-8s %-9s %-11s %-9s %-8s %s\n"
+  Printf.printf "%-28s %-9s %-10s %-8s %-8s %-8s %-9s %-11s %-9s %-8s %-8s %-8s %s\n"
     "program" "paper(s)" "exhaust." "bb j=1" "bb j=2" "bb j=4" "speedup"
-    "survivors" "bound-p" "apriori" "identical";
+    "survivors" "bound-p" "apriori" "fm-comp" "samples" "identical";
   List.iter
     (fun r ->
       let bb j =
@@ -461,12 +471,13 @@ let opttime_emit ~variant ~speedup_floor rows =
         | Some t -> Printf.sprintf "%.1f" t
         | None -> "-"
       in
-      Printf.printf "%-28s %-9s %-10.1f %-8s %-8s %-8s %-9s %d/%-9d %-9d %-8d %s\n"
+      Printf.printf "%-28s %-9s %-10.1f %-8s %-8s %-8s %-9s %d/%-9d %-9d %-8d %-8d %-8d %s\n"
         r.ot_name r.ot_paper r.ot_exhaustive (bb 1) (bb 2) (bb 4)
         (match opttime_speedup r 2 with
         | Some s -> Printf.sprintf "%.2fx" s
         | None -> "-")
         r.ot_survivors r.ot_plans r.ot_bound_pruned r.ot_apriori_pruned
+        r.ot_fm_components r.ot_samples_drawn
         (if r.ot_identical then "yes" else "NO [FAIL]"))
     rows;
   let agg = opttime_aggregate rows 2 in
@@ -490,6 +501,8 @@ let opttime_emit ~variant ~speedup_floor rows =
         count "candidates_tried" r.ot_tried;
         count "bound_pruned" r.ot_bound_pruned;
         count "apriori_pruned" r.ot_apriori_pruned;
+        count "fm_components" r.ot_fm_components;
+        count "samples_drawn" r.ot_samples_drawn;
         count "search_space" (1 lsl r.ot_opps) ]
   in
   let identical = List.for_all (fun r -> r.ot_identical) rows

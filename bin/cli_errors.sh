@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Usage: cli_errors.sh RIOTSHARE_EXE
+# Each malformed invocation below must exit 124 (a typed CLI error) and print
+# the expected message, never die with an uncaught exception (exit 125).
+exe=$1
+case $exe in */*) ;; *) exe=./$exe ;; esac
+status=0
+
+expect_usage_error() {
+  local want=$1
+  shift
+  local out code
+  out=$("$exe" "$@" 2>&1)
+  code=$?
+  if [ "$code" -ne 124 ]; then
+    echo "riotshare $*: exit $code, want 124: $out"
+    status=1
+  elif [[ "$out" != *"$want"* ]]; then
+    echo "riotshare $*: message lacks '$want': $out"
+    status=1
+  fi
+}
+
+expect_usage_error "unknown trigger" run -p add_mul --failpoints x=bogus
+expect_usage_error "entry without '='" run -p add_mul --failpoints bogus
+
+exit $status

@@ -208,8 +208,9 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:
           "Print optimizer profiling counters (candidates tried / pruned by \
-           bound / pruned by Apriori / rejected by verification, time per \
-           phase, per-domain utilization).  Implies $(b,--prune).")
+           bound / pruned by Apriori / rejected by verification, components \
+           decided by Fourier-Motzkin and samples drawn, time per phase, \
+           per-domain utilization).  Implies $(b,--prune).")
 
 let with_opt_stats stats f =
   let opt_stats =
@@ -357,9 +358,12 @@ let run program source config params blocks max_size jobs budget scale format mo
          once a computing run's inputs are loaded, so loading sees no fault. *)
       let faults =
         Failpoint.reset ();
+        let parse spec =
+          try Failpoint.parse_spec spec with Invalid_argument msg -> failwith msg
+        in
         match failpoints with
-        | Some spec -> Failpoint.parse_spec spec
-        | None -> Option.fold ~none:[] ~some:Failpoint.parse_spec (Failpoint.env_spec ())
+        | Some spec -> parse spec
+        | None -> Option.fold ~none:[] ~some:parse (Failpoint.env_spec ())
       in
       let injecting = faults <> [] in
       let backend =

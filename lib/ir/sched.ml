@@ -1,9 +1,17 @@
 module Aff = Riot_poly.Aff
+module Space = Riot_poly.Space
 
 type t = Aff.t array
 type program_sched = (string * t) list
 
 let time_of t lookup = Array.map (fun row -> Aff.eval row lookup) t
+
+let over space t =
+  Array.map
+    (fun (row : Aff.t) -> if Space.equal row.Aff.space space then row else Aff.cast space row)
+    t
+
+let time_of_vec t point = Array.map (fun row -> Aff.eval_vec row point) t
 
 let lex_compare a b =
   let n = max (Array.length a) (Array.length b) in

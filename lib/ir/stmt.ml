@@ -14,6 +14,12 @@ type t = {
 let qualify stmt_name var = stmt_name ^ "." ^ var
 let qualified_vars t = List.map (qualify t.name) t.loop_vars
 let depth t = List.length t.loop_vars
+
+let point t ~params inst =
+  Array.map
+    (fun n -> match List.assoc_opt n inst with Some v -> v | None -> List.assoc n params)
+    (Array.of_list (Space.names t.space))
+
 let write_access t = List.find_opt Access.is_write t.accesses
 
 let operand_reads t =

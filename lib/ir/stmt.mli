@@ -19,6 +19,12 @@ val qualify : string -> string -> string
 
 val qualified_vars : t -> string list
 val depth : t -> int
+
+val point : t -> params:(string * int) list -> (string * int) list -> int array
+(** An instance (qualified loop variable values) as a vector over the
+    statement's space, parameters taken from [params].
+    @raise Not_found if a dimension is in neither. *)
+
 val write_access : t -> Access.t option
 
 val operand_reads : t -> Access.t list

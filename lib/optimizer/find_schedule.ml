@@ -27,21 +27,53 @@ let sample_fuel = 100_000
 
 exception Out_of_fuel
 
-let budgeted_sample ~fuel ~range p =
+(* One search's memo, shared by every domain of its pool: emptiness verdicts
+   of components, and per component and window the sample drawn with the
+   fuel the draw spent.  A sample depends on its key alone, and a draw
+   raises [Out_of_fuel] exactly when the fuel it spends exceeds what is
+   left, so a hit that charges the recorded fuel behaves as a fresh draw
+   would: the same point, or [Out_of_fuel] at the same component. *)
+type memo = {
+  empty : Poly.memo;
+  lock : Mutex.t;
+  samples : (int * ((string * int) list option * int)) list Poly.Tbl.t;
+}
+
+let memo () = { empty = Poly.memo (); lock = Mutex.create (); samples = Poly.Tbl.create 64 }
+let fm_components m = Poly.memo_size m.empty
+
+let samples_drawn m =
+  Mutex.protect m.lock (fun () ->
+      Poly.Tbl.fold (fun _ draws n -> n + List.length draws) m.samples 0)
+
+let budgeted_sample ~memo ~fuel ~range p =
   let prefer _k candidates =
     fuel := !fuel - List.length candidates;
     if !fuel < 0 then raise Out_of_fuel;
     (* Default ordering of [Poly.sample]: nearest to zero first. *)
     List.stable_sort (fun a b -> compare (abs a, a) (abs b, b)) candidates
   in
+  let draws () = Option.value ~default:[] (Poly.Tbl.find_opt memo.samples p) in
   if !fuel < 0 then None
-  else Poly.sample ~range ~prefer ~fm_budget:2000 p
+  else
+    match List.assoc_opt range (Mutex.protect memo.lock draws) with
+    | Some (pt, spent) ->
+        fuel := !fuel - spent;
+        if !fuel < 0 then raise Out_of_fuel;
+        pt
+    | None ->
+        let before = !fuel in
+        let pt = Poly.sample ~range ~prefer ~fm_budget:2000 p in
+        Mutex.protect memo.lock (fun () ->
+            Poly.Tbl.replace memo.samples p
+              ((range, (pt, before - !fuel)) :: List.remove_assoc range (draws ())));
+        pt
 
 (* The unknown space couples statements only through shared constraints;
    sampling each connected component on its own keeps the recursive bound
    descent tractable.  Dimensions in no constraint default to zero without
    spending fuel. *)
-let sample_decomposed ~fuel ~range p =
+let sample_decomposed ~memo ~fuel ~range p =
   let p = Poly.simplify p in
   if Poly.is_obviously_empty p then None
   else
@@ -50,22 +82,20 @@ let sample_decomposed ~fuel ~range p =
       let assignment = Hashtbl.create 16 in
       List.iter
         (fun c ->
-          match budgeted_sample ~fuel ~range c with
+          match budgeted_sample ~memo ~fuel ~range c with
           | Some pt -> List.iter (fun (nm, v) -> Hashtbl.replace assignment nm v) pt
           | None -> raise Fail)
         (Poly.split_components p);
-      let full =
-        List.map
-          (fun nm -> (nm, Option.value ~default:0 (Hashtbl.find_opt assignment nm)))
-          (Space.names (Poly.space p))
-      in
-      if Poly.mem p (fun nm -> List.assoc nm full) then Some full else None
+      let value nm = Option.value ~default:0 (Hashtbl.find_opt assignment nm) in
+      if Poly.mem p value then
+        Some (List.map (fun nm -> (nm, value nm)) (Space.names (Poly.space p)))
+      else None
     with Fail -> None
 
-let sample_with_retries ~fuel p =
-  match sample_decomposed ~fuel ~range:3 p with
+let sample_with_retries ~memo ~fuel p =
+  match sample_decomposed ~memo ~fuel ~range:3 p with
   | Some pt -> Some pt
-  | None -> sample_decomposed ~fuel ~range:16 p
+  | None -> sample_decomposed ~memo ~fuel ~range:16 p
 
 (* Sample a point such that, for each name-set in [nonzero], at least one of
    the names is non-zero (needed for rows that must be linearly
@@ -76,7 +106,7 @@ let sample_nonzero ~fuel ~memo p ~nonzero =
       (fun names -> List.exists (fun nm -> List.assoc nm pt <> 0) names)
       nonzero
   in
-  match sample_with_retries ~fuel p with
+  match sample_with_retries ~memo ~fuel p with
   | Some pt when ok pt -> Some pt
   | base -> (
       ignore base;
@@ -91,11 +121,12 @@ let sample_nonzero ~fuel ~memo p ~nonzero =
           names
       in
       let rec force cur = function
-        | [] -> sample_with_retries ~fuel cur
+        | [] -> sample_with_retries ~memo ~fuel cur
         | names :: rest ->
             List.find_map
               (fun p2 ->
-                if Poly.is_rationally_empty ~memo p2 then None else force p2 rest)
+                if Poly.is_rationally_empty ~memo:memo.empty p2 then None
+                else force p2 rest)
               (candidates cur names)
       in
       match nonzero with
@@ -118,12 +149,13 @@ let classify (ca : Coaccess.t) =
 
 (* --- The main search ----------------------------------------------------- *)
 
-let find ss ~prog ~q ~deps =
+let find ?(memo = memo ()) ss ~prog ~q ~deps =
   let fuel = ref sample_fuel in
-  (* Emptiness verdicts repeat heavily across the depths, statements and
-     sign combinations of one search; the memo lives exactly as long as this
-     call, so it is never shared between domains. *)
-  let memo = Poly.memo () in
+  (* Emptiness verdicts and samples repeat heavily across the depths,
+     statements and sign combinations of one call, and across the candidate
+     sets of one search: the caller passes the search's memo, so a component
+     is decided once per search, whichever domain meets it first. *)
+  let empty = memo.empty in
   let dtil = Program.max_depth prog in
   let stmts = prog.Program.stmts in
   let u = Sched_space.space ss in
@@ -161,7 +193,7 @@ let find ss ~prog ~q ~deps =
           (fun x ca sign -> Poly.intersect x (Sched_space.equal_const ss ~delta:sign ca))
           x qsr qsr_signs
     in
-    if Poly.is_rationally_empty ~memo x then begin
+    if Poly.is_rationally_empty ~memo:empty x then begin
       Log.debug (fun m -> m "depth %d: constraint system empty" d);
       None
     end
@@ -206,7 +238,7 @@ let find ss ~prog ~q ~deps =
             let try_l l =
               let eqs = constraint_for l in
               let x' = List.fold_left Poly.add_eq !x eqs in
-              if Poly.is_rationally_empty ~memo x' then None else Some (x', l)
+              if Poly.is_rationally_empty ~memo:empty x' then None else Some (x', l)
             in
             match List.find_map try_l options with
             | Some (x', l) ->
@@ -222,7 +254,7 @@ let find ss ~prog ~q ~deps =
           List.filter
             (fun dep ->
               let x' = Poly.intersect !x (Sched_space.strong ss dep) in
-              if Poly.is_rationally_empty ~memo x' then true
+              if Poly.is_rationally_empty ~memo:empty x' then true
               else begin
                 x := x';
                 false

@@ -10,6 +10,8 @@ type t = {
   pruned_apriori : int Atomic.t;  (* cut by an infeasible subset *)
   rejected_verify : int Atomic.t;  (* Farkas found no schedule / check failed *)
   costed : int Atomic.t;  (* full Cplan builds *)
+  fm_components : int Atomic.t;  (* components decided by Fourier-Motzkin *)
+  samples_drawn : int Atomic.t;  (* (component, window) samples drawn *)
   bound_s : float Atomic.t;
   find_s : float Atomic.t;
   verify_s : float Atomic.t;
@@ -27,6 +29,8 @@ let create () =
     pruned_apriori = Atomic.make 0;
     rejected_verify = Atomic.make 0;
     costed = Atomic.make 0;
+    fm_components = Atomic.make 0;
+    samples_drawn = Atomic.make 0;
     bound_s = Atomic.make 0.;
     find_s = Atomic.make 0.;
     verify_s = Atomic.make 0.;
@@ -70,9 +74,9 @@ let utilization t =
 let pp ppf t =
   let c a = Atomic.get a in
   Format.fprintf ppf
-    "@[<v>candidates tried:   %d@,pruned by bound:    %d@,pruned by apriori:  %d@,rejected by verify: %d@,plans costed:       %d@,waves:              %d@,phase seconds:      bound=%.3f find=%.3f verify=%.3f cost=%.3f@,wall seconds:       %.3f@,domain utilization: %s@]"
+    "@[<v>candidates tried:   %d@,pruned by bound:    %d@,pruned by apriori:  %d@,rejected by verify: %d@,plans costed:       %d@,fm components:      %d@,samples drawn:      %d@,waves:              %d@,phase seconds:      bound=%.3f find=%.3f verify=%.3f cost=%.3f@,wall seconds:       %.3f@,domain utilization: %s@]"
     (c t.tried) (c t.pruned_bound) (c t.pruned_apriori) (c t.rejected_verify)
-    (c t.costed) t.waves
+    (c t.costed) (c t.fm_components) (c t.samples_drawn) t.waves
     (Atomic.get t.bound_s) (Atomic.get t.find_s) (Atomic.get t.verify_s)
     (Atomic.get t.cost_s) t.wall
     (match utilization t with

@@ -11,6 +11,11 @@ type t = {
   pruned_apriori : int Atomic.t;  (** cut by an infeasible immediate subset *)
   rejected_verify : int Atomic.t;  (** no schedule found / concrete check failed *)
   costed : int Atomic.t;  (** full [Cplan] builds *)
+  fm_components : int Atomic.t;
+      (** distinct components whose emptiness Fourier–Motzkin decided: the
+          search memo's size when the search ends *)
+  samples_drawn : int Atomic.t;
+      (** distinct (component, sampling window) integer samples drawn *)
   bound_s : float Atomic.t;
   find_s : float Atomic.t;
   verify_s : float Atomic.t;

@@ -65,7 +65,9 @@ let join_step feasible_prev =
    translations in its [Sched_space] and the concrete verifier caches
    instance sets and extent pairs; both tables are fully prefilled before
    any fan-out and then frozen, so every domain reads one shared copy with
-   no locking and no mutation on the hot path. *)
+   no locking and no mutation on the hot path.  The one mutable table is the
+   search's [Find_schedule] memo: every domain fills it under its lock, and
+   it is dropped when the search returns. *)
 let shared_state ?(verify = true) (prog : Program.t) ~analysis ~ref_params =
   let ss = Sched_space.make prog in
   Sched_space.prefill ss ~deps:analysis.Deps.dependences
@@ -75,15 +77,10 @@ let shared_state ?(verify = true) (prog : Program.t) ~analysis ~ref_params =
       Some (Verify.checker ~coaccesses:analysis.Deps.sharing prog ~params:ref_params)
     else None
   in
-  (ss, chk)
+  (ss, chk, Find_schedule.memo ())
 
 let check_plan chk q sched =
-  match chk with
-  | None -> true
-  | Some c ->
-      Verify.check_legal c sched
-      && Verify.check_injective c sched
-      && List.for_all (fun ca -> Verify.check_realizes c ca sched) q
+  match chk with None -> true | Some c -> Verify.check c ~q sched
 
 let enumerate ?verify ?max_size ?pool ?jobs (prog : Program.t) ~analysis
     ~ref_params =
@@ -94,10 +91,10 @@ let enumerate ?verify ?max_size ?pool ?jobs (prog : Program.t) ~analysis
     let n = Array.length opportunities in
     let max_size = match max_size with Some m -> min m n | None -> n in
     let tried = ref 0 and pruned = ref 0 in
-    let ss, chk = shared_state ?verify prog ~analysis ~ref_params in
+    let ss, chk, memo = shared_state ?verify prog ~analysis ~ref_params in
     let attempt idxs =
       let q = List.map (fun i -> opportunities.(i)) idxs in
-      match Find_schedule.find ss ~prog ~q ~deps with
+      match Find_schedule.find ~memo ss ~prog ~q ~deps with
       | None -> None
       | Some sched ->
           if check_plan chk q sched then Some sched
@@ -187,7 +184,7 @@ let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
     let deps = analysis.Deps.dependences in
     let n = Array.length opportunities in
     let max_size = match max_size with Some m -> min m n | None -> n in
-    let ss, chk = shared_state ?verify prog ~analysis ~ref_params in
+    let ss, chk, memo = shared_state ?verify prog ~analysis ~ref_params in
     (* The lattice tail bound: [bound s] minus the most the best
        [max_size - |s|] opportunities OUTSIDE [s] could still save.  By
        monotonicity and subadditivity of the bound this lower-bounds the
@@ -249,7 +246,7 @@ let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
         let q = List.map (fun i -> opportunities.(i)) s in
         match
           Opt_stats.time ostats Opt_stats.Find (fun () ->
-              Find_schedule.find ss ~prog ~q ~deps)
+              Find_schedule.find ~memo ss ~prog ~q ~deps)
         with
         | None -> Infeasible
         | Some sched ->
@@ -385,6 +382,8 @@ let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
     bump ostats.Opt_stats.pruned_apriori !pruned_apriori;
     bump ostats.Opt_stats.rejected_verify !rejected;
     bump ostats.Opt_stats.costed !costed;
+    bump ostats.Opt_stats.fm_components (Find_schedule.fm_components memo);
+    bump ostats.Opt_stats.samples_drawn (Find_schedule.samples_drawn memo);
     ostats.Opt_stats.waves <- ostats.Opt_stats.waves + !waves;
     ostats.Opt_stats.wall <- ostats.Opt_stats.wall +. elapsed;
     let stats =

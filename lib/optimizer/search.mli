@@ -10,7 +10,9 @@
     across a {!Riot_base.Pool} of domains; all domains share one frozen
     {!Sched_space.t} Farkas cache and one frozen concrete {!Verify.checker},
     both fully prefilled before any fan-out (a frozen cache is never written,
-    so no locking is needed on the hot path).  The parallel search is
+    so no locking is needed on the hot path), and one
+    {!Find_schedule.memo} that they fill under its lock and that is dropped
+    when the search returns.  The parallel search is
     deterministic: for any [jobs], the returned plan list — sets, schedules
     and index order — is identical to the sequential one; only
     [stats.elapsed] may differ. *)

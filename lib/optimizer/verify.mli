@@ -40,7 +40,13 @@ val realizes :
 
     Instance sets, ground-truth dependence pairs and extent pairs depend on
     the program and parameters only; when verifying thousands of plans the
-    checker computes them once. *)
+    checker computes them once.  It holds each instance as an integer vector
+    over its statement's space and each pair as two instance ids, so a check
+    evaluates the schedule once per instance, with no name looked up, and
+    compares times by id.  Every verdict equals the name-based one above.
+    An opportunity must pair instances of its statements' instance sets, as
+    those of [Deps.extract] on the same program do; otherwise a check
+    raises [Invalid_argument]. *)
 
 type checker
 
@@ -54,6 +60,11 @@ val checker :
   Riot_ir.Program.t ->
   params:(string * int) list ->
   checker
+
 val check_legal : checker -> Riot_ir.Sched.program_sched -> bool
 val check_injective : checker -> Riot_ir.Sched.program_sched -> bool
 val check_realizes : checker -> Riot_analysis.Coaccess.t -> Riot_ir.Sched.program_sched -> bool
+
+val check : checker -> q:Riot_analysis.Coaccess.t list -> Riot_ir.Sched.program_sched -> bool
+(** [check_legal && check_injective && check_realizes] of every opportunity
+    in [q], evaluating the schedule once for all of them. *)

@@ -46,6 +46,7 @@ let inst_key inst = List.sort compare inst
 type instance = {
   i_stmt : Stmt.t;
   i_vars : (string * int) list;
+  i_point : int array;
   i_reads : int array;
   i_read_accs : (Access.t * int list) array;
   i_writes : int array;
@@ -170,6 +171,7 @@ let cache ?(coaccesses = []) (prog : Program.t) ~config =
           insts :=
             { i_stmt = s;
               i_vars = vars;
+              i_point = Stmt.point s ~params vars;
               i_reads = Array.of_list (List.map (fun (b, _, _) -> intern b) merged);
               i_read_accs = Array.of_list (List.map (fun (_, a, ais) -> (a, ais)) merged);
               i_writes = Array.of_list (List.map (fun ai -> intern blks.(ai)) writes);
@@ -224,13 +226,12 @@ let cache_pairs c (ca : Coaccess.t) =
 (* Instance ids in step order (ties keep program statement order, then
    enumeration order), and every instance's time vector by id. *)
 let order_times c sched =
-  let params = c.cconfig.Config.params in
   let times = Array.make (Array.length c.cinstances) [||] in
   List.iter
     (fun ((s : Stmt.t), first, count) ->
-      let rows = Sched.find sched s.Stmt.name in
+      let rows = Sched.over s.Stmt.space (Sched.find sched s.Stmt.name) in
       for g = first to first + count - 1 do
-        times.(g) <- Sched.time_of rows (lookup_in c.cinstances.(g).i_vars params)
+        times.(g) <- Sched.time_of_vec rows c.cinstances.(g).i_point
       done)
     c.cstmts;
   let ord = Array.init (Array.length times) Fun.id in

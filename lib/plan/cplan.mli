@@ -75,6 +75,7 @@ val cache_fits : cache -> Riot_ir.Program.t -> config:Riot_ir.Config.t -> bool
 type instance = private {
   i_stmt : Riot_ir.Stmt.t;
   i_vars : (string * int) list;  (** the instance's qualified loop variables *)
+  i_point : int array;  (** the instance as a vector over its statement's space *)
   i_reads : int array;
       (** blocks of its active reads, merged: one per distinct block, in
           first-appearance order *)

@@ -43,6 +43,14 @@ let eval a lookup =
     a.coeffs;
   !acc
 
+let eval_vec a v =
+  let acc = ref a.const in
+  for i = 0 to Array.length a.coeffs - 1 do
+    let c = a.coeffs.(i) in
+    if c <> 0 then acc := C.add !acc (C.mul c v.(i))
+  done;
+  !acc
+
 let eval_q a lookup =
   let acc = ref (Q.of_int a.const) in
   Array.iteri
@@ -64,15 +72,17 @@ let cast space a =
     a.coeffs;
   { space; coeffs; const = a.const }
 
-let subst e x r =
-  check_space e r;
-  let i = Space.index e.space x in
+let subst_at e i r =
   let c = e.coeffs.(i) in
   if c = 0 then e
   else
     let e' = { e with coeffs = Array.copy e.coeffs } in
     e'.coeffs.(i) <- 0;
     add e' (scale c r)
+
+let subst e x r =
+  check_space e r;
+  subst_at e (Space.index e.space x) r
 
 let fix_dims e l =
   List.fold_left

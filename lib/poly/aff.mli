@@ -26,6 +26,10 @@ val equal : t -> t -> bool
 val eval : t -> (string -> int) -> int
 (** Evaluate with a full assignment of dimensions. *)
 
+val eval_vec : t -> int array -> int
+(** [eval] at the point whose [i]-th entry is the value of dimension [i]:
+    the same value, with no name looked up. *)
+
 val eval_q : t -> (string -> Riot_base.Q.t) -> Riot_base.Q.t
 
 val cast : Space.t -> t -> t
@@ -37,6 +41,9 @@ val subst : t -> string -> t -> t
 (** [subst e x r] replaces dimension [x] by expression [r] (same space).
     Exact only when it is: the caller must ensure [r]'s denominator-free form;
     here [r] is affine with integer coefficients so substitution is exact. *)
+
+val subst_at : t -> int -> t -> t
+(** [subst] of the dimension at an index. *)
 
 val fix_dims : t -> (string * int) list -> t
 (** Substitute integer values for dimensions; the result stays in the same

@@ -86,14 +86,21 @@ let norm_ge ~tighten aff =
    mostly-zero rows of a schedule-coefficient space would share leading
    zeros and pile into one bucket. *)
 let hash_row coeffs const =
-  Array.fold_left (fun h c -> (h * 31) + c) const coeffs land max_int
+  let h = ref const in
+  for i = 0 to Array.length coeffs - 1 do
+    h := (!h * 31) + coeffs.(i)
+  done;
+  !h land max_int
 
 let equal_row (a : int array) (b : int array) =
   let n = Array.length a in
   n = Array.length b
   &&
-  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
 
 (* Keys are coefficient rows: [key] (with the constant) identifies a
    constraint, [coeff_key] the direction its inequality bounds. *)
@@ -197,8 +204,7 @@ exception Fm_budget_exceeded
    given, raises [Fm_budget_exceeded] sooner than materializing more than
    that many pos*neg combinations — the step that makes FM double
    exponential. *)
-let eliminate_one ?combo_budget ~tighten t name =
-  let i = Space.index t.space name in
+let eliminate_one ?combo_budget ~tighten t i =
   let coeff a = a.Aff.coeffs.(i) in
   let unit_eq = List.find_opt (fun a -> abs (coeff a) = 1) (List.filter (fun a -> coeff a <> 0) t.eqs) in
   match unit_eq with
@@ -208,7 +214,7 @@ let eliminate_one ?combo_budget ~tighten t name =
       let rest = { e with Aff.coeffs = Array.copy e.Aff.coeffs } in
       rest.Aff.coeffs.(i) <- 0;
       let r = Aff.scale (-c) rest in
-      let sub a = if coeff a = 0 then a else Aff.subst a name r in
+      let sub a = Aff.subst_at a i r in
       compact
         { t with
           eqs = List.filter (fun a -> not (a == e)) t.eqs |> List.map sub;
@@ -245,7 +251,7 @@ let eliminate ?(tighten = true) t names =
     List.fold_left
       (fun t name ->
         if is_obviously_empty t then empty t.space
-        else eliminate_one ~tighten t name)
+        else eliminate_one ~tighten t (Space.index t.space name))
       t names
 
 let drop_dims t names =
@@ -334,18 +340,18 @@ let split_components t =
       size.(comp.(r)) <- size.(comp.(r)) + 1
     end
   done;
-  let names = Array.make !ncomp [] and seen = Array.make !ncomp 0 in
+  let dims = Array.make !ncomp [] and seen = Array.make !ncomp 0 in
   let pos = Array.make n (-1) in
   for i = 0 to n - 1 do
     if constrained.(i) then begin
       let c = comp.(find i) in
-      names.(c) <- Space.name t.space i :: names.(c);
+      dims.(c) <- i :: dims.(c);
       pos.(i) <- size.(c) - 1 - seen.(c);
       seen.(c) <- seen.(c) + 1
     end
   done;
-  let spaces = Array.map Space.of_names names in
-  let none = Space.of_names [] in
+  let spaces = Array.map (Space.sub t.space) dims in
+  let none = Space.sub t.space [] in
   (* Slot [!ncomp] collects constraints that mention no dimension. *)
   let eqs = Array.make (!ncomp + 1) [] and ges = Array.make (!ncomp + 1) [] in
   let place bucket (a : Aff.t) =
@@ -377,47 +383,46 @@ let fm_inequality_budget = 4000
    Fourier-Motzkin elimination of every dimension. Greedy order: always the
    dimension whose pos*neg inequality product is smallest (ties to the first
    in space order), which delays the blow-up FM is prone to under a fixed
-   order. *)
+   order.  Dimensions are picked and eliminated by index: no name is looked
+   up on the way. *)
 let component_empty c =
-  let rec go c names =
+  let cost c i =
+    let pos = ref 0 and neg = ref 0 and eq = ref false in
+    List.iter (fun (a : Aff.t) -> if a.Aff.coeffs.(i) <> 0 then eq := true) c.eqs;
+    List.iter
+      (fun (a : Aff.t) ->
+        if a.Aff.coeffs.(i) > 0 then incr pos
+        else if a.Aff.coeffs.(i) < 0 then incr neg)
+      c.ges;
+    if !eq then -1 else !pos * !neg
+  in
+  let rec go c dims =
     if is_obviously_empty c then true
     else
-      match names with
+      match dims with
       | [] -> false
-      | _ ->
-          let cost nm =
-            let i = Space.index c.space nm in
-            let pos = ref 0 and neg = ref 0 and eq = ref false in
-            List.iter (fun (a : Aff.t) -> if a.Aff.coeffs.(i) <> 0 then eq := true) c.eqs;
-            List.iter
-              (fun (a : Aff.t) ->
-                if a.Aff.coeffs.(i) > 0 then incr pos
-                else if a.Aff.coeffs.(i) < 0 then incr neg)
-              c.ges;
-            if !eq then -1 else !pos * !neg
-          in
-          let best =
+      | d :: rest ->
+          let best, _ =
             List.fold_left
-              (fun (bn, bc) nm ->
-                let cn = cost nm in
-                if cn < bc then (nm, cn) else (bn, bc))
-              (List.hd names, cost (List.hd names))
-              (List.tl names)
-            |> fst
+              (fun (bi, bc) i ->
+                let ci = cost c i in
+                if ci < bc then (i, ci) else (bi, bc))
+              (d, cost c d) rest
           in
           go
             (eliminate_one ~combo_budget:fm_inequality_budget ~tighten:false c best)
-            (List.filter (fun nm -> nm <> best) names)
+            (List.filter (fun i -> i <> best) dims)
   in
-  try go (simplify ~tighten:false c) (Space.names c.space) with Fm_budget_exceeded -> false
+  try go (simplify ~tighten:false c) (List.init (Space.dim c.space) Fun.id)
+  with Fm_budget_exceeded -> false
 
-(* Verdicts keyed on components exactly as they arrive: dimension names
-   plus every coefficient of every constraint, in order.  Order is part of
-   the key because the verdict can depend on it: which unit equality
-   substitutes a dimension is the first in the list, and that shapes the
-   later pos*neg counts the budget give-up compares.  Keyed this way a hit
-   returns exactly what recomputation would. *)
-module Memo = Hashtbl.Make (struct
+(* Systems keyed exactly as they arrive: dimension names plus every
+   coefficient of every constraint, in order.  Order is part of the key
+   because an answer can depend on it: which unit equality substitutes a
+   dimension is the first in the list, and that shapes the later pos*neg
+   counts the budget give-up compares.  Keyed this way a memoised verdict
+   or sample is exactly what recomputation would return. *)
+module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let rec equal_rows l m =
@@ -436,9 +441,13 @@ module Memo = Hashtbl.Make (struct
     rows (rows (Hashtbl.hash c.space) c.eqs + 1) c.ges land max_int
 end)
 
-type memo = bool Memo.t
+(* One lock guards the table: lookups and inserts are short, and the
+   elimination itself runs outside it, so two domains may decide the same
+   component at once and store the same verdict. *)
+type memo = { lock : Mutex.t; verdicts : bool Tbl.t }
 
-let memo () = Memo.create 256
+let memo () = { lock = Mutex.create (); verdicts = Tbl.create 256 }
+let memo_size m = Mutex.protect m.lock (fun () -> Tbl.length m.verdicts)
 
 (* Normalisation acts row by row and never changes a row's support, so it
    commutes with the split: each component is simplified on its own, and a
@@ -448,11 +457,11 @@ let is_rationally_empty ?memo t =
     match memo with
     | None -> component_empty c
     | Some m -> (
-        match Memo.find_opt m c with
+        match Mutex.protect m.lock (fun () -> Tbl.find_opt m.verdicts c) with
         | Some v -> v
         | None ->
             let v = component_empty c in
-            Memo.add m c v;
+            Mutex.protect m.lock (fun () -> Tbl.replace m.verdicts c v);
             v)
   in
   List.exists decide (split_components t)
@@ -471,8 +480,7 @@ let cascade ?fm_budget t =
     levels.(n - 1) <- simplify t;
     for k = n - 1 downto 1 do
       levels.(k - 1) <-
-        eliminate_one ?combo_budget:fm_budget ~tighten:true levels.(k)
-          (Space.name t.space k)
+        eliminate_one ?combo_budget:fm_budget ~tighten:true levels.(k) k
     done;
     levels
   end

@@ -80,14 +80,25 @@ val split_components : t -> t list
     and list their dimensions in decreasing space order.  Emptiness and
     sampling factorise over the result. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed on a system exactly as given: its dimension names and the
+    coefficients of every constraint, in order.  Two keys are equal only when
+    every answer this module gives about them is the same. *)
+
 type memo
-(** Emptiness verdicts of connected components, keyed on the component's
-    dimension names and its normalised constraints in order.  A verdict
-    depends on that key alone, so sharing a memo never changes an answer;
-    it only saves repeating Fourier–Motzkin on a component seen before. *)
+(** Emptiness verdicts of connected components, keyed as in {!Tbl}.  A
+    verdict depends on that key alone, so sharing a memo never changes an
+    answer; it only saves repeating Fourier–Motzkin on a component seen
+    before.  Domain-safe: lookups and inserts take the memo's lock, and the
+    elimination itself runs outside it, so one memo can serve every domain of
+    a search. *)
 
 val memo : unit -> memo
-(** A fresh, empty memo.  Not thread-safe: use one per domain. *)
+(** A fresh, empty memo.  It holds everything it has decided until dropped:
+    scope one to a unit of work (e.g. one schedule search). *)
+
+val memo_size : memo -> int
+(** Components decided through the memo so far (each counted once). *)
 
 val is_rationally_empty : ?memo:memo -> t -> bool
 (** No rational points (exact over the rationals; checked per connected

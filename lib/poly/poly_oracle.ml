@@ -195,7 +195,7 @@ module Check = struct
      reference is the memo-less call: through one shared memo, every system
      queried as given, with its constraints shuffled and nudged, must get
      exactly the memo-less verdict of that same query. *)
-  let emptiness_memo st polys =
+  let emptiness_memo ?(memo = Poly.memo ()) st polys =
     let shuffle l =
       let a = Array.of_list l in
       for i = Array.length a - 1 downto 1 do
@@ -219,7 +219,6 @@ module Check = struct
           Poly.of_constraints (Poly.space p) ~eqs:(Poly.eqs p)
             ~ges:(List.mapi (fun i a -> if i = k then Aff.add_const a (-d) else a) ges)
     in
-    let memo = Poly.memo () in
     let queries =
       List.concat_map (fun p -> [ p; shuffled p; nudged p ]) (polys @ List.rev polys)
     in

@@ -70,11 +70,13 @@ module Check : sig
       force; [is_rationally_empty] never contradicts a found integer
       point. *)
 
-  val emptiness_memo : Random.State.t -> Poly.t list -> string option
+  val emptiness_memo : ?memo:Poly.memo -> Random.State.t -> Poly.t list -> string option
   (** [is_rationally_empty] through one memo shared by all the systems,
       each queried twice, as given, with its constraints shuffled and with
       one inequality's constant tightened (choices drawn from the state),
-      returns exactly the memo-less verdict of each query. *)
+      returns exactly the memo-less verdict of each query.  [memo] (default
+      a fresh one) may already hold verdicts, or be filled by other domains
+      at the same time. *)
 
   val union_ops : box -> Union.t -> Union.t -> string option
   (** [union], [intersect], [subtract], [mem], [is_empty] against oracle set

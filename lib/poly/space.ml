@@ -12,6 +12,9 @@ let of_names names =
   check_unique names;
   { names = Array.of_list names }
 
+(* Names drawn from an existing space are unique already. *)
+let sub t idxs = { names = Array.of_list (List.map (fun i -> t.names.(i)) idxs) }
+
 let dim t = Array.length t.names
 let names t = Array.to_list t.names
 let name t i = t.names.(i)
@@ -31,7 +34,7 @@ let union a b =
   of_names (names a @ List.filter (fun n -> not (mem a n)) (names b))
 
 let remove a l = of_names (List.filter (fun n -> not (List.mem n l)) (names a))
-let equal a b = a.names = b.names
+let equal a b = a == b || a.names = b.names
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

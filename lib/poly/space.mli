@@ -9,6 +9,10 @@ type t
 val of_names : string list -> t
 (** @raise Invalid_argument on duplicate names. *)
 
+val sub : t -> int list -> t
+(** The dimensions at the given indices, in the given order (which must not
+    repeat an index). *)
+
 val dim : t -> int
 val names : t -> string list
 val name : t -> int -> string

@@ -116,6 +116,60 @@ let test_two_matmuls_plans () =
   check_bool "paper plan 2" true (List.mem plan2 sets);
   check_bool "paper plan 3" true (List.mem plan3 sets)
 
+(* A memoised draw charges the fuel it spent when first drawn: a hit under
+   less fuel than that raises [Out_of_fuel] exactly as a fresh draw does,
+   and a hit under exactly that much returns the same point.  Draws are
+   kept per window: on a system whose first dimension is bounded on one
+   side only, the window decides the point. *)
+let test_sample_hit_charges_fuel () =
+  let space = Riot_poly.Space.of_names [ "x"; "y" ] in
+  let aff = Riot_poly.Aff.of_assoc space in
+  let p =
+    List.fold_left Riot_poly.Poly.add_ge (Riot_poly.Poly.universe space)
+      [ aff [ ("x", 1) ]; aff ~const:5 [ ("x", -1) ]; aff [ ("y", 1) ];
+        aff ~const:5 [ ("y", -1) ]; aff ~const:(-7) [ ("x", 1); ("y", 1) ] ]
+  in
+  let memo = Find_schedule.memo () in
+  let draw ?(memo = memo) fuel =
+    let fuel = ref fuel in
+    match Find_schedule.budgeted_sample ~memo ~fuel ~range:3 p with
+    | pt -> Some (pt, !fuel)
+    | exception Find_schedule.Out_of_fuel -> None
+  in
+  let pt, left =
+    match draw 1000 with Some r -> r | None -> Alcotest.fail "first draw ran out"
+  in
+  let spent = 1000 - left in
+  check_bool "the draw finds a point" true (pt <> None);
+  check_bool "the draw spends fuel" true (spent > 0);
+  check_int "one draw recorded" 1 (Find_schedule.samples_drawn memo);
+  check_bool "fresh draw under spent - 1 runs out" true
+    (draw ~memo:(Find_schedule.memo ()) (spent - 1) = None);
+  check_bool "hit under spent - 1 runs out" true (draw (spent - 1) = None);
+  check_bool "hit under spent returns the point, fuel spent" true
+    (draw spent = Some (pt, 0));
+  check_bool "hit under more returns the point, charges spent" true
+    (draw 1000 = Some (pt, left));
+  (* y <= x - 5, x <= 20: y's window is [15 - 2 range, 15]. *)
+  let space = Riot_poly.Space.of_names [ "y"; "x" ] in
+  let aff = Riot_poly.Aff.of_assoc space in
+  let q =
+    List.fold_left Riot_poly.Poly.add_ge (Riot_poly.Poly.universe space)
+      [ aff ~const:(-5) [ ("x", 1); ("y", -1) ]; aff ~const:20 [ ("x", -1) ] ]
+  in
+  let sample memo range =
+    Find_schedule.budgeted_sample ~memo ~fuel:(ref 1000) ~range q
+  in
+  let fresh range = sample (Find_schedule.memo ()) range in
+  check_bool "the window decides the point" true (fresh 3 <> fresh 16);
+  List.iter
+    (fun range ->
+      check_bool
+        (Printf.sprintf "memoised draw at range %d = fresh draw" range)
+        true
+        (sample memo range = fresh range))
+    [ 3; 16; 3; 16 ]
+
 let suite =
   ( "optimizer",
     [ Alcotest.test_case "add_mul plan space" `Quick test_add_mul_plan_count;
@@ -123,4 +177,6 @@ let suite =
       Alcotest.test_case "verify rejects illegal" `Quick test_verify_rejects_broken_schedule;
       Alcotest.test_case "original schedule legal" `Quick test_original_schedule_legal;
       Alcotest.test_case "reversed copy plans" `Quick test_reversed_copy_plans;
+      Alcotest.test_case "memoised samples charge their fuel, per window" `Quick
+        test_sample_hit_charges_fuel;
       Alcotest.test_case "two matmuls plan space" `Slow test_two_matmuls_plans ] )

@@ -327,6 +327,28 @@ let test_split_no_pool () =
   let _, _, _, below = split_run prog small (best small) ~jobs:2 in
   Alcotest.(check int) "gemms below the grain spawn no domain" 0 below
 
+(* The search's work counters are deterministic: the same counts on
+   repeated runs and at every jobs, since a component is recorded once
+   whichever domain decides it first. *)
+let test_work_counters () =
+  let prog = Programs.linear_regression () in
+  let config = Programs.table4 in
+  let counts jobs =
+    let s = Riot_optimizer.Opt_stats.create () in
+    ignore (Api.optimize ~prune:true ~max_size:2 ~jobs ~opt_stats:s prog ~config);
+    ( Atomic.get s.Riot_optimizer.Opt_stats.fm_components,
+      Atomic.get s.Riot_optimizer.Opt_stats.samples_drawn )
+  in
+  let ((fm, sampled) as c1) = counts 1 in
+  check_bool "Fourier-Motzkin decided components" true (fm > 0);
+  check_bool "components were sampled" true (sampled > 0);
+  List.iter
+    (fun jobs ->
+      let fm', sampled' = counts jobs in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "counts at jobs=%d = jobs=1" jobs) c1 (fm', sampled'))
+    [ 1; 2; 4 ]
+
 let suite =
   ( "parallel-determinism",
     [ Alcotest.test_case "enumerate add_mul" `Quick test_enumerate_add_mul;
@@ -337,6 +359,8 @@ let suite =
       Alcotest.test_case "b&b = exhaustive on two_matmuls" `Slow
         test_bb_two_matmuls;
       Alcotest.test_case "budget monotonicity" `Quick test_budget_monotone;
+      Alcotest.test_case "work counters identical across runs and jobs" `Quick
+        test_work_counters;
       Alcotest.test_case "interrupted budget returns valid plan" `Quick
         test_budget_interrupted_valid;
       Alcotest.test_case "split gemm: two_matmuls jobs=2 = jobs=1" `Quick

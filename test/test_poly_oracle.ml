@@ -109,6 +109,27 @@ let emptiness_memo =
       check
         (Oracle.Check.emptiness_memo (Random.State.make [| seed |]) (List.map poly3 cases)))
 
+(* A search shares one memo across all its domains and candidate sets: here
+   one memo serves every case of the property, queried from two domains at
+   once (the second walks the cases in reverse), and each query must still
+   get its memo-less verdict. *)
+let emptiness_memo_shared =
+  let memo = Poly.memo () in
+  qtest "one memo across cases and two domains equals memo-less emptiness"
+    ~count:200
+    (QCheck.pair (sized 1 4 (arb_case3 ())) QCheck.int)
+    (fun (cases, seed) ->
+      let polys = List.map poly3 cases in
+      let other =
+        Domain.spawn (fun () ->
+            Oracle.Check.emptiness_memo ~memo
+              (Random.State.make [| seed; 1 |])
+              (List.rev polys))
+      in
+      let mine = Oracle.Check.emptiness_memo ~memo (Random.State.make [| seed |]) polys in
+      let theirs = Domain.join other in
+      check (match mine with Some _ -> mine | None -> theirs))
+
 let union_algebra =
   qtest "union/intersect/subtract/enumerate match oracle set algebra"
     (QCheck.pair (sized 1 2 arb_case2) (sized 1 2 arb_case2))
@@ -168,6 +189,7 @@ let suite =
       subtract_partitions;
       search_agrees;
       emptiness_memo;
+      emptiness_memo_shared;
       union_algebra;
       farkas_sound;
       count_matches;

@@ -16,6 +16,9 @@ module Coaccess = Riot_analysis.Coaccess
 module Reduce = Riot_analysis.Reduce
 module Search = Riot_optimizer.Search
 module Verify = Riot_optimizer.Verify
+module Find_schedule = Riot_optimizer.Find_schedule
+module Sched_space = Riot_optimizer.Sched_space
+module Aff = Riot_poly.Aff
 module Cplan = Riot_plan.Cplan
 module Engine = Riot_exec.Engine
 module Rand_prog = Riot_ops.Rand_prog
@@ -103,6 +106,71 @@ let prop_enumerated_plans_verify =
                    p.Search.q)
             plans))
 
+(* The search-wide memo never changes a schedule: every singleton and pair
+   candidate gets from [find] through one memo shared by all of them (first
+   filling it, then hitting it) the schedule a fresh per-call memo gives. *)
+let prop_find_memo_exact =
+  QCheck.Test.make ~name:"random programs: find with a search memo = fresh memo"
+    ~count:15 seed_gen (fun seed ->
+      with_program seed (fun prog ->
+          let analysis = Deps.extract prog ~ref_params in
+          let deps = analysis.Deps.dependences and sharing = analysis.Deps.sharing in
+          let ss = Sched_space.make prog in
+          Sched_space.prefill ss ~deps ~sharing;
+          let memo = Find_schedule.memo () in
+          let find ?memo q = Find_schedule.find ?memo ss ~prog ~q ~deps in
+          let rec pairs = function
+            | [] -> []
+            | a :: rest -> List.map (fun b -> [ a; b ]) rest @ pairs rest
+          in
+          let candidates = List.map (fun ca -> [ ca ]) sharing @ pairs sharing in
+          let fresh = List.map (fun q -> find q) candidates in
+          let filling = List.map (fun q -> find ~memo q) candidates in
+          let hitting = List.map (fun q -> find ~memo q) candidates in
+          fresh = filling && fresh = hitting))
+
+(* The index-based checker against the name-based reference, verdict by
+   verdict: every plan of the search, its time-reversed schedule (which
+   breaks legality and most realizations) and its collapsed one (every
+   instance at time 0, so dependent instances tie), every opportunity of the
+   program, through a checker prefilled with one opportunity only (the rest
+   miss its frozen table) and through a lazily filled one. *)
+let prop_checker_agrees =
+  QCheck.Test.make ~name:"random programs: index checker = name-based verify"
+    ~count:20 seed_gen (fun seed ->
+      with_program seed (fun prog ->
+          let analysis = Deps.extract prog ~ref_params in
+          let sharing = analysis.Deps.sharing in
+          let plans, _ =
+            Search.enumerate ~verify:false ~max_size:2 prog ~analysis ~ref_params
+          in
+          let scaled k sched = List.map (fun (s, rows) -> (s, Array.map (Aff.scale k) rows)) sched in
+          let scheds =
+            List.concat_map
+              (fun (p : Search.plan) ->
+                [ p.Search.sched; scaled (-1) p.Search.sched; scaled 0 p.Search.sched ])
+              plans
+          in
+          let prefilled =
+            Verify.checker ~coaccesses:(List.filteri (fun i _ -> i = 0) sharing) prog
+              ~params:ref_params
+          in
+          let lazy_ = Verify.checker prog ~params:ref_params in
+          List.for_all
+            (fun sched ->
+              let legal = Verify.legal prog ~sched ~params:ref_params in
+              let injective = Verify.injective prog ~sched ~params:ref_params in
+              let realizes = List.map (Verify.realizes prog ~sched ~params:ref_params) sharing in
+              List.for_all
+                (fun c ->
+                  Verify.check_legal c sched = legal
+                  && Verify.check_injective c sched = injective
+                  && List.map (fun ca -> Verify.check_realizes c ca sched) sharing = realizes
+                  && Verify.check c ~q:sharing sched
+                     = (legal && injective && List.for_all Fun.id realizes))
+                [ prefilled; lazy_ ])
+            scheds))
+
 (* Engine I/O = plan I/O: each plan's phantom run performs exactly the
    predicted requests, array by array, within a pool peak equal to the
    plan's [peak_memory] (Riotshare.Differential's I/O and trace contracts). *)
@@ -180,6 +248,8 @@ let suite =
         prop_deps_subset_of_ground_truth;
         prop_sharing_pairs_share_blocks;
         prop_enumerated_plans_verify;
+        prop_find_memo_exact;
+        prop_checker_agrees;
         prop_engine_matches_plan;
         prop_plans_statically_verify;
         prop_ew_plans_statically_verify;
