@@ -333,8 +333,10 @@ type opttime_row = {
   ot_bound_pruned : int;
   ot_apriori_pruned : int;
   ot_opps : int;
-  ot_fm_components : int;  (* components Fourier-Motzkin decided, one search *)
-  ot_samples_drawn : int;  (* (component, window) samples drawn, one search *)
+  ot_fm_components : int;  (* components Fourier-Motzkin decided, one B&B search *)
+  ot_samples_drawn : int;  (* (component, window) samples drawn, one B&B search *)
+  ot_ex_fm_components : int;  (* the same two counters for the exhaustive search *)
+  ot_ex_samples_drawn : int;
   ot_identical : bool;
 }
 
@@ -366,7 +368,10 @@ let opttime_measure ?max_size ~gated name paper prog config =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let o_ex, t_ex = time (fun () -> Api.optimize ~jobs:1 ?max_size prog ~config) in
+  let s_ex = Opt_stats.create () in
+  let o_ex, t_ex =
+    time (fun () -> Api.optimize ~jobs:1 ?max_size ~opt_stats:s_ex prog ~config)
+  in
   let runs =
     List.map
       (fun j ->
@@ -403,6 +408,8 @@ let opttime_measure ?max_size ~gated name paper prog config =
     ot_opps = List.length o_ex.Api.analysis.Deps.sharing;
     ot_fm_components = fm;
     ot_samples_drawn = sampled;
+    ot_ex_fm_components = Atomic.get s_ex.Opt_stats.fm_components;
+    ot_ex_samples_drawn = Atomic.get s_ex.Opt_stats.samples_drawn;
     ot_identical = identical }
 
 (* HEAD, suffixed "+dirty" when lib/ (the code every bench measures) has
@@ -461,9 +468,10 @@ let opttime_aggregate rows jobs =
   if bb > 0. then ex /. bb else 1.
 
 let opttime_emit ~variant ~speedup_floor rows =
-  Printf.printf "%-28s %-9s %-10s %-8s %-8s %-8s %-9s %-11s %-9s %-8s %-8s %-8s %s\n"
+  Printf.printf
+    "%-28s %-9s %-10s %-8s %-8s %-8s %-9s %-11s %-9s %-8s %-13s %-13s %s\n"
     "program" "paper(s)" "exhaust." "bb j=1" "bb j=2" "bb j=4" "speedup"
-    "survivors" "bound-p" "apriori" "fm-comp" "samples" "identical";
+    "survivors" "bound-p" "apriori" "fm-comp/ex" "samples/ex" "identical";
   List.iter
     (fun r ->
       let bb j =
@@ -471,13 +479,15 @@ let opttime_emit ~variant ~speedup_floor rows =
         | Some t -> Printf.sprintf "%.1f" t
         | None -> "-"
       in
-      Printf.printf "%-28s %-9s %-10.1f %-8s %-8s %-8s %-9s %d/%-9d %-9d %-8d %-8d %-8d %s\n"
+      let pair a b = Printf.sprintf "%d/%d" a b in
+      Printf.printf "%-28s %-9s %-10.1f %-8s %-8s %-8s %-9s %d/%-9d %-9d %-8d %-13s %-13s %s\n"
         r.ot_name r.ot_paper r.ot_exhaustive (bb 1) (bb 2) (bb 4)
         (match opttime_speedup r 2 with
         | Some s -> Printf.sprintf "%.2fx" s
         | None -> "-")
         r.ot_survivors r.ot_plans r.ot_bound_pruned r.ot_apriori_pruned
-        r.ot_fm_components r.ot_samples_drawn
+        (pair r.ot_fm_components r.ot_ex_fm_components)
+        (pair r.ot_samples_drawn r.ot_ex_samples_drawn)
         (if r.ot_identical then "yes" else "NO [FAIL]"))
     rows;
   let agg = opttime_aggregate rows 2 in
@@ -503,6 +513,8 @@ let opttime_emit ~variant ~speedup_floor rows =
         count "apriori_pruned" r.ot_apriori_pruned;
         count "fm_components" r.ot_fm_components;
         count "samples_drawn" r.ot_samples_drawn;
+        count "exhaustive_fm_components" r.ot_ex_fm_components;
+        count "exhaustive_samples_drawn" r.ot_ex_samples_drawn;
         count "search_space" (1 lsl r.ot_opps) ]
   in
   let identical = List.for_all (fun r -> r.ot_identical) rows

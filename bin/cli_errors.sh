@@ -23,5 +23,6 @@ expect_usage_error() {
 
 expect_usage_error "unknown trigger" run -p add_mul --failpoints x=bogus
 expect_usage_error "entry without '='" run -p add_mul --failpoints bogus
+expect_usage_error "option '--max-size'" optimize -p add_mul --max-size=-1
 
 exit $status

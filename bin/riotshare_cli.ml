@@ -160,10 +160,19 @@ let block_arg =
     & info [ "block" ] ~doc:"Array layout NAME:BRxBC:GRxGC (with --source).")
 
 let max_size_arg =
+  let non_negative =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 0 -> Ok n
+          | _ -> Error (Printf.sprintf "expected a non-negative integer, got %S" s)),
+        Format.pp_print_int )
+  in
   Arg.(
     value
-    & opt (some int) None
-    & info [ "max-size" ] ~doc:"Cap the sharing-opportunity subset size.")
+    & opt (some non_negative) None
+    & info [ "max-size" ]
+        ~doc:"Cap the sharing-opportunity subset size ($(b,0): the original plan only).")
 
 let mem_cap_arg =
   Arg.(
@@ -210,7 +219,8 @@ let stats_arg =
           "Print optimizer profiling counters (candidates tried / pruned by \
            bound / pruned by Apriori / rejected by verification, components \
            decided by Fourier-Motzkin and samples drawn, time per phase, \
-           per-domain utilization).  Implies $(b,--prune).")
+           per-domain utilization) for the exhaustive or, with \
+           $(b,--prune), the pruned search.")
 
 let with_opt_stats stats f =
   let opt_stats =
@@ -274,7 +284,7 @@ let optimize program source config params blocks max_size mem_cap jobs budget
       let config = resolve_config ~default ~config ~params ~blocks in
       let opt =
         with_opt_stats stats (fun opt_stats ->
-            Api.optimize ?max_size ?jobs ?budget ~prune:(prune || stats)
+            Api.optimize ?max_size ?jobs ?budget ~prune
               ?opt_stats prog ~config)
       in
       if not opt.Api.search_stats.Riot_optimizer.Search.complete then

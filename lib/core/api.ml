@@ -68,43 +68,26 @@ let optimize ?(machine = Machine.paper) ?max_size ?verify ?jobs ?(prune = false)
      the concrete parameters — is materialised once and shared read-only by
      every plan costing; the sharing list covers every realized set. *)
   let cache = Cplan.cache ~coaccesses:analysis.Deps.sharing program ~config in
-  (* A budget only makes sense on the anytime searcher. *)
-  let prune = prune || budget <> None in
-  let plans, search_stats =
-    if not prune then begin
-      let plans, search_stats =
-        Search.enumerate ?verify ?max_size ~pool program ~analysis ~ref_params
+  (* [prune] only decides whether the walk gets the I/O lower bound; a budget
+     only makes sense on the anytime, pruning searcher. *)
+  let bound, saving =
+    if prune || budget <> None then
+      let b =
+        Cost_bound.make ~cache machine program ~config ~coaccesses:analysis.Deps.sharing
       in
-      ( Riot_base.Pool.map pool (cost_plan ~cache machine program config) plans,
-        search_stats )
-    end
-    else begin
-      let bound_t =
-        Cost_bound.make ~cache machine program ~config
-          ~coaccesses:analysis.Deps.sharing
-      in
-      let cost ~q ~sched =
-        let cplan = Cplan.build ~cache program ~config ~sched ~realized:q in
-        let io = Cplan.predicted_io_seconds machine cplan in
-        ((cplan, io, Cplan.cpu_seconds machine cplan, cplan.Cplan.peak_memory), io)
-      in
-      let pairs, search_stats =
-        Search.branch_and_bound ?verify ?max_size ~pool ?budget ?opt_stats
-          ~bound:(Cost_bound.eval bound_t)
-          ~saving:(Cost_bound.saving bound_t)
-          ~cost program ~analysis ~ref_params
-      in
-      ( List.map
-          (fun (plan, (cplan, io, cpu, mem)) ->
-            { plan;
-              cplan;
-              predicted_io_seconds = io;
-              predicted_cpu_seconds = cpu;
-              memory_bytes = mem })
-          pairs,
-        search_stats )
-    end
+      (Cost_bound.eval b, Cost_bound.saving b)
+    else Search.never_prune
   in
+  (* Costing runs inside the walk; it numbers the plans itself. *)
+  let cost ~q ~sched =
+    let c = cost_plan ~cache machine program config { Search.index = 0; q; sched } in
+    (c, c.predicted_io_seconds)
+  in
+  let pairs, search_stats =
+    Search.branch_and_bound ?verify ?max_size ~pool ?budget ?opt_stats ~bound ~saving
+      ~cost program ~analysis ~ref_params
+  in
+  let plans = List.map (fun (plan, c) -> { c with plan }) pairs in
   let t = { program; config; machine; analysis; plans; search_stats; verified = None } in
   (* Statically verify the presumptive winner (hard error on Error-severity
      diagnostics): a planner bug dies here, not in the buffer pool. *)

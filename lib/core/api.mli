@@ -58,9 +58,11 @@ val optimize :
     costings; any [jobs] yields the same plans, costs and order as
     [jobs = 1].
 
-    [prune] (default false) switches to the branch-and-bound searcher
-    ({!Riot_optimizer.Search.branch_and_bound} under
-    {!Riot_plan.Cost_bound}): [plans] then contains only the candidates
+    The search and the costing are one walk,
+    {!Riot_optimizer.Search.branch_and_bound}: without [prune] it runs
+    under {!Riot_optimizer.Search.never_prune} and costs every feasible
+    plan.  [prune] (default false) gives the walk the I/O lower bound of
+    {!Riot_plan.Cost_bound} instead: [plans] then contains only the candidates
     whose I/O lower bound could beat the incumbent — always including the
     exhaustive search's best plan, bit-identically — so {!best} is
     unchanged while {!distinct_cost_points} sees the surviving subset only,
@@ -68,8 +70,9 @@ val optimize :
     (seconds) implies [prune] and makes the search anytime: the best
     verified plan found within the budget is returned
     ([search_stats.complete] = false when the deadline struck), and Plan 0
-    is always costed first so a plan exists at any budget.  [opt_stats] accumulates profiling counters for the pruned
-    path.
+    is always costed first so a plan exists at any budget.  [opt_stats]
+    accumulates the walk's profiling counters, with or without [prune].
+    A negative [max_size] raises [Invalid_argument].
 
     The presumptive winner ({!best} with no cap) is statically verified
     before returning: a plan with [Error]-severity diagnostics raises

@@ -61,118 +61,21 @@ let join_step feasible_prev =
     groups []
   |> List.sort_uniq compare
 
-(* Shared, frozen per-search state.  [Find_schedule.find] memoises Farkas
-   translations in its [Sched_space] and the concrete verifier caches
-   instance sets and extent pairs; both tables are fully prefilled before
-   any fan-out and then frozen, so every domain reads one shared copy with
-   no locking and no mutation on the hot path.  The one mutable table is the
-   search's [Find_schedule] memo: every domain fills it under its lock, and
-   it is dropped when the search returns. *)
-let shared_state ?(verify = true) (prog : Program.t) ~analysis ~ref_params =
-  let ss = Sched_space.make prog in
-  Sched_space.prefill ss ~deps:analysis.Deps.dependences
-    ~sharing:analysis.Deps.sharing;
-  let chk =
-    if verify then
-      Some (Verify.checker ~coaccesses:analysis.Deps.sharing prog ~params:ref_params)
-    else None
-  in
-  (ss, chk, Find_schedule.memo ())
-
-let check_plan chk q sched =
-  match chk with None -> true | Some c -> Verify.check c ~q sched
-
-let enumerate ?verify ?max_size ?pool ?jobs (prog : Program.t) ~analysis
-    ~ref_params =
-  let run pool =
-    let t0 = Unix.gettimeofday () in
-    let opportunities = Array.of_list analysis.Deps.sharing in
-    let deps = analysis.Deps.dependences in
-    let n = Array.length opportunities in
-    let max_size = match max_size with Some m -> min m n | None -> n in
-    let tried = ref 0 and pruned = ref 0 in
-    let ss, chk, memo = shared_state ?verify prog ~analysis ~ref_params in
-    let attempt idxs =
-      let q = List.map (fun i -> opportunities.(i)) idxs in
-      match Find_schedule.find ~memo ss ~prog ~q ~deps with
-      | None -> None
-      | Some sched ->
-          if check_plan chk q sched then Some sched
-          else begin
-            Log.warn (fun m ->
-                m "schedule for {%s} failed concrete verification; dropped"
-                  (String.concat ", " (List.map (fun c -> Coaccess.label c) q)));
-            None
-          end
-    in
-    (* Attempt a whole level's candidates across the pool.  Results come back
-       in candidate order, so the plan list grows exactly as the sequential
-       loop would build it. *)
-    let run_level candidates =
-      tried := !tried + List.length candidates;
-      let results = Pool.map pool attempt candidates in
-      List.concat
-        (List.map2
-           (fun c r -> match r with Some sched -> [ (c, sched) ] | None -> [])
-           candidates results)
-    in
-    let plans = ref [] in
-    (* Plan 0: the original schedule, no sharing realized. *)
-    plans := [ ([], prog.Program.original) ];
-    (* k = 1 *)
-    let f1 = run_level (List.init n (fun i -> [ i ])) in
-    List.iter (fun (c, sched) -> plans := (c, sched) :: !plans) f1;
-    let c1 = List.map fst f1 in
-    let rec level k feasible_prev =
-      if k > max_size || feasible_prev = [] then ()
-      else begin
-        let raw = join_step feasible_prev in
-        let feasible_set = Hashtbl.create (2 * List.length feasible_prev) in
-        List.iter (fun s -> Hashtbl.replace feasible_set s ()) feasible_prev;
-        let candidates =
-          List.filter
-            (fun c ->
-              let ok =
-                List.for_all
-                  (fun s -> Hashtbl.mem feasible_set s)
-                  (subsets_of_size_minus_one c)
-              in
-              if not ok then incr pruned;
-              ok)
-            raw
-        in
-        let found = run_level candidates in
-        List.iter (fun (c, sched) -> plans := (c, sched) :: !plans) found;
-        level (k + 1) (List.map fst found)
-      end
-    in
-    level 2 c1;
-    let plans =
-      List.rev !plans
-      |> List.mapi (fun index (idxs, sched) ->
-             { index; q = List.map (fun i -> opportunities.(i)) idxs; sched })
-    in
-    let stats =
-      { candidates_tried = !tried;
-        feasible = List.length plans - 1;
-        pruned = !pruned;
-        bound_pruned = 0;
-        verify_rejected = !tried - (List.length plans - 1);
-        complete = true;
-        elapsed = Unix.gettimeofday () -. t0 }
-    in
-    (plans, stats)
-  in
-  match pool with
-  | Some pool -> run pool
-  | None -> Pool.with_pool ?jobs run
-
-(* --- Branch and bound ----------------------------------------------------- *)
-
 type 'a attempt_result = Feasible of 'a | Infeasible | Expired
 
-let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
-    ~saving ~cost (prog : Program.t) ~analysis ~ref_params =
+(* The one Apriori lattice walk (Algorithm 2), as a branch and bound.  Level
+   k's candidates are the joins of level k-1's feasible sets whose every
+   immediate subset is feasible; each candidate is attempted ([find], then
+   the concrete check), and a feasible one is costed.  A candidate whose cone
+   bound exceeds the incumbent is dropped with its whole upward cone, like an
+   infeasible set; with a bound that never exceeds an incumbent
+   ([never_prune]) the walk is the exhaustive enumeration. *)
+let branch_and_bound ?(verify = true) ?max_size ?pool ?jobs ?budget ?opt_stats
+    ~bound ~saving ~cost (prog : Program.t) ~analysis ~ref_params =
+  (match max_size with
+  | Some m when m < 0 ->
+      invalid_arg (Printf.sprintf "Search: max_size %d is negative" m)
+  | _ -> ());
   let run pool =
     let t0 = Unix.gettimeofday () in
     let ostats = match opt_stats with Some s -> s | None -> Opt_stats.create () in
@@ -184,7 +87,21 @@ let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
     let deps = analysis.Deps.dependences in
     let n = Array.length opportunities in
     let max_size = match max_size with Some m -> min m n | None -> n in
-    let ss, chk, memo = shared_state ?verify prog ~analysis ~ref_params in
+    (* Shared, frozen per-search state.  [Find_schedule.find] memoises Farkas
+       translations in its [Sched_space] and the concrete verifier caches
+       instance sets and extent pairs; both tables are fully prefilled before
+       any fan-out and then frozen, so every domain reads one shared copy
+       with no locking and no mutation on the hot path.  The one mutable
+       table is the search's [Find_schedule] memo: every domain fills it
+       under its lock, and it is dropped when the search returns. *)
+    let ss = Sched_space.make prog in
+    Sched_space.prefill ss ~deps ~sharing:analysis.Deps.sharing;
+    let chk =
+      if verify then
+        Some (Verify.checker ~coaccesses:analysis.Deps.sharing prog ~params:ref_params)
+      else None
+    in
+    let memo = Find_schedule.memo () in
     (* The lattice tail bound: [bound s] minus the most the best
        [max_size - |s|] opportunities OUTSIDE [s] could still save.  By
        monotonicity and subadditivity of the bound this lower-bounds the
@@ -252,7 +169,7 @@ let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
         | Some sched ->
             if
               Opt_stats.time ostats Opt_stats.Verify (fun () ->
-                  check_plan chk q sched)
+                  match chk with None -> true | Some c -> Verify.check c ~q sched)
             then Feasible sched
             else begin
               Log.warn (fun m ->
@@ -261,12 +178,12 @@ let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
               Infeasible
             end
     in
-    (* The level structure is the exhaustive enumerator's, verbatim: a
-       k-candidate is generated only when every immediate subset is feasible
-       AND survived the bound — a pruned set poisons its whole upward cone,
-       which the cone bound proved strictly worse than the incumbent.  Every
-       candidate the pruned search attempts, the exhaustive search attempts
-       too, so no plan outside the exhaustive feasible set can ever appear.
+    (* A k-candidate is generated only when every immediate subset is
+       feasible AND survived the bound — a pruned set poisons its whole upward
+       cone, which the cone bound proved strictly worse than the incumbent.
+       Every candidate a pruning walk attempts, the never-pruning walk
+       attempts too, so no plan outside the exhaustive feasible set can ever
+       appear.
 
        Within a level, candidates run in fixed-size batches (independent of
        the pool size); the incumbent is committed between batches, so late
@@ -368,8 +285,9 @@ let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
     level 1 [];
     let elapsed = Unix.gettimeofday () -. t0 in
     (* Results were recorded level by level, candidates in lex order within
-       each level — already the exhaustive enumerator's canonical plan
-       order, so downstream stable sorts break cost ties identically. *)
+       each level: the canonical (size, lex) plan order, the same with or
+       without pruning, so downstream stable sorts break cost ties
+       identically. *)
     let plans =
       List.mapi
         (fun index (idxs, sched, c) ->
@@ -400,3 +318,14 @@ let branch_and_bound ?verify ?max_size ?pool ?jobs ?budget ?opt_stats ~bound
   match pool with
   | Some pool -> run pool
   | None -> Pool.with_pool ?jobs run
+
+let never_prune = ((fun _ -> neg_infinity), fun _ -> 0.)
+
+let enumerate ?verify ?max_size ?pool ?jobs ?opt_stats prog ~analysis ~ref_params =
+  let bound, saving = never_prune in
+  let plans, stats =
+    branch_and_bound ?verify ?max_size ?pool ?jobs ?opt_stats ~bound ~saving
+      ~cost:(fun ~q:_ ~sched:_ -> ((), 0.))
+      prog ~analysis ~ref_params
+  in
+  (List.map fst plans, stats)

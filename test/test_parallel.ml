@@ -88,27 +88,45 @@ let bb_signature (o : Api.t) =
     o.Api.search_stats.Search.verify_rejected,
     o.Api.search_stats.Search.complete )
 
+(* Uncapped, and capped at 0: both searches then return Plan 0 alone. *)
 let test_bb_add_mul () =
   let prog = Programs.add_mul () in
-  let exhaustive = Api.optimize ~jobs:1 prog ~config:Programs.table2 in
-  let bb1 = Api.optimize ~prune:true ~jobs:1 prog ~config:Programs.table2 in
-  let bb2 = Api.optimize ~prune:true ~jobs:2 prog ~config:Programs.table2 in
-  check_bool "b&b best = exhaustive best (jobs=1)" true
-    (best_signature bb1 = best_signature exhaustive);
-  check_bool "b&b best = exhaustive best (jobs=2)" true
-    (best_signature bb2 = best_signature exhaustive);
-  check_bool "b&b deterministic: jobs=2 = jobs=1" true
-    (bb_signature bb2 = bb_signature bb1);
-  check_bool "b&b search completed" true bb1.Api.search_stats.Search.complete;
-  (* Survivors are a subset of the exhaustive plan set with identical
-     sets and costs (indices differ where pruning removed plans). *)
-  let strip o =
-    List.map
-      (fun (_, labels, io, cpu, mem) -> (labels, io, cpu, mem))
-      (opt_signature o)
-  in
-  check_bool "b&b plans are a sublist of exhaustive plans" true
-    (List.for_all (fun p -> List.mem p (strip exhaustive)) (strip bb1))
+  List.iter
+    (fun max_size ->
+      let what s =
+        Printf.sprintf "%s (max_size %s)" s
+          (match max_size with Some m -> string_of_int m | None -> "none")
+      in
+      let optimize ?prune ~jobs () =
+        Api.optimize ?max_size ?prune ~jobs prog ~config:Programs.table2
+      in
+      let exhaustive = optimize ~jobs:1 () in
+      let bb1 = optimize ~prune:true ~jobs:1 () in
+      let bb2 = optimize ~prune:true ~jobs:2 () in
+      check_bool (what "b&b best = exhaustive best (jobs=1)") true
+        (best_signature bb1 = best_signature exhaustive);
+      check_bool (what "b&b best = exhaustive best (jobs=2)") true
+        (best_signature bb2 = best_signature exhaustive);
+      check_bool (what "b&b deterministic: jobs=2 = jobs=1") true
+        (bb_signature bb2 = bb_signature bb1);
+      check_bool (what "b&b search completed") true bb1.Api.search_stats.Search.complete;
+      (* Survivors are a subset of the exhaustive plan set with identical
+         sets and costs (indices differ where pruning removed plans). *)
+      let strip o =
+        List.map
+          (fun (_, labels, io, cpu, mem) -> (labels, io, cpu, mem))
+          (opt_signature o)
+      in
+      check_bool (what "b&b plans are a sublist of exhaustive plans") true
+        (List.for_all (fun p -> List.mem p (strip exhaustive)) (strip bb1));
+      if max_size = Some 0 then
+        List.iter
+          (fun o ->
+            check_bool (what "Plan 0 only") true
+              (List.map (fun (p : Api.costed_plan) -> p.Api.plan.Search.q) o.Api.plans
+              = [ [] ]))
+          [ exhaustive; bb1; bb2 ])
+    [ None; Some 0 ]
 
 let test_bb_two_matmuls () =
   let prog = Programs.two_matmuls () in
@@ -329,25 +347,31 @@ let test_split_no_pool () =
 
 (* The search's work counters are deterministic: the same counts on
    repeated runs and at every jobs, since a component is recorded once
-   whichever domain decides it first. *)
+   whichever domain decides it first.  Both the pruned and the exhaustive
+   search report them. *)
 let test_work_counters () =
   let prog = Programs.linear_regression () in
   let config = Programs.table4 in
-  let counts jobs =
-    let s = Riot_optimizer.Opt_stats.create () in
-    ignore (Api.optimize ~prune:true ~max_size:2 ~jobs ~opt_stats:s prog ~config);
-    ( Atomic.get s.Riot_optimizer.Opt_stats.fm_components,
-      Atomic.get s.Riot_optimizer.Opt_stats.samples_drawn )
-  in
-  let ((fm, sampled) as c1) = counts 1 in
-  check_bool "Fourier-Motzkin decided components" true (fm > 0);
-  check_bool "components were sampled" true (sampled > 0);
   List.iter
-    (fun jobs ->
-      let fm', sampled' = counts jobs in
-      Alcotest.(check (pair int int))
-        (Printf.sprintf "counts at jobs=%d = jobs=1" jobs) c1 (fm', sampled'))
-    [ 1; 2; 4 ]
+    (fun prune ->
+      let counts jobs =
+        let s = Riot_optimizer.Opt_stats.create () in
+        ignore (Api.optimize ~prune ~max_size:2 ~jobs ~opt_stats:s prog ~config);
+        ( Atomic.get s.Riot_optimizer.Opt_stats.fm_components,
+          Atomic.get s.Riot_optimizer.Opt_stats.samples_drawn )
+      in
+      let what s = Printf.sprintf "%s (prune=%b)" s prune in
+      let ((fm, sampled) as c1) = counts 1 in
+      check_bool (what "Fourier-Motzkin decided components") true (fm > 0);
+      check_bool (what "components were sampled") true (sampled > 0);
+      List.iter
+        (fun jobs ->
+          let fm', sampled' = counts jobs in
+          Alcotest.(check (pair int int))
+            (what (Printf.sprintf "counts at jobs=%d = jobs=1" jobs))
+            c1 (fm', sampled'))
+        [ 1; 2; 4 ])
+    [ true; false ]
 
 let suite =
   ( "parallel-determinism",
