@@ -38,7 +38,7 @@
 
     - {e Shared read-only state} — [Cplan.cache] (resolved instances,
       interned block and instance ids, and extent pairs, eagerly prefilled
-      before the batch starts) and the
+      before the batch starts), the search's [Cost_bound.t] and the
       program/analysis values are built before fan-out and only read by
       workers.  Safe by immutability-in-practice; never write to a cache
       from inside a batch.

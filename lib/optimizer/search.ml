@@ -157,7 +157,11 @@ let branch_and_bound ?(verify = true) ?max_size ?pool ?jobs ?budget ?opt_stats
           cost ~q:[] ~sched:prog.Program.original)
     in
     record [] prog.Program.original c0 io0;
-    let attempt s =
+    (* One attempt: find, the concrete check, then the costing.  Second
+       pruning tier: a feasible set whose own bound already exceeds [inc], the
+       incumbent when its batch started, stays in the lattice (its supersets
+       may still win) but is not worth a full costing. *)
+    let attempt inc s =
       if expired () then Expired
       else
         let q = List.map (fun i -> opportunities.(i)) s in
@@ -170,7 +174,12 @@ let branch_and_bound ?(verify = true) ?max_size ?pool ?jobs ?budget ?opt_stats
             if
               Opt_stats.time ostats Opt_stats.Verify (fun () ->
                   match chk with None -> true | Some c -> Verify.check c ~q sched)
-            then Feasible sched
+            then
+              Feasible
+                ( sched,
+                  if bound s <= inc then
+                    Some (Opt_stats.time ostats Opt_stats.Cost (fun () -> cost ~q ~sched))
+                  else None )
             else begin
               Log.warn (fun m ->
                   m "schedule for {%s} failed concrete verification; dropped"
@@ -209,41 +218,22 @@ let branch_and_bound ?(verify = true) ?max_size ?pool ?jobs ?budget ?opt_stats
               cands)
       in
       tried := !tried + List.length live;
-      let outcomes = Pool.map pool attempt live in
-      let saw_expired = ref false in
-      let feasible_batch =
-        List.concat
-          (List.map2
-             (fun s r ->
-               match r with
-               | Feasible sched ->
-                   Hashtbl.add feas s ();
-                   [ (s, sched) ]
-               | Infeasible ->
-                   incr rejected;
-                   []
-               | Expired ->
-                   saw_expired := true;
-                   [])
-             live outcomes)
-      in
-      (* Second pruning tier: a feasible set whose own bound already exceeds
-         the incumbent stays in the lattice (its supersets may still win)
-         but is not worth a full costing. *)
-      let to_cost, cost_skipped =
-        List.partition (fun (s, _) -> bound s <= inc) feasible_batch
-      in
-      pruned_bound := !pruned_bound + List.length cost_skipped;
-      let costs =
-        Pool.map pool
-          (fun (s, sched) ->
-            Opt_stats.time ostats Opt_stats.Cost (fun () ->
-                cost ~q:(List.map (fun i -> opportunities.(i)) s) ~sched))
-          to_cost
-      in
-      List.iter2 (fun (s, sched) (c, io) -> record s sched c io) to_cost costs;
-      if !saw_expired || expired () then stop := true;
-      List.map fst feasible_batch
+      let found = ref [] in
+      List.iter2
+        (fun s r ->
+          match r with
+          | Feasible (sched, costed) ->
+              Hashtbl.add feas s ();
+              found := s :: !found;
+              (match costed with
+              | Some (c, io) -> record s sched c io
+              | None -> incr pruned_bound)
+          | Infeasible -> incr rejected
+          | Expired -> stop := true)
+        live
+        (Pool.map pool (attempt inc) live);
+      if expired () then stop := true;
+      List.rev !found
     in
     let process_level candidates =
       let rec go acc cands =

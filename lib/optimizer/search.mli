@@ -58,7 +58,8 @@ val enumerate :
     drops schedules that fail; [max_size] caps the opportunity-subset size.
     [pool] reuses an existing domain pool; otherwise a fresh pool of [jobs]
     domains (default {!Riot_base.Pool.default_jobs}) serves this call.
-    [opt_stats] accumulates the walk's work counters and phase times. *)
+    [opt_stats] accumulates the walk's work counters and phase times; its
+    [costed] counts the plans returned, since no plan is built. *)
 
 val never_prune : (int list -> float) * (int -> float)
 (** A [bound] and [saving] for {!branch_and_bound} that cut nothing: the
@@ -115,5 +116,5 @@ val branch_and_bound :
   (plan * 'c) list * stats
 (** [bound]/[saving] take indices into [analysis.sharing] (sorted
     ascending); [cost] builds the caller's costed representation and returns
-    it with the plan's predicted I/O seconds (the incumbent metric).  [cost]
-    runs inside pool batches and must be domain-safe. *)
+    it with the plan's predicted I/O seconds (the incumbent metric).  [bound]
+    and [cost] run inside pool batches and must be domain-safe. *)

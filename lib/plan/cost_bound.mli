@@ -33,7 +33,8 @@ val make :
 
 val eval : t -> int list -> float
 (** Lower bound (modelled seconds) on the predicted I/O time of any plan
-    realizing exactly the given opportunity set. *)
+    realizing exactly the given opportunity set.  Reads [t] only, so any
+    domain may call it. *)
 
 val base : t -> float
 (** [eval t []] — the sharing-free I/O time (Plan 0's exact predicted
