@@ -311,10 +311,10 @@ let branch_and_bound ?(verify = true) ?max_size ?pool ?jobs ?budget ?opt_stats
 
 let never_prune = ((fun _ -> neg_infinity), fun _ -> 0.)
 
-let enumerate ?verify ?max_size ?pool ?jobs ?opt_stats prog ~analysis ~ref_params =
+let enumerate ?verify ?max_size ?pool ?jobs prog ~analysis ~ref_params =
   let bound, saving = never_prune in
   let plans, stats =
-    branch_and_bound ?verify ?max_size ?pool ?jobs ?opt_stats ~bound ~saving
+    branch_and_bound ?verify ?max_size ?pool ?jobs ~bound ~saving
       ~cost:(fun ~q:_ ~sched:_ -> ((), 0.))
       prog ~analysis ~ref_params
   in

@@ -47,7 +47,6 @@ val enumerate :
   ?max_size:int ->
   ?pool:Riot_base.Pool.t ->
   ?jobs:int ->
-  ?opt_stats:Opt_stats.t ->
   Riot_ir.Program.t ->
   analysis:Riot_analysis.Deps.result ->
   ref_params:(string * int) list ->
@@ -58,8 +57,8 @@ val enumerate :
     drops schedules that fail; [max_size] caps the opportunity-subset size.
     [pool] reuses an existing domain pool; otherwise a fresh pool of [jobs]
     domains (default {!Riot_base.Pool.default_jobs}) serves this call.
-    [opt_stats] accumulates the walk's work counters and phase times; its
-    [costed] counts the plans returned, since no plan is built. *)
+    For the walk's work counters, call {!branch_and_bound} with
+    {!never_prune} and an [opt_stats]. *)
 
 val never_prune : (int list -> float) * (int -> float)
 (** A [bound] and [saving] for {!branch_and_bound} that cut nothing: the
