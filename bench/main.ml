@@ -1623,7 +1623,9 @@ let plancost_chain_config =
     ~layouts:(List.map (fun a -> (a, l)) [ "A"; "B"; "T1"; "T2"; "T3"; "OUT" ])
 
 (* Everything a plan's cost is made of, accesses named by their position in
-   the statement so the digest is independent of physical sharing. *)
+   the statement and blocks by their records (read through the plan's
+   table), so the digest is independent of physical sharing and of block id
+   numbering. *)
 let plancost_digest (c : Cplan.t) =
   let acc_index stmt (a : Riot_ir.Access.t) =
     let s = Program.find_stmt c.Cplan.prog stmt in
@@ -1633,53 +1635,62 @@ let plancost_digest (c : Cplan.t) =
     in
     find 0 s.Riot_ir.Stmt.accesses
   in
+  let block k = c.Cplan.blocks.(k) in
   let steps =
     Array.map
       (fun (st : Cplan.step) ->
         ( st.Cplan.stmt,
           st.Cplan.instance,
           st.Cplan.time,
-          List.map (fun (a, b, src) -> (acc_index st.Cplan.stmt a, b, src)) st.Cplan.reads,
-          List.map (fun (a, b, dst) -> (acc_index st.Cplan.stmt a, b, dst)) st.Cplan.writes ))
+          List.map (fun (a, k, src) -> (acc_index st.Cplan.stmt a, block k, src)) st.Cplan.reads,
+          List.map (fun (a, k, dst) -> (acc_index st.Cplan.stmt a, block k, dst)) st.Cplan.writes
+        ))
       c.Cplan.steps
   in
   Digest.string
     (Marshal.to_string
        ( steps,
-         c.Cplan.pins,
+         List.map (fun (k, a, b) -> (block k, a, b)) c.Cplan.pins,
          (c.Cplan.read_bytes, c.Cplan.write_bytes, c.Cplan.read_ops, c.Cplan.write_ops),
          c.Cplan.peak_memory,
          Int64.bits_of_float c.Cplan.flops,
          Int64.bits_of_float c.Cplan.moved_bytes )
        [ Marshal.No_sharing ])
 
+let plancost_cases () =
+  [ ("add_mul", Programs.add_mul (), Programs.table2, None);
+    ( "two_matmuls",
+      Programs.two_matmuls (),
+      Programs.scale_down ~factor:50 Programs.table3_config_a,
+      None );
+    ( "linear_regression",
+      Programs.linear_regression (),
+      Programs.scale_down ~factor:50 Programs.table4,
+      Some 3 );
+    ("pig", Programs.pig_pipeline (), Programs.scale_down ~factor:16 Programs.pig_config, None);
+    ("chain", plancost_chain (), plancost_chain_config, Some 3) ]
+
+(* A case's enumerated plans and their builder, against one shared cache. *)
+let plancost_plans (prog, config, max_size) =
+  let ref_params = config.Config.params in
+  let analysis = Deps.extract prog ~ref_params in
+  let plans, _ = Search.enumerate ?max_size ~jobs:1 prog ~analysis ~ref_params in
+  let cache = Cplan.cache ~coaccesses:analysis.Deps.sharing prog ~config in
+  let build (p : Search.plan) =
+    Cplan.build ~cache prog ~config ~sched:p.Search.sched ~realized:p.Search.q
+  in
+  (plans, build)
+
+let plancost_combined digests = Digest.to_hex (Digest.string (String.concat "" digests))
+
 let plancost_run ~variant ~reps =
   section (Printf.sprintf "plancost (%s): ms per Cplan.build, one domain" variant);
-  let cases =
-    [ ("add_mul", Programs.add_mul (), Programs.table2, None);
-      ( "two_matmuls",
-        Programs.two_matmuls (),
-        Programs.scale_down ~factor:50 Programs.table3_config_a,
-        None );
-      ( "linear_regression",
-        Programs.linear_regression (),
-        Programs.scale_down ~factor:50 Programs.table4,
-        Some 3 );
-      ("pig", Programs.pig_pipeline (), Programs.scale_down ~factor:16 Programs.pig_config, None);
-      ("chain", plancost_chain (), plancost_chain_config, Some 3) ]
-  in
   Printf.printf "%-18s %6s %6s %10s %10s  %s\n" "program" "plans" "steps" "ms/build"
     "jobs=2" "digest";
   let rows =
     List.map
       (fun (name, prog, config, max_size) ->
-        let ref_params = config.Config.params in
-        let analysis = Deps.extract prog ~ref_params in
-        let plans, _ = Search.enumerate ?max_size ~jobs:1 prog ~analysis ~ref_params in
-        let cache = Cplan.cache ~coaccesses:analysis.Deps.sharing prog ~config in
-        let build (p : Search.plan) =
-          Cplan.build ~cache prog ~config ~sched:p.Search.sched ~realized:p.Search.q
-        in
+        let plans, build = plancost_plans (prog, config, max_size) in
         let digests = List.map (fun p -> plancost_digest (build p)) plans in
         let times = ref [] in
         for _ = 1 to reps do
@@ -1696,7 +1707,7 @@ let plancost_run ~variant ~reps =
           Riot_base.Pool.parallel_map ~jobs:2 (fun p -> plancost_digest (build p)) plans
         in
         let identical = parallel = digests in
-        let digest = Digest.to_hex (Digest.string (String.concat "" digests)) in
+        let digest = plancost_combined digests in
         let steps =
           match plans with p :: _ -> Array.length (build p).Cplan.steps | [] -> 0
         in
@@ -1704,7 +1715,7 @@ let plancost_run ~variant ~reps =
           (if identical then "identical" else "DIFFERS")
           digest;
         (name, List.length plans, steps, ms, identical, digest))
-      cases
+      (plancost_cases ())
   in
   let identical = List.for_all (fun (_, _, _, _, id, _) -> id) rows in
   let metrics (name, plans, steps, ms, _, _) =
@@ -1730,6 +1741,45 @@ let plancost_run ~variant ~reps =
   if not identical then failwith "plancost: costs differ between jobs=1 and jobs=2"
 
 let plancost () = plancost_run ~variant:"full" ~reps:3
+
+(* One untimed pass over the plancost programs: fails unless each program's
+   digest equals the one in the last row of BENCH_plancost.json.  Appends
+   nothing. *)
+let plancost_smoke () =
+  section "plancost (smoke): plan digests = the last committed row";
+  let last =
+    let ic = open_in plancost_json_file in
+    let rec go last =
+      match input_line ic with
+      | l -> go (if l = "" then last else l)
+      | exception End_of_file -> last
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go "")
+  in
+  (* The 32 hex digits that follow the program's key in the row. *)
+  let committed name =
+    let key = Printf.sprintf "%S: \"" name in
+    let n = String.length key in
+    let rec find i =
+      if i + n + 32 > String.length last then "missing"
+      else if String.sub last i n = key then String.sub last (i + n) 32
+      else find (i + 1)
+    in
+    find 0
+  in
+  let differ =
+    List.filter
+      (fun (name, prog, config, max_size) ->
+        let plans, build = plancost_plans (prog, config, max_size) in
+        let digest = plancost_combined (List.map (fun p -> plancost_digest (build p)) plans) in
+        let want = committed name in
+        Printf.printf "%-18s %6d  %s  %s\n%!" name (List.length plans) digest
+          (if digest = want then "= committed" else "DIFFERS from committed " ^ want);
+        digest <> want)
+      (plancost_cases ())
+  in
+  if differ <> [] then failwith "plancost-smoke: plan digests differ from the last committed row"
+
 
 (* --- codec: block bytes <-> float array throughput ------------------------------
 
@@ -1869,6 +1919,7 @@ let experiments =
     ("gemm", gemm);
     ("gemm-smoke", gemm_smoke);
     ("plancost", plancost);
+    ("plancost-smoke", plancost_smoke);
     ("codec", codec);
     ("codec-smoke", codec_smoke);
     ("micro", micro) ]
@@ -1908,7 +1959,8 @@ let () =
         (fun n ->
           n <> "opttime-smoke" && n <> "polyfuzz-smoke" && n <> "faultfuzz-smoke"
           && n <> "cpubound-smoke" && n <> "checkverify-smoke"
-          && n <> "iolap-smoke" && n <> "gemm-smoke" && n <> "codec-smoke")
+          && n <> "iolap-smoke" && n <> "gemm-smoke" && n <> "codec-smoke"
+          && n <> "plancost-smoke")
         (List.map fst experiments)
     else args
   in

@@ -212,15 +212,15 @@ let check_static c cplan =
 (* Does a disk read of a non-input block precede every write of it?  A real
    file serves it EOF-short, and charges only the bytes served. *)
 let reads_unwritten c (cplan : Cplan.t) =
-  let written = Hashtbl.create 64 in
-  let unwritten (_, (b : Cplan.block), src) =
-    src = Cplan.From_disk && (not (Hashtbl.mem written b))
-    && (Program.find_array c.prog b.array).kind <> Input
+  let written = Bytes.make (Array.length cplan.blocks) '\000' in
+  let unwritten (_, k, src) =
+    src = Cplan.From_disk && Bytes.get written k = '\000'
+    && (Program.find_array c.prog cplan.blocks.(k).array).kind <> Input
   in
   Array.exists
     (fun (st : Cplan.step) ->
       let early = List.exists unwritten st.reads in
-      List.iter (fun (_, b, _) -> Hashtbl.replace written b ()) st.writes;
+      List.iter (fun (_, k, _) -> Bytes.set written k '\001') st.writes;
       early)
     cplan.steps
 

@@ -126,11 +126,13 @@ let run_opportunistic (plan : Cplan.t) ~backend ~format ~mem_cap =
   Array.iter
     (fun (st : Cplan.step) ->
       List.iter
-        (fun ((_ : Access.t), blk, _) ->
+        (fun ((_ : Access.t), k, _) ->
+          let blk = plan.Cplan.blocks.(k) in
           ignore (Buffer_pool.get pool (store blk.Cplan.array) blk.Cplan.index))
         st.Cplan.reads;
       List.iter
-        (fun ((_ : Access.t), blk, _) ->
+        (fun ((_ : Access.t), k, _) ->
+          let blk = plan.Cplan.blocks.(k) in
           ignore (Buffer_pool.get_for_write pool (store blk.Cplan.array) blk.Cplan.index);
           Buffer_pool.write_through pool (store blk.Cplan.array) blk.Cplan.index)
         st.Cplan.writes)
@@ -233,8 +235,12 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     else cp
   in
   let p = compiled.Vexec.program in
-  let blocks = p.Cplan.blocks and keys = p.Cplan.keys and link = p.Cplan.link in
-  let store_of = Array.map (fun (blk : Cplan.block) -> store blk.Cplan.array) blocks in
+  let blocks = plan.Cplan.blocks and keys = p.Cplan.keys and link = p.Cplan.link in
+  (* The table also holds blocks the program never touches, such as those
+     of inactive accesses, whose array may have no store: each id's store
+     is resolved at its first use. *)
+  let stores_of = Array.map (fun (blk : Cplan.block) -> lazy (store blk.Cplan.array)) blocks in
+  let store_of k = Lazy.force stores_of.(k) in
   (* Read-ahead hints.  Phantom runs are excluded: they account reads via
      [touch_read] without materialising bytes, so a real prefetched pread
      would double-count the traffic. *)
@@ -266,19 +272,19 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
      what the analysis' safe-boundary predicate guarantees. *)
   if start_step > 0 then
     List.iter
-      (fun ((blk : Cplan.block), a, b) ->
+      (fun (k, a, b) ->
         if a < start_step && b >= start_step then begin
-          ignore (Buffer_pool.get pool (store blk.Cplan.array) blk.Cplan.index);
-          Buffer_pool.pin pool (blk.Cplan.array, blk.Cplan.index)
+          ignore (Buffer_pool.get pool (store_of k) blocks.(k).Cplan.index);
+          Buffer_pool.pin pool keys.(k)
         end)
       plan.Cplan.pins;
-  let missing phase (blk : Cplan.block) : exn =
+  let missing phase k : exn =
     Error
       (Missing_block
          { step = !cur_step;
            stmt = plan.Cplan.steps.(!cur_step).Cplan.stmt;
-           array = blk.Cplan.array;
-           index = blk.Cplan.index;
+           array = blocks.(k).Cplan.array;
+           index = blocks.(k).Cplan.index;
            phase })
   in
   (* The protocol program, op by op from the restart point.  A link id (a
@@ -306,7 +312,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
           in
           Pool.parallel_for pool ~n body) }
   in
-  let tell op = if tracing then Option.iter emit (Cplan.narrate plan blocks ~step:!cur_step op) in
+  let tell op = if tracing then Option.iter emit (Cplan.narrate plan ~step:!cur_step op) in
   let run_op op =
     match op with
     | Cplan.Step_begin i ->
@@ -319,17 +325,17 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
         let hi = p.Cplan.heads.(i) in
         (match hints with
         | Some h when hi >= 0 ->
-            Prefetch.issue h ~now:i ~horizon:(hi + prefetch) (fun (blk : Cplan.block) ->
-                Block_store.prefetch (store blk.Cplan.array) blk.Cplan.index)
+            Prefetch.issue h ~now:i ~horizon:(hi + prefetch) (fun k ->
+                Block_store.prefetch (store_of k) blocks.(k).Cplan.index)
         | _ -> ());
         tell op
     | Cplan.Read { id; src; slot } ->
         let i = !cur_step in
         if (not link.(id)) && src = Cplan.From_memory && not (Buffer_pool.contains pool keys.(id))
-        then raise (missing `Read blocks.(id));
+        then raise (missing `Read id);
         tell op;
         if not link.(id) then begin
-          let data = Buffer_pool.get pool store_of.(id) blocks.(id).Cplan.index in
+          let data = Buffer_pool.get pool (store_of id) blocks.(id).Cplan.index in
           (match (writer, rplan) with
           | Some w, Some rp when List.mem keys.(id) rp.Journal.undo.(i) ->
               Journal.append_image w ~step:i ~array:blocks.(id).Cplan.array
@@ -338,7 +344,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
           captured.(slot) <- data
         end
     | Cplan.Alloc { id; fill } ->
-        let buf = Buffer_pool.get_for_write pool store_of.(id) blocks.(id).Cplan.index in
+        let buf = Buffer_pool.get_for_write pool (store_of id) blocks.(id).Cplan.index in
         if compute && fill then Dense.fill buf 0.;
         wbuf := buf
     | Cplan.Pin k ->
@@ -355,9 +361,8 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
                 | Vexec.Slot s -> captured.(s)
                 | Vexec.Pool id ->
                     if not (Buffer_pool.contains pool keys.(id)) then
-                      raise (missing `Operand blocks.(id));
-                    Buffer_pool.get pool store_of.(id) blocks.(id).Cplan.index
-                | Vexec.Absent blk -> raise (missing `Operand blk))
+                      raise (missing `Operand id);
+                    Buffer_pool.get pool (store_of id) blocks.(id).Cplan.index)
               k.Vexec.operands
           in
           k.Vexec.run par bufs !wbuf
@@ -366,7 +371,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
         if not link.(id) then Buffer_pool.mark_dirty pool keys.(id);
         tell op;
         if (not link.(id)) && dst = Cplan.To_disk then
-          Buffer_pool.write_through pool store_of.(id) blocks.(id).Cplan.index
+          Buffer_pool.write_through pool (store_of id) blocks.(id).Cplan.index
     | Cplan.Unpin k ->
         Buffer_pool.unpin pool keys.(k);
         tell op
@@ -374,7 +379,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
         (* A dead block is released, and its data discarded if its write
            was elided: every consumer has been served. *)
         if Buffer_pool.pin_count pool keys.(k) = 0 && Buffer_pool.contains pool keys.(k) then begin
-          Buffer_pool.drop_if_dead pool keys.(k);
+          Buffer_pool.drop pool keys.(k);
           tell op
         end
     | Cplan.Mark { lo; hi } -> (

@@ -30,22 +30,25 @@ let hash_payload (b : Bytes.t) =
   done;
   !h
 
+(* Blocks are hashed by their records, so the fingerprint does not depend on
+   how the cache numbers them. *)
 let fingerprint (plan : Cplan.t) =
   let h = ref 0x52494F5453484152L in
   let add i = h := mix2 !h (Int64.of_int i) in
+  let block k = plan.Cplan.blocks.(k) in
   add (Array.length plan.Cplan.steps);
   Array.iter
     (fun (st : Cplan.step) ->
       add (Hashtbl.hash st.Cplan.stmt);
       add (Hashtbl.hash st.Cplan.instance);
       List.iter
-        (fun ((_ : Riot_ir.Access.t), blk, src) -> add (Hashtbl.hash (blk, src)))
+        (fun ((_ : Riot_ir.Access.t), k, src) -> add (Hashtbl.hash (block k, src)))
         st.Cplan.reads;
       List.iter
-        (fun ((_ : Riot_ir.Access.t), blk, dst) -> add (Hashtbl.hash (blk, dst)))
+        (fun ((_ : Riot_ir.Access.t), k, dst) -> add (Hashtbl.hash (block k, dst)))
         st.Cplan.writes)
     plan.Cplan.steps;
-  List.iter (fun (blk, a, b) -> add (Hashtbl.hash (blk, a, b))) plan.Cplan.pins;
+  List.iter (fun (k, a, b) -> add (Hashtbl.hash (block k, a, b))) plan.Cplan.pins;
   !h
 
 (* --- Static resume analysis ---------------------------------------------- *)

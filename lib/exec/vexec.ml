@@ -10,7 +10,7 @@ module Dense = Riot_kernels.Dense
 exception
   Arity of { step : int; stmt : string; kernel : string; operands : int }
 
-type operand = Slot of int | Pool of int | Absent of Cplan.block
+type operand = Slot of int | Pool of int
 
 type kernel = {
   operands : operand array;
@@ -19,11 +19,11 @@ type kernel = {
 
 type compiled = { program : Cplan.program; kernels : kernel array; n_fused : int }
 
-(* The position of [blk] among the step's reads, or -1. *)
-let read_index (st : Cplan.step) blk =
+(* The position of block [id] among the step's reads, or -1. *)
+let read_index (st : Cplan.step) id =
   let rec go j = function
     | [] -> -1
-    | (_, b, _) :: rest -> if b = blk then j else go (j + 1) rest
+    | (_, k, _) :: rest -> if k = id then j else go (j + 1) rest
   in
   go 0 st.Cplan.reads
 
@@ -47,7 +47,7 @@ let dense (plan : Cplan.t) i srcs =
   let layout name = Config.layout plan.Cplan.config name in
   let dims () =
     match st.Cplan.writes with
-    | (_, wblk, _) :: _ -> (layout wblk.Cplan.array).Config.block_elems
+    | (_, k, _) :: _ -> (layout plan.Cplan.blocks.(k).Cplan.array).Config.block_elems
     | [] -> assert false
   in
   match s.Stmt.kernel with
@@ -106,21 +106,20 @@ let dense (plan : Cplan.t) i srcs =
           done)
 
 (* One step's kernel.  An operand is its read's capture slot (slot [j] is
-   the step's [j]-th read), else a block the pool must already hold.  The
+   the step's [j]-th read), else a block id the pool must already hold.  The
    arity is checked once, against the kernel table, when the statement's
    closure is first built; a step that does not fit gets a closure raising
    {!Arity} with its own index, so it is never shared.  An element-wise
    step runs as a one-stage chain, which writes its output directly and
    never touches its (empty) scratch tile. *)
-let compile_single ~kcache ~id_of (plan : Cplan.t) i =
+let compile_single ~kcache (plan : Cplan.t) i =
   let st = plan.Cplan.steps.(i) in
   let operands =
     Array.of_list
       (List.map
          (fun ob ->
            let r = read_index st ob in
-           if r >= 0 then Slot r
-           else match id_of ob with Some k -> Pool k | None -> Absent ob)
+           if r >= 0 then Slot r else Pool ob)
          (Cplan.operand_blocks plan i))
   in
   let nops = Array.length operands in
@@ -156,7 +155,7 @@ let compile_single ~kcache ~id_of (plan : Cplan.t) i =
 let compile_chain (plan : Cplan.t) lo hi =
   let nst = hi - lo + 1 in
   let step o = plan.Cplan.steps.(lo + o) in
-  let link o = match (step o).Cplan.writes with (_, blk, _) :: _ -> blk | [] -> assert false in
+  let link o = match (step o).Cplan.writes with (_, k, _) :: _ -> k | [] -> assert false in
   let base = Array.make nst 0 in
   for o = 1 to nst - 1 do
     base.(o) <- base.(o - 1) + List.length (step (o - 1)).Cplan.reads
@@ -177,7 +176,10 @@ let compile_chain (plan : Cplan.t) lo hi =
   in
   let members = Array.init nst member in
   let stage = function Stage s -> s | Call _ -> assert false in
-  let tile = Config.block_elems_total (Config.layout plan.Cplan.config (link 0).Cplan.array) in
+  let tile =
+    Config.block_elems_total
+      (Config.layout plan.Cplan.config plan.Cplan.blocks.(link 0).Cplan.array)
+  in
   let run =
     match members.(nst - 1) with
     | Stage _ ->
@@ -206,19 +208,12 @@ let compile ?(fuse = true) (plan : Cplan.t) =
     else []
   in
   let p = Cplan.lower ~fused plan in
-  let ids =
-    lazy
-      (let h = Hashtbl.create (Array.length p.Cplan.blocks) in
-       Array.iteri (fun k b -> Hashtbl.replace h b k) p.Cplan.blocks;
-       h)
-  in
-  let id_of blk = Hashtbl.find_opt (Lazy.force ids) blk in
   let kcache = Hashtbl.create 16 in
   let nothing = { operands = [||]; run = (fun _ _ _ -> ()) } in
   let kernels = Array.make (Array.length plan.Cplan.steps) nothing in
   Array.iteri
     (fun lo hi ->
-      if hi = lo then kernels.(lo) <- compile_single ~kcache ~id_of plan lo
+      if hi = lo then kernels.(lo) <- compile_single ~kcache plan lo
       else if hi > lo then kernels.(lo) <- compile_chain plan lo hi)
     p.Cplan.heads;
   { program = p; kernels; n_fused = List.length fused }

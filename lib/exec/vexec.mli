@@ -31,8 +31,6 @@ type operand =
   | Pool of int
       (** a block id the step does not read; resolved from the pool at call
           time, with a residency check *)
-  | Absent of Riot_plan.Cplan.block
-      (** a block the plan never reads, writes or pins, so never resident *)
 
 type kernel = {
   operands : operand array;

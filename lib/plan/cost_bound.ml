@@ -198,4 +198,3 @@ let make ?cache machine (prog : Program.t) ~config ~coaccesses =
 
 let base t = eval t []
 let saving t i = t.savings.(i)
-let n_opportunities t = Array.length t.opps

@@ -43,5 +43,3 @@ val base : t -> float
 val saving : t -> int -> float
 (** Upper bound on the I/O-time reduction opportunity [i] can contribute to
     any set: [base t -. eval t [i]] (precomputed). *)
-
-val n_opportunities : t -> int

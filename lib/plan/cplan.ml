@@ -16,8 +16,9 @@ type step = {
   stmt : string;
   instance : (string * int) list;
   time : int array;
-  reads : (Access.t * block * read_src) list;
-  writes : (Access.t * block * write_dst) list;
+  reads : (Access.t * int * read_src) list;
+  writes : (Access.t * int * write_dst) list;
+  access_blocks : int array;
 }
 
 type t = {
@@ -25,8 +26,9 @@ type t = {
   config : Config.t;
   sched : Sched.program_sched;
   realized : Coaccess.t list;
+  blocks : block array;
   steps : step array;
-  pins : (block * int * int) list;
+  pins : (int * int * int) list;
   read_bytes : int;
   write_bytes : int;
   read_ops : int;
@@ -277,31 +279,21 @@ let by_step ~n items =
     items;
   (start, stop)
 
-(* The step protocol over dense block ids, op by op into [emit]: the one
-   definition {!lower} materialises for the engine, {!events} narrates and
-   {!build} costs.  [rids.(i)] and [wids.(i)] are step [i]'s read and write
-   ids and a pin is [(id, start, stop)].  Unfused, every step is a unit of
-   its own.  [fused] is [(hi, link)]: [hi.(i)] is the last step of the unit
-   holding step [i] (a fused chain, or [i] alone), and a [link] id never
-   reaches the pool, so it has no capture slot, pin or drop.  A unit
-   allocates its write buffer, runs its kernel and marks the journal at its
-   last step. *)
-let rec mem_id (k : int) ids j = j < Array.length ids && (ids.(j) = k || mem_id k ids (j + 1))
-
-let protocol ?fused ?(fill = fun _ -> false) ~steps ~rids ~wids ~pins emit =
+(* The step protocol over the plan's block ids, op by op into [emit]: the
+   one definition {!lower} materialises for the engine, {!events} narrates
+   and {!build} costs.  A pin is [(id, start, stop)].  Unfused, every step
+   is a unit of its own.  [fused] is [(hi, link)]: [hi.(i)] is the last step
+   of the unit holding step [i] (a fused chain, or [i] alone), and a [link]
+   id never reaches the pool, so it has no capture slot, pin or drop.  A
+   unit allocates its write buffer, runs its kernel and marks the journal at
+   its last step. *)
+let protocol ?fused ?(fill = fun _ -> false) ~steps ~pins emit =
   let emit op = ignore (emit op) in
   let n = Array.length steps in
   let pin_start, pin_stop = by_step ~n pins in
   let hi i = match fused with Some (hi, _) -> hi.(i) | None -> i in
   let link k = match fused with Some (_, link) -> link.(k) | None -> false in
   let lo = ref 0 and slot = ref 0 in
-  let rec reads ri j = function
-    | [] -> ()
-    | (_, _, src) :: rest ->
-        let k = ri.(j) in
-        emit (Read { id = k; src; slot = (if link k then -1 else !slot + j) });
-        reads ri (j + 1) rest
-  in
   let pin k = if not (link k) then emit (Pin k) in
   let unpin k =
     if not (link k) then begin
@@ -311,24 +303,29 @@ let protocol ?fused ?(fill = fun _ -> false) ~steps ~rids ~wids ~pins emit =
   in
   let drop k = if not (link k) then emit (Drop k) in
   for i = 0 to n - 1 do
-    let st = steps.(i) and ri = rids.(i) and wi = wids.(i) in
+    let st = steps.(i) in
     let last = hi i = i in
     if i = 0 || hi (i - 1) < i then begin
       lo := i;
       slot := 0
     end;
     emit (Step_begin i);
-    reads ri 0 st.reads;
-    slot := !slot + Array.length ri;
+    List.iteri
+      (fun j (_, k, src) ->
+        emit (Read { id = k; src; slot = (if link k then -1 else !slot + j) }))
+      st.reads;
+    slot := !slot + List.length st.reads;
     (* A chain's accumulator is zeroed by its kernel, after the interior
        stages have read their operands. *)
-    if last && Array.length wi > 0 then emit (Alloc { id = wi.(0); fill = !lo = i && fill i });
+    (match st.writes with
+    | (_, k, _) :: _ when last -> emit (Alloc { id = k; fill = !lo = i && fill i })
+    | _ -> ());
     List.iter pin pin_start.(i);
     if last then emit (Kernel { lo = !lo; hi = i });
     let elided =
       match st.writes with
-      | (_, _, dst) :: _ ->
-          emit (Write { id = wi.(0); dst });
+      | (_, k, dst) :: _ ->
+          emit (Write { id = k; dst });
           dst = Elided
       | [] -> false
     in
@@ -336,12 +333,12 @@ let protocol ?fused ?(fill = fun _ -> false) ~steps ~rids ~wids ~pins emit =
     (* The end-of-step dead-block sweep: the elided write, the reads, the
        writes, each id once (a second drop of an id finds it as the first
        left it). *)
-    if elided then drop wi.(0);
-    Array.iter drop ri;
-    for s = 0 to Array.length wi - 1 do
-      let k = wi.(s) in
-      if not ((s = 0 && elided) || mem_id k ri 0) then drop k
-    done;
+    (match st.writes with (_, k, Elided) :: _ -> drop k | _ -> ());
+    List.iter (fun (_, k, _) -> drop k) st.reads;
+    List.iteri
+      (fun s (_, k, _) ->
+        if not ((s = 0 && elided) || List.exists (fun (_, r, _) -> r = k) st.reads) then drop k)
+      st.writes;
     if last then emit (Mark { lo = !lo; hi = i });
     emit (Step_end i)
   done
@@ -416,8 +413,8 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
      recomputed locally), so one cache may be shared by builds running
      concurrently on several domains. *)
   let c = match c with Some c when cache_fits c prog ~config -> c | _ -> cache prog ~config in
-  let insts = c.cinstances and blocks = c.cblocks in
-  let nb = Array.length blocks in
+  let insts = c.cinstances in
+  let nb = Array.length c.cblocks in
   (* 1. Order all statement instances: [ord.(i)] is step [i]'s instance. *)
   let ord, times = order_times c sched in
   let n = Array.length ord in
@@ -550,7 +547,7 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
               (Array.mapi
                  (fun j k ->
                    ( fst it.i_read_accs.(j),
-                     blocks.(k),
+                     k,
                      if from_mem.(i).(j) then From_memory else From_disk ))
                  it.i_reads);
           writes =
@@ -558,19 +555,17 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
               (Array.mapi
                  (fun s k ->
                    ( fst it.i_write_accs.(s),
-                     blocks.(k),
+                     k,
                      if any_write i k (fun _ s' -> elidable.(i).(s')) then Elided else To_disk ))
-                 it.i_writes) })
+                 it.i_writes);
+          access_blocks = it.i_blocks })
       ord
   in
   (* 5. Totals and peak memory: the unfused protocol program, simulated op
      by op and never materialised.  The peak is its resident high-water
      mark: the running step's blocks plus every block pinned across it. *)
   let sim, tally = simulate ~bytes:c.cbytes in
-  protocol ~steps
-    ~rids:(Array.map (fun g -> insts.(g).i_reads) ord)
-    ~wids:(Array.map (fun g -> insts.(g).i_writes) ord)
-    ~pins sim;
+  protocol ~steps ~pins sim;
   (* 6. CPU model inputs, summed in step order. *)
   let flops = ref 0. and moved = ref 0. in
   Array.iter
@@ -582,8 +577,9 @@ let build ?cache:c (prog : Program.t) ~config ~sched ~realized =
     config;
     sched;
     realized;
+    blocks = c.cblocks;
     steps;
-    pins = List.map (fun (k, a, b) -> (blocks.(k), a, b)) pins;
+    pins;
     read_bytes = tally.rd_bytes;
     write_bytes = tally.wr_bytes;
     read_ops = tally.rd_ops;
@@ -609,55 +605,36 @@ let cpu_seconds ?(vectorized = true) (m : Machine.t) t =
   +. (t.moved_bytes /. m.Machine.elementwise_bw)
   +. (float_of_int (Array.length t.steps) *. dispatch)
 
-let total_predicted_seconds m t = predicted_io_seconds m t +. cpu_seconds m t
-
 let zero_fill t i =
   let st = t.steps.(i) in
   match st.writes with
-  | (wa, wblk, _) :: _ ->
+  | (wa, wk, _) :: _ ->
       (Kernel.info (Program.find_stmt t.prog st.stmt).Stmt.kernel).Kernel.accumulating
-      && not (List.exists (fun (a, b, _) -> b = wblk && Access.same_map wa a) st.reads)
+      && not (List.exists (fun (a, k, _) -> k = wk && Access.same_map wa a) st.reads)
   | [] -> false
 
 let operand_blocks t i =
   let st = t.steps.(i) in
-  let env = lookup_in st.instance t.config.Config.params in
-  List.map
-    (fun (a : Access.t) -> { array = a.Access.array; index = Array.to_list (Access.block_of a env) })
-    (Stmt.operand_reads (Program.find_stmt t.prog st.stmt))
+  let s = Program.find_stmt t.prog st.stmt in
+  let operands = Stmt.operand_reads s in
+  List.concat
+    (List.mapi
+       (fun j a -> if List.memq a operands then [ st.access_blocks.(j) ] else [])
+       s.Stmt.accesses)
 
-(* A finished plan's blocks interned in one pass over the steps, then the
-   pins: the blocks by id, each step's read and write ids, the pins by id. *)
-let intern t =
-  let ids = Hashtbl.create 256 and blocks = ref [] in
-  let id blk =
-    match Hashtbl.find_opt ids blk with
-    | Some k -> k
-    | None ->
-        let k = Hashtbl.length ids in
-        Hashtbl.add ids blk k;
-        blocks := blk :: !blocks;
-        k
-  in
-  let ids_of l = Array.of_list (List.map (fun (_, blk, _) -> id blk) l) in
-  let rids = Array.map (fun st -> ids_of st.reads) t.steps in
-  let wids = Array.map (fun st -> ids_of st.writes) t.steps in
-  let pins = List.map (fun (blk, a, b) -> (id blk, a, b)) t.pins in
-  (Array.of_list (List.rev !blocks), rids, wids, pins)
-
-let lower ?(fused = []) t =
-  let blocks, rids, wids, pins = intern t in
-  let n = Array.length t.steps and nb = Array.length blocks in
-  let hi = Array.init n Fun.id and link = Array.make nb false in
+let lower ?(fused = []) (t : t) =
+  let n = Array.length t.steps in
+  let hi = Array.init n Fun.id and link = Array.make (Array.length t.blocks) false in
   List.iter
     (fun (lo, h) ->
       for i = lo to h do
         hi.(i) <- h;
-        if i < h then link.(wids.(i).(0)) <- true
+        if i < h then
+          match t.steps.(i).writes with (_, k, _) :: _ -> link.(k) <- true | [] -> ()
       done)
     fused;
   let ops = ref [] in
-  protocol ~fused:(hi, link) ~fill:(zero_fill t) ~steps:t.steps ~rids ~wids ~pins (fun op ->
+  protocol ~fused:(hi, link) ~fill:(zero_fill t) ~steps:t.steps ~pins:t.pins (fun op ->
       ops := op :: !ops);
   let ops = Array.of_list (List.rev !ops) in
   let starts = Array.make (n + 1) (Array.length ops) and heads = Array.make n (-1) in
@@ -670,14 +647,16 @@ let lower ?(fused = []) t =
       | _ -> ())
     ops;
   { ops;
-    blocks;
-    keys = Array.map (fun b -> (b.array, b.index)) blocks;
+    blocks = t.blocks;
+    keys = Array.map (fun b -> (b.array, b.index)) t.blocks;
     link;
     starts;
     heads;
     slots = !slots }
 
-let narrate t blocks ~step = function
+let narrate (t : t) ~step op =
+  let blocks = t.blocks in
+  match op with
   | Step_begin i ->
       Some (Trace.Step_begin { step = i; stmt = t.steps.(i).stmt; instance = t.steps.(i).instance })
   | Read { id; src; _ } ->
@@ -695,15 +674,14 @@ let narrate t blocks ~step = function
 
 (* The unfused generator run straight into the simulated pool, as in
    {!build}: the program is never materialised. *)
-let events t =
+let events (t : t) =
   Seq.memoize (fun () ->
-      let blocks, rids, wids, pins = intern t in
-      let sim, _ = simulate ~bytes:(Array.make (Array.length blocks) 0) in
+      let sim, _ = simulate ~bytes:(Array.make (Array.length t.blocks) 0) in
       let evs = ref [] and step = ref 0 in
-      protocol ~steps:t.steps ~rids ~wids ~pins (fun op ->
+      protocol ~steps:t.steps ~pins:t.pins (fun op ->
           (match op with Step_begin i -> step := i | _ -> ());
           if sim op then
-            match narrate t blocks ~step:!step op with Some e -> evs := e :: !evs | None -> ());
+            match narrate t ~step:!step op with Some e -> evs := e :: !evs | None -> ());
       List.to_seq (List.rev !evs) ())
 
 type divergence = {
@@ -712,9 +690,9 @@ type divergence = {
   d_measured : Trace.event option;
 }
 
-let diff_trace ?(links = []) t measured =
+let diff_trace ?(links = []) (t : t) measured =
   let linked = Hashtbl.create 16 in
-  List.iter (fun blk -> Hashtbl.replace linked blk ()) links;
+  List.iter (fun k -> Hashtbl.replace linked t.blocks.(k) ()) links;
   let link_event = function
     | Trace.Pin_open { array; index; _ }
     | Trace.Pin_close { array; index; _ }
@@ -742,13 +720,3 @@ let pp_divergence ppf d =
   in
   Format.fprintf ppf "trace diverges at step %d: predicted %a, measured %a" d.d_step
     pp_opt d.d_predicted pp_opt d.d_measured
-
-let summary t =
-  Printf.sprintf
-    "steps=%d reads=%d(%.1fMB) writes=%d(%.1fMB) peak_mem=%.1fMB flops=%.3g"
-    (Array.length t.steps) t.read_ops
-    (float_of_int t.read_bytes /. 1048576.)
-    t.write_ops
-    (float_of_int t.write_bytes /. 1048576.)
-    (float_of_int t.peak_memory /. 1048576.)
-    t.flops

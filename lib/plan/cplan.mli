@@ -22,8 +22,11 @@ type step = {
   stmt : string;
   instance : (string * int) list;  (** qualified loop variables *)
   time : int array;
-  reads : (Riot_ir.Access.t * block * read_src) list;
-  writes : (Riot_ir.Access.t * block * write_dst) list;
+  reads : (Riot_ir.Access.t * int * read_src) list;  (** block ids *)
+  writes : (Riot_ir.Access.t * int * write_dst) list;  (** block ids *)
+  access_blocks : int array;
+      (** the block id of every access of the statement, by its index in
+          the access list, active or not *)
 }
 
 type t = {
@@ -31,9 +34,12 @@ type t = {
   config : Riot_ir.Config.t;
   sched : Riot_ir.Sched.program_sched;
   realized : Riot_analysis.Coaccess.t list;
+  blocks : block array;
+      (** the block of each id: the cache's table, physically shared by
+          every plan built from one cache *)
   steps : step array;
-  pins : (block * int * int) list;
-      (** blocks that must stay resident over [start, stop] step indices *)
+  pins : (int * int * int) list;
+      (** block ids that must stay resident over [start, stop] step indices *)
   read_bytes : int;
   write_bytes : int;
   read_ops : int;
@@ -49,7 +55,9 @@ type cache
     statement instance with its accesses resolved (restrictions applied,
     blocks computed and checked against the grid), blocks and instances
     interned to dense integer ids, per-block sizes, and the concrete extent
-    pairs of sharing opportunities as instance-id pairs.
+    pairs of sharing opportunities as instance-id pairs.  A block id is the
+    one identity of a block from {!build} to the engine: every plan built
+    from the cache holds its ids and shares its block table.
 
     A cache passed to {!build} is treated as strictly read-only, so one cache
     may be shared by plan costings running concurrently on several domains.
@@ -136,15 +144,11 @@ val cpu_seconds : ?vectorized:bool -> Machine.t -> t -> float
     [steps * dispatch_vector] by default (the engine's default, fused
     mode), [steps * dispatch_interp] with [~vectorized:false] (unfused). *)
 
-val total_predicted_seconds : Machine.t -> t -> float
-(** I/O + CPU (the program is executed phase by phase, as in the paper's
-    breakdown). *)
-
 (** {2 The protocol program}
 
     The engine's step protocol (read, allocate, pin, compute, write, unpin,
-    drop, journal) written out once, as a flat op array over dense block
-    ids.  The engine runs it, {!events} narrates it, {!build} takes its
+    drop, journal) written out once, as a flat op array over the plan's
+    block ids.  The engine runs it, {!events} narrates it, {!build} takes its
     totals and peak from it, and the journal and prefetch analyses fold
     over it. *)
 
@@ -167,7 +171,9 @@ type op =
 
 type program = {
   ops : op array;
-  blocks : block array;  (** by id: reads and writes in step order, then pins *)
+  blocks : block array;
+      (** the plan's own table ([==] its [blocks]), so ids in the cache's
+          order; it may hold blocks no op touches *)
   keys : (string * int list) array;  (** each id's buffer-pool key *)
   link : bool array;
       (** ids a fused chain carries in its scratch tile: their reads and
@@ -189,10 +195,10 @@ type program = {
     at the unit's last step, its [Mark]; [Step_end].  Unfused, every unit
     is one step and capture slot [j] is the step's [j]-th read. *)
 
-val operand_blocks : t -> int -> block list
-(** The blocks step [i]'s kernel takes as operands, in operand order.  An
-    operand need not be among the step's reads: a restriction may have
-    deactivated its read. *)
+val operand_blocks : t -> int -> int list
+(** The block ids step [i]'s kernel takes as operands, in operand order,
+    from the cache's per-access resolution.  An operand need not be among
+    the step's reads: a restriction may have deactivated its read. *)
 
 val zero_fill : t -> int -> bool
 (** Whether step [i]'s kernel accumulates into a write buffer none of its
@@ -204,11 +210,11 @@ val lower : ?fused:(int * int) list -> t -> program
     range is one unit, whose links are the writes of all but its last step,
     and whose accumulator zero-fill belongs to the chain kernel. *)
 
-val narrate : t -> block array -> step:int -> op -> Trace.event option
-(** The trace event of [op] run at step [step], its blocks named by
-    [blocks] (a program's): the one narration of the engine and of
-    {!events}.  [None] for [Alloc], [Kernel] and [Mark].  A [Drop]'s event
-    stands only when the drop releases its block. *)
+val narrate : t -> step:int -> op -> Trace.event option
+(** The trace event of [op] run at step [step], its blocks named through
+    the plan's table: the one narration of the engine and of {!events}.
+    [None] for [Alloc], [Kernel] and [Mark].  A [Drop]'s event stands only
+    when the drop releases its block. *)
 
 val events : t -> Trace.event Seq.t
 (** The predicted trace (persistent, computed in full when first
@@ -223,13 +229,11 @@ type divergence = {
   d_measured : Trace.event option;  (** [None]: the run's trace ended *)
 }
 
-val diff_trace : ?links:block list -> t -> Trace.event Seq.t -> divergence option
+val diff_trace : ?links:int list -> t -> Trace.event Seq.t -> divergence option
 (** The first point where a run's trace departs from {!events}, or [None].
     On DAF storage, with the pool capped at [peak_memory], an unfused run
     must narrate {!events} exactly.  A fused run never materializes its
-    [links] ([Fuse.group.links]), so their [Pin_open], [Pin_close] and
-    [Drop] events are removed from both sides first. *)
+    [links] ([Fuse.group.links], block ids), so their [Pin_open],
+    [Pin_close] and [Drop] events are removed from both sides first. *)
 
 val pp_divergence : Format.formatter -> divergence -> unit
-
-val summary : t -> string

@@ -3,7 +3,7 @@ module Stmt = Riot_ir.Stmt
 module Program = Riot_ir.Program
 module Kernel = Riot_ir.Kernel
 
-type group = { lo : int; hi : int; links : Cplan.block list }
+type group = { lo : int; hi : int; links : int list }
 
 let analyze (plan : Cplan.t) =
   let steps = plan.Cplan.steps in
@@ -15,32 +15,26 @@ let analyze (plan : Cplan.t) =
       steps
   in
   let elementwise i = kernel.(i).Kernel.chain = Some Kernel.Elementwise in
-  (* Whole-plan access maps: a block may be skipped only when its entire
-     life is the one elided write and the one memory read the link fuses
-     over (plus pins inside that interval). *)
-  let add tbl k v =
-    Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
-  let reads_tbl = Hashtbl.create 64 and writes_tbl = Hashtbl.create 64 in
+  (* Whole-plan access maps by block id: a block may be skipped only when
+     its entire life is the one elided write and the one memory read the
+     link fuses over (plus pins inside that interval).  Every pin counts, a
+     malformed one included, although the protocol program leaves such a
+     pin out: one escaping the pair keeps its block out of any chain. *)
+  let nb = Array.length plan.Cplan.blocks in
+  let reads_of = Array.make nb [] and writes_of = Array.make nb [] in
+  let pins_of = Array.make nb [] in
   Array.iteri
     (fun i (st : Cplan.step) ->
-      List.iter (fun (_, blk, src) -> add reads_tbl blk (i, src)) st.Cplan.reads;
-      List.iter (fun (_, blk, dst) -> add writes_tbl blk (i, dst)) st.Cplan.writes)
+      List.iter (fun (_, k, src) -> reads_of.(k) <- (i, src) :: reads_of.(k)) st.Cplan.reads;
+      List.iter (fun (_, k, dst) -> writes_of.(k) <- (i, dst) :: writes_of.(k)) st.Cplan.writes)
     steps;
-  (* Indexed by block, so each boundary check touches only that block's own
-     pins — scanning the whole pin list per boundary is quadratic in the
-     block count on fine-grained plans. *)
-  let pins_tbl = Hashtbl.create 64 in
-  List.iter (fun (b, a0, b0) -> add pins_tbl b (a0, b0)) plan.Cplan.pins;
-  let all tbl blk = Option.value ~default:[] (Hashtbl.find_opt tbl blk) in
-  let block_total (blk : Cplan.block) =
-    Config.block_elems_total (Config.layout plan.Cplan.config blk.Cplan.array)
+  List.iter (fun (k, a0, b0) -> pins_of.(k) <- (a0, b0) :: pins_of.(k)) plan.Cplan.pins;
+  let block_total k =
+    Config.block_elems_total (Config.layout plan.Cplan.config plan.Cplan.blocks.(k).Cplan.array)
   in
   (* Computed once per step up front: [link] consults both endpoints of
-     every boundary, so recomputing these per probe would walk each step's
-     accesses several times over (measurable on fine-grained plans). *)
+     every boundary. *)
   let operand_blocks = Array.init n (Cplan.operand_blocks plan) in
-  let operand_blocks i = operand_blocks.(i) in
   (* A step can take part in a chain (as producer or consumer) only when its
      kernel has a chain role and the executor's view of it is fully static:
      exactly one write, the table's operand count, and every kernel operand
@@ -52,12 +46,11 @@ let analyze (plan : Cplan.t) =
         let st = steps.(i) in
         List.length st.Cplan.writes = 1
         && kernel.(i).Kernel.chain <> None
-        && kernel.(i).Kernel.arity = Some (List.length (operand_blocks i))
+        && kernel.(i).Kernel.arity = Some (List.length operand_blocks.(i))
         && List.for_all
-             (fun ob -> List.exists (fun (_, rb, _) -> rb = ob) st.Cplan.reads)
-             (operand_blocks i))
+             (fun ob -> List.exists (fun (_, rk, _) -> rk = ob) st.Cplan.reads)
+             operand_blocks.(i))
   in
-  let step_ok i = step_ok.(i) in
   (* Is the boundary between steps [i] and [i + 1] fusable, and over which
      block?  The producer's elided write must be the block's only write, the
      consumer's memory read its only read, and every pin of the block must
@@ -65,18 +58,16 @@ let analyze (plan : Cplan.t) =
      to disk, journal and every other step. *)
   let link i =
     if i + 1 >= n then None
-    else if not (elementwise i && step_ok i) then None
+    else if not (elementwise i && step_ok.(i)) then None
     else
       match steps.(i).Cplan.writes with
-      | [ (_, blk, Cplan.Elided) ]
-        when all writes_tbl blk = [ (i, Cplan.Elided) ]
-             && all reads_tbl blk = [ (i + 1, Cplan.From_memory) ]
-             && List.for_all
-                  (fun (a0, b0) -> a0 >= i && b0 <= i + 1)
-                  (all pins_tbl blk)
-             && step_ok (i + 1)
-             && List.mem blk (operand_blocks (i + 1)) ->
-          Some blk
+      | [ (_, k, Cplan.Elided) ]
+        when writes_of.(k) = [ (i, Cplan.Elided) ]
+             && reads_of.(k) = [ (i + 1, Cplan.From_memory) ]
+             && List.for_all (fun (a0, b0) -> a0 >= i && b0 <= i + 1) pins_of.(k)
+             && step_ok.(i + 1)
+             && List.mem k operand_blocks.(i + 1) ->
+          Some k
       | _ -> None
   in
   let groups = ref [] in
@@ -86,16 +77,16 @@ let analyze (plan : Cplan.t) =
     | None ->
         groups := { lo = !i; hi = !i; links = [] } :: !groups;
         incr i
-    | Some blk ->
-        let tile = block_total blk in
-        let links = ref [ blk ] in
+    | Some k ->
+        let tile = block_total k in
+        let links = ref [ k ] in
         let j = ref (!i + 1) in
         let extending = ref true in
         while !extending do
           if elementwise !j then
             match link !j with
-            | Some blk' when block_total blk' = tile ->
-                links := blk' :: !links;
+            | Some k' when block_total k' = tile ->
+                links := k' :: !links;
                 incr j
             | _ -> extending := false
           else extending := false

@@ -30,9 +30,9 @@
 type group = {
   lo : int;  (** first step of the run *)
   hi : int;  (** last step; [lo = hi] for an unfused singleton *)
-  links : Cplan.block list;
-      (** [hi - lo] skipped blocks: the block written at step [lo + k] and
-          consumed at step [lo + k + 1] *)
+  links : int list;
+      (** [hi - lo] skipped block ids: the block written at step [lo + k]
+          and consumed at step [lo + k + 1] *)
 }
 
 val analyze : Cplan.t -> group list

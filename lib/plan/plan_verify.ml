@@ -67,44 +67,36 @@ let () =
         Some (Format.asprintf "Plan_verify.Rejected: @[<v>%a@]" pp_report r)
     | _ -> None)
 
-let key_of (blk : Cplan.block) = (blk.Cplan.array, blk.Cplan.index)
 let inst_key inst = List.sort compare inst
 
 (* --- Shared plan chronology ----------------------------------------------- *)
 
-(* Per-block access history in step order, plus the (stmt, instance) -> step
-   index map.  Built once per [check]; every family reads from it. *)
+(* Per-block access history in step order, by block id, plus the
+   (stmt, instance) -> step index map.  Built once per [check]; every family
+   reads from it. *)
 type chrono = {
-  reads_of : (string * int list, (int * Cplan.read_src) list) Hashtbl.t;
-  writes_of : (string * int list, (int * Cplan.write_dst) list) Hashtbl.t;
+  reads_of : (int * Cplan.read_src) list array;
+  writes_of : (int * Cplan.write_dst) list array;
   index_of : (string * (string * int) list, int) Hashtbl.t;
 }
 
 let chronology (plan : Cplan.t) =
-  let reads_of = Hashtbl.create 64 and writes_of = Hashtbl.create 64 in
+  let nb = Array.length plan.Cplan.blocks in
+  let reads_of = Array.make nb [] and writes_of = Array.make nb [] in
   let index_of = Hashtbl.create 64 in
-  let push tbl k v =
-    Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
   Array.iteri
     (fun i (st : Cplan.step) ->
       Hashtbl.replace index_of (st.Cplan.stmt, inst_key st.Cplan.instance) i;
-      List.iter (fun (_, blk, src) -> push reads_of (key_of blk) (i, src)) st.Cplan.reads;
-      List.iter (fun (_, blk, dst) -> push writes_of (key_of blk) (i, dst)) st.Cplan.writes)
+      List.iter (fun (_, k, src) -> reads_of.(k) <- (i, src) :: reads_of.(k)) st.Cplan.reads;
+      List.iter (fun (_, k, dst) -> writes_of.(k) <- (i, dst) :: writes_of.(k)) st.Cplan.writes)
     plan.Cplan.steps;
-  let rev tbl = Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (List.rev v)) tbl in
-  rev reads_of;
-  rev writes_of;
-  { reads_of; writes_of; index_of }
+  { reads_of = Array.map List.rev reads_of;
+    writes_of = Array.map List.rev writes_of;
+    index_of }
 
-let all_of tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
-
-(* Latest write of [key] strictly before step [s]. *)
-let producer ch key s =
-  List.fold_left
-    (fun acc (t, dst) -> if t < s then Some (t, dst) else acc)
-    None
-    (all_of ch.writes_of key)
+(* Latest write of block [k] strictly before step [s]. *)
+let producer ch k s =
+  List.fold_left (fun acc (t, dst) -> if t < s then Some (t, dst) else acc) None ch.writes_of.(k)
 
 (* Diagnostic emitter: [acc] is the report accumulator; polymorphic in the
    format so every family shares it. *)
@@ -156,21 +148,21 @@ let check_dataflow (plan : Cplan.t) ch acc =
         "scheduled before step %d: steps are out of lexicographic time order" i
   done;
   (* DF001 / DF003 / DF005: walk in step order tracking earlier accesses. *)
-  let seen = Hashtbl.create 64 in
-  let warned = Hashtbl.create 16 in
+  let nb = Array.length plan.Cplan.blocks in
+  let seen = Bytes.make nb '\000' and warned = Bytes.make nb '\000' in
   Array.iteri
     (fun i (st : Cplan.step) ->
       List.iter
-        (fun ((_ : Access.t), blk, src) ->
-          let key = key_of blk in
+        (fun ((_ : Access.t), k, src) ->
+          let blk = plan.Cplan.blocks.(k) in
           (match src with
           | Cplan.From_memory ->
-              if not (Hashtbl.mem seen key) then
+              if Bytes.get seen k = '\000' then
                 emit acc ~step:i ~stmt:st.Cplan.stmt ~block:blk ~sev:Error "DF001"
                   "memory-serviced read with no earlier access of the block \
                    (no dominating producer or loader)"
           | Cplan.From_disk -> (
-              match producer ch key i with
+              match producer ch k i with
               | Some (t, Cplan.Elided) ->
                   emit acc ~step:i ~stmt:st.Cplan.stmt ~block:blk ~sev:Error "DF005"
                     "disk read of a block whose dominating write (step %d) was \
@@ -178,19 +170,19 @@ let check_dataflow (plan : Cplan.t) ch acc =
                     t
               | _ -> ()));
           if
-            all_of ch.writes_of key = []
+            ch.writes_of.(k) = []
             && (Program.find_array plan.Cplan.prog blk.Cplan.array).Array_info.kind
                <> Array_info.Input
-            && not (Hashtbl.mem warned key)
+            && Bytes.get warned k = '\000'
           then begin
-            Hashtbl.replace warned key ();
+            Bytes.set warned k '\001';
             emit acc ~step:i ~stmt:st.Cplan.stmt ~block:blk ~sev:Warning "DF003"
               "read of a never-written non-input block (the storage contract \
                serves it as zeroes)"
           end)
         st.Cplan.reads;
-      List.iter (fun (_, blk, _) -> Hashtbl.replace seen (key_of blk) ()) st.Cplan.reads;
-      List.iter (fun (_, blk, _) -> Hashtbl.replace seen (key_of blk) ()) st.Cplan.writes)
+      List.iter (fun (_, k, _) -> Bytes.set seen k '\001') st.Cplan.reads;
+      List.iter (fun (_, k, _) -> Bytes.set seen k '\001') st.Cplan.writes)
     steps;
   (* DF002: each realized sharing pair must be marked consistently with the
      schedule order (the later-scheduled read endpoint is the one serviced
@@ -204,7 +196,7 @@ let check_dataflow (plan : Cplan.t) ch acc =
       else begin
         let li = max si di in
         match
-          List.find_opt (fun (_, b, _) -> b = blk) steps.(li).Cplan.reads
+          List.find_opt (fun (_, k, _) -> plan.Cplan.blocks.(k) = blk) steps.(li).Cplan.reads
         with
         | Some (_, _, Cplan.From_memory) -> ()
         | Some (_, _, Cplan.From_disk) ->
@@ -231,9 +223,9 @@ let check_dataflow (plan : Cplan.t) ch acc =
 let check_residency (plan : Cplan.t) cap_bytes acc =
   let n = Array.length plan.Cplan.steps in
   List.iter
-    (fun ((blk : Cplan.block), a, b) ->
+    (fun (k, a, b) ->
       if a < 0 || b >= n || a > b then
-        emit acc ~step:a ~block:blk ~sev:Error "RS005"
+        emit acc ~step:a ~block:plan.Cplan.blocks.(k) ~sev:Error "RS005"
           "malformed pin interval [%d, %d] (plan has %d steps)" a b n)
     plan.Cplan.pins;
   let resident = Hashtbl.create 64 and depth = Hashtbl.create 64 in
@@ -259,7 +251,9 @@ let check_residency (plan : Cplan.t) cap_bytes acc =
       | Trace.Pin_open { step; array; index } ->
           let blk = { Cplan.array; index } in
           let written =
-            List.exists (fun (_, b, _) -> b = blk) plan.Cplan.steps.(step).Cplan.writes
+            List.exists
+              (fun (_, k, _) -> plan.Cplan.blocks.(k) = blk)
+              plan.Cplan.steps.(step).Cplan.writes
           in
           if not (Hashtbl.mem resident blk || written) then
             emit acc ~step ~stmt:(stmt step) ~block:blk ~sev:Error "RS002"
@@ -309,14 +303,13 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
       (Array.length wm.wm_undo) n
   else begin
     let all_reads =
-      Hashtbl.fold
-        (fun key srcs acc ->
-          List.rev_append (List.map (fun (s, src) -> (key, s, src)) srcs) acc)
-        ch.reads_of []
+      List.concat
+        (Array.to_list
+           (Array.mapi
+              (fun s (st : Cplan.step) -> List.map (fun (_, k, src) -> (k, s, src)) st.Cplan.reads)
+              steps))
     in
-    let disk_writes key =
-      List.filter (fun (_, dst) -> dst = Cplan.To_disk) (all_of ch.writes_of key)
-    in
+    let disk_writes k = List.filter (fun (_, dst) -> dst = Cplan.To_disk) ch.writes_of.(k) in
     (* Per restart point, the earliest disk write a replay from there can
        observe (JR001: a read's window of disk-valued restart points runs
        from just past its producer, or from 0, up to the read itself), and
@@ -325,15 +318,15 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
     let observed_write =
       Riot_base.Cover.min_cover ~n:(n + 1)
         (List.filter_map
-           (fun (key, s, src) ->
-             match List.find_opt (fun (t, _) -> t >= s) (disk_writes key) with
+           (fun (k, s, src) ->
+             match List.find_opt (fun (t, _) -> t >= s) (disk_writes k) with
              | None -> None
              | Some (w, _) ->
                  let from =
                    match src with
                    | Cplan.From_disk -> 0
                    | Cplan.From_memory -> (
-                       match producer ch key s with
+                       match producer ch k s with
                        | Some (t, _) -> t + 1
                        | None -> 0)
                  in
@@ -342,8 +335,8 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
     and stranded =
       Riot_base.Cover.min_cover ~n:(n + 1)
         (List.filter_map
-           (fun (key, s, src) ->
-             match (src, producer ch key s) with
+           (fun (k, s, src) ->
+             match (src, producer ch k s) with
              | Cplan.From_memory, Some (t, Cplan.Elided) -> Some (t + 1, s, 0)
              | _ -> None)
            all_reads)
@@ -367,21 +360,20 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
           (* JR001: a replayed read taking its value from the disk must not
              observe a To_disk write the crashed incarnation may have done. *)
           List.iter
-            (fun (key, s, src) ->
+            (fun (k, s, src) ->
               let from_disk_state =
                 match src with
                 | Cplan.From_disk -> true
                 | Cplan.From_memory -> (
-                    match producer ch key s with
+                    match producer ch k s with
                     | Some (t, _) -> t < r
                     | None -> true)
               in
               if
                 s >= r && from_disk_state
-                && List.exists (fun (t, _) -> s <= t && t <= !tmax) (disk_writes key)
+                && List.exists (fun (t, _) -> s <= t && t <= !tmax) (disk_writes k)
               then
-                emit acc ~step:i ~stmt:steps.(i).Cplan.stmt
-                  ~block:{ Cplan.array = fst key; index = snd key }
+                emit acc ~step:i ~stmt:steps.(i).Cplan.stmt ~block:plan.Cplan.blocks.(k)
                   ~sev:Error "JR001"
                   "claimed-safe watermark is unsafe: the replayed read at step \
                    %d can observe a future disk version (write within [%d, %d])"
@@ -390,10 +382,9 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
                  before the restart point consumes a value that no longer
                  exists anywhere. *)
               if s >= r && src = Cplan.From_memory then
-                match producer ch key s with
+                match producer ch k s with
                 | Some (t, Cplan.Elided) when t < r ->
-                    emit acc ~step:i ~stmt:steps.(i).Cplan.stmt
-                      ~block:{ Cplan.array = fst key; index = snd key }
+                    emit acc ~step:i ~stmt:steps.(i).Cplan.stmt ~block:plan.Cplan.blocks.(k)
                       ~sev:Error "JR002"
                       "restart point %d strands the elided value produced at \
                        step %d and consumed at step %d"
@@ -408,11 +399,11 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
     Array.iteri
       (fun i (st : Cplan.step) ->
         List.iter
-          (fun ((_ : Access.t), blk, _) ->
-            let key = key_of blk in
+          (fun ((_ : Access.t), k, _) ->
+            let blk = plan.Cplan.blocks.(k) in
             if
-              List.exists (fun (t, _) -> t >= i) (disk_writes key)
-              && not (List.mem key wm.wm_undo.(i))
+              List.exists (fun (t, _) -> t >= i) (disk_writes k)
+              && not (List.mem (blk.Cplan.array, blk.Cplan.index) wm.wm_undo.(i))
             then
               emit acc ~step:i ~stmt:st.Cplan.stmt ~block:blk ~sev:Error "JR003"
                 "anti-dependence read has no covering before-image in the \
@@ -451,16 +442,15 @@ let check_fusion (plan : Cplan.t) ch groups acc =
     List.length st.Cplan.writes = 1
     && (kernel i).Kernel.arity = Some (List.length obs)
     && List.for_all
-         (fun ob -> List.exists (fun (_, rb, _) -> rb = ob) st.Cplan.reads)
+         (fun ob -> List.exists (fun (_, rk, _) -> plan.Cplan.blocks.(rk) = ob) st.Cplan.reads)
          obs
   in
-  let pins_of blk =
-    List.filter_map
-      (fun (b, a0, b0) -> if b = blk then Some (a0, b0) else None)
-      plan.Cplan.pins
+  let pins_of id =
+    List.filter_map (fun (b, a0, b0) -> if b = id then Some (a0, b0) else None) plan.Cplan.pins
   in
-  (* Why boundary [k] -> [k + 1] may not be fused over [blk]; [None] = legal. *)
-  let illegal k (blk : Cplan.block) =
+  (* Why boundary [k] -> [k + 1] may not be fused over block [id]; [None] =
+     legal. *)
+  let illegal k id =
     if k + 1 >= n then Some "boundary past the last step"
     else if (kernel k).Kernel.chain <> Some Kernel.Elementwise then
       Some "producer kernel is not element-wise"
@@ -470,24 +460,24 @@ let check_fusion (plan : Cplan.t) ch groups acc =
       Some "a step's kernel operands are not statically resolvable"
     else if
       steps.(k).Cplan.writes
-      <> List.filter (fun (_, b, _) -> b = blk) steps.(k).Cplan.writes
+      <> List.filter (fun (_, b, _) -> b = id) steps.(k).Cplan.writes
       || not
            (List.exists
-              (fun (_, b, d) -> b = blk && d = Cplan.Elided)
+              (fun (_, b, d) -> b = id && d = Cplan.Elided)
               steps.(k).Cplan.writes)
     then Some "producer's single write is not the elided write of the link block"
-    else if all_of ch.writes_of (key_of blk) <> [ (k, Cplan.Elided) ] then
+    else if ch.writes_of.(id) <> [ (k, Cplan.Elided) ] then
       Some "link block has writes elsewhere in the plan"
-    else if all_of ch.reads_of (key_of blk) <> [ (k + 1, Cplan.From_memory) ] then
+    else if ch.reads_of.(id) <> [ (k + 1, Cplan.From_memory) ] then
       Some "link block has reads beyond the consumer's memory read"
-    else if not (List.for_all (fun (a0, b0) -> a0 >= k && b0 <= k + 1) (pins_of blk))
+    else if not (List.for_all (fun (a0, b0) -> a0 >= k && b0 <= k + 1) (pins_of id))
     then Some "a pin of the link block escapes the fused pair"
-    else if not (List.mem blk (operand_blocks (k + 1))) then
+    else if not (List.mem plan.Cplan.blocks.(id) (operand_blocks (k + 1))) then
       Some "link block is not a kernel operand of the consumer"
     else None
   in
-  let tile blk =
-    Config.block_elems_total (Config.layout plan.Cplan.config blk.Cplan.array)
+  let tile id =
+    Config.block_elems_total (Config.layout plan.Cplan.config plan.Cplan.blocks.(id).Cplan.array)
   in
   (* FU003: the groups must partition [0, n) contiguously, in order. *)
   let sorted = List.sort (fun (a : Fuse.group) b -> compare a.Fuse.lo b.Fuse.lo) groups in
@@ -508,20 +498,20 @@ let check_fusion (plan : Cplan.t) ch groups acc =
         if g.Fuse.hi > g.Fuse.lo then begin
           let t0 = tile (List.hd g.Fuse.links) in
           List.iteri
-            (fun o blk ->
-              let k = g.Fuse.lo + o in
-              (match illegal k blk with
+            (fun o id ->
+              let k = g.Fuse.lo + o and block = plan.Cplan.blocks.(id) in
+              (match illegal k id with
               | Some why ->
-                  emit acc ~step:k ~stmt:steps.(k).Cplan.stmt ~block:blk ~sev:Error
+                  emit acc ~step:k ~stmt:steps.(k).Cplan.stmt ~block ~sev:Error
                     "FU001" "fused boundary %d -> %d is illegal: %s" k (k + 1)
                     why
               | None -> ());
-              if tile blk <> t0 then
-                emit acc ~step:k ~stmt:steps.(k).Cplan.stmt ~block:blk ~sev:Error
+              if tile id <> t0 then
+                emit acc ~step:k ~stmt:steps.(k).Cplan.stmt ~block ~sev:Error
                   "FU001"
                   "fused run mixes tile sizes (%d vs %d elements): one scratch \
                    tile cannot carry the chain"
-                  (tile blk) t0)
+                  (tile id) t0)
             g.Fuse.links
         end)
       sorted;
@@ -532,11 +522,12 @@ let check_fusion (plan : Cplan.t) ch groups acc =
       | (g1 : Fuse.group) :: (g2 :: _ as rest) ->
           let b = g1.Fuse.hi in
           (match steps.(b).Cplan.writes with
-          | [ (_, blk, _) ]
-            when illegal b blk = None
-                 && (g1.Fuse.links = [] || tile blk = tile (List.hd g1.Fuse.links))
+          | [ (_, id, _) ]
+            when illegal b id = None
+                 && (g1.Fuse.links = [] || tile id = tile (List.hd g1.Fuse.links))
             ->
-              emit acc ~step:b ~stmt:steps.(b).Cplan.stmt ~block:blk ~sev:Warning
+              emit acc ~step:b ~stmt:steps.(b).Cplan.stmt ~block:plan.Cplan.blocks.(id)
+                ~sev:Warning
                 "FU002"
                 "legal fusable boundary %d -> %d left unfused between two groups"
                 b g2.Fuse.lo
@@ -609,7 +600,7 @@ let pick rng = function
   | [] -> None
   | xs -> Some (List.nth xs (Random.State.int rng (List.length xs)))
 
-let set_read_src (plan : Cplan.t) ~step ~(blk : Cplan.block) src =
+let set_read_src (plan : Cplan.t) ~step ~id src =
   let steps =
     Array.mapi
       (fun i (st : Cplan.step) ->
@@ -618,7 +609,7 @@ let set_read_src (plan : Cplan.t) ~step ~(blk : Cplan.block) src =
           { st with
             Cplan.reads =
               List.map
-                (fun ((a, b, _) as r) -> if b = blk then (a, b, src) else r)
+                (fun ((a, b, _) as r) -> if b = id then (a, b, src) else r)
                 st.Cplan.reads })
       plan.Cplan.steps
   in
@@ -637,63 +628,63 @@ let mutate ?(seed = 0) ?watermarks mutation (plan : Cplan.t) =
           (fun ((_ : Coaccess.t), si, di, blk) ->
             let li = max si di in
             match
-              List.find_opt (fun (_, b, _) -> b = blk) plan.Cplan.steps.(li).Cplan.reads
+              List.find_opt
+                (fun (_, b, _) -> plan.Cplan.blocks.(b) = blk)
+                plan.Cplan.steps.(li).Cplan.reads
             with
-            | Some (_, _, Cplan.From_memory) -> Some (li, blk)
+            | Some (_, id, Cplan.From_memory) -> Some (li, id)
             | _ -> None)
           (realized_read_endpoints plan ch)
       in
       match pick rng sites with
       | None -> None
-      | Some (step, blk) ->
+      | Some (step, id) ->
           Some
-            { m_plan = set_read_src plan ~step ~blk Cplan.From_disk;
+            { m_plan = set_read_src plan ~step ~id Cplan.From_disk;
               m_watermarks = None;
               m_groups = None;
               m_expect = [ "DF002"; "DF005" ];
               m_descr =
                 Printf.sprintf "flip read of %s at step %d to From_disk"
-                  blk.Cplan.array step })
+                  plan.Cplan.blocks.(id).Cplan.array step })
   | Forge_mem_read -> (
-      let covered i blk =
-        List.exists
-          (fun (b, a0, b0) -> b = blk && a0 < i && i <= b0)
-          plan.Cplan.pins
+      let covered i id =
+        List.exists (fun (b, a0, b0) -> b = id && a0 < i && i <= b0) plan.Cplan.pins
       in
       let sites = ref [] in
       Array.iteri
         (fun i (st : Cplan.step) ->
           List.iter
-            (fun ((_ : Access.t), blk, src) ->
-              if src = Cplan.From_disk && not (covered i blk) then
-                sites := (i, blk) :: !sites)
+            (fun ((_ : Access.t), id, src) ->
+              if src = Cplan.From_disk && not (covered i id) then
+                sites := (i, id) :: !sites)
             st.Cplan.reads)
         plan.Cplan.steps;
       match pick rng !sites with
       | None -> None
-      | Some (step, blk) ->
+      | Some (step, id) ->
           Some
-            { m_plan = set_read_src plan ~step ~blk Cplan.From_memory;
+            { m_plan = set_read_src plan ~step ~id Cplan.From_memory;
               m_watermarks = None;
               m_groups = None;
               m_expect = [ "DF001"; "RS001" ];
               m_descr =
                 Printf.sprintf "forge read of %s at step %d as From_memory"
-                  blk.Cplan.array step })
+                  plan.Cplan.blocks.(id).Cplan.array step })
   | Drop_pin -> (
-      let consumer_only_pin ((blk : Cplan.block), a, b) =
+      let consumer_only_pin (id, a, b) =
         b > a
         && List.exists
              (fun (s, src) -> src = Cplan.From_memory && a < s && s <= b)
-             (all_of ch.reads_of (key_of blk))
+             ch.reads_of.(id)
         && not
              (List.exists
-                (fun (b2, a2, b2') -> b2 = blk && (a2, b2') <> (a, b))
+                (fun (b2, a2, b2') -> b2 = id && (a2, b2') <> (a, b))
                 plan.Cplan.pins)
       in
       match pick rng (List.filter consumer_only_pin plan.Cplan.pins) with
       | None -> None
-      | Some ((blk, a, b) as p) ->
+      | Some ((id, a, b) as p) ->
           Some
             { m_plan =
                 { plan with
@@ -702,7 +693,8 @@ let mutate ?(seed = 0) ?watermarks mutation (plan : Cplan.t) =
               m_groups = None;
               m_expect = [ "RS001" ];
               m_descr =
-                Printf.sprintf "drop pin of %s over [%d, %d]" blk.Cplan.array a b })
+                Printf.sprintf "drop pin of %s over [%d, %d]" plan.Cplan.blocks.(id).Cplan.array a
+                  b })
   | Reorder_step -> (
       let sites = ref [] in
       for i = 0 to n - 2 do
@@ -787,7 +779,7 @@ let mutate ?(seed = 0) ?watermarks mutation (plan : Cplan.t) =
         | (g1 : Fuse.group) :: (g2 :: _ as rest) ->
             let acc =
               match plan.Cplan.steps.(g1.Fuse.hi).Cplan.writes with
-              | [ (_, blk, _) ] -> (g1, g2, blk) :: acc
+              | [ (_, id, _) ] -> (g1, g2, id) :: acc
               | _ -> acc
             in
             mergeable acc rest
@@ -795,11 +787,11 @@ let mutate ?(seed = 0) ?watermarks mutation (plan : Cplan.t) =
       in
       match pick rng (mergeable [] groups) with
       | None -> None
-      | Some (g1, g2, blk) ->
+      | Some (g1, g2, id) ->
           let merged =
             { Fuse.lo = g1.Fuse.lo;
               hi = g2.Fuse.hi;
-              links = g1.Fuse.links @ (blk :: g2.Fuse.links) }
+              links = g1.Fuse.links @ (id :: g2.Fuse.links) }
           in
           let forged =
             List.concat_map

@@ -20,7 +20,7 @@
 
 (* The target step is the hint's index in [by_target]. *)
 type hint = {
-  h_block : Cplan.block;
+  h_block : int;  (* block id *)
   h_earliest : int;  (* first step at which issuing is safe *)
   mutable h_issued : bool;
 }
@@ -44,7 +44,7 @@ let of_program (p : Cplan.program) =
           let e = floor.(id) in
           if src = Cplan.From_disk && e < !t then
             by_target.(!t) <-
-              { h_block = p.Cplan.blocks.(id); h_earliest = e; h_issued = false }
+              { h_block = id; h_earliest = e; h_issued = false }
               :: by_target.(!t);
           floor.(id) <- !t + 1
       | Cplan.Write { id; _ } | Cplan.Unpin id -> floor.(id) <- !t + 1
@@ -66,9 +66,6 @@ let issue t ~now ~horizon f =
         end)
       t.by_target.(s)
   done
-
-let hint_count t =
-  Array.fold_left (fun acc l -> acc + List.length l) 0 t.by_target
 
 let hints_at t step =
   List.map (fun h -> (h.h_block, h.h_earliest)) t.by_target.(step)

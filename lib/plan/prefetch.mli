@@ -24,10 +24,10 @@ val of_program : Cplan.program -> t
     chain's links are never read from disk, so both give the same
     schedule. *)
 
-val issue : t -> now:int -> horizon:int -> (Cplan.block -> unit) -> unit
-(** [issue t ~now ~horizon f] calls [f] on every not-yet-issued hint whose
-    target step lies in [now, horizon] and whose earliest safe issue step
-    is [<= now], marking them issued.  Call it as each unit of the program
+val issue : t -> now:int -> horizon:int -> (int -> unit) -> unit
+(** [issue t ~now ~horizon f] calls [f] on the block id of every
+    not-yet-issued hint whose target step lies in [now, horizon] and whose
+    earliest safe issue step is [<= now], marking them issued.  Call it as each unit of the program
     begins at [now], with [horizon] = the unit's last step plus the desired
     read-ahead depth; hints that were not safe yet are retried at later
     boundaries and fall back to demand reads if their window closes. *)
@@ -35,9 +35,6 @@ val issue : t -> now:int -> horizon:int -> (Cplan.block -> unit) -> unit
 val length : t -> int
 (** Number of plan steps. *)
 
-val hint_count : t -> int
-(** Total number of hints in the schedule (issued or not). *)
-
-val hints_at : t -> int -> (Cplan.block * int) list
-(** The blocks whose hints target the given step, each with its earliest
-    safe issue step (exposed for tests). *)
+val hints_at : t -> int -> (int * int) list
+(** The block ids whose hints target the given step, each with its
+    earliest safe issue step (exposed for tests). *)

@@ -187,24 +187,8 @@ let drop t k =
   | Some b when b.pins = 0 -> remove t b
   | _ -> ()
 
-(* Historically this only dropped *dirty* dead blocks, so a clean block whose
-   consumers were all served lingered in the pool, inflating [used] (and
-   with it [peak], and the eviction pressure on later steps).  A dead block
-   is dead regardless of dirtiness; the dirty case additionally means its
-   elided write is discarded before any eviction could flush it. *)
-let drop_if_dead = drop
-
 let pin_count t k =
   match Hashtbl.find_opt t.buffers k with Some b -> b.pins | None -> 0
 
 let used_bytes t = t.used
 let peak_bytes t = t.peak
-
-let flush_all t =
-  let rec go = function
-    | None -> ()
-    | Some b ->
-        flush_buffer t b;
-        go b.next
-  in
-  go t.lru

@@ -54,14 +54,10 @@ val drop : t -> string * int list -> unit
     buffered data is dead: if the buffer is dirty its contents are
     silently discarded (this is the point - an elided write must never
     reach the store), so never call this on a block whose write-back is
-    still pending.  No-op if the block is absent or pinned. *)
-
-val drop_if_dead : t -> string * int list -> unit
-(** Same behaviour as {!drop}; the name states the intent at pin-close
-    sites.  A dead block - unpinned, every consumer served - is released
-    whether clean (pure residency) or dirty (elided write whose data must
-    never be flushed by a later eviction).  Before this was fixed, clean
-    dead blocks were kept resident and inflated [used_bytes]/[peak_bytes]. *)
+    still pending.  No-op if the block is absent or pinned.  A dead block
+    (unpinned, every consumer served) is released whether clean (pure
+    residency) or dirty (an elided write whose data must never be flushed
+    by a later eviction). *)
 
 val pin_count : t -> string * int list -> int
 
@@ -71,5 +67,3 @@ val lru_keys : t -> (string * int list) list
 
 val used_bytes : t -> int
 val peak_bytes : t -> int
-val flush_all : t -> unit
-(** Flush every dirty buffer through its store. *)

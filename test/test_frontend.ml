@@ -160,8 +160,8 @@ let test_if_conditional () =
     Array.to_list c.Riot_plan.Cplan.steps
     |> List.concat_map (fun st ->
            List.filter
-             (fun ((_ : Riot_ir.Access.t), (b : Riot_plan.Cplan.block), _) ->
-               b.Riot_plan.Cplan.array = "C")
+             (fun ((_ : Riot_ir.Access.t), k, _) ->
+               c.Riot_plan.Cplan.blocks.(k).Riot_plan.Cplan.array = "C")
              st.Riot_plan.Cplan.writes)
   in
   check_int "C written only at j=0" (2 * 3) (List.length writes_to_c);

@@ -248,11 +248,11 @@ let prop_read_sources =
                   | Cplan.From_memory ->
                       if not (pinned (fun a -> a <= i)) then
                         QCheck.Test.fail_reportf "plan %d step %d: memory read of %s without a pin"
-                          k i blk.Cplan.array
+                          k i c.Cplan.blocks.(blk).Cplan.array
                   | Cplan.From_disk ->
                       if pinned (fun a -> a < i) then
                         QCheck.Test.fail_reportf "plan %d step %d: pinned %s read from disk" k i
-                          blk.Cplan.array)
+                          c.Cplan.blocks.(blk).Cplan.array)
                 st.Cplan.reads)
             c.Cplan.steps;
           let shared =

@@ -212,7 +212,7 @@ let test_fu003_bad_partition () =
         links = List.init (n - 2) (fun _ ->
             match plan.Cplan.steps.(0).Cplan.writes with
             | (_, b, _) :: _ -> b
-            | [] -> { Cplan.array = "x"; index = [ 0; 0 ] }) } ]
+            | [] -> 0) } ]
   in
   let r = PV.check ~groups plan in
   Alcotest.(check bool) "FU003 flagged" true (List.mem "FU003" (codes r))
@@ -286,7 +286,7 @@ let test_prefix_schedule_order_bug () =
                       let early = min si di and late = max si di in
                       let late_mem =
                         List.exists
-                          (fun (_, b, s) -> b = blk && s = Cplan.From_memory)
+                          (fun (_, b, s) -> plan.Cplan.blocks.(b) = blk && s = Cplan.From_memory)
                           plan.Cplan.steps.(late).Cplan.reads
                       in
                       if late_mem then Some (name, plan, early, late, blk)
@@ -303,7 +303,7 @@ let test_prefix_schedule_order_bug () =
         { st with
           Cplan.reads =
             List.map
-              (fun ((a, b, _) as r) -> if b = blk then (a, b, src) else r)
+              (fun ((a, b, _) as r) -> if plan.Cplan.blocks.(b) = blk then (a, b, src) else r)
               st.Cplan.reads }
       in
       let steps =

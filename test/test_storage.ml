@@ -364,13 +364,13 @@ let test_pool_drop_if_dead () =
   let data = Buffer_pool.get_for_write pool s [ 0; 0 ] in
   data.(0) <- 7.;
   Buffer_pool.mark_dirty pool ("S", [ 0; 0 ]);
-  Buffer_pool.drop_if_dead pool ("S", [ 0; 0 ]);
+  Buffer_pool.drop pool ("S", [ 0; 0 ]);
   check_bool "dropped" false (Buffer_pool.contains pool ("S", [ 0; 0 ]));
   (* Dead data never reached the store. *)
   check_bool "store untouched" true ((Block_store.read_floats s [ 0; 0 ]).(0) = 0.)
 
 let test_pool_drop_clean_dead () =
-  (* Regression: drop_if_dead used to release only dirty buffers, so clean
+  (* Regression: the dead-block drop used to release only dirty buffers, so clean
      dead blocks (read, consumed, never written) lingered and inflated
      used/peak accounting until eviction pressure hit them. *)
   let l = layout ~grid:[| 3; 1 |] ~block:[| 2; 2 |] in
@@ -380,13 +380,13 @@ let test_pool_drop_clean_dead () =
   ignore (Buffer_pool.get pool s [ 0; 0 ]);  (* clean: straight from disk *)
   let used = Buffer_pool.used_bytes pool in
   check_bool "resident before" true (Buffer_pool.contains pool ("S", [ 0; 0 ]));
-  Buffer_pool.drop_if_dead pool ("S", [ 0; 0 ]);
+  Buffer_pool.drop pool ("S", [ 0; 0 ]);
   check_bool "clean dead block dropped" false (Buffer_pool.contains pool ("S", [ 0; 0 ]));
   check_int "memory released" (used - Config.block_bytes l) (Buffer_pool.used_bytes pool);
   (* A pinned block is not dead, clean or dirty. *)
   ignore (Buffer_pool.get pool s [ 1; 0 ]);
   Buffer_pool.pin pool ("S", [ 1; 0 ]);
-  Buffer_pool.drop_if_dead pool ("S", [ 1; 0 ]);
+  Buffer_pool.drop pool ("S", [ 1; 0 ]);
   check_bool "pinned block survives" true (Buffer_pool.contains pool ("S", [ 1; 0 ]))
 
 let test_pool_lru_order () =

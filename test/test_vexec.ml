@@ -255,13 +255,16 @@ let test_vector_trace () =
     (fun i (st : Cplan.step) ->
       let planned_reads =
         List.map
-          (fun (_, (b : Cplan.block), s) -> (b.Cplan.array, b.Cplan.index, s))
+          (fun (_, k, s) ->
+            let b = cplan.Cplan.blocks.(k) in
+            (b.Cplan.array, b.Cplan.index, s))
           st.Cplan.reads
       in
       let planned_writes =
         match st.Cplan.writes with
         | [] -> []
-        | (_, (b : Cplan.block), d) :: _ ->
+        | (_, k, d) :: _ ->
+            let b = cplan.Cplan.blocks.(k) in
             [ (b.Cplan.array, b.Cplan.index, d = Cplan.Elided) ]
       in
       Alcotest.(check (list (triple string (list int) bool)))
