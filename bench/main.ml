@@ -334,9 +334,13 @@ type opttime_row = {
   ot_apriori_pruned : int;
   ot_opps : int;
   ot_fm_components : int;  (* components Fourier-Motzkin decided, one B&B search *)
+  ot_fm_giveups : int;  (* of those, answered by the inequality-budget give-up *)
   ot_samples_drawn : int;  (* (component, window) samples drawn, one B&B search *)
-  ot_ex_fm_components : int;  (* the same two counters for the exhaustive search *)
+  ot_ex_fm_components : int;  (* the same three counters for the exhaustive search *)
+  ot_ex_fm_giveups : int;
   ot_ex_samples_drawn : int;
+  ot_alloc_words : float;  (* minor words of one warm jobs=1 B&B optimize *)
+  ot_alloc_repeats : bool;  (* ... and the next call allocated exactly as much *)
   ot_identical : bool;
 }
 
@@ -362,6 +366,13 @@ let opttime_jobs () =
   List.sort_uniq compare
     (match !jobs_flag with Some j -> [ 1; 2; 4; j ] | None -> [ 1; 2; 4 ])
 
+(* The search's work counters: components decided, give-ups among them,
+   samples drawn. *)
+let work_counters s =
+  ( Atomic.get s.Opt_stats.fm_components,
+    Atomic.get s.Opt_stats.fm_giveups,
+    Atomic.get s.Opt_stats.samples_drawn )
+
 let opttime_measure ?max_size ~gated name paper prog config =
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -380,21 +391,31 @@ let opttime_measure ?max_size ~gated name paper prog config =
           time (fun () ->
               Api.optimize ~prune:true ~jobs:j ?max_size ~opt_stats:s prog ~config)
         in
-        (j, (o, Atomic.get s.Opt_stats.fm_components, Atomic.get s.Opt_stats.samples_drawn), t))
+        (j, (o, work_counters s), t))
       (opttime_jobs ())
   in
   (* The work counters are deterministic, so they join the signature. *)
   let identical =
-    List.for_all (fun (_, (o, _, _), _) -> best_signature o = best_signature o_ex) runs
+    List.for_all (fun (_, (o, _), _) -> best_signature o = best_signature o_ex) runs
     &&
     match runs with
-    | (_, (o1, fm1, s1), _) :: rest ->
-        List.for_all
-          (fun (_, (o, fm, s), _) -> bb_signature o = bb_signature o1 && fm = fm1 && s = s1)
-          rest
+    | (_, (o1, w1), _) :: rest ->
+        List.for_all (fun (_, (o, w), _) -> bb_signature o = bb_signature o1 && w = w1) rest
     | [] -> true
   in
-  let _, (o_bb, fm, sampled), _ = List.hd runs in
+  let _, (o_bb, (fm, giveups, sampled)), _ = List.hd runs in
+  let ex_fm, ex_giveups, ex_sampled = work_counters s_ex in
+  (* Allocation of one jobs=1 search, warm after the runs above.  The minor
+     word counter is per domain (OCaml 5), and jobs=1 runs the whole search
+     on this one, so the count repeats exactly unless the search's work
+     does not. *)
+  let alloc () =
+    let w0 = Gc.minor_words () in
+    ignore (Api.optimize ~prune:true ~jobs:1 ?max_size prog ~config);
+    Gc.minor_words () -. w0
+  in
+  let alloc_words = alloc () in
+  let alloc_repeats = alloc () = alloc_words in
   { ot_name = name;
     ot_paper = paper;
     ot_gated = gated;
@@ -407,9 +428,13 @@ let opttime_measure ?max_size ~gated name paper prog config =
     ot_apriori_pruned = o_bb.Api.search_stats.Search.pruned;
     ot_opps = List.length o_ex.Api.analysis.Deps.sharing;
     ot_fm_components = fm;
+    ot_fm_giveups = giveups;
     ot_samples_drawn = sampled;
-    ot_ex_fm_components = Atomic.get s_ex.Opt_stats.fm_components;
-    ot_ex_samples_drawn = Atomic.get s_ex.Opt_stats.samples_drawn;
+    ot_ex_fm_components = ex_fm;
+    ot_ex_fm_giveups = ex_giveups;
+    ot_ex_samples_drawn = ex_sampled;
+    ot_alloc_words = alloc_words;
+    ot_alloc_repeats = alloc_repeats;
     ot_identical = identical }
 
 (* HEAD, suffixed "+dirty" when lib/ (the code every bench measures) has
@@ -469,9 +494,10 @@ let opttime_aggregate rows jobs =
 
 let opttime_emit ~variant ~speedup_floor rows =
   Printf.printf
-    "%-28s %-9s %-10s %-8s %-8s %-8s %-9s %-11s %-9s %-8s %-13s %-13s %s\n"
+    "%-28s %-9s %-10s %-8s %-8s %-8s %-9s %-11s %-9s %-8s %-13s %-11s %-13s %-10s %s\n"
     "program" "paper(s)" "exhaust." "bb j=1" "bb j=2" "bb j=4" "speedup"
-    "survivors" "bound-p" "apriori" "fm-comp/ex" "samples/ex" "identical";
+    "survivors" "bound-p" "apriori" "fm-comp/ex" "giveups/ex" "samples/ex" "alloc Mw"
+    "identical";
   List.iter
     (fun r ->
       let bb j =
@@ -480,14 +506,18 @@ let opttime_emit ~variant ~speedup_floor rows =
         | None -> "-"
       in
       let pair a b = Printf.sprintf "%d/%d" a b in
-      Printf.printf "%-28s %-9s %-10.1f %-8s %-8s %-8s %-9s %d/%-9d %-9d %-8d %-13s %-13s %s\n"
+      Printf.printf
+        "%-28s %-9s %-10.1f %-8s %-8s %-8s %-9s %d/%-9d %-9d %-8d %-13s %-11s %-13s %-10s %s\n"
         r.ot_name r.ot_paper r.ot_exhaustive (bb 1) (bb 2) (bb 4)
         (match opttime_speedup r 2 with
         | Some s -> Printf.sprintf "%.2fx" s
         | None -> "-")
         r.ot_survivors r.ot_plans r.ot_bound_pruned r.ot_apriori_pruned
         (pair r.ot_fm_components r.ot_ex_fm_components)
+        (pair r.ot_fm_giveups r.ot_ex_fm_giveups)
         (pair r.ot_samples_drawn r.ot_ex_samples_drawn)
+        (Printf.sprintf "%.1f%s" (r.ot_alloc_words /. 1e6)
+           (if r.ot_alloc_repeats then "" else " [FAIL]"))
         (if r.ot_identical then "yes" else "NO [FAIL]"))
     rows;
   let agg = opttime_aggregate rows 2 in
@@ -512,19 +542,23 @@ let opttime_emit ~variant ~speedup_floor rows =
         count "bound_pruned" r.ot_bound_pruned;
         count "apriori_pruned" r.ot_apriori_pruned;
         count "fm_components" r.ot_fm_components;
+        count "fm_giveups" r.ot_fm_giveups;
         count "samples_drawn" r.ot_samples_drawn;
         count "exhaustive_fm_components" r.ot_ex_fm_components;
+        count "exhaustive_fm_giveups" r.ot_ex_fm_giveups;
         count "exhaustive_samples_drawn" r.ot_ex_samples_drawn;
+        m "alloc_words_jobs1" (Printf.sprintf "%.0f" r.ot_alloc_words) "words";
         count "search_space" (1 lsl r.ot_opps) ]
   in
   let identical = List.for_all (fun r -> r.ot_identical) rows
+  and alloc_repeats = List.for_all (fun r -> r.ot_alloc_repeats) rows
   and pruning = List.for_all (fun r -> (not r.ot_gated) || r.ot_bound_pruned > 0) rows in
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 opttime_json_file
   in
   Printf.fprintf oc
     "{%s, \"programs\": {%s}, \"metrics\": {%s}, \"gates\": {\"identical_best\": %b, \
-     \"bound_pruning\": %b, \"speedup_floor\": %b}}\n"
+     \"alloc_repeats\": %b, \"bound_pruning\": %b, \"speedup_floor\": %b}}\n"
     (row_header ~bench:"opttime" ~variant)
     (String.concat ", "
        (List.map
@@ -535,13 +569,21 @@ let opttime_emit ~variant ~speedup_floor rows =
     (String.concat ", "
        (metric "aggregate_speedup_jobs2" (Printf.sprintf "%.3f" agg) "ratio"
        :: List.concat_map row_metrics rows))
-    identical pruning (agg >= speedup_floor);
+    identical alloc_repeats pruning (agg >= speedup_floor);
   close_out oc;
   Printf.printf "(appended to %s)\n" opttime_json_file;
-  (* Gates: best-plan bit-identity everywhere, pruning actually firing on
-     the gated pipelines, and a wall-clock floor for the pruned search. *)
+  (* Gates: best-plan bit-identity everywhere, a repeatable allocation
+     count, pruning actually firing on the gated pipelines, and a
+     wall-clock floor for the pruned search. *)
   if List.exists (fun r -> not r.ot_identical) rows then
     failwith "opttime: branch-and-bound result diverged from exhaustive";
+  List.iter
+    (fun r ->
+      if not r.ot_alloc_repeats then
+        failwith
+          (Printf.sprintf "opttime: two warm jobs=1 searches of %s allocated differently"
+             r.ot_name))
+    rows;
   List.iter
     (fun r ->
       if r.ot_gated && r.ot_bound_pruned = 0 then

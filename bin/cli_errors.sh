@@ -24,5 +24,7 @@ expect_usage_error() {
 expect_usage_error "unknown trigger" run -p add_mul --failpoints x=bogus
 expect_usage_error "entry without '='" run -p add_mul --failpoints bogus
 expect_usage_error "option '--max-size'" optimize -p add_mul --max-size=-1
+expect_usage_error "size of array A overflows" optimize -p add_mul \
+  --block A:4611686018427387903x2:4x4 --block B:2x2:4x4
 
 exit $status

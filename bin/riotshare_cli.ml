@@ -129,8 +129,16 @@ let resolve_config ~default ~config ~params ~blocks =
         List.map
           (fun spec ->
             let name, br, bc, gr, gc = parse_block_spec spec in
-            (name,
-              { Config.grid = [| gr; gc |]; block_elems = [| br; bc |]; elem_size = 8 }))
+            let l = { Config.grid = [| gr; gc |]; block_elems = [| br; bc |]; elem_size = 8 } in
+            (* Every size the optimizer derives from a layout divides its
+               total bytes, so checking that one product checks them all. *)
+            (match Config.total_bytes l with
+            | _ -> ()
+            | exception Riot_base.Checked.Overflow ->
+                failwith
+                  (Printf.sprintf "--block %s: the size of array %s overflows an integer"
+                     spec name));
+            (name, l))
           blocks
       in
       Config.make ~params ~layouts
@@ -218,8 +226,9 @@ let stats_arg =
         ~doc:
           "Print optimizer profiling counters (candidates tried / pruned by \
            bound / pruned by Apriori / rejected by verification, components \
-           decided by Fourier-Motzkin and samples drawn, time per phase, \
-           per-domain utilization) for the exhaustive or, with \
+           decided by Fourier-Motzkin and budget give-ups among them, \
+           samples drawn, time per phase, per-domain utilization) for the \
+           exhaustive or, with \
            $(b,--prune), the pruned search.")
 
 let with_opt_stats stats f =

@@ -4,11 +4,13 @@ type t = { params : (string * int) list; layouts : (string * layout) list }
 let make ~params ~layouts = { params; layouts }
 let param t n = List.assoc n t.params
 let layout t n = List.assoc n t.layouts
-let product a = Array.fold_left ( * ) 1 a
+module C = Riot_base.Checked
+
+let product a = Array.fold_left C.mul 1 a
 let block_elems_total l = product l.block_elems
-let block_bytes l = block_elems_total l * l.elem_size
+let block_bytes l = C.mul (block_elems_total l) l.elem_size
 let block_count l = product l.grid
-let total_bytes l = block_bytes l * block_count l
+let total_bytes l = C.mul (block_bytes l) (block_count l)
 
 let matrix t name ~block_rows ~block_cols ~grid_rows ~grid_cols =
   { t with

@@ -16,6 +16,9 @@ val param : t -> string -> int
 val layout : t -> string -> layout
 (** @raise Not_found *)
 
+(** The sizes below are overflow-checked products.
+    @raise Riot_base.Checked.Overflow when one does not fit an [int]. *)
+
 val block_bytes : layout -> int
 (** Bytes per block. *)
 

@@ -41,6 +41,7 @@ type memo = {
 
 let memo () = { empty = Poly.memo (); lock = Mutex.create (); samples = Poly.Tbl.create 64 }
 let fm_components m = Poly.memo_size m.empty
+let fm_giveups m = Poly.memo_giveups m.empty
 
 let samples_drawn m =
   Mutex.protect m.lock (fun () ->

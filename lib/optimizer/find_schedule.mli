@@ -24,6 +24,10 @@ val memo : unit -> memo
 val fm_components : memo -> int
 (** Components whose emptiness was decided (each counted once). *)
 
+val fm_giveups : memo -> int
+(** Of those, the components answered "non-empty" because their
+    elimination passed Fourier–Motzkin's inequality budget. *)
+
 val samples_drawn : memo -> int
 (** Distinct (component, sampling window) draws recorded. *)
 

@@ -11,6 +11,7 @@ type t = {
   rejected_verify : int Atomic.t;  (* Farkas found no schedule / check failed *)
   costed : int Atomic.t;  (* full Cplan builds *)
   fm_components : int Atomic.t;  (* components decided by Fourier-Motzkin *)
+  fm_giveups : int Atomic.t;  (* of those, answered by the budget give-up *)
   samples_drawn : int Atomic.t;  (* (component, window) samples drawn *)
   bound_s : float Atomic.t;
   find_s : float Atomic.t;
@@ -30,6 +31,7 @@ let create () =
     rejected_verify = Atomic.make 0;
     costed = Atomic.make 0;
     fm_components = Atomic.make 0;
+    fm_giveups = Atomic.make 0;
     samples_drawn = Atomic.make 0;
     bound_s = Atomic.make 0.;
     find_s = Atomic.make 0.;
@@ -74,9 +76,9 @@ let utilization t =
 let pp ppf t =
   let c a = Atomic.get a in
   Format.fprintf ppf
-    "@[<v>candidates tried:   %d@,pruned by bound:    %d@,pruned by apriori:  %d@,rejected by verify: %d@,plans costed:       %d@,fm components:      %d@,samples drawn:      %d@,waves:              %d@,phase seconds:      bound=%.3f find=%.3f verify=%.3f cost=%.3f@,wall seconds:       %.3f@,domain utilization: %s@]"
+    "@[<v>candidates tried:   %d@,pruned by bound:    %d@,pruned by apriori:  %d@,rejected by verify: %d@,plans costed:       %d@,fm components:      %d@,fm give-ups:        %d@,samples drawn:      %d@,waves:              %d@,phase seconds:      bound=%.3f find=%.3f verify=%.3f cost=%.3f@,wall seconds:       %.3f@,domain utilization: %s@]"
     (c t.tried) (c t.pruned_bound) (c t.pruned_apriori) (c t.rejected_verify)
-    (c t.costed) (c t.fm_components) (c t.samples_drawn) t.waves
+    (c t.costed) (c t.fm_components) (c t.fm_giveups) (c t.samples_drawn) t.waves
     (Atomic.get t.bound_s) (Atomic.get t.find_s) (Atomic.get t.verify_s)
     (Atomic.get t.cost_s) t.wall
     (match utilization t with

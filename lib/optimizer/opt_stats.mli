@@ -14,6 +14,9 @@ type t = {
   fm_components : int Atomic.t;
       (** distinct components whose emptiness Fourier–Motzkin decided: the
           search memo's size when the search ends *)
+  fm_giveups : int Atomic.t;
+      (** of [fm_components], those whose elimination passed the inequality
+          budget and were answered "not provably empty" *)
   samples_drawn : int Atomic.t;
       (** distinct (component, sampling window) integer samples drawn *)
   bound_s : float Atomic.t;

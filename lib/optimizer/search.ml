@@ -291,6 +291,7 @@ let branch_and_bound ?(verify = true) ?max_size ?pool ?jobs ?budget ?opt_stats
     bump ostats.Opt_stats.rejected_verify !rejected;
     bump ostats.Opt_stats.costed !costed;
     bump ostats.Opt_stats.fm_components (Find_schedule.fm_components memo);
+    bump ostats.Opt_stats.fm_giveups (Find_schedule.fm_giveups memo);
     bump ostats.Opt_stats.samples_drawn (Find_schedule.samples_drawn memo);
     ostats.Opt_stats.waves <- ostats.Opt_stats.waves + !waves;
     ostats.Opt_stats.wall <- ostats.Opt_stats.wall +. elapsed;

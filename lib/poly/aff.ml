@@ -32,7 +32,13 @@ let neg a = { a with coeffs = Array.map C.neg a.coeffs; const = C.neg a.const }
 let sub a b = add a (neg b)
 let scale k a = { a with coeffs = Array.map (C.mul k) a.coeffs; const = C.mul k a.const }
 let add_const a c = { a with const = C.add a.const c }
-let is_constant a = Array.for_all (( = ) 0) a.coeffs
+let is_constant a =
+  let c = a.coeffs in
+  let i = ref 0 in
+  while !i < Array.length c && c.(!i) = 0 do
+    incr i
+  done;
+  !i = Array.length c
 let is_zero a = is_constant a && a.const = 0
 let equal a b = Space.equal a.space b.space && a.coeffs = b.coeffs && a.const = b.const
 
@@ -72,13 +78,34 @@ let cast space a =
     a.coeffs;
   { space; coeffs; const = a.const }
 
+(* The fused loops below run the same checked operations as their
+   [add]/[scale] spelling, so they raise [Overflow] exactly when it would;
+   only a space mismatch, which that spelling reports after scaling, takes
+   the long way round to fail identically. *)
+let combine k1 a k2 b =
+  if not (Space.equal a.space b.space) then add (scale k1 a) (scale k2 b)
+  else
+    let x = a.coeffs and y = b.coeffs in
+    let coeffs = Array.make (Array.length x) 0 in
+    for j = 0 to Array.length x - 1 do
+      coeffs.(j) <- C.add (C.mul k1 x.(j)) (C.mul k2 y.(j))
+    done;
+    { a with coeffs; const = C.add (C.mul k1 a.const) (C.mul k2 b.const) }
+
 let subst_at e i r =
   let c = e.coeffs.(i) in
   if c = 0 then e
-  else
+  else if not (Space.equal e.space r.space) then
     let e' = { e with coeffs = Array.copy e.coeffs } in
     e'.coeffs.(i) <- 0;
     add e' (scale c r)
+  else
+    let x = e.coeffs and y = r.coeffs in
+    let coeffs = Array.make (Array.length x) 0 in
+    for j = 0 to Array.length x - 1 do
+      coeffs.(j) <- C.add (if j = i then 0 else x.(j)) (C.mul c y.(j))
+    done;
+    { e with coeffs; const = C.add e.const (C.mul c r.const) }
 
 let subst e x r =
   check_space e r;

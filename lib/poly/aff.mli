@@ -19,6 +19,10 @@ val scale : int -> t -> t
 val neg : t -> t
 val add_const : t -> int -> t
 
+val combine : int -> t -> int -> t -> t
+(** [combine k1 a k2 b] is [add (scale k1 a) (scale k2 b)], built in one
+    array; it raises exactly what that expression raises. *)
+
 val is_constant : t -> bool
 val is_zero : t -> bool
 val equal : t -> t -> bool

@@ -41,9 +41,14 @@ let canon_sign aff =
   in
   if lead 0 < 0 then Aff.neg aff else aff
 
+(* [aff] with every coefficient divided by [g] and constant [const]. *)
+let div_row aff g const =
+  { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs; Aff.const = const }
+
 (* Normalise an equality [aff = 0]. Returns [None] for the trivial 0 = 0.
    With [tighten], an equality whose coefficient gcd does not divide the
-   constant has no integer solution.
+   constant has no integer solution.  A row already in lowest terms is
+   returned as it is.
    @raise Infeasible when no solution can exist. *)
 let norm_eq ~tighten aff =
   let g = Aff.content_gcd aff in
@@ -52,16 +57,8 @@ let norm_eq ~tighten aff =
     if tighten then raise Infeasible
     else
       let g = C.gcd g aff.Aff.const in
-      let aff =
-        if g <= 1 then aff
-        else { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
-                        Aff.const = aff.Aff.const / g }
-      in
-      Some (canon_sign aff)
-  else
-    let aff = { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
-                         Aff.const = aff.Aff.const / g } in
-    Some (canon_sign aff)
+      Some (canon_sign (if g <= 1 then aff else div_row aff g (aff.Aff.const / g)))
+  else Some (canon_sign (if g = 1 then aff else div_row aff g (aff.Aff.const / g)))
 
 (* Normalise an inequality [aff >= 0]. [tighten] may round the constant down
    (valid over the integers only). Returns [None] for a trivially true
@@ -69,28 +66,24 @@ let norm_eq ~tighten aff =
 let norm_ge ~tighten aff =
   let g = Aff.content_gcd aff in
   if g = 0 then if aff.Aff.const >= 0 then None else raise Infeasible
-  else if tighten then
-    Some
-      { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
-                 Aff.const = C.fdiv aff.Aff.const g }
+  else if tighten then Some (if g = 1 then aff else div_row aff g (C.fdiv aff.Aff.const g))
   else
     let g = C.gcd g aff.Aff.const in
-    if g <= 1 then Some aff
-    else
-      Some
-        { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
-                   Aff.const = aff.Aff.const / g }
+    Some (if g <= 1 then aff else div_row aff g (aff.Aff.const / g))
 
-(* Constraint tables key on coefficient rows and hash every coefficient:
-   the polymorphic [Hashtbl.hash] reads only about ten words, so the wide,
-   mostly-zero rows of a schedule-coefficient space would share leading
-   zeros and pile into one bucket. *)
-let hash_row coeffs const =
+(* A polynomial row hash, unmasked.  It is linear in the row over machine
+   integers, so the negated row hashes to the negated value: the opposite
+   direction of a row is found without building it.  Hash every
+   coefficient: the wide, mostly-zero rows of a schedule-coefficient space
+   share long runs of zeros. *)
+let row_hash coeffs const =
   let h = ref const in
   for i = 0 to Array.length coeffs - 1 do
     h := (!h * 31) + coeffs.(i)
   done;
-  !h land max_int
+  !h
+
+let hash_row coeffs const = row_hash coeffs const land max_int
 
 let equal_row (a : int array) (b : int array) =
   let n = Array.length a in
@@ -102,76 +95,139 @@ let equal_row (a : int array) (b : int array) =
   done;
   !i = n
 
-(* Keys are coefficient rows: [key] (with the constant) identifies a
-   constraint, [coeff_key] the direction its inequality bounds. *)
-module Rows = Hashtbl.Make (struct
-  type t = int array * int
+let equal_neg (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = - b.(!i) do
+    incr i
+  done;
+  !i = n
 
-  let equal ((a, k) : t) (b, l) = k = l && equal_row a b
-  let hash ((a, k) : t) = hash_row a k
-end)
+(* Classes of equal rows, found without a hash table: every row is hashed
+   once into [hash], and two rows are compared only when their hashes
+   agree.  [slots] is an open-addressing array of row indices plus one (0:
+   free) over a power-of-two size at least twice the row count; it holds
+   the first row of each class, which [head] names for every row.  Rows
+   are keyed on their coefficients and, with [with_const], their
+   constant. *)
+type classes = { rows : Aff.t array; hash : int array; slots : int array; head : int array }
 
-let key aff = (aff.Aff.coeffs, aff.Aff.const)
-let coeff_key aff = (aff.Aff.coeffs, 0)
+(* Multiplicative hashing spreads the polynomial hash over the table. *)
+let slot slots h = ((h * 0x1E3779B97F4A7C15) lsr 32) land (Array.length slots - 1)
+
+let classes ~with_const rows =
+  let m = Array.length rows in
+  let hash = Array.make m 0 and head = Array.make m 0 in
+  for i = 0 to m - 1 do
+    let a = rows.(i) in
+    hash.(i) <- row_hash a.Aff.coeffs (if with_const then a.Aff.const else 0)
+  done;
+  let size = ref 8 in
+  while !size < 2 * m do
+    size := 2 * !size
+  done;
+  let slots = Array.make !size 0 in
+  let mask = !size - 1 in
+  for i = 0 to m - 1 do
+    let a = rows.(i) and h = hash.(i) in
+    let s = ref (slot slots h) and found = ref (-1) in
+    while !found < 0 && slots.(!s) <> 0 do
+      let j = slots.(!s) - 1 in
+      let b = rows.(j) in
+      if hash.(j) = h && equal_row a.Aff.coeffs b.Aff.coeffs
+         && ((not with_const) || a.Aff.const = b.Aff.const)
+      then found := j
+      else s := (!s + 1) land mask
+    done;
+    if !found < 0 then begin
+      slots.(!s) <- i + 1;
+      head.(i) <- i
+    end
+    else head.(i) <- !found
+  done;
+  { rows; hash; slots; head }
+
+(* The class whose coefficients are row [i]'s negated, or -1. *)
+let find_neg cl i =
+  let a = cl.rows.(i) and h = - cl.hash.(i) in
+  let mask = Array.length cl.slots - 1 in
+  let s = ref (slot cl.slots h) and found = ref (-1) in
+  while !found < 0 && cl.slots.(!s) <> 0 do
+    let j = cl.slots.(!s) - 1 in
+    if cl.hash.(j) = h && equal_neg cl.rows.(j).Aff.coeffs a.Aff.coeffs then found := j
+    else s := (!s + 1) land mask
+  done;
+  !found
+
+(* The strongest row per inequality direction (classes keyed without the
+   constant): [best.(h)] for the class headed by [h] is its first row of
+   smallest constant. *)
+let strongest cl =
+  let best = Array.copy cl.head in
+  for i = 0 to Array.length best - 1 do
+    let h = cl.head.(i) in
+    if cl.rows.(i).Aff.const < cl.rows.(best.(h)).Aff.const then best.(h) <- i
+  done;
+  best
+
+(* The rows of [l] whose index [keep] marks, in order; [l] itself when it
+   keeps them all. *)
+let select keep l =
+  if Array.for_all Fun.id keep then l else List.filteri (fun i _ -> keep.(i)) l
 
 (* Drop repeated equalities, keeping first occurrences in order. *)
 let dedup_eqs eqs =
-  let seen = Rows.create 16 in
-  List.filter
-    (fun a ->
-      let k = key a in
-      if Rows.mem seen k then false
-      else begin
-        Rows.add seen k ();
-        true
-      end)
-    eqs
+  match eqs with
+  | [] | [ _ ] -> eqs
+  | _ ->
+      let cl = classes ~with_const:true (Array.of_list eqs) in
+      select (Array.mapi (fun i h -> h = i) cl.head) eqs
 
-(* The strongest (smallest) constant per inequality direction. *)
-let strongest ges =
-  let best = Rows.create 16 in
-  List.iter
-    (fun a ->
-      let k = coeff_key a in
-      match Rows.find_opt best k with
-      | Some c when c <= a.Aff.const -> ()
-      | _ -> Rows.replace best k a.Aff.const)
-    ges;
-  best
-
+(* Normalisation contract (poly.mli): equalities keep their first copy;
+   inequalities keep, per direction, the first row of smallest constant,
+   in input order.  A direction and its opposite whose kept constants
+   cancel become one equality: the earlier of the two rows, normalised,
+   appended after the others in reverse order of discovery.  [alive]
+   marks the directions not yet decided: the later row of a promoted pair
+   is dropped, not kept. *)
 let simplify_exn ?(tighten = true) t =
   let eqs = dedup_eqs (List.filter_map (norm_eq ~tighten) t.eqs) in
-  let ges = List.filter_map (norm_ge ~tighten) t.ges in
-  (* For inequalities sharing a coefficient vector keep only the strongest
-     (smallest constant); detect opposite pairs that form an equality. *)
-  let best = strongest ges in
-  let promoted = ref [] in
-  let ges =
-    List.filter_map
-      (fun a ->
-        let k = coeff_key a in
-        match Rows.find_opt best k with
-        | Some c when c = a.Aff.const ->
-            Rows.remove best k;
-            (* Opposite direction present with exactly opposite constant? *)
-            let nk = coeff_key (Aff.neg a) in
-            (match Rows.find_opt best nk with
-            | Some nc when nc = -a.Aff.const ->
-                Rows.remove best nk;
-                promoted := a :: !promoted;
-                None
-            | _ -> Some a)
-        | _ -> None)
-      ges
-  in
-  let extra_eqs = List.filter_map (norm_eq ~tighten) !promoted in
-  { t with eqs = eqs @ extra_eqs; ges }
+  match List.filter_map (norm_ge ~tighten) t.ges with
+  | [] -> { t with eqs; ges = [] }
+  | ges ->
+      let rows = Array.of_list ges in
+      let m = Array.length rows in
+      let cl = classes ~with_const:false rows in
+      let best = strongest cl in
+      let alive = Array.make m true and keep = Array.make m false in
+      let promoted = ref [] in
+      for i = 0 to m - 1 do
+        let h = cl.head.(i) in
+        if alive.(h) && best.(h) = i then begin
+          alive.(h) <- false;
+          let a = rows.(i) in
+          (* Negating the row overflows only on its constant: [norm_ge]'s gcd
+             already rejected a [min_int] coefficient. *)
+          if a.Aff.const = min_int then raise C.Overflow;
+          let n = find_neg cl i in
+          if n >= 0 && rows.(best.(n)).Aff.const = - a.Aff.const then begin
+            alive.(n) <- false;
+            promoted := a :: !promoted
+          end
+          else keep.(i) <- true
+        end
+      done;
+      let ges = select keep ges in
+      let extra_eqs = List.filter_map (norm_eq ~tighten) !promoted in
+      { t with eqs = eqs @ extra_eqs; ges }
 
 let simplify ?tighten t = try simplify_exn ?tighten t with Infeasible -> empty t.space
 
 let is_obviously_empty t =
-  List.exists (fun a -> Aff.is_constant a && a.Aff.const < 0) t.ges
-  || List.exists (fun a -> Aff.is_constant a && a.Aff.const <> 0) t.eqs
+  List.exists (fun a -> a.Aff.const < 0 && Aff.is_constant a) t.ges
+  || List.exists (fun a -> a.Aff.const <> 0 && Aff.is_constant a) t.eqs
 
 (* --- Fourier–Motzkin elimination --------------------------------------- *)
 
@@ -182,17 +238,13 @@ let is_obviously_empty t =
    so it is cheap enough to run after every projection step; repeated
    eliminations otherwise multiply near-identical rows. *)
 let compact t =
-  let best = strongest t.ges in
   let ges =
-    List.filter
-      (fun a ->
-        let k = coeff_key a in
-        match Rows.find_opt best k with
-        | Some c when c = a.Aff.const ->
-            Rows.remove best k;
-            true
-        | _ -> false)
-      t.ges
+    match t.ges with
+    | [] | [ _ ] -> t.ges
+    | ges ->
+        let cl = classes ~with_const:false (Array.of_list ges) in
+        let best = strongest cl in
+        select (Array.mapi (fun i h -> best.(h) = i) cl.head) ges
   in
   { t with eqs = dedup_eqs t.eqs; ges }
 
@@ -206,43 +258,64 @@ exception Fm_budget_exceeded
    exponential. *)
 let eliminate_one ?combo_budget ~tighten t i =
   let coeff a = a.Aff.coeffs.(i) in
-  let unit_eq = List.find_opt (fun a -> abs (coeff a) = 1) (List.filter (fun a -> coeff a <> 0) t.eqs) in
-  match unit_eq with
-  | Some e ->
+  (* The first unit equality on [i], and the other equalities in order. *)
+  let rec unit_eq before = function
+    | [] -> None
+    | a :: l when abs (coeff a) = 1 -> Some (a, List.rev_append before l)
+    | a :: l -> unit_eq (a :: before) l
+  in
+  match unit_eq [] t.eqs with
+  | Some (e, eqs) ->
       (* e = c*x + rest = 0  =>  x = -rest/c = -c*rest (|c| = 1). *)
       let c = coeff e in
       let rest = { e with Aff.coeffs = Array.copy e.Aff.coeffs } in
       rest.Aff.coeffs.(i) <- 0;
       let r = Aff.scale (-c) rest in
       let sub a = Aff.subst_at a i r in
-      compact
-        { t with
-          eqs = List.filter (fun a -> not (a == e)) t.eqs |> List.map sub;
-          ges = List.map sub t.ges }
+      compact { t with eqs = List.map sub eqs; ges = List.map sub t.ges }
   | None ->
-      let eq_with, eq_without = List.partition (fun a -> coeff a <> 0) t.eqs in
-      let ges = t.ges @ List.concat_map (fun a -> [ a; Aff.neg a ]) eq_with in
-      let pos, rest = List.partition (fun a -> coeff a > 0) ges in
-      let negs, zero = List.partition (fun a -> coeff a < 0) rest in
-      (match combo_budget with
-      | Some b when List.length pos * List.length negs > b ->
-          raise Fm_budget_exceeded
-      | _ -> ());
-      let combos =
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun n ->
-                (* p: a*x + e >= 0 (a>0);  n: -b*x + f >= 0 (b>0)
-                   =>  b*e + a*f >= 0 *)
-                let a = coeff p and b = -coeff n in
-                let g = C.gcd a b in
-                let c = Aff.add (Aff.scale (b / g) p) (Aff.scale (a / g) n) in
-                c)
-              negs)
-          pos
+      (* One pass over the inequalities, then each equality on [i] as the
+         two inequalities [a] and [-a], split by the sign at [i]. *)
+      let pos = ref [] and negs = ref [] and zero = ref [] in
+      let npos = ref 0 and nneg = ref 0 in
+      let place a =
+        let c = coeff a in
+        if c > 0 then begin
+          pos := a :: !pos;
+          incr npos
+        end
+        else if c < 0 then begin
+          negs := a :: !negs;
+          incr nneg
+        end
+        else zero := a :: !zero
       in
-      simplify ~tighten { t with eqs = eq_without; ges = zero @ combos }
+      List.iter place t.ges;
+      List.iter
+        (fun a ->
+          if coeff a <> 0 then begin
+            place a;
+            place (Aff.neg a)
+          end)
+        t.eqs;
+      (match combo_budget with
+      | Some b when !npos * !nneg > b -> raise Fm_budget_exceeded
+      | _ -> ());
+      let negs = List.rev !negs in
+      let combos = ref [] in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun n ->
+              (* p: a*x + e >= 0 (a>0);  n: -b*x + f >= 0 (b>0)
+                 =>  b*e + a*f >= 0 *)
+              let a = coeff p and b = -coeff n in
+              let g = C.gcd a b in
+              combos := Aff.combine (b / g) p (a / g) n :: !combos)
+            negs)
+        (List.rev !pos);
+      let ges = List.rev_append !zero (List.rev !combos) in
+      simplify ~tighten { t with eqs = List.filter (fun a -> coeff a = 0) t.eqs; ges }
 
 let eliminate ?(tighten = true) t names =
   let t = simplify ~tighten t in
@@ -312,17 +385,17 @@ let split_components t =
   in
   let constrained = Array.make n false in
   let touch (a : Aff.t) =
+    let co = a.Aff.coeffs in
     let first = ref (-1) in
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          constrained.(i) <- true;
-          if !first < 0 then first := i
-          else
-            let ri = find !first and rj = find i in
-            if ri <> rj then parent.(ri) <- rj
-        end)
-      a.Aff.coeffs
+    for i = 0 to Array.length co - 1 do
+      if co.(i) <> 0 then begin
+        constrained.(i) <- true;
+        if !first < 0 then first := i
+        else
+          let ri = find !first and rj = find i in
+          if ri <> rj then parent.(ri) <- rj
+      end
+    done
   in
   List.iter touch t.eqs;
   List.iter touch t.ges;
@@ -340,7 +413,8 @@ let split_components t =
       size.(comp.(r)) <- size.(comp.(r)) + 1
     end
   done;
-  let dims = Array.make !ncomp [] and seen = Array.make !ncomp 0 in
+  let ncomp = !ncomp in
+  let dims = Array.make ncomp [] and seen = Array.make ncomp 0 in
   let pos = Array.make n (-1) in
   for i = 0 to n - 1 do
     if constrained.(i) then begin
@@ -352,24 +426,31 @@ let split_components t =
   done;
   let spaces = Array.map (Space.sub t.space) dims in
   let none = Space.sub t.space [] in
-  (* Slot [!ncomp] collects constraints that mention no dimension. *)
-  let eqs = Array.make (!ncomp + 1) [] and ges = Array.make (!ncomp + 1) [] in
+  (* Slot [ncomp] collects constraints that mention no dimension. *)
+  let eqs = Array.make (ncomp + 1) [] and ges = Array.make (ncomp + 1) [] in
   let place bucket (a : Aff.t) =
-    let first = ref (-1) in
-    Array.iteri (fun i c -> if c <> 0 && !first < 0 then first := i) a.Aff.coeffs;
-    if !first < 0 then bucket.(!ncomp) <- { a with Aff.space = none; coeffs = [||] } :: bucket.(!ncomp)
+    let co = a.Aff.coeffs in
+    let len = Array.length co in
+    let first = ref 0 in
+    while !first < len && co.(!first) = 0 do
+      incr first
+    done;
+    if !first = len then
+      bucket.(ncomp) <- { a with Aff.space = none; coeffs = [||] } :: bucket.(ncomp)
     else begin
       let c = comp.(find !first) in
       let coeffs = Array.make size.(c) 0 in
-      Array.iteri (fun i v -> if v <> 0 then coeffs.(pos.(i)) <- v) a.Aff.coeffs;
+      for i = !first to len - 1 do
+        if co.(i) <> 0 then coeffs.(pos.(i)) <- co.(i)
+      done;
       bucket.(c) <- { a with Aff.space = spaces.(c); coeffs } :: bucket.(c)
     end
   in
   List.iter (place eqs) t.eqs;
   List.iter (place ges) t.ges;
   let part space c = { space; eqs = List.rev eqs.(c); ges = List.rev ges.(c) } in
-  let comps = List.init !ncomp (fun c -> part spaces.(c) c) in
-  if eqs.(!ncomp) = [] && ges.(!ncomp) = [] then comps else part none !ncomp :: comps
+  let comps = List.init ncomp (fun c -> part spaces.(c) c) in
+  if eqs.(ncomp) = [] && ges.(ncomp) = [] then comps else part none ncomp :: comps
 
 (* Fourier-Motzkin emptiness is double-exponential in the worst case: each
    elimination can square the inequality count.  Past this many inequalities
@@ -383,38 +464,57 @@ let fm_inequality_budget = 4000
    Fourier-Motzkin elimination of every dimension. Greedy order: always the
    dimension whose pos*neg inequality product is smallest (ties to the first
    in space order), which delays the blow-up FM is prone to under a fixed
-   order.  Dimensions are picked and eliminated by index: no name is looked
-   up on the way. *)
-let component_empty c =
-  let cost c i =
-    let pos = ref 0 and neg = ref 0 and eq = ref false in
-    List.iter (fun (a : Aff.t) -> if a.Aff.coeffs.(i) <> 0 then eq := true) c.eqs;
+   order; an equality on a dimension puts it first.  Dimensions are picked
+   and eliminated by index: no name is looked up on the way.  [Gave_up] is
+   the budget's conservative "not provably empty". *)
+type verdict = Empty | Nonempty | Gave_up
+
+let component_verdict c =
+  let n = Space.dim c.space in
+  let live = Array.make n true in
+  let pos = Array.make n 0 and neg = Array.make n 0 and on_eq = Array.make n false in
+  (* One pass over the rows counts every dimension's occurrences. *)
+  let pick c =
+    Array.fill pos 0 n 0;
+    Array.fill neg 0 n 0;
+    Array.fill on_eq 0 n false;
     List.iter
       (fun (a : Aff.t) ->
-        if a.Aff.coeffs.(i) > 0 then incr pos
-        else if a.Aff.coeffs.(i) < 0 then incr neg)
+        let co = a.Aff.coeffs in
+        for i = 0 to n - 1 do
+          if co.(i) <> 0 then on_eq.(i) <- true
+        done)
+      c.eqs;
+    List.iter
+      (fun (a : Aff.t) ->
+        let co = a.Aff.coeffs in
+        for i = 0 to n - 1 do
+          if co.(i) > 0 then pos.(i) <- pos.(i) + 1
+          else if co.(i) < 0 then neg.(i) <- neg.(i) + 1
+        done)
       c.ges;
-    if !eq then -1 else !pos * !neg
+    let best = ref (-1) and best_cost = ref 0 in
+    for i = 0 to n - 1 do
+      if live.(i) then begin
+        let cost = if on_eq.(i) then -1 else pos.(i) * neg.(i) in
+        if !best < 0 || cost < !best_cost then begin
+          best := i;
+          best_cost := cost
+        end
+      end
+    done;
+    !best
   in
-  let rec go c dims =
-    if is_obviously_empty c then true
-    else
-      match dims with
-      | [] -> false
-      | d :: rest ->
-          let best, _ =
-            List.fold_left
-              (fun (bi, bc) i ->
-                let ci = cost c i in
-                if ci < bc then (i, ci) else (bi, bc))
-              (d, cost c d) rest
-          in
-          go
-            (eliminate_one ~combo_budget:fm_inequality_budget ~tighten:false c best)
-            (List.filter (fun i -> i <> best) dims)
+  let rec go c left =
+    if is_obviously_empty c then Empty
+    else if left = 0 then Nonempty
+    else begin
+      let d = pick c in
+      live.(d) <- false;
+      go (eliminate_one ~combo_budget:fm_inequality_budget ~tighten:false c d) (left - 1)
+    end
   in
-  try go (simplify ~tighten:false c) (List.init (Space.dim c.space) Fun.id)
-  with Fm_budget_exceeded -> false
+  try go (simplify ~tighten:false c) n with Fm_budget_exceeded -> Gave_up
 
 (* Systems keyed exactly as they arrive: dimension names plus every
    coefficient of every constraint, in order.  Order is part of the key
@@ -444,10 +544,14 @@ end)
 (* One lock guards the table: lookups and inserts are short, and the
    elimination itself runs outside it, so two domains may decide the same
    component at once and store the same verdict. *)
-type memo = { lock : Mutex.t; verdicts : bool Tbl.t }
+type memo = { lock : Mutex.t; verdicts : verdict Tbl.t }
 
 let memo () = { lock = Mutex.create (); verdicts = Tbl.create 256 }
 let memo_size m = Mutex.protect m.lock (fun () -> Tbl.length m.verdicts)
+
+let memo_giveups m =
+  Mutex.protect m.lock (fun () ->
+      Tbl.fold (fun _ v n -> if v = Gave_up then n + 1 else n) m.verdicts 0)
 
 (* Normalisation acts row by row and never changes a row's support, so it
    commutes with the split: each component is simplified on its own, and a
@@ -455,14 +559,14 @@ let memo_size m = Mutex.protect m.lock (fun () -> Tbl.length m.verdicts)
 let is_rationally_empty ?memo t =
   let decide c =
     match memo with
-    | None -> component_empty c
+    | None -> component_verdict c = Empty
     | Some m -> (
         match Mutex.protect m.lock (fun () -> Tbl.find_opt m.verdicts c) with
-        | Some v -> v
+        | Some v -> v = Empty
         | None ->
-            let v = component_empty c in
+            let v = component_verdict c in
             Mutex.protect m.lock (fun () -> Tbl.replace m.verdicts c v);
-            v)
+            v = Empty)
   in
   List.exists decide (split_components t)
 
@@ -477,7 +581,6 @@ let cascade ?fm_budget t =
   let levels = Array.make (max n 1) (simplify t) in
   if n = 0 then levels
   else begin
-    levels.(n - 1) <- simplify t;
     for k = n - 1 downto 1 do
       levels.(k - 1) <-
         eliminate_one ?combo_budget:fm_budget ~tighten:true levels.(k) k

@@ -34,14 +34,34 @@ val product : t -> t -> t
 
 val simplify : ?tighten:bool -> t -> t
 (** Normalise constraints, drop duplicates and syntactic redundancies.
-    [tighten] (default [true]) applies integer tightening to inequalities. *)
+    [tighten] (default [true]) applies integer tightening to inequalities.
+
+    Normalisation contract.  The result is a function of the rows and
+    their order, and {!memo} keys, samples and plans depend on it:
+    - each row is divided by the gcd of its coefficients (with [tighten],
+      an inequality's constant is rounded down; without it, the constant
+      joins the gcd); a row already in lowest terms is kept as it is.  An
+      equality's first non-zero coefficient is made positive;
+    - equalities keep their first occurrence, in input order;
+    - inequalities keep, per coefficient vector (direction), the first row
+      of smallest constant, in input order;
+    - a kept direction whose opposite direction's kept constant is exactly
+      its negation becomes an equality: the earlier of the two rows is
+      normalised as an equality, and these promoted equalities follow the
+      others, latest first;
+    - a trivially true row is dropped; a trivially false one yields the
+      canonical empty polyhedron.
+    Arithmetic is checked: a row whose negation does not fit an [int]
+    raises {!Riot_base.Checked.Overflow}. *)
 
 val compact : t -> t
 (** Lightweight redundancy elimination: drop syntactically duplicate
     constraints and inequalities dominated by an identical-coefficient row
     with a weaker (larger) constant.  No normalisation, no emptiness checks;
     run after every Fourier–Motzkin step to curb constraint blowup in
-    repeated projections. *)
+    repeated projections.  It keeps rows as {!simplify} does: the first
+    copy of each equality and the first strongest row of each direction,
+    in input order. *)
 
 val is_obviously_empty : t -> bool
 (** Syntactic check after simplification (a constant constraint failed). *)
@@ -99,6 +119,10 @@ val memo : unit -> memo
 
 val memo_size : memo -> int
 (** Components decided through the memo so far (each counted once). *)
+
+val memo_giveups : memo -> int
+(** Of those, the components whose elimination passed the inequality budget
+    and were answered "non-empty" by that give-up. *)
 
 val is_rationally_empty : ?memo:memo -> t -> bool
 (** No rational points (exact over the rationals; checked per connected

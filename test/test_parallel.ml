@@ -348,7 +348,9 @@ let test_split_no_pool () =
 (* The search's work counters are deterministic: the same counts on
    repeated runs and at every jobs, since a component is recorded once
    whichever domain decides it first.  Both the pruned and the exhaustive
-   search report them. *)
+   search report them.  The give-up count is where a changed elimination
+   would first show: the budget is the one place its order can alter a
+   verdict. *)
 let test_work_counters () =
   let prog = Programs.linear_regression () in
   let config = Programs.table4 in
@@ -358,18 +360,19 @@ let test_work_counters () =
         let s = Riot_optimizer.Opt_stats.create () in
         ignore (Api.optimize ~prune ~max_size:2 ~jobs ~opt_stats:s prog ~config);
         ( Atomic.get s.Riot_optimizer.Opt_stats.fm_components,
+          Atomic.get s.Riot_optimizer.Opt_stats.fm_giveups,
           Atomic.get s.Riot_optimizer.Opt_stats.samples_drawn )
       in
       let what s = Printf.sprintf "%s (prune=%b)" s prune in
-      let ((fm, sampled) as c1) = counts 1 in
+      let ((fm, giveups, sampled) as c1) = counts 1 in
       check_bool (what "Fourier-Motzkin decided components") true (fm > 0);
+      check_bool (what "give-ups are among them") true (giveups <= fm);
       check_bool (what "components were sampled") true (sampled > 0);
       List.iter
         (fun jobs ->
-          let fm', sampled' = counts jobs in
-          Alcotest.(check (pair int int))
+          Alcotest.(check (triple int int int))
             (what (Printf.sprintf "counts at jobs=%d = jobs=1" jobs))
-            c1 (fm', sampled'))
+            c1 (counts jobs))
         [ 1; 2; 4 ])
     [ true; false ]
 

@@ -571,6 +571,580 @@ let test_count_rationally_empty () =
   | Some c -> check_bool "zero" true (Pl.is_zero c)
   | None -> Alcotest.fail "expected a count"
 
+(* --- Frozen kernel: the differential oracle ------------------------------ *)
+
+(* The hash-table implementation of simplify, compact, split_components and
+   rational emptiness as it stood before the kernel was rewritten with
+   index loops and open addressing, copied verbatim over a record of its
+   own (Poly.t is abstract).  The rewrite promises the same values: the
+   same rows kept, in the same order, the same promotions, the same greedy
+   elimination order and budget give-up, the same checked arithmetic. *)
+module Frozen = struct
+  module C = Riot_base.Checked
+
+  type t = { space : Space.t; eqs : Aff.t list; ges : Aff.t list }
+
+  let of_poly p = { space = Poly.space p; eqs = Poly.eqs p; ges = Poly.ges p }
+
+  (* The two Aff helpers the kernel rewrite also touched, as they were. *)
+  module Aff = struct
+    include Aff
+
+    let is_constant a = Array.for_all (( = ) 0) a.coeffs
+
+    let subst_at e i r =
+      let c = e.coeffs.(i) in
+      if c = 0 then e
+      else
+        let e' = { e with coeffs = Array.copy e.coeffs } in
+        e'.coeffs.(i) <- 0;
+        add e' (scale c r)
+  end
+
+  (* The canonical empty polyhedron: 0 >= -1 is recognisable syntactically. *)
+  let empty space = { space; eqs = []; ges = [ Aff.const space (-1) ] }
+
+  exception Infeasible
+
+  (* Canonical sign: first non-zero coefficient positive, so structurally equal
+     equalities of opposite sign share one representative. *)
+  let canon_sign aff =
+    let rec lead i =
+      if i >= Array.length aff.Aff.coeffs then 1
+      else if aff.Aff.coeffs.(i) > 0 then 1
+      else if aff.Aff.coeffs.(i) < 0 then -1
+      else lead (i + 1)
+    in
+    if lead 0 < 0 then Aff.neg aff else aff
+
+  (* Normalise an equality [aff = 0]. Returns [None] for the trivial 0 = 0.
+     With [tighten], an equality whose coefficient gcd does not divide the
+     constant has no integer solution.
+     @raise Infeasible when no solution can exist. *)
+  let norm_eq ~tighten aff =
+    let g = Aff.content_gcd aff in
+    if g = 0 then if aff.Aff.const = 0 then None else raise Infeasible
+    else if aff.Aff.const mod g <> 0 then
+      if tighten then raise Infeasible
+      else
+        let g = C.gcd g aff.Aff.const in
+        let aff =
+          if g <= 1 then aff
+          else { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
+                          Aff.const = aff.Aff.const / g }
+        in
+        Some (canon_sign aff)
+    else
+      let aff = { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
+                           Aff.const = aff.Aff.const / g } in
+      Some (canon_sign aff)
+
+  (* Normalise an inequality [aff >= 0]. [tighten] may round the constant down
+     (valid over the integers only). Returns [None] for a trivially true
+     constraint. @raise Infeasible when trivially false. *)
+  let norm_ge ~tighten aff =
+    let g = Aff.content_gcd aff in
+    if g = 0 then if aff.Aff.const >= 0 then None else raise Infeasible
+    else if tighten then
+      Some
+        { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
+                   Aff.const = C.fdiv aff.Aff.const g }
+    else
+      let g = C.gcd g aff.Aff.const in
+      if g <= 1 then Some aff
+      else
+        Some
+          { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
+                     Aff.const = aff.Aff.const / g }
+
+  (* Constraint tables key on coefficient rows and hash every coefficient:
+     the polymorphic [Hashtbl.hash] reads only about ten words, so the wide,
+     mostly-zero rows of a schedule-coefficient space would share leading
+     zeros and pile into one bucket. *)
+  let hash_row coeffs const =
+    let h = ref const in
+    for i = 0 to Array.length coeffs - 1 do
+      h := (!h * 31) + coeffs.(i)
+    done;
+    !h land max_int
+
+  let equal_row (a : int array) (b : int array) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = n
+
+  (* Keys are coefficient rows: [key] (with the constant) identifies a
+     constraint, [coeff_key] the direction its inequality bounds. *)
+  module Rows = Hashtbl.Make (struct
+    type t = int array * int
+
+    let equal ((a, k) : t) (b, l) = k = l && equal_row a b
+    let hash ((a, k) : t) = hash_row a k
+  end)
+
+  let key aff = (aff.Aff.coeffs, aff.Aff.const)
+  let coeff_key aff = (aff.Aff.coeffs, 0)
+
+  (* Drop repeated equalities, keeping first occurrences in order. *)
+  let dedup_eqs eqs =
+    let seen = Rows.create 16 in
+    List.filter
+      (fun a ->
+        let k = key a in
+        if Rows.mem seen k then false
+        else begin
+          Rows.add seen k ();
+          true
+        end)
+      eqs
+
+  (* The strongest (smallest) constant per inequality direction. *)
+  let strongest ges =
+    let best = Rows.create 16 in
+    List.iter
+      (fun a ->
+        let k = coeff_key a in
+        match Rows.find_opt best k with
+        | Some c when c <= a.Aff.const -> ()
+        | _ -> Rows.replace best k a.Aff.const)
+      ges;
+    best
+
+  let simplify_exn ?(tighten = true) t =
+    let eqs = dedup_eqs (List.filter_map (norm_eq ~tighten) t.eqs) in
+    let ges = List.filter_map (norm_ge ~tighten) t.ges in
+    (* For inequalities sharing a coefficient vector keep only the strongest
+       (smallest constant); detect opposite pairs that form an equality. *)
+    let best = strongest ges in
+    let promoted = ref [] in
+    let ges =
+      List.filter_map
+        (fun a ->
+          let k = coeff_key a in
+          match Rows.find_opt best k with
+          | Some c when c = a.Aff.const ->
+              Rows.remove best k;
+              (* Opposite direction present with exactly opposite constant? *)
+              let nk = coeff_key (Aff.neg a) in
+              (match Rows.find_opt best nk with
+              | Some nc when nc = -a.Aff.const ->
+                  Rows.remove best nk;
+                  promoted := a :: !promoted;
+                  None
+              | _ -> Some a)
+          | _ -> None)
+        ges
+    in
+    let extra_eqs = List.filter_map (norm_eq ~tighten) !promoted in
+    { t with eqs = eqs @ extra_eqs; ges }
+
+  let simplify ?tighten t = try simplify_exn ?tighten t with Infeasible -> empty t.space
+
+  let is_obviously_empty t =
+    List.exists (fun a -> Aff.is_constant a && a.Aff.const < 0) t.ges
+    || List.exists (fun a -> Aff.is_constant a && a.Aff.const <> 0) t.eqs
+
+  (* --- Fourier–Motzkin elimination --------------------------------------- *)
+
+  (* Lightweight redundancy elimination: drop syntactic duplicates and
+     inequalities dominated by an identical-coefficient row with a smaller
+     constant (for [c.x + k >= 0], smaller [k] is stronger).  Unlike
+     [simplify] this performs no gcd normalisation or infeasibility analysis,
+     so it is cheap enough to run after every projection step; repeated
+     eliminations otherwise multiply near-identical rows. *)
+  let compact t =
+    let best = strongest t.ges in
+    let ges =
+      List.filter
+        (fun a ->
+          let k = coeff_key a in
+          match Rows.find_opt best k with
+          | Some c when c = a.Aff.const ->
+              Rows.remove best k;
+              true
+          | _ -> false)
+        t.ges
+    in
+    { t with eqs = dedup_eqs t.eqs; ges }
+
+  exception Fm_budget_exceeded
+
+  (* Eliminate one dimension. Prefers exact substitution via an equality with a
+     unit coefficient; otherwise falls back to FM over the inequalities (with
+     non-unit equalities split into two inequalities).  [combo_budget], when
+     given, raises [Fm_budget_exceeded] sooner than materializing more than
+     that many pos*neg combinations — the step that makes FM double
+     exponential. *)
+  let eliminate_one ?combo_budget ~tighten t i =
+    let coeff a = a.Aff.coeffs.(i) in
+    let unit_eq = List.find_opt (fun a -> abs (coeff a) = 1) (List.filter (fun a -> coeff a <> 0) t.eqs) in
+    match unit_eq with
+    | Some e ->
+        (* e = c*x + rest = 0  =>  x = -rest/c = -c*rest (|c| = 1). *)
+        let c = coeff e in
+        let rest = { e with Aff.coeffs = Array.copy e.Aff.coeffs } in
+        rest.Aff.coeffs.(i) <- 0;
+        let r = Aff.scale (-c) rest in
+        let sub a = Aff.subst_at a i r in
+        compact
+          { t with
+            eqs = List.filter (fun a -> not (a == e)) t.eqs |> List.map sub;
+            ges = List.map sub t.ges }
+    | None ->
+        let eq_with, eq_without = List.partition (fun a -> coeff a <> 0) t.eqs in
+        let ges = t.ges @ List.concat_map (fun a -> [ a; Aff.neg a ]) eq_with in
+        let pos, rest = List.partition (fun a -> coeff a > 0) ges in
+        let negs, zero = List.partition (fun a -> coeff a < 0) rest in
+        (match combo_budget with
+        | Some b when List.length pos * List.length negs > b ->
+            raise Fm_budget_exceeded
+        | _ -> ());
+        let combos =
+          List.concat_map
+            (fun p ->
+              List.map
+                (fun n ->
+                  (* p: a*x + e >= 0 (a>0);  n: -b*x + f >= 0 (b>0)
+                     =>  b*e + a*f >= 0 *)
+                  let a = coeff p and b = -coeff n in
+                  let g = C.gcd a b in
+                  let c = Aff.add (Aff.scale (b / g) p) (Aff.scale (a / g) n) in
+                  c)
+                negs)
+            pos
+        in
+        simplify ~tighten { t with eqs = eq_without; ges = zero @ combos }
+
+  let eliminate ?(tighten = true) t names =
+    let t = simplify ~tighten t in
+    if is_obviously_empty t then empty t.space
+    else
+      List.fold_left
+        (fun t name ->
+          if is_obviously_empty t then empty t.space
+          else eliminate_one ~tighten t (Space.index t.space name))
+        t names
+
+
+  (* Connected components of the constraint graph: dimensions coupled by a
+     common constraint. Emptiness factorises over components, which keeps
+     Fourier-Motzkin elimination local (the schedule-coefficient spaces of the
+     optimizer couple statements only pairwise).  Index-based: every
+     constraint is assigned to the component of its first non-zero
+     coefficient and its coefficients are remapped by position.  Components
+     come in order of their smallest dimension; each lists its dimensions in
+     decreasing space order, the order the optimizer's sampled schedules
+     were always drawn in. *)
+  let split_components t =
+    let n = Space.dim t.space in
+    let parent = Array.init n Fun.id in
+    let rec find i =
+      if parent.(i) = i then i
+      else begin
+        parent.(i) <- find parent.(i);
+        parent.(i)
+      end
+    in
+    let constrained = Array.make n false in
+    let touch (a : Aff.t) =
+      let first = ref (-1) in
+      Array.iteri
+        (fun i c ->
+          if c <> 0 then begin
+            constrained.(i) <- true;
+            if !first < 0 then first := i
+            else
+              let ri = find !first and rj = find i in
+              if ri <> rj then parent.(ri) <- rj
+          end)
+        a.Aff.coeffs
+    in
+    List.iter touch t.eqs;
+    List.iter touch t.ges;
+    (* [comp.(root)] numbers the components; [pos.(i)] is dimension [i]'s
+       index inside its component. *)
+    let comp = Array.make n (-1) and size = Array.make n 0 in
+    let ncomp = ref 0 in
+    for i = 0 to n - 1 do
+      if constrained.(i) then begin
+        let r = find i in
+        if comp.(r) < 0 then begin
+          comp.(r) <- !ncomp;
+          incr ncomp
+        end;
+        size.(comp.(r)) <- size.(comp.(r)) + 1
+      end
+    done;
+    let dims = Array.make !ncomp [] and seen = Array.make !ncomp 0 in
+    let pos = Array.make n (-1) in
+    for i = 0 to n - 1 do
+      if constrained.(i) then begin
+        let c = comp.(find i) in
+        dims.(c) <- i :: dims.(c);
+        pos.(i) <- size.(c) - 1 - seen.(c);
+        seen.(c) <- seen.(c) + 1
+      end
+    done;
+    let spaces = Array.map (Space.sub t.space) dims in
+    let none = Space.sub t.space [] in
+    (* Slot [!ncomp] collects constraints that mention no dimension. *)
+    let eqs = Array.make (!ncomp + 1) [] and ges = Array.make (!ncomp + 1) [] in
+    let place bucket (a : Aff.t) =
+      let first = ref (-1) in
+      Array.iteri (fun i c -> if c <> 0 && !first < 0 then first := i) a.Aff.coeffs;
+      if !first < 0 then bucket.(!ncomp) <- { a with Aff.space = none; coeffs = [||] } :: bucket.(!ncomp)
+      else begin
+        let c = comp.(find !first) in
+        let coeffs = Array.make size.(c) 0 in
+        Array.iteri (fun i v -> if v <> 0 then coeffs.(pos.(i)) <- v) a.Aff.coeffs;
+        bucket.(c) <- { a with Aff.space = spaces.(c); coeffs } :: bucket.(c)
+      end
+    in
+    List.iter (place eqs) t.eqs;
+    List.iter (place ges) t.ges;
+    let part space c = { space; eqs = List.rev eqs.(c); ges = List.rev ges.(c) } in
+    let comps = List.init !ncomp (fun c -> part spaces.(c) c) in
+    if eqs.(!ncomp) = [] && ges.(!ncomp) = [] then comps else part none !ncomp :: comps
+
+  (* Fourier-Motzkin emptiness is double-exponential in the worst case: each
+     elimination can square the inequality count.  Past this many inequalities
+     in an intermediate system we give up on the component and conservatively
+     answer "not provably empty" - sound for every caller, since emptiness only
+     gates pruning and dropping (a retained non-empty verdict is re-tested by
+     whatever sampling or verification follows). *)
+  let fm_inequality_budget = 4000
+
+  (* Components answered by the budget give-up (the one line added to the
+     copy), for comparison with [Poly.memo_giveups]. *)
+  let giveups = ref 0
+
+  (* Rational emptiness of one component: simplification, then
+     Fourier-Motzkin elimination of every dimension. Greedy order: always the
+     dimension whose pos*neg inequality product is smallest (ties to the first
+     in space order), which delays the blow-up FM is prone to under a fixed
+     order.  Dimensions are picked and eliminated by index: no name is looked
+     up on the way. *)
+  let component_empty c =
+    let cost c i =
+      let pos = ref 0 and neg = ref 0 and eq = ref false in
+      List.iter (fun (a : Aff.t) -> if a.Aff.coeffs.(i) <> 0 then eq := true) c.eqs;
+      List.iter
+        (fun (a : Aff.t) ->
+          if a.Aff.coeffs.(i) > 0 then incr pos
+          else if a.Aff.coeffs.(i) < 0 then incr neg)
+        c.ges;
+      if !eq then -1 else !pos * !neg
+    in
+    let rec go c dims =
+      if is_obviously_empty c then true
+      else
+        match dims with
+        | [] -> false
+        | d :: rest ->
+            let best, _ =
+              List.fold_left
+                (fun (bi, bc) i ->
+                  let ci = cost c i in
+                  if ci < bc then (i, ci) else (bi, bc))
+                (d, cost c d) rest
+            in
+            go
+              (eliminate_one ~combo_budget:fm_inequality_budget ~tighten:false c best)
+              (List.filter (fun i -> i <> best) dims)
+    in
+    try go (simplify ~tighten:false c) (List.init (Space.dim c.space) Fun.id)
+    with Fm_budget_exceeded ->
+      incr giveups;
+      false
+
+  let is_rationally_empty t = List.exists component_empty (split_components t)
+end
+
+(* Every row with its space, coefficients and constant, in order: the
+   rewritten kernel must return exactly the frozen one's values. *)
+let show_row (a : Aff.t) =
+  Printf.sprintf "[%s|%s|%d]"
+    (String.concat "," (Space.names a.Aff.space))
+    (String.concat "," (Array.to_list (Array.map string_of_int a.Aff.coeffs)))
+    a.Aff.const
+
+let show_system space eqs ges =
+  Printf.sprintf "(%s) eqs %s; ges %s"
+    (String.concat "," (Space.names space))
+    (String.concat " " (List.map show_row eqs))
+    (String.concat " " (List.map show_row ges))
+
+let show_poly p = show_system (Poly.space p) (Poly.eqs p) (Poly.ges p)
+let show_frozen (f : Frozen.t) = show_system f.Frozen.space f.Frozen.eqs f.Frozen.ges
+let outcome f x = match f x with v -> v | exception e -> "raised " ^ Printexc.to_string e
+
+(* A random system seeded with what normalisation must get right: repeated
+   rows (the same row or an equal copy), same-direction rows with other
+   constants, opposite rows whose constants cancel or do not, rows with a
+   common factor, and constant rows, shuffled among the rows they derive
+   from. *)
+let random_system st =
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let n = int 1 6 in
+  let s = sp (List.init n (Printf.sprintf "x%d")) in
+  let row () =
+    if Random.State.int st 8 = 0 then Aff.const s (int (-2) 2)
+    else
+      { Aff.space = s;
+        coeffs = Array.init n (fun _ -> if Random.State.bool st then 0 else int (-3) 3);
+        const = int (-6) 6 }
+  in
+  let derive (a : Aff.t) =
+    match Random.State.int st 6 with
+    | 0 -> a
+    | 1 -> { a with Aff.coeffs = Array.copy a.Aff.coeffs }
+    | 2 -> { a with Aff.const = int (-6) 6 }
+    | 3 -> Aff.neg a
+    | 4 -> Aff.add_const (Aff.neg a) (int (-2) 2)
+    | _ -> Aff.scale (int 2 4) a
+  in
+  let rows k =
+    let base = List.init k (fun _ -> row ()) in
+    base @ List.filter_map (fun a -> if Random.State.bool st then Some (derive a) else None) base
+    |> List.map (fun a -> (Random.State.bits st, a))
+    |> List.stable_sort (fun (x, _) (y, _) -> compare x y)
+    |> List.map snd
+  in
+  Poly.of_constraints s ~eqs:(rows (int 0 3)) ~ges:(rows (int 0 9))
+
+(* Inequalities enough that Fourier-Motzkin passes its 4000-inequality
+   budget, at the first elimination or a later one. *)
+let wide_system st =
+  let n = 2 + Random.State.int st 3 in
+  let s = sp (List.init n (Printf.sprintf "x%d")) in
+  let coeff () = (if Random.State.bool st then 1 else -1) * (1 + Random.State.int st 30) in
+  let ges =
+    List.init
+      (30 + Random.State.int st 170)
+      (fun _ ->
+        { Aff.space = s; coeffs = Array.init n (fun _ -> coeff ()); const = Random.State.int st 50 })
+  in
+  Poly.of_constraints s ~eqs:[] ~ges
+
+(* The kernel's answers on one system against the frozen copy's: the
+   first that differs, if any. *)
+let kernel_mismatch ~eliminate p =
+  let f = Frozen.of_poly p in
+  let checks =
+    [ ( "simplify",
+        outcome (fun () -> show_poly (Poly.simplify p)) (),
+        outcome (fun () -> show_frozen (Frozen.simplify f)) () );
+      ( "simplify ~tighten:false",
+        outcome (fun () -> show_poly (Poly.simplify ~tighten:false p)) (),
+        outcome (fun () -> show_frozen (Frozen.simplify ~tighten:false f)) () );
+      ( "compact",
+        outcome (fun () -> show_poly (Poly.compact p)) (),
+        outcome (fun () -> show_frozen (Frozen.compact f)) () );
+      ( "split_components",
+        outcome (fun () -> String.concat " | " (List.map show_poly (Poly.split_components p))) (),
+        outcome
+          (fun () -> String.concat " | " (List.map show_frozen (Frozen.split_components f)))
+          () );
+      ( "is_rationally_empty",
+        outcome
+          (fun () ->
+            let memo = Poly.memo () in
+            let v = Poly.is_rationally_empty ~memo p in
+            Printf.sprintf "%b (memo-less %b), %d give-ups" v (Poly.is_rationally_empty p)
+              (Poly.memo_giveups memo))
+          (),
+        outcome
+          (fun () ->
+            Frozen.giveups := 0;
+            let v = Frozen.is_rationally_empty f in
+            let giveups = !Frozen.giveups in
+            Printf.sprintf "%b (memo-less %b), %d give-ups" v v giveups)
+          () ) ]
+    @
+    if not eliminate then []
+    else
+      let names = List.filteri (fun i _ -> i mod 2 = 0) (Space.names (Poly.space p)) in
+      [ ( "eliminate",
+          outcome (fun () -> show_poly (Poly.eliminate p names)) (),
+          outcome (fun () -> show_frozen (Frozen.eliminate f names)) () ) ]
+  in
+  List.find_map
+    (fun (what, got, want) ->
+      if got = want then None
+      else Some (Printf.sprintf "%s on %s:\n  kernel %s\n  frozen %s" what (show_poly p) got want))
+    checks
+
+let frozen_property ~name ~count ~eliminate gen =
+  QCheck.Test.make ~name ~count
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      match kernel_mismatch ~eliminate (gen (Random.State.make [| seed |])) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
+
+let qcheck_frozen =
+  [ frozen_property ~name:"kernel = frozen copy on seeded systems" ~count:2000 ~eliminate:true
+      random_system;
+    frozen_property ~name:"kernel = frozen copy past the FM budget" ~count:30 ~eliminate:false
+      wide_system ]
+
+(* Seeded systems on which the greedy elimination order decides a budget
+   give-up: a tie broken the other way changes the give-up count. *)
+let test_frozen_pinned () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "seed %d" seed) None
+        (kernel_mismatch ~eliminate:true (random_system (Random.State.make [| seed |]))))
+    [ 56988; 80152; 313483; 610141; 676501; 694601 ]
+
+(* 200 rows over three dimensions, about half of them positive and half
+   negative on each: the first elimination alone would combine some 10^4
+   pairs, past the budget. *)
+let test_frozen_giveup () =
+  let s = sp [ "x"; "y"; "z" ] in
+  let row i =
+    { Aff.space = s;
+      coeffs =
+        Array.init 3 (fun d ->
+            (if (i lsr d) land 1 = 0 then 1 else -1) * (1 + (i * (d + 3) mod 29)));
+      const = 10 }
+  in
+  let p = Poly.of_constraints s ~eqs:[] ~ges:(List.init 200 row) in
+  let memo = Poly.memo () in
+  check_bool "not provably empty" false (Poly.is_rationally_empty ~memo p);
+  check_int "by the budget give-up" 1 (Poly.memo_giveups memo);
+  Alcotest.(check (option string)) "same values as the frozen copy" None
+    (kernel_mismatch ~eliminate:false p)
+
+(* 3x + 2^60 >= 0 and -5x + 2^60 >= 0: eliminating x multiplies 2^60 by 5,
+   which no int holds.  Both kernels raise rather than wrap. *)
+let test_frozen_overflow () =
+  let s = sp [ "x" ] in
+  let big = 1 lsl 60 in
+  let p =
+    Poly.of_constraints s ~eqs:[]
+      ~ges:[ aff s ~c:big [ ("x", 3) ]; aff s ~c:big [ ("x", -5) ] ]
+  in
+  let raises f = match f () with _ -> false | exception Riot_base.Checked.Overflow -> true in
+  check_bool "kernel raises" true (raises (fun () -> Poly.is_rationally_empty p));
+  check_bool "kernel raises through a memo" true
+    (raises (fun () -> Poly.is_rationally_empty ~memo:(Poly.memo ()) p));
+  check_bool "frozen copy raises" true
+    (raises (fun () -> Frozen.is_rationally_empty (Frozen.of_poly p)));
+  (* x + min_int >= 0 has no negation: simplify raises as it looks for the
+     opposite direction. *)
+  let q = Poly.of_constraints s ~eqs:[] ~ges:[ aff s ~c:min_int [ ("x", 1) ] ] in
+  check_bool "kernel simplify raises on a min_int constant" true
+    (raises (fun () -> Poly.simplify q));
+  check_bool "frozen simplify raises too" true
+    (raises (fun () -> Frozen.simplify (Frozen.of_poly q)))
+
 let suite =
   ( "poly",
     [ Alcotest.test_case "space" `Quick test_space;
@@ -596,5 +1170,8 @@ let suite =
       Alcotest.test_case "split components" `Quick test_split_components;
       Alcotest.test_case "enumerate one-sided raises" `Quick test_enumerate_one_sided_raises;
       Alcotest.test_case "truncation hook" `Quick test_truncation_hook;
-      Alcotest.test_case "count rationally empty" `Quick test_count_rationally_empty ]
-    @ List.map QCheck_alcotest.to_alcotest (qcheck_poly @ qcheck_counting) )
+      Alcotest.test_case "count rationally empty" `Quick test_count_rationally_empty;
+      Alcotest.test_case "frozen copy: pinned seeds" `Quick test_frozen_pinned;
+      Alcotest.test_case "frozen copy: budget give-up" `Quick test_frozen_giveup;
+      Alcotest.test_case "frozen copy: FM overflow raises" `Quick test_frozen_overflow ]
+    @ List.map QCheck_alcotest.to_alcotest (qcheck_poly @ qcheck_counting @ qcheck_frozen) )
