@@ -130,8 +130,8 @@ let resolve_config ~default ~config ~params ~blocks =
           (fun spec ->
             let name, br, bc, gr, gc = parse_block_spec spec in
             let l = { Config.grid = [| gr; gc |]; block_elems = [| br; bc |]; elem_size = 8 } in
-            (* Every size the optimizer derives from a layout divides its
-               total bytes, so checking that one product checks them all. *)
+            (* [total_bytes] computes every size product of a layout, so
+               it overflows whenever one of them would. *)
             (match Config.total_bytes l with
             | _ -> ()
             | exception Riot_base.Checked.Overflow ->
@@ -228,8 +228,7 @@ let stats_arg =
            bound / pruned by Apriori / rejected by verification, components \
            decided by Fourier-Motzkin and budget give-ups among them, \
            samples drawn, time per phase, per-domain utilization) for the \
-           exhaustive or, with \
-           $(b,--prune), the pruned search.")
+           exhaustive or, with $(b,--prune), the pruned search.")
 
 let with_opt_stats stats f =
   let opt_stats =

@@ -32,6 +32,8 @@ let neg a = { a with coeffs = Array.map C.neg a.coeffs; const = C.neg a.const }
 let sub a b = add a (neg b)
 let scale k a = { a with coeffs = Array.map (C.mul k) a.coeffs; const = C.mul k a.const }
 let add_const a c = { a with const = C.add a.const c }
+(* A plain loop: [Array.for_all (( = ) 0)] allocates a closure per call,
+   and emptiness checks call this on every row of every step. *)
 let is_constant a =
   let c = a.coeffs in
   let i = ref 0 in
