@@ -81,26 +81,20 @@ let cast space a =
   { space; coeffs; const = a.const }
 
 (* The fused loops below run the same checked operations as their
-   [add]/[scale] spelling, so they raise [Overflow] exactly when it would;
-   only a space mismatch, which that spelling reports after scaling, takes
-   the long way round to fail identically. *)
+   [add]/[scale] spelling, so they raise [Overflow] exactly when it would. *)
 let combine k1 a k2 b =
-  if not (Space.equal a.space b.space) then add (scale k1 a) (scale k2 b)
-  else
-    let x = a.coeffs and y = b.coeffs in
-    let coeffs = Array.make (Array.length x) 0 in
-    for j = 0 to Array.length x - 1 do
-      coeffs.(j) <- C.add (C.mul k1 x.(j)) (C.mul k2 y.(j))
-    done;
-    { a with coeffs; const = C.add (C.mul k1 a.const) (C.mul k2 b.const) }
+  check_space a b;
+  let x = a.coeffs and y = b.coeffs in
+  let coeffs = Array.make (Array.length x) 0 in
+  for j = 0 to Array.length x - 1 do
+    coeffs.(j) <- C.add (C.mul k1 x.(j)) (C.mul k2 y.(j))
+  done;
+  { a with coeffs; const = C.add (C.mul k1 a.const) (C.mul k2 b.const) }
 
 let subst_at e i r =
+  check_space e r;
   let c = e.coeffs.(i) in
   if c = 0 then e
-  else if not (Space.equal e.space r.space) then
-    let e' = { e with coeffs = Array.copy e.coeffs } in
-    e'.coeffs.(i) <- 0;
-    add e' (scale c r)
   else
     let x = e.coeffs and y = r.coeffs in
     let coeffs = Array.make (Array.length x) 0 in

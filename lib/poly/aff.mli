@@ -21,7 +21,8 @@ val add_const : t -> int -> t
 
 val combine : int -> t -> int -> t -> t
 (** [combine k1 a k2 b] is [add (scale k1 a) (scale k2 b)], built in one
-    array; it raises exactly what that expression raises. *)
+    array; it raises [Overflow] exactly when that expression does.
+    @raise Invalid_argument if [a] and [b] live in different spaces. *)
 
 val is_constant : t -> bool
 val is_zero : t -> bool
@@ -47,7 +48,8 @@ val subst : t -> string -> t -> t
     here [r] is affine with integer coefficients so substitution is exact. *)
 
 val subst_at : t -> int -> t -> t
-(** [subst] of the dimension at an index. *)
+(** [subst] of the dimension at an index.
+    @raise Invalid_argument if [e] and [r] live in different spaces. *)
 
 val fix_dims : t -> (string * int) list -> t
 (** Substitute integer values for dimensions; the result stays in the same
