@@ -1458,9 +1458,10 @@ let iolap_smoke () = iolap_run ~variant:"smoke" ~scale:50 ~reps:1 ~gate:false
    record that every result was finite, that two calls agreed bit for bit,
    that a forced row split across the pool matched the one-domain
    Dense.gemm bit for bit, and that on operands salted with NaNs of two
-   payloads and both signs, infinities, signed zeros and subnormals the
-   kernel matched the plain triple loop bit for bit; the run fails if any
-   does not hold.
+   payloads and both signs, infinities, signed zeros and subnormals every
+   tile this CPU runs (Dense.supported_isas, listed as "isas") matched the
+   plain triple loop bit for bit; the run fails if any does not hold.  The
+   timed calls run the tile dispatch picks, named in the row as "isa".
    The full run appends one row at jobs = 1 and one at the default jobs to
    BENCH_gemm.json; the smoke run uses tiny shapes and gates only the
    identities. *)
@@ -1512,6 +1513,8 @@ let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
   (* Its own stream, so the timed operands stay those of earlier rows. *)
   let salt = Random.State.make [| 2013 |] in
   let model = machine.Machine.gemm_flops in
+  Printf.printf "tile: %s (supported: %s)\n" (Dense.isa_name Dense.isa)
+    (String.concat ", " (List.map Dense.isa_name Dense.supported_isas));
   Printf.printf "%-24s %-16s %-6s %-7s %-10s %-10s %s\n" "shape" "m x n x k" "op" "chunks"
     "GFLOP/s" "model" "ratio";
   let rows =
@@ -1536,10 +1539,14 @@ let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
         and seq_identical =
           let a = salted salt (m * k) and b = salted salt (k * n)
           and c0 = salted salt (m * n) in
-          let c = Array.copy c0 and c_ref = Array.copy c0 in
-          Dense.gemm_par par ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
+          let c_ref = Array.copy c0 in
           plain_gemm ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
-          bits c = bits c_ref
+          List.for_all
+            (fun isa ->
+              let c = Array.copy c0 in
+              Dense.gemm_par ~isa par ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
+              bits c = bits c_ref)
+            Dense.supported_isas
         in
         (* Median over trials; each trial repeats the call until it has run
            [min_seconds]. *)
@@ -1576,11 +1583,15 @@ let gemm_run ~variant ~jobs ~shapes ~min_seconds ~trials =
   in
   let row =
     Printf.sprintf
-      "{%s, \"jobs\": %d, \"grain_flops\": %d, \"trials\": %d, \"min_seconds\": %g, \
-       \"shapes\": {%s}, \"metrics\": {%s}, \"gates\": {\"finite\": %b, \
-       \"deterministic\": %b, \"split_identical\": %b, \"seq_identical\": %b}}"
+      "{%s, \"jobs\": %d, \"isa\": %S, \"isas\": [%s], \"grain_flops\": %d, \
+       \"trials\": %d, \"min_seconds\": %g, \"shapes\": {%s}, \"metrics\": {%s}, \
+       \"gates\": {\"finite\": %b, \"deterministic\": %b, \"split_identical\": %b, \
+       \"seq_identical\": %b}}"
       (row_header ~bench:"gemm" ~variant)
-      jobs Dense.gemm_grain trials min_seconds
+      jobs (Dense.isa_name Dense.isa)
+      (String.concat ", "
+         (List.map (fun isa -> Printf.sprintf "%S" (Dense.isa_name isa)) Dense.supported_isas))
+      Dense.gemm_grain trials min_seconds
       (String.concat ", "
          (List.map (fun (label, shape, _, _) -> Printf.sprintf "%S: %S" label shape) rows))
       (String.concat ", "

@@ -38,22 +38,34 @@ let panels_key =
 let tile_rows = 4
 let tile_cols = 8
 
+(* The constructors' numbers are the C side's tile numbers. *)
+type isa = Baseline | Avx2
+
+let isa_name = function Baseline -> "baseline" | Avx2 -> "avx2"
+let all_isas = [ Baseline; Avx2 ]
+
+external tile_supported : isa -> bool = "riot_gemm_tile_supported" [@@noalloc]
+
+(* Asked once per process; the widest tile the CPU runs is the default. *)
+let supported_isas = List.filter tile_supported all_isas
+let isa = List.nth supported_isas (List.length supported_isas - 1)
+
 external gemm_tiles :
-  bool -> bool -> int -> int -> int -> float array -> float array -> float array ->
-  float array -> float array -> int -> int -> unit
+  isa -> bool -> bool -> int -> int -> int -> float array -> float array ->
+  float array -> float array -> float array -> int -> int -> unit
   = "riot_gemm_rows_byte" "riot_gemm_rows"
 [@@noalloc]
 
 (* Rows [lo, hi) of c, by the packed kernel.  Only those rows of c are read
    or written, and the panels hold only those rows of op(a), so chunks of
    one call may run on different domains at once. *)
-let gemm_rows ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo ~hi =
+let gemm_rows ~isa ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo ~hi =
   if hi > lo && n > 0 && k > 0 then begin
     let p = Domain.DLS.get panels_key in
     let rows = tile_rows * ((hi - lo + tile_rows - 1) / tile_rows) in
     if Array.length p.pa < rows * k then p.pa <- Array.create_float (rows * k);
     if Array.length p.pb < tile_cols * k then p.pb <- Array.create_float (tile_cols * k);
-    gemm_tiles ta tb m n k a b c p.pa p.pb lo hi
+    gemm_tiles isa ta tb m n k a b c p.pa p.pb lo hi
   end
 
 type par = { jobs : int; run : n:int -> (int -> unit) -> unit }
@@ -65,8 +77,11 @@ let gemm_grain = 1_000_000
 let gemm_chunks ~jobs ~m ~n ~k =
   if jobs <= 1 || 2 * m * n * k < gemm_grain then 1 else max 1 (min jobs (m / 2))
 
-let gemm_par ?chunks par ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
+let gemm_par ?chunks ?(isa = isa) par ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
   gemm_check ~m ~n ~k ~a ~b ~c;
+  if not (List.mem isa supported_isas) then
+    invalid_arg
+      (Printf.sprintf "Dense.gemm: this CPU does not run the %s tile" (isa_name isa));
   let chunks =
     match chunks with
     | Some q when q < 1 -> invalid_arg (Printf.sprintf "Dense.gemm: %d chunks" q)
@@ -74,14 +89,14 @@ let gemm_par ?chunks par ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =
     | None -> gemm_chunks ~jobs:par.jobs ~m ~n ~k
   in
   if not accumulate then Array.fill c 0 (m * n) 0.;
-  if chunks = 1 then gemm_rows ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo:0 ~hi:m
+  if chunks = 1 then gemm_rows ~isa ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo:0 ~hi:m
   else begin
     (* Chunk [q] takes row pairs [q*pairs/chunks, (q+1)*pairs/chunks); the
        last one also takes an odd last row. *)
     let pairs = m / 2 in
     let bound q = if q = chunks then m else 2 * (q * pairs / chunks) in
     par.run ~n:chunks (fun q ->
-        gemm_rows ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo:(bound q) ~hi:(bound (q + 1)))
+        gemm_rows ~isa ~ta ~tb ~m ~n ~k ~a ~b ~c ~lo:(bound q) ~hi:(bound (q + 1)))
   end
 
 let gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c =

@@ -38,13 +38,20 @@ val gemm :
     per call (per chunk, under {!gemm_par}) in groups of four, interleaved
     by [l]; each 8-column panel of op(b) is copied before its tiles run,
     eight values per [l].  A 4-row x 8-column tile of [c] is held in
-    registers across the whole [l] loop, and [-O3] vectorises its column
-    loop at the baseline x86-64 ISA (two doubles per instruction; no
-    [-march], no [-ffast-math]), so each loaded [a] value feeds eight
-    multiply-adds and each [b] value four.  The panels pad the last rows and
-    columns with [+0.]: a padded row's zero [a] is skipped by the rule
-    above, and a padded column's sums are computed and thrown away, so every
-    element of [c], edges included, runs through the same tile.  The
+    registers across the whole [l] loop, so each loaded [a] value feeds
+    eight multiply-adds and each [b] value four.  [-O3] vectorises the
+    tile's column loop once per ISA ({!isa}): for the target's baseline
+    (two doubles per instruction on x86-64) and, on x86-64, for AVX2 (four
+    doubles), with no [-march] and no [-ffast-math].  The widest tile the
+    CPU runs is chosen once per process from cpuid.  The choice cannot
+    change a bit of the result: each vector lane is one IEEE multiply or
+    add, as a scalar instruction is, so a wider vector changes how many
+    elements are in flight, never an element's operation sequence; FMA is
+    not enabled for any tile; and a tile with a NaN operand runs the one
+    scalar loop described below on every ISA.  The panels pad the last
+    rows and columns with [+0.]: a padded row's zero [a] is skipped by the
+    rule above, and a padded column's sums are computed and thrown away, so
+    every element of [c], edges included, runs through the same tile.  The
     packing absorbs the transposes.  Packing moves values, never an
     element's operation sequence.  The file is compiled with
     [-ffp-contract=off], so the compiler never fuses a multiply and its add
@@ -77,6 +84,28 @@ val gemm :
     [c] is shorter than its shape needs.  The message names the short
     operand and the dimensions.  The check runs before anything is written,
     so [c] is unchanged on the raise. *)
+
+(** {2 Tiles by ISA}
+
+    The NaN-free tile is compiled once per instruction set.  Every tile
+    meets the contract above bit for bit; they differ only in speed. *)
+
+type isa =
+  | Baseline  (** the target's default ISA: SSE2 on x86-64 *)
+  | Avx2  (** x86-64 AVX2, built only by GCC and Clang *)
+
+val isa_name : isa -> string
+(** ["baseline"], ["avx2"]. *)
+
+val all_isas : isa list
+(** Every tile this library knows, narrowest first. *)
+
+val supported_isas : isa list
+(** The tiles this build has and this CPU runs, narrowest first; always
+    starts with [Baseline].  Read from cpuid once per process. *)
+
+val isa : isa
+(** The tile {!gemm} and {!gemm_par} run: the last of {!supported_isas}. *)
 
 (** {2 Row-split gemm}
 
@@ -122,6 +151,7 @@ val gemm_chunks : jobs:int -> m:int -> n:int -> k:int -> int
 
 val gemm_par :
   ?chunks:int ->
+  ?isa:isa ->
   par ->
   accumulate:bool ->
   ta:bool ->
@@ -135,8 +165,11 @@ val gemm_par :
   unit
 (** {!gemm}, split into [chunks] row chunks run through [par]; [chunks]
     defaults to [gemm_chunks ~jobs:par.jobs ~m ~n ~k].  With one chunk [par]
-    is never called.  Bit-identical to {!gemm} (see above).
-    @raise Invalid_argument as {!gemm} does, or if [chunks < 1]. *)
+    is never called.  [isa] (default {!isa}) picks the tile; the tests and
+    the kernel benchmark use it to run every supported tile.
+    Bit-identical to {!gemm} (see above).
+    @raise Invalid_argument as {!gemm} does, if [chunks < 1], or if [isa]
+    is not in {!supported_isas}. *)
 
 val add : float array -> float array -> float array -> unit
 (** [c.(i) = a.(i) + b.(i)]. *)

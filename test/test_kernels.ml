@@ -286,14 +286,16 @@ let gemm_matches_seq ?(gemm = Dense.gemm) st ~accumulate ~ta ~tb ~m ~n ~k =
   seq_gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
   bits_equal c c_ref
 
-let test_gemm_bit_identity () =
+(* Each of these gemm tests takes the kernel to run, [Dense.gemm] (the tile
+   dispatch picks) by default; [per_tile] below runs them on every tile. *)
+let test_gemm_bit_identity ?(gemm = Dense.gemm) () =
   let st = Random.State.make [| 1414 |] in
   List.iter
     (fun (ta, tb) ->
       List.iter
         (fun accumulate ->
           let case m n k =
-            if not (gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k) then
+            if not (gemm_matches_seq ~gemm st ~accumulate ~ta ~tb ~m ~n ~k) then
               Alcotest.failf
                 "gemm differs from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b \
                  accumulate=%b"
@@ -317,14 +319,14 @@ let test_gemm_bit_identity () =
    smaller call after a larger one leaves a stale tail in them, which must
    never reach a result; neither may a k = 0 call made while they are
    allocated. *)
-let test_gemm_buffer_reuse () =
+let test_gemm_buffer_reuse ?(gemm = Dense.gemm) () =
   let st = Random.State.make [| 2718 |] in
   List.iter
     (fun (ta, tb) ->
       List.iter
         (fun (m, n, k) ->
           let accumulate = Random.State.bool st in
-          if not (gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k) then
+          if not (gemm_matches_seq ~gemm st ~accumulate ~ta ~tb ~m ~n ~k) then
             Alcotest.failf "gemm differs from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b"
               m n k ta tb)
         [ (38, 44, 300); (6, 8, 0); (5, 7, 3); (4, 4, 17); (38, 44, 300) ])
@@ -332,7 +334,7 @@ let test_gemm_buffer_reuse () =
 
 (* Odd m (a scalar last row) with n mod 4 in {1,2,3} (scalar edge columns)
    around packed tiles, up to the benchmark's k = 1200. *)
-let test_gemm_ragged_edges () =
+let test_gemm_ragged_edges ?(gemm = Dense.gemm) () =
   let st = Random.State.make [| 1729 |] in
   List.iter
     (fun (ta, tb) ->
@@ -343,7 +345,7 @@ let test_gemm_ragged_edges () =
               List.iter
                 (fun k ->
                   let accumulate = Random.State.bool st in
-                  if not (gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k) then
+                  if not (gemm_matches_seq ~gemm st ~accumulate ~ta ~tb ~m ~n ~k) then
                     Alcotest.failf
                       "gemm differs from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b"
                       m n k ta tb)
@@ -354,7 +356,7 @@ let test_gemm_ragged_edges () =
 
 (* Two domains calling gemm at once, each with its own sequence of shapes:
    a packing buffer shared between domains would mix their panels. *)
-let test_gemm_two_domains () =
+let test_gemm_two_domains ?(gemm = Dense.gemm) () =
   let st = Random.State.make [| 31415 |] in
   let cases =
     List.init 16 (fun i ->
@@ -370,7 +372,7 @@ let test_gemm_two_domains () =
     Riot_base.Pool.parallel_map ~jobs:2
       (fun ((ta, tb, m, n, k), a, b, c0) ->
         let c = Array.copy c0 and c_ref = Array.copy c0 in
-        Dense.gemm ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
+        gemm ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c;
         seq_gemm ~accumulate:true ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
         bits_equal c c_ref)
       cases
@@ -446,7 +448,7 @@ let nan_operand st len =
       | 1 -> specials.(Random.State.int st (Array.length specials))
       | _ -> Random.State.float st 4. -. 2.)
 
-let test_gemm_nan_payloads () =
+let test_gemm_nan_payloads ?(gemm = Dense.gemm) () =
   let st = Random.State.make [| 5151 |] in
   List.iter
     (fun (ta, tb) ->
@@ -458,7 +460,7 @@ let test_gemm_nan_payloads () =
               and b = nan_operand st (k * n)
               and c0 = nan_operand st (m * n) in
               let c = Array.copy c0 and c_ref = Array.copy c0 in
-              Dense.gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c;
+              gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c;
               seq_gemm ~accumulate ~ta ~tb ~m ~n ~k ~a ~b ~c:c_ref;
               if not (bits_equal c c_ref) then
                 Alcotest.failf
@@ -472,7 +474,7 @@ let test_gemm_nan_payloads () =
 (* Each product and sum rounds on its own: with a = 1 + 2^-30 and
    b = 1 - 2^-30, a * b rounds to 1, so c = -1 accumulates to exactly 0,
    where a fused multiply-add would leave -2^-60. *)
-let test_gemm_no_fma () =
+let test_gemm_no_fma ?(gemm = Dense.gemm) () =
   let av = 1. +. ldexp 1. (-30) and bv = 1. -. ldexp 1. (-30) in
   check_bool "fma differs from a*b+c" true (Float.fma av bv (-1.) <> (av *. bv) -. 1.);
   List.iter
@@ -480,7 +482,7 @@ let test_gemm_no_fma () =
       let k = 1 in
       let a = Array.make (m * k) av and b = Array.make (k * n) bv in
       let c = Array.make (m * n) (-1.) in
-      Dense.gemm ~accumulate:true ~ta:false ~tb:false ~m ~n ~k ~a ~b ~c;
+      gemm ~accumulate:true ~ta:false ~tb:false ~m ~n ~k ~a ~b ~c;
       check_bool
         (Printf.sprintf "%dx%d: every c is exactly 0" m n)
         true
@@ -489,7 +491,7 @@ let test_gemm_no_fma () =
 
 (* Every m x n up to past twice the C kernel's 4 x 8 tile, so each count of
    edge rows and edge columns meets full tiles on both sides. *)
-let test_gemm_tile_sweep () =
+let test_gemm_tile_sweep ?(gemm = Dense.gemm) () =
   let st = Random.State.make [| 8080 |] in
   List.iter
     (fun (ta, tb) ->
@@ -498,13 +500,92 @@ let test_gemm_tile_sweep () =
           List.iter
             (fun k ->
               let accumulate = Random.State.bool st in
-              if not (gemm_matches_seq st ~accumulate ~ta ~tb ~m ~n ~k) then
+              if not (gemm_matches_seq ~gemm st ~accumulate ~ta ~tb ~m ~n ~k) then
                 Alcotest.failf "gemm differs from seq_gemm: m=%d n=%d k=%d ta=%b tb=%b"
                   m n k ta tb)
             [ 0; 1; 5 ]
         done
       done)
     transposes
+
+(* --- Tiles by ISA ---------------------------------------------------------------
+
+   The gemm tests above run on whichever tile dispatch picked; [per_tile]
+   runs them again on each tile the library knows, through [gemm_par]'s
+   [~isa], so a tile dispatch does not pick on this host is still held to
+   [seq_gemm].  A tile this CPU lacks is reported skipped, not passed. *)
+
+let per_tile =
+  List.concat_map
+    (fun isa ->
+      List.map
+        (fun (what, test) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s, %s tile" what (Dense.isa_name isa))
+            `Quick
+            (fun () ->
+              if List.mem isa Dense.supported_isas then
+                test ?gemm:(Some (Dense.gemm_par ~isa Dense.sequential)) ()
+              else Alcotest.skip ()))
+        [ ("gemm bit-identical to seq_gemm", test_gemm_bit_identity);
+          ("gemm packing buffer reuse", test_gemm_buffer_reuse);
+          ("gemm ragged edges", test_gemm_ragged_edges);
+          ("gemm from two domains", test_gemm_two_domains);
+          ("gemm NaN payloads bit-identical to seq_gemm", test_gemm_nan_payloads);
+          ("gemm rounds each multiply and add", test_gemm_no_fma);
+          ("gemm m x n sweep past two tiles", test_gemm_tile_sweep) ])
+    Dense.all_isas
+
+(* The words of the x86 "flags" line of /proc/cpuinfo, if there is one. *)
+let cpuinfo_flags () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec scan () =
+            match input_line ic with
+            | exception End_of_file -> None
+            | line -> (
+                match String.index_opt line ':' with
+                | Some i when String.trim (String.sub line 0 i) = "flags" ->
+                    Some
+                      (String.split_on_char ' '
+                         (String.sub line (i + 1) (String.length line - i - 1)))
+                | _ -> scan ())
+          in
+          scan ())
+
+(* Dispatch picks the widest tile the CPU runs, never one it lacks, and a
+   tile the CPU lacks is refused before anything is written. *)
+let test_gemm_dispatch () =
+  let supported = Dense.supported_isas in
+  check_bool "the baseline tile comes first" true (List.hd supported = Dense.Baseline);
+  check_bool "supported tiles are known tiles, in order" true
+    (List.filter (fun isa -> List.mem isa supported) Dense.all_isas = supported);
+  check_bool "dispatch picks the last supported tile" true
+    (Dense.isa = List.nth supported (List.length supported - 1));
+  (match cpuinfo_flags () with
+   | Some flags ->
+       check_bool "avx2 supported exactly when the CPU lists avx2"
+         (List.mem "avx2" flags) (List.mem Dense.Avx2 supported)
+   | None -> ());
+  List.iter
+    (fun isa ->
+      if not (List.mem isa supported) then begin
+        let c = Array.make 4 7. in
+        check_bool
+          (Printf.sprintf "the %s tile is refused" (Dense.isa_name isa))
+          true
+          (try
+             Dense.gemm_par ~isa Dense.sequential ~accumulate:false ~ta:false ~tb:false
+               ~m:2 ~n:2 ~k:2 ~a:(Array.make 4 1.) ~b:(Array.make 4 1.) ~c;
+             false
+           with Invalid_argument _ -> true);
+        check_bool "c unchanged" true (bits_equal c (Array.make 4 7.))
+      end)
+    Dense.all_isas
 
 (* --- Row-split gemm -------------------------------------------------------------
 
@@ -710,5 +791,8 @@ let suite =
       Alcotest.test_case "gemm rounds each multiply and add" `Quick test_gemm_no_fma;
       Alcotest.test_case "gemm m x n sweep past two tiles" `Quick test_gemm_tile_sweep;
       Alcotest.test_case "split gemm chunk starting inside a tile" `Quick
-        test_gemm_split_odd_lo ]
+        test_gemm_split_odd_lo;
+      Alcotest.test_case "gemm dispatch picks a tile the CPU runs" `Quick
+        test_gemm_dispatch ]
+    @ per_tile
     @ List.map QCheck_alcotest.to_alcotest qcheck_kernels )
