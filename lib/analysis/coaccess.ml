@@ -148,8 +148,6 @@ let is_sharing t =
 let is_self t = t.src_stmt = t.dst_stmt
 let restrict_extent t extent = { t with extent }
 
-let exists_at t ~params = not (Union.is_empty (Union.fix_dims t.extent params))
-
 let strip_prefix prefix s =
   let n = String.length prefix in
   if String.length s >= n && String.sub s 0 n = prefix then

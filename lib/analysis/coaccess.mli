@@ -59,9 +59,6 @@ val is_self : t -> bool
 
 val restrict_extent : t -> Riot_poly.Union.t -> t
 
-val exists_at : t -> params:(string * int) list -> bool
-(** Does the extent contain an integer point at these parameter values? *)
-
 val pairs_at : t -> params:(string * int) list -> ((string * int) list * (string * int) list) list
 (** Concrete (source instance, target instance) pairs at the given parameter
     values; instances are assignments of the statements' qualified loop

@@ -42,8 +42,6 @@ let error_to_string = function
       Printf.sprintf "engine: step %d (%s): kernel %s got %d operands" step
         stmt kernel operands
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 let () =
   Printexc.register_printer (function
     | Error e -> Some (error_to_string e)
@@ -115,26 +113,32 @@ let measure ~t0 ~before:((vt0, r0, w0, br0, bw0), streams0) backend stores pool 
     pool_peak_bytes = Buffer_pool.peak_bytes pool;
     per_array = per_array_delta ~before:streams0 backend stores }
 
+(* The pool's resolver over a plan's block table.  The table also holds
+   blocks no step touches, such as those of inactive accesses, whose array
+   may have no store: the pool resolves an id only when it misses or
+   flushes, and each id's store is looked up once. *)
+let resolver (blocks : Cplan.block array) stores =
+  let stores_of =
+    Array.map (fun (blk : Cplan.block) -> lazy (List.assoc blk.Cplan.array stores)) blocks
+  in
+  fun k -> (Lazy.force stores_of.(k), blocks.(k).Cplan.index)
+
 let run_opportunistic (plan : Cplan.t) ~backend ~format ~mem_cap =
   let t0 = Unix.gettimeofday () in
   let before = snapshot backend in
   let stores = stores_for backend ~format ~config:plan.Cplan.config in
-  let store name = List.assoc name stores in
+  let blocks = plan.Cplan.blocks in
   let pool =
-    Buffer_pool.create ~phantom:true ~stats:backend.Backend.stats ~cap_bytes:mem_cap ()
+    Buffer_pool.create ~phantom:true ~stats:backend.Backend.stats ~cap_bytes:mem_cap
+      ~blocks:(Array.length blocks) ~resolve:(resolver blocks stores) ()
   in
   Array.iter
     (fun (st : Cplan.step) ->
+      List.iter (fun ((_ : Access.t), k, _) -> ignore (Buffer_pool.get pool k)) st.Cplan.reads;
       List.iter
         (fun ((_ : Access.t), k, _) ->
-          let blk = plan.Cplan.blocks.(k) in
-          ignore (Buffer_pool.get pool (store blk.Cplan.array) blk.Cplan.index))
-        st.Cplan.reads;
-      List.iter
-        (fun ((_ : Access.t), k, _) ->
-          let blk = plan.Cplan.blocks.(k) in
-          ignore (Buffer_pool.get_for_write pool (store blk.Cplan.array) blk.Cplan.index);
-          Buffer_pool.write_through pool (store blk.Cplan.array) blk.Cplan.index)
+          ignore (Buffer_pool.get_for_write pool k);
+          Buffer_pool.write_through pool k)
         st.Cplan.writes)
     plan.Cplan.steps;
   measure ~t0 ~before backend stores pool
@@ -184,6 +188,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     | None -> stores_for backend ~format ~config:plan.Cplan.config
   in
   let store name = List.assoc name stores in
+  let blocks = plan.Cplan.blocks in
   (* With no sink no event is constructed.  Eviction events surface through
      the pool's hook; every other event is an op's narration, told at its
      engine action.  [cur_step] names the step whose demand caused an
@@ -194,13 +199,15 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
   let on_evict =
     if tracing then
       Some
-        (fun (array, index) ~dirty ->
+        (fun k ~dirty ->
+          let { Cplan.array; index } = blocks.(k) in
           emit (Trace.Evict { step = !cur_step; array; index; flushed = dirty }))
     else None
   in
+  let resolve = resolver blocks stores in
   let pool =
     Buffer_pool.create ~phantom:(not compute) ~stats:backend.Backend.stats ?on_evict
-      ~cap_bytes:mem_cap ()
+      ~cap_bytes:mem_cap ~blocks:(Array.length blocks) ~resolve ()
   in
   (* Crash-restart bookkeeping.  With [resume], recover the journalled
      watermark and restart from the analysis' restart point (elided values
@@ -235,12 +242,7 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     else cp
   in
   let p = compiled.Vexec.program in
-  let blocks = plan.Cplan.blocks and keys = p.Cplan.keys and link = p.Cplan.link in
-  (* The table also holds blocks the program never touches, such as those
-     of inactive accesses, whose array may have no store: each id's store
-     is resolved at its first use. *)
-  let stores_of = Array.map (fun (blk : Cplan.block) -> lazy (store blk.Cplan.array)) blocks in
-  let store_of k = Lazy.force stores_of.(k) in
+  let link = p.Cplan.link in
   (* Read-ahead hints.  Phantom runs are excluded: they account reads via
      [touch_read] without materialising bytes, so a real prefetched pread
      would double-count the traffic. *)
@@ -274,8 +276,8 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
     List.iter
       (fun (k, a, b) ->
         if a < start_step && b >= start_step then begin
-          ignore (Buffer_pool.get pool (store_of k) blocks.(k).Cplan.index);
-          Buffer_pool.pin pool keys.(k)
+          ignore (Buffer_pool.get pool k);
+          Buffer_pool.pin pool k
         end)
       plan.Cplan.pins;
   let missing phase k : exn =
@@ -326,29 +328,30 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
         (match hints with
         | Some h when hi >= 0 ->
             Prefetch.issue h ~now:i ~horizon:(hi + prefetch) (fun k ->
-                Block_store.prefetch (store_of k) blocks.(k).Cplan.index)
+                let store, index = resolve k in
+                Block_store.prefetch store index)
         | _ -> ());
         tell op
     | Cplan.Read { id; src; slot } ->
         let i = !cur_step in
-        if (not link.(id)) && src = Cplan.From_memory && not (Buffer_pool.contains pool keys.(id))
+        if (not link.(id)) && src = Cplan.From_memory && not (Buffer_pool.contains pool id)
         then raise (missing `Read id);
         tell op;
         if not link.(id) then begin
-          let data = Buffer_pool.get pool (store_of id) blocks.(id).Cplan.index in
+          let data = Buffer_pool.get pool id in
           (match (writer, rplan) with
-          | Some w, Some rp when List.mem keys.(id) rp.Journal.undo.(i) ->
+          | Some w, Some rp when List.mem id rp.Journal.undo.(i) ->
               Journal.append_image w ~step:i ~array:blocks.(id).Cplan.array
                 ~index:blocks.(id).Cplan.index ~data
           | _ -> ());
           captured.(slot) <- data
         end
     | Cplan.Alloc { id; fill } ->
-        let buf = Buffer_pool.get_for_write pool (store_of id) blocks.(id).Cplan.index in
+        let buf = Buffer_pool.get_for_write pool id in
         if compute && fill then Dense.fill buf 0.;
         wbuf := buf
     | Cplan.Pin k ->
-        Buffer_pool.pin pool keys.(k);
+        Buffer_pool.pin pool k;
         tell op
     | Cplan.Kernel { lo; _ } ->
         (* A phantom run moves blocks but resolves no operands and runs no
@@ -360,26 +363,24 @@ let run ?(compute = true) ?stores ?trace ?(journal = false) ?(resume = false)
               (function
                 | Vexec.Slot s -> captured.(s)
                 | Vexec.Pool id ->
-                    if not (Buffer_pool.contains pool keys.(id)) then
-                      raise (missing `Operand id);
-                    Buffer_pool.get pool (store_of id) blocks.(id).Cplan.index)
+                    if not (Buffer_pool.contains pool id) then raise (missing `Operand id);
+                    Buffer_pool.get pool id)
               k.Vexec.operands
           in
           k.Vexec.run par bufs !wbuf
         end
     | Cplan.Write { id; dst } ->
-        if not link.(id) then Buffer_pool.mark_dirty pool keys.(id);
+        if not link.(id) then Buffer_pool.mark_dirty pool id;
         tell op;
-        if (not link.(id)) && dst = Cplan.To_disk then
-          Buffer_pool.write_through pool (store_of id) blocks.(id).Cplan.index
+        if (not link.(id)) && dst = Cplan.To_disk then Buffer_pool.write_through pool id
     | Cplan.Unpin k ->
-        Buffer_pool.unpin pool keys.(k);
+        Buffer_pool.unpin pool k;
         tell op
     | Cplan.Drop k ->
         (* A dead block is released, and its data discarded if its write
            was elided: every consumer has been served. *)
-        if Buffer_pool.pin_count pool keys.(k) = 0 && Buffer_pool.contains pool keys.(k) then begin
-          Buffer_pool.drop pool keys.(k);
+        if Buffer_pool.pin_count pool k = 0 && Buffer_pool.contains pool k then begin
+          Buffer_pool.drop pool k;
           tell op
         end
     | Cplan.Mark { lo; hi } -> (

@@ -39,7 +39,6 @@ exception Error of error
     uncaught [Error] still prints readably. *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 type mode =
   | Interpret

@@ -56,7 +56,7 @@ let fingerprint (plan : Cplan.t) =
 type resume_plan = {
   safe : bool array;
   restart : int array;
-  undo : (string * int list) list array;
+  undo : int list array;
 }
 
 (* Two passes over the unfused program, with per-block state in arrays by
@@ -77,10 +77,11 @@ let of_program (p : Cplan.program) =
     | Cplan.Read { id; _ } -> disk_after.(pc) <- next_disk.(id)
     | _ -> ()
   done;
-  (* Forwards, keeping each block's first touch and latest write so far,
-     and collecting per read:
+  (* Forwards, keeping each block's latest write so far, and collecting per
+     read:
      - [elided]: a memory-serviced read of an elided (memory-only) value
-       is a window [(producer, read, first touch of the block)];
+       strands it for the restart points in the window [(producer, read]],
+       kept as the interval [(producer + 1, read, 0)];
      - [poisoned]: a read takes a disk value for every restart point from
        just past its producer (from 0 if it has none or reads the disk) up
        to the read, and is poisoned by its block's first To_disk write at
@@ -91,7 +92,6 @@ let of_program (p : Cplan.program) =
        restore what the read saw.  The engine captures the bytes from the
        pool - the block is in memory at the read - so this costs journal
        writes, never extra data-stream I/O. *)
-  let first = Array.make nb max_int in
   let producer = Array.make nb (-1) and producer_elided = Array.make nb false in
   let elided = ref [] and poisoned = ref [] and undo = Array.make n [] in
   Array.iteri
@@ -99,47 +99,27 @@ let of_program (p : Cplan.program) =
       | Cplan.Step_begin i -> s := i
       | Cplan.Read { id; src; _ } ->
           let s = !s and t = producer.(id) and w = disk_after.(pc) in
-          first.(id) <- min first.(id) s;
           let memory = src = Cplan.From_memory && t >= 0 in
-          if memory && producer_elided.(id) then elided := (t, s, first.(id)) :: !elided;
+          if memory && producer_elided.(id) then elided := (t + 1, s, 0) :: !elided;
           if w < max_int then begin
             poisoned := ((if memory then t + 1 else 0), s, w) :: !poisoned;
-            undo.(s) <- p.Cplan.keys.(id) :: undo.(s)
+            undo.(s) <- id :: undo.(s)
           end
       | Cplan.Write { id; dst } ->
-          first.(id) <- min first.(id) !s;
           producer.(id) <- !s;
           producer_elided.(id) <- dst = Cplan.Elided
       | _ -> ())
     ops;
-  let elided = List.rev !elided in
-  (* Restart point for watermark [i]: pull back to the first touch of any
-     block whose memory-serviced read depends on an elided value produced
-     before the restart point, i.e. whose (producer, read] window contains
-     it.  Monotone decreasing, so the fixpoint terminates.  A restart point
-     no window contains is final at once, so the pass over the windows runs
-     only there.  The windows are tried in step order: when several cross
-     the restart point, the one taken first can decide between two valid
-     restart points. *)
-  let pulled =
-    Riot_base.Cover.min_cover ~n:(n + 1)
-      (List.map (fun (t, s, _) -> (t + 1, s, 0)) elided)
-  in
-  let restart_of i =
-    let r = ref (i + 1) in
-    let changed = ref (pulled.(i + 1) = 0) in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (t, s, ft) ->
-          if s >= !r && t < !r && ft < !r then begin
-            r := ft;
-            changed := true
-          end)
-        elided
-    done;
-    !r
-  in
+  (* Restart point for watermark [i]: the latest [r <= i + 1] that no
+     elided window [(producer, read]] contains, so every replayed
+     memory-serviced read of an elided value re-runs its producer.  One
+     coverage sweep marks the contained points, and a prefix scan carries
+     the latest free one forward; [0] is never contained. *)
+  let covered = Riot_base.Cover.min_cover ~n:(n + 1) !elided in
+  let latest = Array.make (n + 1) 0 in
+  for r = 1 to n do
+    latest.(r) <- (if covered.(r) = 0 then latest.(r - 1) else r)
+  done;
   (* A boundary is safe iff no replayed read can observe a "future" disk
      version: a read of [b] at step [s >= restart] that takes its value from
      the disk is poisoned by any To_disk write of [b] at a step [t] with
@@ -158,7 +138,7 @@ let of_program (p : Cplan.program) =
   let safe = Array.make n false and restart = Array.make n 0 in
   let ns = ref None in
   for i = n - 1 downto 0 do
-    let r = restart_of i in
+    let r = latest.(i + 1) in
     let tmax = match !ns with Some j -> j | None -> n - 1 in
     let danger = first_disk_write.(r) <= tmax in
     safe.(i) <- not danger;

@@ -26,11 +26,12 @@
 
     Three engine behaviours make naive "skip completed steps" wrong:
 
-    - {e Elided writes} live only in pool memory.  A later memory-serviced
-      read of such a block cannot be satisfied after a restart, so the
-      restart point must move back to the block's first touch and re-run the
-      producing chain ({!resume_plan}[.restart], a fixpoint since the chain
-      may itself depend on other elided values).
+    - {e Elided writes} live only in pool memory.  A memory-serviced read
+      of such a value cannot be satisfied after a restart that skips its
+      producer, so the restart point moves back to the latest step that no
+      elided value's (producer, read] window contains
+      ({!resume_plan}[.restart]): the replay re-runs every producer whose
+      value it reads from memory.
     - {e Anti-dependences across the crash}: a replayed read of block [b]
       observes [b]'s {e current} disk version, which a [To_disk] write at or
       after the reading step may already have clobbered.  Boundaries where
@@ -60,12 +61,15 @@ type resume_plan = {
           watermark without before-image repair *)
   restart : int array;
       (** [restart.(i)]: first step to re-execute when resuming from
-          watermark [i]; [<= i + 1], and [< i + 1] exactly when elided
-          values must be regenerated *)
-  undo : (string * int list) list array;
-      (** [undo.(i)]: blocks read by step [i] that a step [t >= i]
-          overwrites on disk; a journalled run must append a before-image
-          of each at step [i], before the kernel runs *)
+          watermark [i]: the latest [r <= i + 1] such that no
+          memory-serviced read at a step [s >= r] takes an elided value
+          produced at a step [t < r].  It is [< i + 1] exactly when elided
+          values must be regenerated, and does not depend on the order of
+          the plan's reads. *)
+  undo : int list array;
+      (** [undo.(i)]: ids of the blocks read by step [i] that a step
+          [t >= i] overwrites on disk; a journalled run must append a
+          before-image of each at step [i], before the kernel runs *)
 }
 
 val analyze : Riot_plan.Cplan.t -> resume_plan

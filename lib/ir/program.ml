@@ -1,4 +1,3 @@
-module Space = Riot_poly.Space
 module Poly = Riot_poly.Poly
 
 type t = {
@@ -16,7 +15,6 @@ let find_array t name =
   List.find (fun (a : Array_info.t) -> a.Array_info.name = name) t.arrays
 
 let max_depth t = List.fold_left (fun d s -> max d (Stmt.depth s)) 0 t.stmts
-let param_space t = Space.of_names t.params
 
 let writes_to t array =
   List.concat_map

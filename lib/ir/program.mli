@@ -19,8 +19,6 @@ val find_array : t -> string -> Array_info.t
 val max_depth : t -> int
 (** d-tilde: the deepest loop nest. *)
 
-val param_space : t -> Riot_poly.Space.t
-
 val writes_to : t -> string -> (Stmt.t * Access.t) list
 (** All write accesses to the named array. *)
 

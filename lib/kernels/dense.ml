@@ -251,12 +251,3 @@ let run_stages ch ~bufs =
   let s = ch.c_scratch in
   Array.iter (fun stage -> stage bufs s s) ch.c_stages;
   s
-
-let max_abs_diff a b =
-  let m = ref 0. in
-  Array.iteri
-    (fun i v ->
-      let d = abs_float (v -. b.(i)) in
-      if d > !m then m := d)
-    a;
-  !m

@@ -246,6 +246,3 @@ val run_stages : chain -> bufs:float array array -> float array
 (** Run all stages into the scratch tile and return it (borrowed — valid
     until the next run).  Used when a non-element-wise terminal (e.g. an
     RSS accumulation) consumes the chain's final tile. *)
-
-val max_abs_diff : float array -> float array -> float
-(** Infinity-norm distance (test helper). *)

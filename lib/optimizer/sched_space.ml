@@ -31,8 +31,6 @@ let make (prog : Program.t) =
   { prog; space = Space.of_names names; cache = Hashtbl.create 64; frozen = false }
 
 let space t = t.space
-let coeff_name _t ~stmt ~dim = coeff_name_raw ~stmt ~dim
-let const_name _t ~stmt = const_name_raw ~stmt
 
 let loop_coeff_names t ~stmt =
   let s = Program.find_stmt t.prog stmt in

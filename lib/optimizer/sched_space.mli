@@ -16,12 +16,6 @@ val make : Riot_ir.Program.t -> t
 val space : t -> Riot_poly.Space.t
 (** The unknown-coefficient space. *)
 
-val coeff_name : t -> stmt:string -> dim:string -> string
-(** Unknown for statement [stmt]'s coefficient on its space dimension [dim]
-    (a qualified loop variable or a parameter). *)
-
-val const_name : t -> stmt:string -> string
-
 val loop_coeff_names : t -> stmt:string -> string list
 (** Unknowns for the loop-variable coefficients only, outer to inner. *)
 

@@ -259,7 +259,6 @@ type op =
 type program = {
   ops : op array;
   blocks : block array;
-  keys : (string * int list) array;
   link : bool array;
   starts : int array;
   heads : int array;
@@ -648,7 +647,6 @@ let lower ?(fused = []) (t : t) =
     ops;
   { ops;
     blocks = t.blocks;
-    keys = Array.map (fun b -> (b.array, b.index)) t.blocks;
     link;
     starts;
     heads;

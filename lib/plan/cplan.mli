@@ -174,7 +174,6 @@ type program = {
   blocks : block array;
       (** the plan's own table ([==] its [blocks]), so ids in the cache's
           order; it may hold blocks no op touches *)
-  keys : (string * int list) array;  (** each id's buffer-pool key *)
   link : bool array;
       (** ids a fused chain carries in its scratch tile: their reads and
           writes are narrated only, and they are never allocated, pinned or

@@ -21,7 +21,7 @@ type diag = {
 type watermarks = {
   wm_safe : bool array;
   wm_restart : int array;
-  wm_undo : (string * int list) list array;
+  wm_undo : int list array;
 }
 
 type report = { diags : diag list; steps : int; families : string list }
@@ -400,12 +400,12 @@ let check_journal (plan : Cplan.t) ch (wm : watermarks) acc =
       (fun i (st : Cplan.step) ->
         List.iter
           (fun ((_ : Access.t), k, _) ->
-            let blk = plan.Cplan.blocks.(k) in
             if
               List.exists (fun (t, _) -> t >= i) (disk_writes k)
-              && not (List.mem (blk.Cplan.array, blk.Cplan.index) wm.wm_undo.(i))
+              && not (List.mem k wm.wm_undo.(i))
             then
-              emit acc ~step:i ~stmt:st.Cplan.stmt ~block:blk ~sev:Error "JR003"
+              emit acc ~step:i ~stmt:st.Cplan.stmt ~block:plan.Cplan.blocks.(k)
+                ~sev:Error "JR003"
                 "anti-dependence read has no covering before-image in the \
                  step's undo set")
           st.Cplan.reads)

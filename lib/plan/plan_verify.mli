@@ -59,8 +59,8 @@ type diag = {
 type watermarks = {
   wm_safe : bool array;  (** claimed-safe step-complete boundaries *)
   wm_restart : int array;  (** claimed restart point per watermark *)
-  wm_undo : (string * int list) list array;
-      (** claimed before-image (undo) block set per step *)
+  wm_undo : int list array;
+      (** claimed before-image (undo) block ids per step *)
 }
 (** The journal data the engine will act on, in plan-shape arrays (one entry
     per step).  [Riot_exec.Engine.verify] fills this from

@@ -17,8 +17,6 @@ let step_of = function
 
 type sink = { emit : event -> unit }
 
-let null = { emit = (fun _ -> ()) }
-
 let collector () =
   let events = ref [] in
   ({ emit = (fun e -> events := e :: !events) }, fun () -> List.rev !events)

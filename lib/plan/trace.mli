@@ -34,9 +34,6 @@ val step_of : event -> int
 
 type sink = { emit : event -> unit }
 
-val null : sink
-(** Discards every event. *)
-
 val collector : unit -> sink * (unit -> event list)
 (** A sink that records events in order, and a function returning what has
     been collected so far (for tests and in-process analysis). *)

@@ -1,5 +1,4 @@
 module C = Riot_base.Checked
-module Q = Riot_base.Q
 
 type t = { space : Space.t; coeffs : int array; const : int }
 
@@ -57,14 +56,6 @@ let eval_vec a v =
     let c = a.coeffs.(i) in
     if c <> 0 then acc := C.add !acc (C.mul c v.(i))
   done;
-  !acc
-
-let eval_q a lookup =
-  let acc = ref (Q.of_int a.const) in
-  Array.iteri
-    (fun i c ->
-      if c <> 0 then acc := Q.add !acc (Q.mul (Q.of_int c) (lookup (Space.name a.space i))))
-    a.coeffs;
   !acc
 
 let cast space a =

@@ -35,8 +35,6 @@ val eval_vec : t -> int array -> int
 (** [eval] at the point whose [i]-th entry is the value of dimension [i]:
     the same value, with no name looked up. *)
 
-val eval_q : t -> (string -> Riot_base.Q.t) -> Riot_base.Q.t
-
 val cast : Space.t -> t -> t
 (** Re-express in another space. Every dimension with a non-zero coefficient
     must exist in the target space.

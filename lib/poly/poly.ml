@@ -19,10 +19,6 @@ let intersect a b =
 let cast space t =
   { space; eqs = List.map (Aff.cast space) t.eqs; ges = List.map (Aff.cast space) t.ges }
 
-let product a b =
-  let space = Space.concat a.space b.space in
-  intersect (cast space a) (cast space b)
-
 (* --- Constraint normalisation ----------------------------------------- *)
 
 (* The canonical empty polyhedron: 0 >= -1 is recognisable syntactically. *)
@@ -755,8 +751,6 @@ let subtract p q =
       q.eqs;
     List.rev !pieces
   end
-
-let affine_hull_eqs t = (simplify t).eqs
 
 let pp ppf t =
   let pp_list sep ppf l =

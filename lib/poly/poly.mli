@@ -29,9 +29,6 @@ val intersect : t -> t -> t
 val cast : Space.t -> t -> t
 (** Inject into a superspace (new dimensions unconstrained). *)
 
-val product : t -> t -> t
-(** Polyhedron over the concatenation of the two spaces. *)
-
 val simplify : ?tighten:bool -> t -> t
 (** Normalise constraints, drop duplicates and syntactic redundancies.
     [tighten] (default [true]) applies integer tightening to inequalities.
@@ -173,10 +170,5 @@ val mem : t -> (string -> int) -> bool
 val subtract : t -> t -> t list
 (** [subtract p q] is a list of disjoint basic polyhedra whose union is
     [p \ q] (over the integers). *)
-
-val affine_hull_eqs : t -> Aff.t list
-(** The equality constraints of the simplified polyhedron (a subset of the
-    true affine hull; exact for the systems produced by this library's
-    analysis where equalities are stated explicitly). *)
 
 val pp : Format.formatter -> t -> unit

@@ -12,7 +12,6 @@ val layout : t -> Riot_ir.Config.layout
 val block_bytes : t -> int
 
 val read_block : t -> int list -> bytes
-val write_block : t -> int list -> bytes -> unit
 
 val touch_read : t -> int list -> unit
 (** Account the block read without materialising bytes (phantom mode). *)

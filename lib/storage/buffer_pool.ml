@@ -1,11 +1,7 @@
-type key = string * int list
-
 type buffer = {
+  id : int;
   data : float array;
   bytes : int;
-  store : Block_store.t;
-  index : int list;
-  bkey : key;
   mutable dirty : bool;
   mutable pins : int;
   (* Intrusive doubly-linked recency list: [prev] is toward the LRU end,
@@ -17,21 +13,23 @@ type buffer = {
 type t = {
   cap : int;
   phantom : bool;
-  buffers : (key, buffer) Hashtbl.t;
+  resolve : int -> Block_store.t * int list;
+  slots : buffer option array;  (** by block id; [None]: not resident *)
   mutable used : int;
   mutable peak : int;
   mutable lru : buffer option;  (** least recently used end *)
   mutable mru : buffer option;  (** most recently used end *)
   stats : Io_stats.t option;
-  on_evict : (key -> dirty:bool -> unit) option;
+  on_evict : (int -> dirty:bool -> unit) option;
 }
 
 exception Insufficient_memory of string
 
-let create ?(phantom = false) ?stats ?on_evict ~cap_bytes () =
+let create ?(phantom = false) ?stats ?on_evict ~cap_bytes ~blocks ~resolve () =
   { cap = cap_bytes;
     phantom;
-    buffers = Hashtbl.create 64;
+    resolve;
+    slots = Array.make blocks None;
     used = 0;
     peak = 0;
     lru = None;
@@ -63,27 +61,26 @@ let touch t b =
 let lru_keys t =
   let rec go acc = function
     | None -> List.rev acc
-    | Some b -> go (b.bkey :: acc) b.next
+    | Some b -> go (b.id :: acc) b.next
   in
   go [] t.lru
 
 (* --- Residency ------------------------------------------------------------- *)
 
-let key_of store index = (Block_store.name store, index)
-
 let stat t f = match t.stats with Some s -> f s | None -> ()
 
 let flush_buffer t b =
   if b.dirty then begin
-    if t.phantom then Block_store.touch_write b.store b.index
-    else Block_store.write_floats b.store b.index b.data;
+    let store, index = t.resolve b.id in
+    if t.phantom then Block_store.touch_write store index
+    else Block_store.write_floats store index b.data;
     b.dirty <- false;
     stat t Io_stats.pool_flush
   end
 
 let remove t b =
   unlink t b;
-  Hashtbl.remove t.buffers b.bkey;
+  t.slots.(b.id) <- None;
   t.used <- t.used - b.bytes
 
 let evict_one t =
@@ -100,7 +97,7 @@ let evict_one t =
       flush_buffer t b;
       remove t b;
       stat t Io_stats.pool_eviction;
-      (match t.on_evict with Some f -> f b.bkey ~dirty | None -> ());
+      (match t.on_evict with Some f -> f b.id ~dirty | None -> ());
       true
 
 let make_room t need =
@@ -114,60 +111,51 @@ let make_room t need =
   in
   go ()
 
-let install t store index data =
-  let bytes = Block_store.block_bytes store in
+let install t id bytes data =
   make_room t bytes;
-  let b =
-    { data;
-      bytes;
-      store;
-      index;
-      bkey = key_of store index;
-      dirty = false;
-      pins = 0;
-      prev = None;
-      next = None }
-  in
-  Hashtbl.replace t.buffers b.bkey b;
+  let b = { id; data; bytes; dirty = false; pins = 0; prev = None; next = None } in
+  t.slots.(id) <- Some b;
   push_mru t b;
   t.used <- t.used + bytes;
   if t.used > t.peak then t.peak <- t.used;
   b
 
-let get_gen ~load t store index =
-  match Hashtbl.find_opt t.buffers (key_of store index) with
+let get_gen ~load t id =
+  match t.slots.(id) with
   | Some b ->
       touch t b;
       stat t Io_stats.pool_hit;
       b.data
   | None ->
       stat t Io_stats.pool_miss;
+      let store, index = t.resolve id in
+      let bytes = Block_store.block_bytes store in
       let data =
         if t.phantom then begin
           if load then Block_store.touch_read store index;
           [||]
         end
         else if load then Block_store.read_floats store index
-        else Array.make (Block_store.block_bytes store / 8) 0.
+        else Array.make (bytes / 8) 0.
       in
-      (install t store index data).data
+      (install t id bytes data).data
 
-let get t store index = get_gen ~load:true t store index
-let get_for_write t store index = get_gen ~load:false t store index
-let contains t k = Hashtbl.mem t.buffers k
+let get t id = get_gen ~load:true t id
+let get_for_write t id = get_gen ~load:false t id
+let contains t id = Option.is_some t.slots.(id)
 
-let pin t k =
-  match Hashtbl.find_opt t.buffers k with
+let pin t id =
+  match t.slots.(id) with
   | Some b -> b.pins <- b.pins + 1
   | None -> invalid_arg "Buffer_pool.pin: block not resident"
 
-let unpin t k =
-  match Hashtbl.find_opt t.buffers k with
+let unpin t id =
+  match t.slots.(id) with
   | Some b -> if b.pins > 0 then b.pins <- b.pins - 1
   | None -> ()
 
-let mark_dirty t k =
-  match Hashtbl.find_opt t.buffers k with
+let mark_dirty t id =
+  match t.slots.(id) with
   | Some b -> b.dirty <- true
   | None -> invalid_arg "Buffer_pool.mark_dirty: block not resident"
 
@@ -175,20 +163,18 @@ let mark_dirty t k =
    it to force the block to disk whether or not anyone called [mark_dirty] —
    but routes through [flush_buffer] so the flush is counted in pool stats
    exactly like an eviction- or drop-driven one. *)
-let write_through t store index =
-  match Hashtbl.find_opt t.buffers (key_of store index) with
+let write_through t id =
+  match t.slots.(id) with
   | Some b ->
       b.dirty <- true;
       flush_buffer t b
   | None -> invalid_arg "Buffer_pool.write_through: block not resident"
 
-let drop t k =
-  match Hashtbl.find_opt t.buffers k with
+let drop t id =
+  match t.slots.(id) with
   | Some b when b.pins = 0 -> remove t b
   | _ -> ()
 
-let pin_count t k =
-  match Hashtbl.find_opt t.buffers k with Some b -> b.pins | None -> 0
-
+let pin_count t id = match t.slots.(id) with Some b -> b.pins | None -> 0
 let used_bytes t = t.used
 let peak_bytes t = t.peak

@@ -6,7 +6,12 @@
     kept in an intrusive doubly-linked list, so a hit and an eviction are
     O(1) (an eviction skips any pinned buffers at the cold end) - and dirty
     victims are flushed through their store unless explicitly dropped
-    (elided writes of dead intermediate blocks). *)
+    (elided writes of dead intermediate blocks).
+
+    Blocks are named by integer id, the plan's block id: the pool holds one
+    slot per id in an array sized at {!create}, so a lookup is an array
+    access.  Every function taking an id raises [Invalid_argument] for an
+    id outside [[0, blocks)], before any I/O. *)
 
 type t
 
@@ -15,41 +20,49 @@ exception Insufficient_memory of string
 val create :
   ?phantom:bool ->
   ?stats:Io_stats.t ->
-  ?on_evict:(string * int list -> dirty:bool -> unit) ->
+  ?on_evict:(int -> dirty:bool -> unit) ->
   cap_bytes:int ->
+  blocks:int ->
+  resolve:(int -> Block_store.t * int list) ->
   unit ->
   t
-(** With [phantom] (default false) buffers hold no data: reads and writes
+(** A pool of [blocks] slots.  [resolve id] gives the store and block index
+    behind an id.  It is called lazily, when the block misses and when its
+    buffer is flushed, so an id the caller never names is never resolved
+    (its array may have no store).
+
+    With [phantom] (default false) buffers hold no data: reads and writes
     are accounted through the store ([touch_read]/[touch_write]) and memory
     is tracked logically.  Used for full-scale simulated runs where a block
     can be gigabytes.
 
     [stats] receives the pool's hit/miss/eviction/flush counts (typically
     the backend's [Io_stats.t], so one value aggregates physical and cache
-    behaviour).  [on_evict] is called after a buffer has been evicted (and,
-    when dirty, flushed) - the execution engine uses it to trace evictions. *)
+    behaviour).  [on_evict] is called with the block's id after its buffer
+    has been evicted (and, when dirty, flushed) - the execution engine uses
+    it to trace evictions. *)
 
-val get : t -> Block_store.t -> int list -> float array
+val get : t -> int -> float array
 (** Return the block's buffer, reading through the store when absent
     (counts I/O). @raise Insufficient_memory when the cap cannot be met. *)
 
-val get_for_write : t -> Block_store.t -> int list -> float array
+val get_for_write : t -> int -> float array
 (** Like {!get} but a missing block is allocated zeroed without read I/O. *)
 
-val contains : t -> string * int list -> bool
+val contains : t -> int -> bool
 
-val pin : t -> string * int list -> unit
+val pin : t -> int -> unit
 (** Pin counts nest. @raise Invalid_argument if the block is not resident. *)
 
-val unpin : t -> string * int list -> unit
+val unpin : t -> int -> unit
 
-val mark_dirty : t -> string * int list -> unit
+val mark_dirty : t -> int -> unit
 
-val write_through : t -> Block_store.t -> int list -> unit
+val write_through : t -> int -> unit
 (** Write the buffer to the store now and mark it clean.
     @raise Invalid_argument if absent. *)
 
-val drop : t -> string * int list -> unit
+val drop : t -> int -> unit
 (** Release the block's buffer without flushing.  The caller asserts the
     buffered data is dead: if the buffer is dirty its contents are
     silently discarded (this is the point - an elided write must never
@@ -59,11 +72,11 @@ val drop : t -> string * int list -> unit
     residency) or dirty (an elided write whose data must never be flushed
     by a later eviction). *)
 
-val pin_count : t -> string * int list -> int
+val pin_count : t -> int -> int
 
-val lru_keys : t -> (string * int list) list
-(** Resident blocks in recency order, least recently used first (exposed
-    for tests asserting eviction order). *)
+val lru_keys : t -> int list
+(** Ids of the resident blocks in recency order, least recently used first
+    (exposed for tests asserting eviction order). *)
 
 val used_bytes : t -> int
 val peak_bytes : t -> int

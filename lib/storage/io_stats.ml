@@ -169,11 +169,6 @@ let stream_read_hist t name =
   | None -> []
   | Some s -> nonzero_hist s.s_read_hist
 
-let stream_write_hist t name =
-  match Hashtbl.find_opt t.streams name with
-  | None -> []
-  | Some s -> nonzero_hist s.s_write_hist
-
 let pp ppf t =
   Format.fprintf ppf "reads=%d (%.1f MB) writes=%d (%.1f MB) vtime=%.2fs" t.reads
     (float_of_int t.bytes_read /. 1048576.)

@@ -108,6 +108,4 @@ val stream_read_hist : t -> string -> (int * int) list
 (** [(bucket_floor_bytes, requests)] for each non-empty power-of-two request
     size bucket of the stream ([] for unknown streams). *)
 
-val stream_write_hist : t -> string -> (int * int) list
-
 val pp : Format.formatter -> t -> unit

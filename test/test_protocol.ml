@@ -58,9 +58,7 @@ let block_at (plan : Cplan.t) instance (a : Access.t) =
 let frozen_analyze (plan : Cplan.t) =
   let steps, _ = named plan in
   let n = Array.length steps in
-  let reads : (string * int list, (int * Cplan.read_src) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  and writes : (string * int list, (int * Cplan.write_dst) list ref) Hashtbl.t =
+  let writes : (string * int list, (int * Cplan.write_dst) list ref) Hashtbl.t =
     Hashtbl.create 64
   in
   let push tbl key v =
@@ -71,40 +69,19 @@ let frozen_analyze (plan : Cplan.t) =
   Array.iteri
     (fun i st ->
       List.iter
-        (fun (_, (blk : Cplan.block), src) ->
-          push reads (blk.Cplan.array, blk.Cplan.index) (i, src))
-        st.reads;
-      List.iter
         (fun (_, (blk : Cplan.block), dst) ->
           push writes (blk.Cplan.array, blk.Cplan.index) (i, dst))
         st.writes)
     steps;
-  Hashtbl.iter (fun _ r -> r := List.rev !r) reads;
   Hashtbl.iter (fun _ r -> r := List.rev !r) writes;
   let writes_of key =
     match Hashtbl.find_opt writes key with Some r -> !r | None -> []
-  in
-  let first_touch key =
-    let mr =
-      match Hashtbl.find_opt reads key with
-      | Some { contents = (s, _) :: _ } -> s
-      | _ -> max_int
-    and mw = match writes_of key with (t, _) :: _ -> t | [] -> max_int in
-    min mr mw
   in
   let producer key s =
     List.fold_left
       (fun acc (t, dst) -> if t < s then Some (t, dst) else acc)
       None (writes_of key)
   in
-  (* The one departure from the walk as it stood: [all_reads] lists reads in
-     step order, where it was in [Hashtbl.fold] order.  The restart
-     fixpoint below jumps to the first window it finds, so its answer
-     depended on the hash layout of the block names: on seeds 0..1999 of
-     [Differential.case_of_seed], 137 of 6058 plans got another restart
-     point (2 of them another safe flag), each as valid as the other (no
-     elided value crosses it: Plan_verify's JR002).  The paper pipelines
-     agree under either order. *)
   let all_reads =
     List.concat
       (List.mapi
@@ -120,28 +97,15 @@ let frozen_analyze (plan : Cplan.t) =
         if src <> Cplan.From_memory then None
         else
           match producer key s with
-          | Some (t, Cplan.Elided) -> Some (t, s, first_touch key)
+          | Some (t, Cplan.Elided) -> Some (t, s)
           | _ -> None)
       all_reads
   in
-  let pulled =
-    Riot_base.Cover.min_cover ~n:(n + 1)
-      (List.map (fun (t, s, _) -> (t + 1, s, 0)) elided)
-  in
-  let restart_of i =
-    let r = ref (i + 1) in
-    let changed = ref (pulled.(i + 1) = 0) in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (t, s, ft) ->
-          if s >= !r && t < !r && ft < !r then begin
-            r := ft;
-            changed := true
-          end)
-        elided
-    done;
-    !r
+  (* The latest restart point at or below [i + 1] that no elided value's
+     (producer, read] window contains. *)
+  let rec restart_of i =
+    let r = i + 1 in
+    if List.exists (fun (t, s) -> t < r && r <= s) elided then restart_of (i - 1) else r
   in
   let first_disk_write =
     Riot_base.Cover.min_cover ~n:(n + 1)
@@ -371,7 +335,14 @@ let folds_agree name (plan : Cplan.t) =
   let rp = Journal.analyze plan in
   if rp.Journal.safe <> safe then Alcotest.failf "%s: safe differs" name;
   if rp.Journal.restart <> restart then Alcotest.failf "%s: restart differs" name;
-  if rp.Journal.undo <> undo then Alcotest.failf "%s: undo differs" name;
+  let named_undo =
+    Array.map
+      (List.map (fun k ->
+           let blk = plan.Cplan.blocks.(k) in
+           (blk.Cplan.array, blk.Cplan.index)))
+      rp.Journal.undo
+  in
+  if named_undo <> undo then Alcotest.failf "%s: undo differs" name;
   let h = Prefetch.make plan in
   Array.iteri
     (fun t hints ->

@@ -297,75 +297,88 @@ let test_codec_store_round_trips () =
 let mk_store ?(name = "S") b l =
   Block_store.create b ~format:Block_store.Daf_format ~name ~layout:l
 
+(* A pool over the one-column store [s]: block id [i] is its block [[i; 0]]. *)
+let mk_pool ?phantom ?stats ?on_evict ~cap_bytes s =
+  Buffer_pool.create ?phantom ?stats ?on_evict ~cap_bytes
+    ~blocks:(Block_store.layout s).Config.grid.(0)
+    ~resolve:(fun i -> (s, [ i; 0 ]))
+    ()
+
 let test_pool_hit_miss () =
   let l = layout ~grid:[| 4; 1 |] ~block:[| 2; 2 |] in
   let b = sim () in
   let s = mk_store b l in
   Block_store.write_floats s [ 0; 0 ] (payload l 0);
   let before = b.Backend.stats.Io_stats.reads in
-  let pool = Buffer_pool.create ~cap_bytes:(10 * 32) () in
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);
+  let pool = mk_pool ~cap_bytes:(10 * 32) s in
+  ignore (Buffer_pool.get pool 0);
+  ignore (Buffer_pool.get pool 0);
   check_int "one physical read" (before + 1) b.Backend.stats.Io_stats.reads;
-  check_bool "contains" true (Buffer_pool.contains pool ("S", [ 0; 0 ]))
+  check_bool "contains" true (Buffer_pool.contains pool 0)
 
 let test_pool_eviction_lru () =
   let l = layout ~grid:[| 4; 1 |] ~block:[| 2; 2 |] in
   let bb = Config.block_bytes l in
   let b = sim () in
   let s = mk_store b l in
-  let pool = Buffer_pool.create ~cap_bytes:(2 * bb) () in
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);
-  ignore (Buffer_pool.get pool s [ 1; 0 ]);
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);  (* refresh 0 *)
-  ignore (Buffer_pool.get pool s [ 2; 0 ]);  (* evicts LRU = block 1 *)
-  check_bool "block 1 evicted" false (Buffer_pool.contains pool ("S", [ 1; 0 ]));
-  check_bool "block 0 kept" true (Buffer_pool.contains pool ("S", [ 0; 0 ]));
-  check_int "peak = cap" (2 * bb) (Buffer_pool.peak_bytes pool)
+  let evicted = ref [] in
+  let on_evict id ~dirty = evicted := (id, dirty) :: !evicted in
+  let pool = mk_pool ~on_evict ~cap_bytes:(2 * bb) s in
+  ignore (Buffer_pool.get pool 0);
+  ignore (Buffer_pool.get pool 1);
+  ignore (Buffer_pool.get pool 0);  (* refresh 0 *)
+  ignore (Buffer_pool.get pool 2);  (* evicts LRU = block 1 *)
+  check_bool "block 1 evicted" false (Buffer_pool.contains pool 1);
+  check_bool "block 0 kept" true (Buffer_pool.contains pool 0);
+  check_int "peak = cap" (2 * bb) (Buffer_pool.peak_bytes pool);
+  Alcotest.(check (list (pair int bool))) "on_evict reports the id" [ (1, false) ] !evicted
 
 let test_pool_pinning () =
   let l = layout ~grid:[| 4; 1 |] ~block:[| 2; 2 |] in
   let bb = Config.block_bytes l in
   let b = sim () in
   let s = mk_store b l in
-  let pool = Buffer_pool.create ~cap_bytes:(2 * bb) () in
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);
-  Buffer_pool.pin pool ("S", [ 0; 0 ]);
-  ignore (Buffer_pool.get pool s [ 1; 0 ]);
-  ignore (Buffer_pool.get pool s [ 2; 0 ]);  (* must evict 1, not pinned 0 *)
-  check_bool "pinned survives" true (Buffer_pool.contains pool ("S", [ 0; 0 ]));
-  check_bool "unpinned evicted" false (Buffer_pool.contains pool ("S", [ 1; 0 ]));
+  let pool = mk_pool ~cap_bytes:(2 * bb) s in
+  ignore (Buffer_pool.get pool 0);
+  Buffer_pool.pin pool 0;
+  ignore (Buffer_pool.get pool 1);
+  ignore (Buffer_pool.get pool 2);  (* must evict 1, not pinned 0 *)
+  check_bool "pinned survives" true (Buffer_pool.contains pool 0);
+  check_bool "unpinned evicted" false (Buffer_pool.contains pool 1);
   (* All pinned -> cannot make room. *)
-  Buffer_pool.pin pool ("S", [ 2; 0 ]);
+  Buffer_pool.pin pool 2;
   check_bool "insufficient memory raised" true
-    (try ignore (Buffer_pool.get pool s [ 3; 0 ]); false
+    (try ignore (Buffer_pool.get pool 3); false
      with Buffer_pool.Insufficient_memory _ -> true);
-  Buffer_pool.unpin pool ("S", [ 0; 0 ]);
-  ignore (Buffer_pool.get pool s [ 3; 0 ]);
-  check_bool "after unpin ok" true (Buffer_pool.contains pool ("S", [ 3; 0 ]))
+  Buffer_pool.unpin pool 0;
+  ignore (Buffer_pool.get pool 3);
+  check_bool "after unpin ok" true (Buffer_pool.contains pool 3)
 
 let test_pool_dirty_flush_on_evict () =
   let l = layout ~grid:[| 3; 1 |] ~block:[| 2; 2 |] in
   let bb = Config.block_bytes l in
   let b = sim () in
   let s = mk_store b l in
-  let pool = Buffer_pool.create ~cap_bytes:(1 * bb) () in
-  let data = Buffer_pool.get_for_write pool s [ 0; 0 ] in
+  let evicted = ref [] in
+  let on_evict id ~dirty = evicted := (id, dirty) :: !evicted in
+  let pool = mk_pool ~on_evict ~cap_bytes:(1 * bb) s in
+  let data = Buffer_pool.get_for_write pool 0 in
   data.(0) <- 42.;
-  Buffer_pool.mark_dirty pool ("S", [ 0; 0 ]);
-  ignore (Buffer_pool.get pool s [ 1; 0 ]);  (* evicts and must flush *)
-  check_bool "flushed value" true ((Block_store.read_floats s [ 0; 0 ]).(0) = 42.)
+  Buffer_pool.mark_dirty pool 0;
+  ignore (Buffer_pool.get pool 1);  (* evicts and must flush *)
+  check_bool "flushed value" true ((Block_store.read_floats s [ 0; 0 ]).(0) = 42.);
+  Alcotest.(check (list (pair int bool))) "on_evict reports the dirty id" [ (0, true) ] !evicted
 
 let test_pool_drop_if_dead () =
   let l = layout ~grid:[| 3; 1 |] ~block:[| 2; 2 |] in
   let b = sim () in
   let s = mk_store b l in
-  let pool = Buffer_pool.create ~cap_bytes:1000000 () in
-  let data = Buffer_pool.get_for_write pool s [ 0; 0 ] in
+  let pool = mk_pool ~cap_bytes:1000000 s in
+  let data = Buffer_pool.get_for_write pool 0 in
   data.(0) <- 7.;
-  Buffer_pool.mark_dirty pool ("S", [ 0; 0 ]);
-  Buffer_pool.drop pool ("S", [ 0; 0 ]);
-  check_bool "dropped" false (Buffer_pool.contains pool ("S", [ 0; 0 ]));
+  Buffer_pool.mark_dirty pool 0;
+  Buffer_pool.drop pool 0;
+  check_bool "dropped" false (Buffer_pool.contains pool 0);
   (* Dead data never reached the store. *)
   check_bool "store untouched" true ((Block_store.read_floats s [ 0; 0 ]).(0) = 0.)
 
@@ -376,18 +389,18 @@ let test_pool_drop_clean_dead () =
   let l = layout ~grid:[| 3; 1 |] ~block:[| 2; 2 |] in
   let b = sim () in
   let s = mk_store b l in
-  let pool = Buffer_pool.create ~cap_bytes:1000000 () in
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);  (* clean: straight from disk *)
+  let pool = mk_pool ~cap_bytes:1000000 s in
+  ignore (Buffer_pool.get pool 0);  (* clean: straight from disk *)
   let used = Buffer_pool.used_bytes pool in
-  check_bool "resident before" true (Buffer_pool.contains pool ("S", [ 0; 0 ]));
-  Buffer_pool.drop pool ("S", [ 0; 0 ]);
-  check_bool "clean dead block dropped" false (Buffer_pool.contains pool ("S", [ 0; 0 ]));
+  check_bool "resident before" true (Buffer_pool.contains pool 0);
+  Buffer_pool.drop pool 0;
+  check_bool "clean dead block dropped" false (Buffer_pool.contains pool 0);
   check_int "memory released" (used - Config.block_bytes l) (Buffer_pool.used_bytes pool);
   (* A pinned block is not dead, clean or dirty. *)
-  ignore (Buffer_pool.get pool s [ 1; 0 ]);
-  Buffer_pool.pin pool ("S", [ 1; 0 ]);
-  Buffer_pool.drop pool ("S", [ 1; 0 ]);
-  check_bool "pinned block survives" true (Buffer_pool.contains pool ("S", [ 1; 0 ]))
+  ignore (Buffer_pool.get pool 1);
+  Buffer_pool.pin pool 1;
+  Buffer_pool.drop pool 1;
+  check_bool "pinned block survives" true (Buffer_pool.contains pool 1)
 
 let test_pool_lru_order () =
   (* The intrusive LRU list orders buffers least- to most-recently used, and
@@ -396,30 +409,27 @@ let test_pool_lru_order () =
   let bb = Config.block_bytes l in
   let b = sim () in
   let s = mk_store b l in
-  let pool = Buffer_pool.create ~cap_bytes:(4 * bb) () in
-  List.iter (fun i -> ignore (Buffer_pool.get pool s [ i; 0 ])) [ 0; 1; 2; 3 ];
-  Alcotest.(check (list (pair string (list int))))
-    "insertion order"
-    [ ("S", [ 0; 0 ]); ("S", [ 1; 0 ]); ("S", [ 2; 0 ]); ("S", [ 3; 0 ]) ]
-    (Buffer_pool.lru_keys pool);
-  ignore (Buffer_pool.get pool s [ 1; 0 ]);  (* touch 1 -> most recent *)
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);  (* touch 0 -> most recent *)
-  Alcotest.(check (list (pair string (list int))))
-    "touches reorder"
-    [ ("S", [ 2; 0 ]); ("S", [ 3; 0 ]); ("S", [ 1; 0 ]); ("S", [ 0; 0 ]) ]
-    (Buffer_pool.lru_keys pool);
-  Buffer_pool.pin pool ("S", [ 2; 0 ]);
-  ignore (Buffer_pool.get pool s [ 4; 0 ]);  (* 2 is pinned: 3 is the victim *)
-  check_bool "pinned cold block skipped" true (Buffer_pool.contains pool ("S", [ 2; 0 ]));
-  check_bool "next-coldest evicted" false (Buffer_pool.contains pool ("S", [ 3; 0 ]));
-  Buffer_pool.unpin pool ("S", [ 2; 0 ]);
-  ignore (Buffer_pool.get pool s [ 5; 0 ]);  (* now 2 goes *)
+  let pool = mk_pool ~cap_bytes:(4 * bb) s in
+  List.iter (fun i -> ignore (Buffer_pool.get pool i)) [ 0; 1; 2; 3 ];
+  Alcotest.(check (list int)) "insertion order" [ 0; 1; 2; 3 ] (Buffer_pool.lru_keys pool);
+  ignore (Buffer_pool.get pool 1);  (* touch 1 -> most recent *)
+  ignore (Buffer_pool.get pool 0);  (* touch 0 -> most recent *)
+  Alcotest.(check (list int)) "touches reorder" [ 2; 3; 1; 0 ] (Buffer_pool.lru_keys pool);
+  Buffer_pool.pin pool 2;
+  ignore (Buffer_pool.get pool 4);  (* 2 is pinned: 3 is the victim *)
+  check_bool "pinned cold block skipped" true (Buffer_pool.contains pool 2);
+  check_bool "next-coldest evicted" false (Buffer_pool.contains pool 3);
+  Buffer_pool.unpin pool 2;
+  ignore (Buffer_pool.get pool 5);  (* now 2 goes *)
   check_bool "unpinned cold block evicted" false
-    (Buffer_pool.contains pool ("S", [ 2; 0 ]));
-  Alcotest.(check (list (pair string (list int))))
-    "final order"
-    [ ("S", [ 1; 0 ]); ("S", [ 0; 0 ]); ("S", [ 4; 0 ]); ("S", [ 5; 0 ]) ]
-    (Buffer_pool.lru_keys pool)
+    (Buffer_pool.contains pool 2);
+  Alcotest.(check (list int)) "final order" [ 1; 0; 4; 5 ] (Buffer_pool.lru_keys pool);
+  (* The list holds ids, not block indices: here id [i] names block [[5 - i; 0]]. *)
+  let rev =
+    Buffer_pool.create ~cap_bytes:(4 * bb) ~blocks:6 ~resolve:(fun i -> (s, [ 5 - i; 0 ])) ()
+  in
+  List.iter (fun i -> ignore (Buffer_pool.get rev i)) [ 4; 0; 2; 0 ];
+  Alcotest.(check (list int)) "ids in recency order" [ 4; 2; 0 ] (Buffer_pool.lru_keys rev)
 
 let test_pool_stats_counters () =
   (* Pool hits/misses/evictions/flushes land in the backend's Io_stats when
@@ -429,14 +439,14 @@ let test_pool_stats_counters () =
   let b = sim () in
   let s = mk_store b l in
   let st = b.Backend.stats in
-  let pool = Buffer_pool.create ~stats:st ~cap_bytes:(2 * bb) () in
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);          (* miss *)
-  ignore (Buffer_pool.get pool s [ 0; 0 ]);          (* hit *)
-  let d = Buffer_pool.get_for_write pool s [ 1; 0 ] in  (* miss (no read) *)
+  let pool = mk_pool ~stats:st ~cap_bytes:(2 * bb) s in
+  ignore (Buffer_pool.get pool 0);          (* miss *)
+  ignore (Buffer_pool.get pool 0);          (* hit *)
+  let d = Buffer_pool.get_for_write pool 1 in  (* miss (no read) *)
   d.(0) <- 1.;
-  Buffer_pool.mark_dirty pool ("S", [ 1; 0 ]);
-  ignore (Buffer_pool.get pool s [ 2; 0 ]);  (* miss; evicts 0 (clean) *)
-  ignore (Buffer_pool.get pool s [ 3; 0 ]);  (* miss; evicts dirty 1 -> flush *)
+  Buffer_pool.mark_dirty pool 1;
+  ignore (Buffer_pool.get pool 2);  (* miss; evicts 0 (clean) *)
+  ignore (Buffer_pool.get pool 3);  (* miss; evicts dirty 1 -> flush *)
   check_int "hits" 1 st.Io_stats.pool_hits;
   check_int "misses" 4 st.Io_stats.pool_misses;
   check_int "evictions" 2 st.Io_stats.pool_evictions;
@@ -444,13 +454,22 @@ let test_pool_stats_counters () =
   (* Regression: [write_through] used to clear [dirty] by hand without
      counting the flush, so write-through traffic vanished from the pool
      stats. *)
-  Buffer_pool.mark_dirty pool ("S", [ 3; 0 ]);
-  Buffer_pool.write_through pool s [ 3; 0 ];
+  Buffer_pool.mark_dirty pool 3;
+  Buffer_pool.write_through pool 3;
   check_int "write-through counted as flush" 2 st.Io_stats.pool_flushes;
   (* Write-through is unconditional (journalled and opportunistic callers
      rely on the write happening even for clean buffers). *)
-  Buffer_pool.write_through pool s [ 3; 0 ];
-  check_int "clean write-through still flushes" 3 st.Io_stats.pool_flushes
+  Buffer_pool.write_through pool 3;
+  check_int "clean write-through still flushes" 3 st.Io_stats.pool_flushes;
+  (* An id outside the pool, [0, 4) here, is refused before any I/O. *)
+  let reads = st.Io_stats.reads and misses = st.Io_stats.pool_misses in
+  List.iter
+    (fun id ->
+      check_bool "id outside the pool refused" true
+        (try ignore (Buffer_pool.get pool id); false with Invalid_argument _ -> true))
+    [ -1; 4 ];
+  check_int "no read for an id outside" reads st.Io_stats.reads;
+  check_int "no miss for an id outside" misses st.Io_stats.pool_misses
 
 let test_per_stream_stats () =
   let b = sim () in
@@ -484,8 +503,8 @@ let test_pool_phantom () =
   let l = layout ~grid:[| 4; 1 |] ~block:[| 1000; 1000 |] in
   let b = sim () in
   let s = mk_store b l in
-  let pool = Buffer_pool.create ~phantom:true ~cap_bytes:(3 * Config.block_bytes l) () in
-  let data = Buffer_pool.get pool s [ 0; 0 ] in
+  let pool = mk_pool ~phantom:true ~cap_bytes:(3 * Config.block_bytes l) s in
+  let data = Buffer_pool.get pool 0 in
   check_int "no real buffer" 0 (Array.length data);
   check_int "io accounted" (Config.block_bytes l) b.Backend.stats.Io_stats.bytes_read;
   check_int "memory accounted" (Config.block_bytes l) (Buffer_pool.used_bytes pool)
